@@ -10,9 +10,11 @@ instances.
 
 from .diagnostics import (
     EtaReport,
+    FrozenDirectionRule,
     LemmaBoundsReport,
     MomentReport,
     TheoremConstants,
+    c3_from_moments,
     check_interpolation,
     compute_eta,
     estimate_c3,
@@ -21,9 +23,14 @@ from .diagnostics import (
     estimate_wgc,
     exact_moments,
     frozen_direction_rule,
+    lemma_bounds_from_moments,
     monte_carlo_moments,
     negative_gradient_rule,
+    pl_from_moments,
+    point_moments,
+    rho_from_moments,
     verify_lemma_bounds,
+    wgc_from_moments,
 )
 from .directions import (
     CG_VARIANTS,

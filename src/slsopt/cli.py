@@ -1,7 +1,8 @@
 """Command-line front end: run, diagnose, verify, sweep.
 
 Exit codes: 0 success / converged, 1 configuration error, 2 iteration cap hit,
-3 line-search stall, 4 undefined estimator, 5 trace bound violated.
+3 line-search stall, 4 undefined estimator, 5 per-iteration bound or Armijo
+certificate violated.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from . import config as cfgmod
 from . import diagnostics, optimizer, traceio
 from .errors import (
+    CertificateError,
     ConfigError,
     DomainError,
     InsufficientDataError,
@@ -114,7 +116,15 @@ def _sample_points(problem, rng, count):
 
 
 def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, samples_csv=None) -> int:
-    """Estimate the regularity constants on sampled points and print them."""
+    """Estimate the regularity constants on sampled points and print them.
+
+    Each point is visited once: one exact pass builds its N x n
+    component-gradient matrix, reduces it to a moment record and drops it;
+    every estimate, slack and samples-CSV row then reads the records.
+    """
+    if num_points < 1:
+        print(f"config error: --points must be >= 1, got {num_points}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         cfg = _load(config_path, overrides, seed)
         problem = cfgmod.build_problem(cfg)
@@ -131,23 +141,19 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
     rng = np.random.default_rng(cfg.run.seed)
     points = _sample_points(problem, rng, num_points)
     known = problem.known
-
-    def per_point_rule(x):
-        return diagnostics.frozen_direction_rule(state.fresh(), x)
+    moments = [
+        diagnostics.point_moments(problem, x, diagnostics.frozen_direction_rule(state.fresh(), x))
+        for x in points
+    ]
 
     try:
-        rho_hat = diagnostics.estimate_rho(problem, points)
-        c3_vals = []
-        for x in points:
-            m = diagnostics.exact_moments(problem, x, per_point_rule(x))
-            if m.var_g > 0:
-                c3_vals.append(max(0.0, -m.cov_dg) / m.var_g)
-        if c3_vals:
-            c3_hat = max(c3_vals)
-        else:
+        rho_hat, rho_point = diagnostics.rho_from_moments(moments)
+        try:
+            c3_hat, c3_point = diagnostics.c3_from_moments(moments)
+        except UndefinedEstimateError:
             # zero gradient variance everywhere makes the covariance bound
             # vacuous; any nonnegative constant works, so report the infimum
-            c3_hat = 0.0
+            c3_hat, c3_point = 0.0, "n/a"
             print("note: gradient variance vanished at every sample; covariance bound is vacuous")
 
         print(f"rho_hat = {rho_hat!r}")
@@ -158,8 +164,8 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
                 "growth and gradient-domination estimates need known f_star and L; "
                 "this instance records neither smoothness constant"
             )
-        wgc_hat = diagnostics.estimate_wgc(problem, points, known.L)
-        mu_hat = diagnostics.estimate_pl(problem, points)
+        wgc_hat, _ = diagnostics.wgc_from_moments(moments, known.f_star, known.L)
+        mu_hat, _ = diagnostics.pl_from_moments(moments, known.f_star)
         print(f"mu_hat = {mu_hat!r}")
         print(f"wgc_hat = {wgc_hat!r}")
     except (UndefinedEstimateError, UnsupportedProblemError) as exc:
@@ -187,30 +193,26 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
     print(f"rate_certified = {'true' if report.certified else 'false'}")
 
     if constants.lemma_applicable:
-        norm_slacks, descent_slacks = [], []
-        for x in points:
-            rep = diagnostics.verify_lemma_bounds(problem, x, per_point_rule(x), constants)
-            norm_slacks.append(rep.norm_slack)
-            descent_slacks.append(rep.descent_slack)
-        print(f"lemma_norm_min_slack = {min(norm_slacks)!r}")
-        print(f"lemma_descent_min_slack = {min(descent_slacks)!r}")
+        reps = [diagnostics.lemma_bounds_from_moments(m, constants) for m in moments]
+        print(f"lemma_norm_min_slack = {min(r.norm_slack for r in reps)!r}")
+        print(f"lemma_descent_min_slack = {min(r.descent_slack for r in reps)!r}")
     else:
         print("lemma bounds skipped: hypothesis c2 > c3 (1 - 1/rho) fails")
 
     if samples_csv:
         lines = ["index,f,grad_norm,e_norm_g_sq,var_g,rho_ratio"]
-        for i, x in enumerate(points):
-            m = diagnostics.exact_moments(problem, x, diagnostics.negative_gradient_rule)
-            f = float(problem.component_values(x).mean())
+        for i, m in enumerate(moments):
             gn = float(np.linalg.norm(m.E_g))
             ratio = m.E_norm_g_sq / (gn * gn) if gn > 0 else float("nan")
             lines.append(
-                f"{i},{f!r},{gn!r},{m.E_norm_g_sq!r},{m.var_g!r},{ratio!r}"
+                f"{i},{m.f!r},{gn!r},{m.E_norm_g_sq!r},{m.var_g!r},{ratio!r}"
             )
         with open(samples_csv, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"samples: {samples_csv}")
 
+    print(f"rho_hat_point = {rho_point}")
+    print(f"c3_hat_point = {c3_point}")
     return EXIT_OK
 
 
@@ -280,14 +282,30 @@ def _sweep_worker(args):
 def _parse_seed_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        seeds = list(range(int(lo), int(hi) + 1))
+        if not seeds:
+            raise ConfigError(f"seed range {text!r} is empty: {hi.strip()} < {lo.strip()}")
+        return seeds
     return [int(t) for t in text.split(",")]
+
+
+def _sweep_workers(jobs: int | None, tasks: int, cpu_count: int | None) -> int:
+    """Worker processes for a sweep.
+
+    The requested count (default: one per CPU), capped at the CPU count and
+    at the number of tasks, so no flag value can ask for more processes.
+    """
+    cpus = cpu_count or 1
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    return min(jobs or cpus, cpus, tasks)
 
 
 def cmd_sweep(config_path, seeds: str, jobs: int | None = None, overrides=()) -> int:
     """Run one independent trajectory per seed, writing one CSV each."""
     try:
         seed_list = _parse_seed_range(seeds)
+        workers = _sweep_workers(jobs, len(seed_list), os.cpu_count())
         cfg = _load(config_path, overrides, None)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -299,7 +317,6 @@ def cmd_sweep(config_path, seeds: str, jobs: int | None = None, overrides=()) ->
     base, ext = os.path.splitext(cfg.run.out_csv or "trace.csv")
     config_text = cfgmod.serialize_config(cfg)
     tasks = [(config_text, s, f"{base}_seed{s}{ext}") for s in seed_list]
-    workers = min(jobs or os.cpu_count() or 1, len(tasks))
 
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -367,6 +384,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args.config, trace_path=args.trace, overrides=args.override, seed=args.seed)
         return cmd_sweep(args.config, seeds=args.seeds, jobs=args.jobs, overrides=args.override)
+    except CertificateError as exc:
+        print(f"violation: armijo_certificate: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except SlsoptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,8 +12,9 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+import operator
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .directions import DirectionState, propose_direction
 from .errors import (
     DomainError,
     NumericDomainError,
+    ShapeError,
     UndefinedEstimateError,
     UnsupportedProblemError,
 )
@@ -32,16 +34,23 @@ __all__ = [
     "EtaReport",
     "LemmaBoundsReport",
     "exact_moments",
+    "point_moments",
     "monte_carlo_moments",
     "estimate_c3",
     "estimate_rho",
     "estimate_wgc",
     "estimate_pl",
     "verify_lemma_bounds",
+    "rho_from_moments",
+    "c3_from_moments",
+    "wgc_from_moments",
+    "pl_from_moments",
+    "lemma_bounds_from_moments",
     "compute_eta",
     "check_interpolation",
     "negative_gradient_rule",
     "frozen_direction_rule",
+    "FrozenDirectionRule",
 ]
 
 
@@ -50,7 +59,8 @@ class MomentReport:
     """First and second moments of the sampled gradient and a direction rule.
 
     var_g and cov_dg come from centered accumulation (var_g clamped at 0);
-    E_dTg should reconstruct E_d . E_g + cov_dg up to roundoff.
+    E_dTg should reconstruct E_d . E_g + cov_dg up to roundoff. f, the
+    objective value at x, is set by point_moments only.
     """
 
     x: Vector
@@ -62,35 +72,95 @@ class MomentReport:
     cov_dg: float
     mode: str
     samples: int | None = None
+    f: float | None = None
 
 
-def negative_gradient_rule(i: int, g: Vector) -> Vector:
-    """The plain direction rule d = -g."""
-    return -g
-
-
-def frozen_direction_rule(state: DirectionState, x: Vector) -> Callable:
+class FrozenDirectionRule:
     """Direction rule applying a recipe with its memory frozen at x.
 
-    The returned map is pure in (i, g): proposals read the state but never
-    mutate it, so the expectation runs over the batch draw only.
+    Calling it as rule(i, g) is pure in (i, g): proposals read the state but
+    never mutate it, so the expectation runs over the batch draw only. rows(G)
+    gives the directions for every row of a gradient matrix in one numpy call,
+    with the same floats as calling the rule row by row.
     """
 
-    def rule(i: int, g: Vector) -> Vector:
-        return propose_direction(state, g, x)
+    def __init__(self, state: DirectionState, x):
+        self.state = state
+        self.x = x
 
-    return rule
+    def __call__(self, i, g) -> Vector:
+        return propose_direction(self.state, g, self.x)
+
+    @property
+    def negates_gradient(self) -> bool:
+        """Whether the recipe reduces to d = -g with the frozen memory."""
+        s = self.state
+        if s.kind == "momentum":
+            return s.x_prev is None
+        if s.kind == "cg":
+            return s.d_prev is None or s.g_prev is None
+        return s.kind == "sgd"
+
+    def rows(self, G: np.ndarray) -> np.ndarray | None:
+        """Directions for all rows of G, or None where the recipe is not row-wise.
+
+        Each recipe adds the same vector to, or divides by the same vector,
+        every row, except cg with memory, whose mixing coefficient depends on
+        the row itself.
+        """
+        s = self.state
+        if self.negates_gradient:
+            return -G
+        if s.kind == "momentum":
+            x = np.asarray(self.x, dtype=np.float64)
+            if s.x_prev.shape != x.shape:
+                raise ShapeError("direction memory does not match the iterate shape")
+            return -G + s.beta * (x - s.x_prev)
+        if s.kind == "adagrad_diag":
+            acc = s.accum if s.accum is not None else np.zeros(G.shape[1])
+            return -G / np.sqrt(acc + s.epsilon)
+        return None
 
 
-def _moments_from_samples(x, G: np.ndarray, D: np.ndarray, mode: str, samples=None) -> MomentReport:
+def frozen_direction_rule(state: DirectionState, x) -> FrozenDirectionRule:
+    """Direction rule applying a recipe with its memory frozen at x."""
+    return FrozenDirectionRule(state, x)
+
+
+# The plain direction rule d = -g: sgd keeps no memory, so x is never read.
+negative_gradient_rule = FrozenDirectionRule(DirectionState(kind="sgd"), None)
+
+
+def _direction_matrix(direction_rule: Callable, G: np.ndarray) -> np.ndarray | None:
+    """All N directions of a rule, or None when the rule is d = -g.
+
+    Rules offering rows() build the matrix in one call; any other callable
+    is applied row by row.
+    """
+    if getattr(direction_rule, "negates_gradient", False):
+        return None
+    rows = getattr(direction_rule, "rows", None)
+    D = rows(G) if rows is not None else None
+    if D is None:
+        D = np.stack([np.asarray(direction_rule(i, G[i]), dtype=np.float64) for i in range(len(G))])
+    return D
+
+
+def _moments_from_samples(x, G: np.ndarray, D: np.ndarray | None, mode: str, samples=None) -> MomentReport:
     E_g = G.mean(axis=0)
     E_norm_g_sq = float(np.einsum("ij,ij->i", G, G).mean())
     Gc = G - E_g
     var_g = float(np.einsum("ij,ij->i", Gc, Gc).mean())
-    E_d = D.mean(axis=0)
-    E_dTg = float(np.einsum("ij,ij->i", D, G).mean())
-    Dc = D - E_d
-    cov_dg = float(np.einsum("ij,ij->i", Dc, Gc).mean())
+    if D is None:
+        # D = -G. Negating every term of a sum negates the rounded sum, so
+        # these equal the moments of the explicit matrix -G (as values; a sum
+        # that cancels to zero may differ in the sign of that zero).
+        E_d, E_dTg, cov_dg = -E_g, -E_norm_g_sq, -var_g
+    else:
+        E_d = D.mean(axis=0)
+        E_dTg = float(np.einsum("ij,ij->i", D, G).mean())
+        Dc = D - E_d
+        cov_dg = float(np.einsum("ij,ij->i", Dc, Gc).mean())
     return MomentReport(
         x=x,
         E_g=E_g,
@@ -105,11 +175,25 @@ def _moments_from_samples(x, G: np.ndarray, D: np.ndarray, mode: str, samples=No
 
 
 def exact_moments(problem: FiniteSumProblem, x, direction_rule: Callable) -> MomentReport:
-    """Moments as exact uniform averages over the N singleton batches."""
+    """Moments as exact uniform averages over the N singleton batches.
+
+    Builds the N x n component-gradient matrix once and drops it on return.
+    """
     xv = as_vector(x, problem.n)
     G = problem.component_grads(xv)
-    D = np.stack([np.asarray(direction_rule(i, G[i]), dtype=np.float64) for i in range(problem.N)])
-    return _moments_from_samples(xv, G, D, mode="exact_singleton_enumeration")
+    return _moments_from_samples(xv, G, _direction_matrix(direction_rule, G), mode="exact_singleton_enumeration")
+
+
+def point_moments(problem: FiniteSumProblem, x, direction_rule: Callable = negative_gradient_rule) -> MomentReport:
+    """Everything the estimators read at x, from one exact pass.
+
+    exact_moments plus the objective value f: component values and component
+    gradients are each evaluated once. The *_from_moments reducers take a
+    sequence of these records, so several estimates share one pass per point.
+    """
+    xv = as_vector(x, problem.n)
+    f = float(problem.component_values(xv).mean())
+    return replace(exact_moments(problem, xv, direction_rule), f=f)
 
 
 def monte_carlo_moments(
@@ -142,51 +226,86 @@ def monte_carlo_moments(
     return _moments_from_samples(xv, G, D, mode="monte_carlo", samples=samples)
 
 
+def _first_best(ratios: Iterable[float | None], better, undefined: str) -> tuple[float, int]:
+    """The best ratio and the index of its first occurrence; None marks a skipped point."""
+    best = point = None
+    for i, ratio in enumerate(ratios):
+        if ratio is not None and (best is None or better(ratio, best)):
+            best, point = ratio, i
+    if best is None:
+        raise UndefinedEstimateError(undefined)
+    return best, point
+
+
+def rho_from_moments(moments: Iterable[MomentReport], tol: float = 1e-10) -> tuple[float, int]:
+    """Strong-growth ratio max E||g||^2 / ||grad f||^2 and the first point attaining it.
+
+    Points whose full gradient norm is at most tol are skipped; the ratio is
+    always >= 1.
+    """
+
+    def ratio(m):
+        denom = float(m.E_g @ m.E_g)
+        return None if math.sqrt(denom) <= tol else m.E_norm_g_sq / denom
+
+    best, point = _first_best(
+        map(ratio, moments), operator.gt, "no sample had full gradient norm above the tolerance"
+    )
+    if best < 1.0 - 1e-9:
+        raise NumericDomainError(
+            f"growth ratio {best!r} < 1 contradicts the mean-square inequality"
+        )
+    return max(best, 1.0), point
+
+
+def c3_from_moments(moments: Iterable[MomentReport]) -> tuple[float, int]:
+    """Covariance coefficient max max(0, -cov_dg) / var_g and the first point attaining it.
+
+    Points with zero gradient variance are skipped.
+    """
+
+    def ratio(m):
+        return None if m.var_g <= 0.0 else max(0.0, -m.cov_dg) / m.var_g
+
+    return _first_best(map(ratio, moments), operator.gt, "gradient variance vanished at every sample")
+
+
+def wgc_from_moments(
+    moments: Iterable[MomentReport], f_star: float, L: float, tol: float = 1e-12
+) -> tuple[float, int]:
+    """Weak-growth ratio max E||g||^2 / (2 L (f - f_star)) over point_moments records."""
+    if L <= 0:
+        raise DomainError(f"L must be > 0, got {L}")
+
+    def ratio(m):
+        gap = m.f - f_star
+        return None if gap <= tol else m.E_norm_g_sq / (2.0 * L * gap)
+
+    return _first_best(map(ratio, moments), operator.gt, "no sample had a positive optimality gap")
+
+
+def pl_from_moments(moments: Iterable[MomentReport], f_star: float, tol: float = 1e-12) -> tuple[float, int]:
+    """Gradient-domination constant min ||grad f||^2 / (2 (f - f_star)) over point_moments records."""
+
+    def ratio(m):
+        gap = m.f - f_star
+        return None if gap <= tol else float(m.E_g @ m.E_g) / (2.0 * gap)
+
+    return _first_best(map(ratio, moments), operator.lt, "no sample had a positive optimality gap")
+
+
 def estimate_c3(problem: FiniteSumProblem, x_samples, direction_rule: Callable) -> float:
     """Smallest anti-correlation coefficient covering all sampled points.
 
     Returns max over samples of max(0, -cov_dg) / var_g, skipping points with
     zero gradient variance; errors out if every sample is degenerate.
     """
-    best = None
-    for x in x_samples:
-        m = exact_moments(problem, x, direction_rule)
-        if m.var_g <= 0.0:
-            continue
-        ratio = max(0.0, -m.cov_dg) / m.var_g
-        best = ratio if best is None else max(best, ratio)
-    if best is None:
-        raise UndefinedEstimateError("gradient variance vanished at every sample")
-    return best
-
-
-def _gradient_moments(problem, x):
-    xv = as_vector(x, problem.n)
-    G = problem.component_grads(xv)
-    E_g = G.mean(axis=0)
-    E_norm = float(np.einsum("ij,ij->i", G, G).mean())
-    return E_g, E_norm
+    return c3_from_moments(exact_moments(problem, x, direction_rule) for x in x_samples)[0]
 
 
 def estimate_rho(problem: FiniteSumProblem, x_samples, tol: float = 1e-10) -> float:
     """Sampled strong-growth ratio max E||g||^2 / ||grad f||^2; always >= 1."""
-    best = None
-    for x in x_samples:
-        E_g, E_norm = _gradient_moments(problem, x)
-        denom = float(E_g @ E_g)
-        if math.sqrt(denom) <= tol:
-            continue
-        ratio = E_norm / denom
-        best = ratio if best is None else max(best, ratio)
-    if best is None:
-        raise UndefinedEstimateError(
-            "no sample had full gradient norm above the tolerance"
-        )
-    if best < 1.0 - 1e-9:
-        raise NumericDomainError(
-            f"growth ratio {best!r} < 1 contradicts the mean-square inequality"
-        )
-    return max(best, 1.0)
+    return rho_from_moments((exact_moments(problem, x, negative_gradient_rule) for x in x_samples), tol)[0]
 
 
 def _require_f_star(problem):
@@ -200,19 +319,7 @@ def estimate_wgc(problem: FiniteSumProblem, x_samples, L: float, tol: float = 1e
     if L <= 0:
         raise DomainError(f"L must be > 0, got {L}")
     f_star = _require_f_star(problem)
-    best = None
-    for x in x_samples:
-        xv = as_vector(x, problem.n)
-        f = float(problem.component_values(xv).mean())
-        gap = f - f_star
-        if gap <= tol:
-            continue
-        _, E_norm = _gradient_moments(problem, xv)
-        ratio = E_norm / (2.0 * L * gap)
-        best = ratio if best is None else max(best, ratio)
-    if best is None:
-        raise UndefinedEstimateError("no sample had a positive optimality gap")
-    return best
+    return wgc_from_moments((point_moments(problem, x) for x in x_samples), f_star, L, tol)[0]
 
 
 def estimate_pl(problem: FiniteSumProblem, x_samples, tol: float = 1e-12) -> float:
@@ -222,19 +329,7 @@ def estimate_pl(problem: FiniteSumProblem, x_samples, tol: float = 1e-12) -> flo
     optimum are excluded (0/0).
     """
     f_star = _require_f_star(problem)
-    best = None
-    for x in x_samples:
-        xv = as_vector(x, problem.n)
-        f = float(problem.component_values(xv).mean())
-        gap = f - f_star
-        if gap <= tol:
-            continue
-        E_g, _ = _gradient_moments(problem, xv)
-        ratio = float(E_g @ E_g) / (2.0 * gap)
-        best = ratio if best is None else min(best, ratio)
-    if best is None:
-        raise UndefinedEstimateError("no sample had a positive optimality gap")
-    return best
+    return pl_from_moments((point_moments(problem, x) for x in x_samples), f_star, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -315,6 +410,31 @@ class LemmaBoundsReport:
     descent_slack: float
 
 
+def _require_lemma_applicable(constants: TheoremConstants):
+    if not constants.lemma_applicable:
+        raise DomainError(
+            "constants violate the hypothesis c2 > c3 (1 - 1/rho): "
+            f"c2={constants.c2}, c3={constants.c3}, rho={constants.rho}"
+        )
+
+
+def lemma_bounds_from_moments(m: MomentReport, constants: TheoremConstants) -> LemmaBoundsReport:
+    """The expected-direction bounds of verify_lemma_bounds, from one moment record."""
+    _require_lemma_applicable(constants)
+    grad = m.E_g
+    gnorm = float(np.linalg.norm(grad))
+    norm_lhs = float(np.linalg.norm(m.E_d))
+    norm_rhs = constants.c1 * math.sqrt(constants.rho) * gnorm
+    descent_lhs = float(m.E_d @ grad)
+    descent_rhs = -constants.sigma * (gnorm * gnorm)
+    return LemmaBoundsReport(
+        norm_ok=norm_lhs <= norm_rhs,
+        descent_ok=descent_lhs <= descent_rhs,
+        norm_slack=norm_rhs - norm_lhs,
+        descent_slack=descent_rhs - descent_lhs,
+    )
+
+
 def verify_lemma_bounds(
     problem: FiniteSumProblem,
     x,
@@ -328,24 +448,8 @@ def verify_lemma_bounds(
 
     Requires sigma > 0; slacks are rhs - lhs, nonnegative when the bound holds.
     """
-    if not constants.lemma_applicable:
-        raise DomainError(
-            "constants violate the hypothesis c2 > c3 (1 - 1/rho): "
-            f"c2={constants.c2}, c3={constants.c3}, rho={constants.rho}"
-        )
-    m = exact_moments(problem, x, direction_rule)
-    grad = m.E_g
-    gnorm = float(np.linalg.norm(grad))
-    norm_lhs = float(np.linalg.norm(m.E_d))
-    norm_rhs = constants.c1 * math.sqrt(constants.rho) * gnorm
-    descent_lhs = float(m.E_d @ grad)
-    descent_rhs = -constants.sigma * (gnorm * gnorm)
-    return LemmaBoundsReport(
-        norm_ok=norm_lhs <= norm_rhs,
-        descent_ok=descent_lhs <= descent_rhs,
-        norm_slack=norm_rhs - norm_lhs,
-        descent_slack=descent_rhs - descent_lhs,
-    )
+    _require_lemma_applicable(constants)
+    return lemma_bounds_from_moments(exact_moments(problem, x, direction_rule), constants)
 
 
 def check_interpolation(problem: FiniteSumProblem, x_star, tol: float) -> tuple[bool, int, float]:

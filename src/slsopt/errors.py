@@ -39,6 +39,10 @@ class LineSearchStallError(SlsoptError, RuntimeError):
         self.trials = trials
 
 
+class CertificateError(SlsoptError, RuntimeError):
+    """An accepted line-search step fails the Armijo test it was accepted on."""
+
+
 class UnsatisfiableSafeguardError(SlsoptError, ValueError):
     """The restart direction -g itself violates the configured bounds."""
 

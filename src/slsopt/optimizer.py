@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .directions import DirectionState, SgrParams, safeguarded_direction, update_memory
-from .errors import ConfigError, InsufficientDataError, LineSearchStallError
+from .errors import CertificateError, ConfigError, InsufficientDataError, LineSearchStallError
 from .linesearch import LineSearchParams, alpha_low, backtrack, jstar, next_alpha0
 from .problems import (
     BatchSampler,
@@ -191,8 +191,13 @@ def run(config: RunConfig) -> RunResult:
             status = "stalled"
             break
 
-        # Acceptance certificate: same floats the search just tested.
-        assert result.accepted_f <= f_b + ls.gamma * result.alpha * dTg
+        # Acceptance certificate: same floats the search just tested. An
+        # explicit check, so that running with -O cannot strip it.
+        if not result.accepted_f <= f_b + ls.gamma * result.alpha * dTg:
+            raise CertificateError(
+                f"k={k}: accepted f={result.accepted_f!r} at alpha={result.alpha!r} "
+                f"exceeds f_B + gamma*alpha*d.g = {f_b + ls.gamma * result.alpha * dTg!r}"
+            )
 
         x_new = x + result.alpha * d
         update_memory(state, x_new, x, g_b, d)

@@ -1,11 +1,28 @@
 import numpy as np
 import pytest
 
-from slsopt import cli
+from slsopt import (
+    KINDS,
+    LeastSquaresProblem,
+    TheoremConstants,
+    cli,
+    compute_eta,
+    estimate_c3,
+    estimate_pl,
+    estimate_rho,
+    estimate_wgc,
+    exact_moments,
+    frozen_direction_rule,
+    negative_gradient_rule,
+    verify_lemma_bounds,
+)
 from slsopt.config import (
     ExperimentConfig,
+    build_direction_state,
+    build_linesearch_params,
     build_problem,
     build_run_config,
+    build_sgr_params,
     parse_config,
     parse_spectrum,
     read_config,
@@ -293,6 +310,95 @@ class TestCmdDiagnose:
         assert len(lines) == 6
 
 
+    def test_points_below_one_exit_one_before_the_build(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_cfg(tmp_path, LS)
+
+        def no_build(cfg):
+            raise AssertionError("instance built for an invalid --points")
+
+        monkeypatch.setattr(cli.cfgmod, "build_problem", no_build)
+        for k in (0, -3):
+            assert cli.cmd_diagnose(cfg_path, num_points=k) == 1
+            assert "--points must be >= 1" in capsys.readouterr().err
+        assert cli.main(["diagnose", cfg_path, "--points", "0"]) == 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_public_estimators(self, tmp_path, capsys, kind):
+        # one shared pass per point gives exactly what the per-estimator
+        # public functions give on the same points
+        cfg_path = write_cfg(tmp_path, LS)
+        out = tmp_path / "samples.csv"
+        k, seed = 9, 4
+        ov = [f"direction.kind={kind}"]
+        assert cli.cmd_diagnose(cfg_path, num_points=k, overrides=ov, seed=seed, samples_csv=str(out)) == 0
+        printed = [ln.split(" = ", 1) for ln in capsys.readouterr().out.splitlines() if " = " in ln]
+
+        cfg = parse_config(LS, overrides=ov + [f"run.seed={seed}"])
+        p = build_problem(cfg)
+        state = build_direction_state(cfg)
+        ls, sgr = build_linesearch_params(cfg), build_sgr_params(cfg)
+        rng = np.random.default_rng(seed)
+        pts = [rng.standard_normal(p.n) for _ in range(k)]
+        rules = [frozen_direction_rule(state.fresh(), x) for x in pts]
+
+        rho_each = [estimate_rho(p, [x]) for x in pts]
+        c3_each = [estimate_c3(p, [x], r) for x, r in zip(pts, rules)]
+        rho, c3 = estimate_rho(p, pts), max(c3_each)
+        mu = estimate_pl(p, pts)
+        wgc = estimate_wgc(p, pts, p.known.L)
+        constants = TheoremConstants(
+            c1=sgr.c1, c2=sgr.c2, c3=c3, rho=rho, mu=p.known.mu, L=p.known.L,
+            L_max=p.known.L_max, gamma=ls.gamma, delta=ls.delta, alpha_max=ls.alpha_max,
+        )
+        eta = compute_eta(constants)
+        expected = [
+            ("rho_hat", rho), ("c3_hat", c3), ("mu_hat", mu), ("wgc_hat", wgc),
+            ("sigma", constants.sigma), ("eta", eta.eta), ("eta_alpha_max", eta.rate),
+            ("theorem_hypothesis_ok", str(eta.hypothesis_ok).lower()),
+            ("rate_certified", str(eta.certified).lower()),
+        ]
+        if constants.lemma_applicable:
+            reps = [verify_lemma_bounds(p, x, r, constants) for x, r in zip(pts, rules)]
+            expected += [
+                ("lemma_norm_min_slack", min(r.norm_slack for r in reps)),
+                ("lemma_descent_min_slack", min(r.descent_slack for r in reps)),
+            ]
+        expected += [
+            ("rho_hat_point", str(rho_each.index(max(rho_each)))),
+            ("c3_hat_point", str(c3_each.index(c3))),
+        ]
+        assert [key for key, _ in printed] == [key for key, _ in expected]
+        for (key, text), (_, value) in zip(printed, expected):
+            assert (float(text) if isinstance(value, float) else text) == value, key
+
+        rows = ["index,f,grad_norm,e_norm_g_sq,var_g,rho_ratio"]
+        for i, x in enumerate(pts):
+            m = exact_moments(p, x, negative_gradient_rule)
+            f = float(p.component_values(x).mean())
+            gn = float(np.linalg.norm(m.E_g))
+            rows.append(f"{i},{f!r},{gn!r},{m.E_norm_g_sq!r},{m.var_g!r},{m.E_norm_g_sq / (gn * gn)!r}")
+        assert out.read_text() == "\n".join(rows) + "\n"
+
+    @pytest.mark.parametrize("kind", ["sgd", "adagrad_diag"])
+    def test_one_gradient_matrix_per_point(self, tmp_path, monkeypatch, kind):
+        calls = {"component_grads": 0, "component_values": 0}
+        for name in calls:
+            original = getattr(LeastSquaresProblem, name)
+
+            def counted(self, x, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, x)
+
+            monkeypatch.setattr(LeastSquaresProblem, name, counted)
+        cfg_path = write_cfg(tmp_path, LS)
+        code = cli.cmd_diagnose(
+            cfg_path, num_points=7, overrides=[f"direction.kind={kind}"],
+            samples_csv=str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        assert calls == {"component_grads": 7, "component_values": 7}
+
+
 class TestCmdVerify:
     def test_replay_passes(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, LS)
@@ -354,6 +460,35 @@ class TestCmdSweep:
         assert code == 0
         assert (tmp_path / "t_seed3.csv").exists()
         assert (tmp_path / "t_seed5.csv").exists()
+
+
+    @pytest.mark.parametrize("seeds", ["5..1", "1,,3", "", "a..b", "0..-1"])
+    def test_bad_seed_specs_exit_one(self, tmp_path, capsys, seeds):
+        cfg_path = write_cfg(tmp_path, TOY)
+        code = cli.cmd_sweep(cfg_path, seeds=seeds, jobs=1, overrides=[f"run.out_csv={tmp_path / 't.csv'}"])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("t_seed*.csv"))
+
+    def test_reversed_range_names_the_range(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, TOY)
+        assert cli.main(["sweep", cfg_path, "--seeds", "5..1"]) == 1
+        assert "'5..1' is empty" in capsys.readouterr().err
+
+    def test_jobs_below_one_exit_one(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, TOY)
+        assert cli.cmd_sweep(cfg_path, seeds="0..1", jobs=0) == 1
+
+    def test_worker_count_is_capped_at_cpu_count(self):
+        # pure helper: no process pool is started
+        assert cli._sweep_workers(10**6, 10**6, 4) == 4
+        assert cli._sweep_workers(10**9, 3, 64) == 3
+        assert cli._sweep_workers(None, 10**6, 8) == 8
+        assert cli._sweep_workers(None, 2, 8) == 2
+        assert cli._sweep_workers(10**6, 10**6, None) == 1
+        assert cli._sweep_workers(2, 10, 8) == 2
+        with pytest.raises(ConfigError):
+            cli._sweep_workers(0, 10, 8)
 
 
 class TestMainWiring:

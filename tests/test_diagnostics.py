@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from slsopt import (
+    KINDS,
     DirectionState,
     LeastSquaresProblem,
     TheoremConstants,
@@ -18,7 +24,11 @@ from slsopt import (
     gen_nonconvex_interpolating,
     monte_carlo_moments,
     negative_gradient_rule,
+    pl_from_moments,
+    point_moments,
+    rho_from_moments,
     verify_lemma_bounds,
+    wgc_from_moments,
 )
 from slsopt.errors import DomainError, UndefinedEstimateError, UnsupportedProblemError
 
@@ -306,3 +316,104 @@ class TestFrozenRule:
             rule(0, g)
         assert np.array_equal(state.g_prev, before[0])
         assert np.array_equal(state.d_prev, before[1])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestRowwiseRule:
+    """rows(G) must reproduce the row-by-row rule bit for bit."""
+
+    @given(
+        G=arrays(np.float64, (5, 4), elements=st.floats(-1e3, 1e3, allow_nan=False)),
+        x=arrays(np.float64, 4, elements=st.floats(-1e3, 1e3, allow_nan=False)),
+        x_prev=arrays(np.float64, 4, elements=st.floats(-1e3, 1e3, allow_nan=False)),
+        accum=arrays(np.float64, 4, elements=st.floats(0.0, 1e3)),
+        beta=st.floats(0.0, 2.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_per_row_rule(self, G, x, x_prev, accum, beta):
+        states = [DirectionState(kind=kind, beta=beta) for kind in KINDS]
+        states.append(DirectionState(kind="momentum", beta=beta, x_prev=x_prev))
+        states.append(DirectionState(kind="adagrad_diag", accum=accum))
+        for state in states:
+            rule = frozen_direction_rule(state, x)
+            D = rule.rows(G)
+            expected = np.stack([rule(i, G[i]) for i in range(len(G))])
+            assert D.shape == expected.shape
+            assert _bits(D) == _bits(expected), state.kind
+
+    def test_cg_with_memory_falls_back_to_per_row_loop(self):
+        state = DirectionState(kind="cg", g_prev=np.ones(3), d_prev=-np.ones(3))
+        rule = frozen_direction_rule(state, np.zeros(3))
+        assert not rule.negates_gradient
+        assert rule.rows(np.ones((2, 3))) is None
+
+    def test_fresh_states_negate_the_gradient_except_adagrad(self):
+        for kind in KINDS:
+            rule = frozen_direction_rule(DirectionState(kind=kind), np.zeros(2))
+            assert rule.negates_gradient == (kind != "adagrad_diag")
+        assert negative_gradient_rule.negates_gradient
+
+
+class TestOnePassMoments:
+    PROBLEMS = [
+        make_toy2,
+        lambda: gen_interpolating_least_squares(6, 9, seed=1, singular_values=[1.0, 2.0]),
+        lambda: gen_nonconvex_interpolating(5, 2, 3, seed=1),
+    ]
+
+    @pytest.mark.parametrize("make", PROBLEMS)
+    def test_shortcuts_equal_the_per_row_loop(self, make):
+        # negation shortcut and rows(): the same values as the generic loop
+        p = make()
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            x = rng.standard_normal(p.n)
+            state = DirectionState(kind="momentum", beta=0.9, x_prev=x - rng.standard_normal(p.n))
+            for rule in (negative_gradient_rule, frozen_direction_rule(state, x)):
+                fast = exact_moments(p, x, rule)
+                slow = exact_moments(p, x, lambda i, g, rule=rule: rule(i, g))
+                for name in ("E_g", "E_d"):
+                    assert np.array_equal(getattr(fast, name), getattr(slow, name))
+                for name in ("E_norm_g_sq", "var_g", "E_dTg", "cov_dg"):
+                    assert getattr(fast, name) == getattr(slow, name)
+
+    def test_point_moments_adds_the_objective_value(self):
+        p = gen_interpolating_least_squares(6, 9, seed=1, singular_values=[1.0, 2.0])
+        x = np.random.default_rng(3).standard_normal(p.n)
+        m = point_moments(p, x)
+        assert m.f == float(p.component_values(x).mean())
+        assert exact_moments(p, x, negative_gradient_rule).f is None
+        assert np.array_equal(m.E_g, exact_moments(p, x, negative_gradient_rule).E_g)
+
+    def test_reducers_match_estimators_and_name_the_point(self):
+        p = gen_interpolating_least_squares(6, 10, seed=11, singular_values=[1.0, 2.0])
+        rng = np.random.default_rng(11)
+        pts = [rng.standard_normal(p.n) for _ in range(15)]
+        moments = [point_moments(p, x) for x in pts]
+        f_star, L = p.known.f_star, p.known.L
+        cases = [
+            (rho_from_moments(moments), estimate_rho(p, pts), lambda x: estimate_rho(p, [x]), max),
+            (wgc_from_moments(moments, f_star, L), estimate_wgc(p, pts, L), lambda x: estimate_wgc(p, [x], L), max),
+            (pl_from_moments(moments, f_star), estimate_pl(p, pts), lambda x: estimate_pl(p, [x]), min),
+        ]
+        for (value, point), public, single, pick in cases:
+            assert value == public
+            per_point = [single(x) for x in pts]
+            assert per_point[point] == value == pick(per_point)
+            assert point == per_point.index(value)
+
+    def test_holds_one_gradient_matrix_and_its_centred_copy(self):
+        p = gen_interpolating_least_squares(200, 300, seed=2, singular_values=[1.0, 2.0])
+        x = np.random.default_rng(2).standard_normal(p.n)
+        matrix = p.N * p.n * 8
+        point_moments(p, x)  # warm up lazily allocated numpy state
+        tracemalloc.start()
+        try:
+            point_moments(p, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * matrix

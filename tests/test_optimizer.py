@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,14 @@ from slsopt import (
     run,
     verify_trace_bounds,
 )
-from slsopt.errors import ConfigError, InsufficientDataError, UnsatisfiableSafeguardError
+from slsopt import cli, optimizer
+from slsopt.errors import (
+    CertificateError,
+    ConfigError,
+    InsufficientDataError,
+    SlsoptError,
+    UnsatisfiableSafeguardError,
+)
 from slsopt.optimizer import IterationRecord
 
 
@@ -302,3 +311,53 @@ class TestVerifyTraceBounds:
         assert violation is not None
         assert violation.k == victim.k
         assert violation.bound == "step_expression"
+
+
+def _break_certificate_at(monkeypatch, k_bad):
+    """Make backtrack report an accepted value above the Armijo bound at search k_bad."""
+    real = optimizer.backtrack
+    searches = []
+
+    def broken(f_batch, x, d, g, params, alpha0, f_x):
+        result = real(f_batch, x, d, g, params, alpha0, f_x=f_x)
+        searches.append(result)
+        if len(searches) - 1 == k_bad:
+            result = dataclasses.replace(result, accepted_f=f_x + 1.0)
+        return result
+
+    monkeypatch.setattr(optimizer, "backtrack", broken)
+    return searches
+
+
+class TestArmijoCertificate:
+    def test_broken_certificate_raises(self, monkeypatch):
+        searches = _break_certificate_at(monkeypatch, 3)
+        with pytest.raises(CertificateError, match="k=3"):
+            run(base_config(small_instance()))
+        assert len(searches) == 4
+        assert issubclass(CertificateError, SlsoptError)
+
+    def test_check_survives_stripped_asserts(self, monkeypatch):
+        # the check is an explicit raise, not an assert: it also fires when
+        # this suite runs under python -O
+        _break_certificate_at(monkeypatch, 0)
+        with pytest.raises(CertificateError):
+            run(base_config(small_instance()))
+
+    def test_intact_certificate_runs_unchanged(self, monkeypatch):
+        plain = run(base_config(small_instance()))
+        searches = _break_certificate_at(monkeypatch, -1)
+        wrapped = run(base_config(small_instance()))
+        assert len(searches) > 0
+        assert [r.alpha for r in wrapped.trajectory] == [r.alpha for r in plain.trajectory]
+
+    def test_cli_exits_five(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[problem]\nkind = least_squares\nN = 8\nn = 12\nseed = 1\nspectrum = const:2.0\n"
+            "[direction]\nc1 = 1.0\nc2 = 1.0\n"
+            f"[run]\nout_csv = {tmp_path / 't.csv'}\n"
+        )
+        _break_certificate_at(monkeypatch, 0)
+        assert cli.main(["run", str(cfg)]) == 5
+        assert "armijo_certificate" in capsys.readouterr().err
