@@ -46,6 +46,7 @@ from .directions import (
 from .linesearch import (
     LineSearchParams,
     LineSearchResult,
+    Ray,
     alpha_low,
     armijo_holds,
     backtrack,

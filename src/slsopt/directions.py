@@ -110,13 +110,39 @@ class DirectionState:
 
 @dataclass(frozen=True, eq=False)
 class DirectionOutcome:
-    """Direction actually taken plus the safeguard bookkeeping for the trace."""
+    """Direction actually taken plus the safeguard bookkeeping for the trace.
+
+    g_norm, d_norm and dTg are ||g||, ||d|| and d . g for the direction
+    actually taken, computed once by the safeguard for the trace and the
+    line search.
+    """
 
     d: Vector
     raw_d: Vector
     sgr_pass: bool
     violated: frozenset
     restarted: bool
+    g_norm: float
+    d_norm: float
+    dTg: float
+
+
+def _measure(d, g, params: SgrParams) -> tuple[frozenset, float, float, float]:
+    """Both admissibility bounds, plus the ||g||, ||d|| and d . g they read."""
+    d = np.asarray(d, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if d.shape != g.shape:
+        raise ShapeError(f"d has shape {d.shape}, g has shape {g.shape}")
+    gg = float(g @ g)
+    g_norm = float(np.linalg.norm(g))
+    d_norm = float(np.linalg.norm(d))
+    dTg = float(d @ g)
+    violated = set()
+    if d_norm > params.c1 * g_norm:
+        violated.add(NORM_BOUND)
+    if dTg > -params.c2 * gg:
+        violated.add(DESCENT_BOUND)
+    return frozenset(violated), g_norm, d_norm, dTg
 
 
 def sgr_check(d, g, params: SgrParams) -> tuple[bool, frozenset]:
@@ -125,17 +151,8 @@ def sgr_check(d, g, params: SgrParams) -> tuple[bool, frozenset]:
     Returns (passed, violated) where violated names each failed inequality.
     A zero gradient passes only with a zero direction.
     """
-    d = np.asarray(d, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if d.shape != g.shape:
-        raise ShapeError(f"d has shape {d.shape}, g has shape {g.shape}")
-    gg = float(g @ g)
-    violated = set()
-    if float(np.linalg.norm(d)) > params.c1 * float(np.linalg.norm(g)):
-        violated.add(NORM_BOUND)
-    if float(d @ g) > -params.c2 * gg:
-        violated.add(DESCENT_BOUND)
-    return (not violated, frozenset(violated))
+    violated = _measure(d, g, params)[0]
+    return (not violated, violated)
 
 
 def propose_direction(state: DirectionState, g, x) -> Vector:
@@ -183,14 +200,17 @@ def safeguarded_direction(state: DirectionState, g, x, params: SgrParams) -> Dir
     params.require_fallback_admissible()
     g = np.asarray(g, dtype=np.float64)
     raw = propose_direction(state, g, x)
-    passed, violated = sgr_check(raw, g, params)
-    if passed:
+    violated, g_norm, d_norm, dTg = _measure(raw, g, params)
+    if not violated:
         return DirectionOutcome(
-            d=raw, raw_d=raw, sgr_pass=True, violated=frozenset(), restarted=False
+            d=raw, raw_d=raw, sgr_pass=True, violated=violated, restarted=False,
+            g_norm=g_norm, d_norm=d_norm, dTg=dTg,
         )
     state.reset_history()
+    d = -g
     return DirectionOutcome(
-        d=-g, raw_d=raw, sgr_pass=False, violated=violated, restarted=True
+        d=d, raw_d=raw, sgr_pass=False, violated=violated, restarted=True,
+        g_norm=g_norm, d_norm=float(np.linalg.norm(d)), dTg=float(d @ g),
     )
 
 

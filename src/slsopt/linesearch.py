@@ -6,9 +6,10 @@ passes
     f_B(x + a d) <= f_B(x) + gamma * a * (d . g),
 
 evaluated on the current batch only; j and the exact trial count are reported
-for complexity accounting. Companion formulas give the step threshold below
-which acceptance is guaranteed for a smooth batch, and the resulting
-worst-case backtrack count.
+for complexity accounting. The search loop (``scan``) sees only the scalar
+function phi(a) = f_B(x + a d) and the slope d . g. Companion formulas give
+the step threshold below which acceptance is guaranteed for a smooth batch,
+and the resulting worst-case backtrack count.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from .problems import Vector
 __all__ = [
     "LineSearchParams",
     "LineSearchResult",
+    "Ray",
     "armijo_holds",
     "backtrack",
+    "scan",
     "alpha_low",
     "jstar",
     "next_alpha0",
@@ -112,8 +115,21 @@ def armijo_holds(
     return trial <= f_x + gamma * alpha * slope
 
 
+@dataclass(frozen=True)
+class Ray:
+    """The batch objective restricted to one search ray x + a d.
+
+    phi(a) = f_B(x + a d), and slope = d . g, its derivative at a = 0, as the
+    caller already computed it. Passing a Ray as ``f_batch`` to ``backtrack``
+    lets the search run on the scalar function alone.
+    """
+
+    phi: Callable[[float], float]
+    slope: float
+
+
 def backtrack(
-    f_batch: Callable[[Vector], float],
+    f_batch: Callable[[Vector], float] | Ray,
     x: Vector,
     d: Vector,
     g: Vector,
@@ -127,35 +143,66 @@ def backtrack(
     the largest admissible step on the grid. Requires a strict descent
     direction for the batch (d . g < 0) and 0 < alpha0 <= alpha_max; f_x is
     the batch value at x, reused across all trials.
+
+    f_batch is the batch value as a function of the point, evaluated at
+    x + a d for each trial. It may instead be a ``Ray`` for this x and d,
+    which supplies phi and the slope; x, d and g are then not read.
+    """
+    if isinstance(f_batch, Ray):
+        return scan(f_batch.phi, f_batch.slope, params, alpha0, f_x)
+    slope = float(np.dot(d, g))
+    return scan(lambda a: f_batch(x + a * d), slope, params, alpha0, f_x)
+
+
+def scan(
+    phi: Callable[[float], float],
+    slope: float,
+    params: LineSearchParams,
+    alpha0: float,
+    f_x: float,
+) -> LineSearchResult:
+    """The backtracking loop on phi(a) = f_B(x + a d), with slope = d . g.
+
+    Accepts the first a = alpha0 * delta**j with phi(a) <= f_x + gamma a
+    slope; ties accept. A non-finite phi(a) rejects that trial; a search
+    that meets any logs one warning when it ends, with their count and the
+    first and last such step.
     """
     if not 0.0 < alpha0 <= params.alpha_max:
         raise DomainError(
             f"alpha0 must be in (0, alpha_max={params.alpha_max}], got {alpha0}"
         )
-    slope = float(np.dot(d, g))
     if slope >= 0.0:
         raise NonDescentError(f"d.g = {slope!r} is not negative")
     f_x = float(f_x)
-    trials = 0
+    non_finite = []
+    result = None
     for j in range(params.max_backtracks + 1):
         alpha = alpha0 * params.delta**j
-        trial = float(f_batch(x + alpha * d))
-        trials += 1
-        if math.isfinite(trial):
-            if trial <= f_x + params.gamma * alpha * slope:
-                return LineSearchResult(
-                    alpha=alpha,
-                    backtracks=j,
-                    f_trial_count=trials,
-                    accepted_f=trial,
-                    alpha0=alpha0,
-                )
-        else:
-            logger.warning(
-                "non-finite trial value at alpha=%g (j=%d); treating as rejected",
-                alpha,
-                j,
+        trial = float(phi(alpha))
+        if not math.isfinite(trial):
+            non_finite.append(alpha)
+        elif trial <= f_x + params.gamma * alpha * slope:
+            result = LineSearchResult(
+                alpha=alpha,
+                backtracks=j,
+                f_trial_count=j + 1,
+                accepted_f=trial,
+                alpha0=alpha0,
             )
+            break
+    trials = j + 1
+    if non_finite:
+        logger.warning(
+            "%d of %d trials non-finite (alpha=%g .. %g), treated as rejected; search %s",
+            len(non_finite),
+            trials,
+            non_finite[0],
+            non_finite[-1],
+            "stalled" if result is None else f"accepted alpha={result.alpha:g}",
+        )
+    if result is not None:
+        return result
     raise LineSearchStallError(
         f"no step accepted after {trials} trials "
         f"(alpha0={alpha0!r}, final alpha={alpha!r})",

@@ -9,13 +9,13 @@ per-iteration cost model stays stochastic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .directions import DirectionState, SgrParams, safeguarded_direction, update_memory
 from .errors import CertificateError, ConfigError, InsufficientDataError, LineSearchStallError
-from .linesearch import LineSearchParams, alpha_low, backtrack, jstar, next_alpha0
+from .linesearch import LineSearchParams, Ray, alpha_low, backtrack, jstar, next_alpha0
 from .problems import (
     BatchSampler,
     FiniteSumProblem,
@@ -85,7 +85,6 @@ class IterationRecord:
     backtracks: int
     sgr_pass: bool
     restarted: bool
-    batch_indices: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -150,9 +149,7 @@ def run(config: RunConfig) -> RunResult:
         f_b, g_b = evaluate_batch(problem, batch, x)
         outcome = safeguarded_direction(state, g_b, x, config.sgr)
         d = outcome.d
-        g_norm = float(np.linalg.norm(g_b))
-        d_norm = float(np.linalg.norm(d))
-        dTg = float(d @ g_b)
+        g_norm, d_norm, dTg = outcome.g_norm, outcome.d_norm, outcome.dTg
         alpha0 = next_alpha0(ls, prev_result)
 
         if g_norm == 0.0:
@@ -175,7 +172,6 @@ def run(config: RunConfig) -> RunResult:
                     backtracks=0,
                     sgr_pass=outcome.sgr_pass,
                     restarted=outcome.restarted,
-                    batch_indices=list(batch.indices),
                 )
             )
             verdict = converged(f_full, grad_full_norm)
@@ -184,9 +180,15 @@ def run(config: RunConfig) -> RunResult:
                 break
             continue
 
-        f_batch_value = lambda y: problem.batch_value(batch.indices, y)
+        # The search runs on phi(a) = f_B(x + a d). Problems without a ray
+        # oracle of their own get the generic one, which calls batch_value.
+        ray = getattr(problem, "batch_ray", None)
+        if ray is not None:
+            phi = ray(batch.indices, x, d)
+        else:
+            phi = FiniteSumProblem.batch_ray(problem, batch.indices, x, d)
         try:
-            result = backtrack(f_batch_value, x, d, g_b, ls, alpha0, f_x=f_b)
+            result = backtrack(Ray(phi, dTg), x, d, g_b, ls, alpha0, f_x=f_b)
         except LineSearchStallError:
             status = "stalled"
             break
@@ -215,7 +217,6 @@ def run(config: RunConfig) -> RunResult:
                 backtracks=result.backtracks,
                 sgr_pass=outcome.sgr_pass,
                 restarted=outcome.restarted,
-                batch_indices=list(batch.indices),
             )
         )
         prev_result = result

@@ -90,9 +90,15 @@ class BatchSampler:
     mode "singleton" draws size-1 batches and supports exact expectations by
     enumerating all N singleton batches with weight 1/N; "with_replacement"
     draws batch_size indices i.i.d. uniform.
+
+    Indices are drawn BLOCK batches at a time from the same generator. One
+    call for BLOCK * batch_size integers yields the same stream as BLOCK
+    calls for batch_size each, so the batch sequence does not depend on the
+    block size.
     """
 
     MODES = ("singleton", "with_replacement")
+    BLOCK = 256
 
     def __init__(self, N: int, mode: str = "singleton", batch_size: int = 1, seed=0):
         if N < 1:
@@ -107,10 +113,13 @@ class BatchSampler:
         self.mode = mode
         self.batch_size = int(batch_size)
         self._rng = np.random.default_rng(seed)
+        self._pending: list[Batch] = []
 
     def draw(self) -> Batch:
-        idx = self._rng.integers(0, self.N, size=self.batch_size)
-        return Batch(tuple(int(i) for i in idx))
+        if not self._pending:
+            block = self._rng.integers(0, self.N, size=(self.BLOCK, self.batch_size))
+            self._pending = [Batch(tuple(row)) for row in reversed(block.tolist())]
+        return self._pending.pop()
 
     def enumerate_singletons(self) -> Iterator[Batch]:
         if self.mode != "singleton":
@@ -164,6 +173,15 @@ class FiniteSumProblem:
     # Bulk paths; default implementations loop over the primitives.
     def batch_value(self, indices: Sequence[int], x: Vector) -> float:
         return sum(self.component_value(i, x) for i in indices) / len(indices)
+
+    def batch_ray(self, indices: Sequence[int], x: Vector, d: Vector) -> Callable[[float], float]:
+        """phi(a) = f_B(x + a d), the batch value along one ray.
+
+        This default forms the trial point and calls batch_value, so each
+        trial costs a full evaluation. The generated families override it
+        with closed forms whose trials cost O(|B|) scalar work.
+        """
+        return lambda a: self.batch_value(indices, x + a * d)
 
     def batch_eval(self, indices: Sequence[int], x: Vector) -> tuple[float, Vector]:
         f = 0.0
@@ -230,6 +248,31 @@ class LeastSquaresProblem(FiniteSumProblem):
         Ai = self.A[np.asarray(indices)]
         r = Ai @ x - self.b[np.asarray(indices)]
         return 0.5 * float(r @ r) / len(indices)
+
+    def batch_ray(self, indices, x, d):
+        # Residuals are affine along the ray: r(a) = r0 + a rd, with r0 from
+        # the expressions evaluate_batch uses, so phi(0) is its f_B(x).
+        if len(indices) == 1:
+            i = indices[0]
+            r0 = self._residual(i, x)
+            rd = float(self.A[i] @ d)
+
+            def phi(a):
+                r = r0 + a * rd
+                return 0.5 * r * r
+
+            return phi
+        idx = np.asarray(indices)
+        Ai = self.A[idx]
+        r0 = Ai @ x - self.b[idx]
+        rd = Ai @ d
+        m = len(indices)
+
+        def phi(a):
+            r = r0 + a * rd
+            return 0.5 * float(r @ r) / m
+
+        return phi
 
     def batch_eval(self, indices, x):
         if len(indices) == 1:
@@ -323,6 +366,41 @@ class TwoFactorProblem(FiniteSumProblem):
         idx = np.asarray(indices)
         r = self.A[idx] @ w - self.b[idx]
         return 0.5 * float(r @ r) / len(indices)
+
+    def batch_ray(self, indices, x, d):
+        # With p = V a_i and q = dV a_i, the residual along the ray is
+        # r(a) = r0 + a (du . p + u . q) + a^2 (du . q); r0 comes from the
+        # expressions batch_value uses, so phi(0) is its f_B(x).
+        u, V, w = self._features(x)
+        du, dV = self.unpack(d)
+        if len(indices) == 1:
+            i = indices[0]
+            a_i = self.A[i]
+            r0 = float(a_i @ w) - float(self.b[i])
+            p = V @ a_i
+            q = dV @ a_i
+            c1 = float(du @ p) + float(u @ q)
+            c2 = float(du @ q)
+
+            def phi(a):
+                r = r0 + a * (c1 + a * c2)
+                return 0.5 * r * r
+
+            return phi
+        idx = np.asarray(indices)
+        Ai = self.A[idx]
+        r0 = Ai @ w - self.b[idx]
+        P = V @ Ai.T
+        Q = dV @ Ai.T
+        c1 = du @ P + u @ Q
+        c2 = du @ Q
+        m = len(indices)
+
+        def phi(a):
+            r = r0 + a * (c1 + a * c2)
+            return 0.5 * float(r @ r) / m
+
+        return phi
 
     def full_value_grad(self, x):
         u, V, w = self._features(x)

@@ -87,7 +87,6 @@ def records_from_csv(text: str) -> list[IterationRecord]:
                 backtracks=int(parts[9]),
                 sgr_pass=_parse_bool(parts[10]),
                 restarted=_parse_bool(parts[11]),
-                batch_indices=[],
             )
         )
     return records

@@ -170,6 +170,23 @@ class TestSafeguardedDirection:
             assert float(np.linalg.norm(out.d)) <= params.c1 * float(np.linalg.norm(g))
             assert float(out.d @ g) <= -params.c2 * gg
 
+    @given(
+        g=arrays(np.float64, 5, elements=st.floats(-1e3, 1e3, allow_nan=False)),
+        dx=arrays(np.float64, 5, elements=st.floats(-1e3, 1e3, allow_nan=False)),
+        beta=st.floats(0.0, 2.0),
+        c2=st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_outcome_scalars_are_the_trace_expressions(self, g, dx, beta, c2):
+        # g_norm, d_norm and dTg are the floats the trace records, bit for
+        # bit, whether the raw direction passes or is replaced by -g
+        state = DirectionState(kind="momentum", beta=beta)
+        state.x_prev = np.zeros(5)
+        out = safeguarded_direction(state, g, dx, SgrParams(c1=1.5, c2=c2))
+        assert out.g_norm == float(np.linalg.norm(g))
+        assert out.d_norm == float(np.linalg.norm(out.d))
+        assert out.dTg == float(out.d @ g)
+
 
 class TestMatrixFormEquivalence:
     def test_momentum_equals_diagonal_preconditioner(self):

@@ -6,6 +6,7 @@ import pytest
 from slsopt import (
     LineSearchParams,
     LineSearchResult,
+    Ray,
     alpha_low,
     armijo_holds,
     backtrack,
@@ -118,6 +119,62 @@ class TestBacktrack:
         res = backtrack(guarded, X1, D_MINUS1, G1, params, alpha0=8.0, f_x=0.5)
         assert res.alpha <= 1.0
         assert math.isfinite(res.accepted_f)
+
+
+class TestRaySearch:
+    def test_ray_gives_the_same_search_as_the_point_function(self):
+        rng = np.random.default_rng(3)
+        params = LineSearchParams(gamma=0.2, delta=0.5, alpha_max=10.0)
+        for _ in range(100):
+            n = int(rng.integers(2, 6))
+            h = rng.uniform(0.1, 10.0, n)
+            x = rng.standard_normal(n)
+            g = h * x
+            d = -g
+            f_batch = lambda y: 0.5 * float(np.sum(h * y * y))
+            plain = backtrack(f_batch, x, d, g, params, alpha0=10.0, f_x=f_batch(x))
+            ray = Ray(lambda a: f_batch(x + a * d), float(np.dot(d, g)))
+            # x, d and g are not read when the caller passes the ray
+            on_ray = backtrack(ray, None, None, None, params, alpha0=10.0, f_x=f_batch(x))
+            assert on_ray == plain
+
+    def test_ray_slope_must_be_descent(self):
+        with pytest.raises(NonDescentError):
+            backtrack(Ray(lambda a: 0.0, 0.0), X1, D_MINUS1, G1, LineSearchParams(), alpha0=1.0, f_x=0.5)
+
+
+class TestNonFiniteWarning:
+    params = LineSearchParams(gamma=0.1, delta=0.5, alpha_max=10.0, max_backtracks=60)
+
+    def _warnings(self, caplog):
+        return [r for r in caplog.records if r.levelname == "WARNING"]
+
+    def test_one_summary_line_per_failed_search(self, caplog):
+        ray = Ray(lambda a: float("nan"), -1.0)
+        with caplog.at_level("WARNING", logger="slsopt.linesearch"):
+            with pytest.raises(LineSearchStallError):
+                backtrack(ray, X1, D_MINUS1, G1, self.params, alpha0=8.0, f_x=0.5)
+        [record] = self._warnings(caplog)
+        message = record.getMessage()
+        assert "61 of 61 trials non-finite" in message
+        assert f"alpha={8.0:g} .. {8.0 * 0.5**60:g}" in message
+        assert "stalled" in message
+
+    def test_accepted_search_with_non_finite_trials_logs_once(self, caplog):
+        def guarded(y):
+            return half_square(y) if abs(y[0]) < 2.0 else float("inf")
+
+        with caplog.at_level("WARNING", logger="slsopt.linesearch"):
+            res = backtrack(guarded, X1, D_MINUS1, G1, self.params, alpha0=8.0, f_x=0.5)
+        [record] = self._warnings(caplog)
+        # alpha 8 and 4 leave |y| >= 2; 2 fails the decrease test; 1 is accepted
+        assert res.alpha == 1.0
+        assert "2 of 4 trials non-finite (alpha=8 .. 4)" in record.getMessage()
+
+    def test_clean_search_logs_nothing(self, caplog):
+        with caplog.at_level("WARNING", logger="slsopt.linesearch"):
+            backtrack(half_square, X1, D_MINUS1, G1, self.params, alpha0=8.0, f_x=0.5)
+        assert self._warnings(caplog) == []
 
 
 class TestMaximalityOracle:

@@ -223,6 +223,28 @@ class TestEvaluationBudget:
         assert counted.batch_eval_calls + counted.batch_value_calls == expected
 
 
+class TestRayOracle:
+    def test_searches_use_the_closed_form_ray(self):
+        calls = {"batch_value": 0, "batch_ray": 0}
+
+        class Counted(LeastSquaresProblem):
+            def batch_value(self, indices, x):
+                calls["batch_value"] += 1
+                return super().batch_value(indices, x)
+
+            def batch_ray(self, indices, x, d):
+                calls["batch_ray"] += 1
+                return super().batch_ray(indices, x, d)
+
+        inner = small_instance()
+        counted = Counted(inner.A, inner.b, inner.known)
+        res = run(base_config(counted, max_iters=40, grad_tol=0.0, fgap_tol=0.0))
+        assert calls == {"batch_value": 0, "batch_ray": len(res.trajectory)}
+
+    def test_records_carry_no_batch_indices(self):
+        assert "batch_indices" not in {f.name for f in dataclasses.fields(IterationRecord)}
+
+
 class TestMonotoneBatchDecrease:
     def test_accepted_trials_satisfy_decrease_certificate(self):
         inner = small_instance()

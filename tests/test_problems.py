@@ -245,6 +245,113 @@ class TestBatchSampler:
             BatchSampler(0)
 
 
+    @given(
+        N=st.sampled_from([1, 2, 7, 100, 1000, 2**33]),
+        batch_size=st.sampled_from([1, 3, 4]),
+        seed=st.integers(0, 2**32 - 1),
+        draws=st.integers(1, 600),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_draws_equal_sequential_draws(self, N, batch_size, seed, draws):
+        # draw() pre-draws indices in blocks; the stream must be the one that
+        # one generator call per batch gives
+        mode = "singleton" if batch_size == 1 else "with_replacement"
+        s = BatchSampler(N, mode=mode, batch_size=batch_size, seed=seed)
+        ref = np.random.default_rng(seed)
+        for _ in range(draws):
+            expected = tuple(int(i) for i in ref.integers(0, N, size=batch_size))
+            assert s.draw().indices == expected
+
+
+U = np.finfo(np.float64).eps / 2.0
+
+
+def _ray_instance(family, seed):
+    if family == "least_squares":
+        return gen_interpolating_least_squares(6, 9, seed=seed, singular_values=[0.5, 1.0, 3.0])
+    return gen_nonconvex_interpolating(6, 3, 4, seed=seed)
+
+
+def _residual_envelope(p, idx, x, d, a):
+    """Exact-path residuals at x + a d and a bound on |ray - exact| per row.
+
+    Both paths sum the same products in a different order, so each is within
+    gamma_k of the sum of their absolute values, M_i; the bound is twice
+    gamma_k M_i, with k the number of rounded operations per residual.
+    """
+    A, b = p.A[list(idx)], p.b[list(idx)]
+    y = x + a * d
+    if isinstance(p, LeastSquaresProblem):
+        r = A @ y - b
+        M = np.abs(A) @ (np.abs(x) + abs(a) * np.abs(d)) + np.abs(b)
+        k = p.n + 4
+    else:
+        u, V = p.unpack(y)
+        r = A @ (u @ V) - b
+        (xu, xV), (du, dV) = p.unpack(np.abs(x)), p.unpack(np.abs(d))
+        M = np.abs(A) @ ((xu + abs(a) * du) @ (xV + abs(a) * dV)) + np.abs(b)
+        k = p.n_u + p.n_v + 6
+    gamma = k * U / (1.0 - k * U)
+    return r, 2.0 * gamma * M
+
+
+class TestBatchRay:
+    @given(
+        family=st.sampled_from(["least_squares", "two_factor"]),
+        seed=st.integers(0, 2**16),
+        idx=st.lists(st.integers(0, 5), min_size=1, max_size=5),
+        scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e3]),
+        alpha0=st.floats(1e-3, 10.0),
+        j=st.integers(0, 60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ray_matches_exact_path_within_rounding(self, family, seed, idx, scale, alpha0, j):
+        p = _ray_instance(family, seed % 7)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(p.n)
+        d = scale * rng.standard_normal(p.n)
+        idx = tuple(idx)
+        phi = p.batch_ray(idx, x, d)
+        # phi(0) is the batch value at x bit for bit, on every path
+        assert phi(0.0) == p.batch_value(idx, x)
+        if len(idx) == 1:
+            assert phi(0.0) == evaluate_batch(p, Batch(idx), x)[0]
+        a = alpha0 * 0.5**j
+        r, E = _residual_envelope(p, idx, x, d, a)
+        tol = float(np.mean(E * (np.abs(r) + E))) + 4 * U * float(np.mean(r * r))
+        assert abs(phi(a) - p.batch_value(idx, x + a * d)) <= tol
+
+    def test_least_squares_singleton_is_exact_at_zero(self):
+        p = gen_interpolating_least_squares(10, 20, seed=3, singular_values=np.full(10, 2.0))
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            i = int(rng.integers(p.N))
+            x = p.known.x_star + 10.0 ** rng.uniform(-16, 0) * rng.standard_normal(p.n)
+            d = rng.standard_normal(p.n)
+            assert p.batch_ray((i,), x, d)(0.0) == evaluate_batch(p, Batch((i,)), x)[0]
+
+    def test_residual_is_affine_for_least_squares(self):
+        # sgd step on one row: r(a) = r0 (1 - a ||a_i||^2), so the trial at
+        # the exact minimizer along the ray reads 0 whatever r0 is
+        p = LeastSquaresProblem(A=np.array([[1.0, 1.0]]), b=np.array([0.0]))
+        for r0 in (1.0, 1e-15, 3e-200):
+            x = np.array([r0, 0.0])
+            _, g = evaluate_batch(p, Batch((0,)), x)
+            assert p.batch_ray((0,), x, -g)(0.5) == 0.0
+
+    @given(
+        seed=st.integers(0, 2**16),
+        idx=st.lists(st.integers(0, 1), min_size=1, max_size=4),
+        a=st.floats(0.0, 10.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_base_class_path_is_batch_value(self, seed, idx, a):
+        p = make_toy2()
+        rng = np.random.default_rng(seed)
+        x, d = rng.standard_normal(1), rng.standard_normal(1)
+        assert p.batch_ray(idx, x, d)(a) == p.batch_value(idx, x + a * d)
+
+
 class TestTextFormat:
     def test_round_trip_preserves_evaluations(self, tmp_path):
         p = gen_interpolating_least_squares(5, 8, seed=17, singular_values=[1.0, 2.0])
