@@ -68,6 +68,7 @@ from .problems import (
     FiniteSumProblem,
     KnownConstants,
     LeastSquaresProblem,
+    ResidualProblem,
     TwoFactorProblem,
     Vector,
     as_vector,

@@ -1,7 +1,8 @@
 """Command-line front end: run, diagnose, verify, sweep.
 
-Exit codes: 0 success / converged, 1 configuration error, 2 iteration cap hit,
-3 line-search stall, 4 undefined estimator, 5 per-iteration bound or Armijo
+Exit codes: 0 success / converged, 1 configuration error (an unwritable
+output path included) or other package error, 2 iteration cap hit, 3
+line-search stall, 4 undefined estimator, 5 per-iteration bound or Armijo
 certificate violated.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import os
 import sys
 
@@ -19,9 +21,7 @@ from . import diagnostics, optimizer, traceio
 from .errors import (
     CertificateError,
     ConfigError,
-    DomainError,
     InsufficientDataError,
-    InvalidSpecError,
     SlsoptError,
     UndefinedEstimateError,
     UnsatisfiableSafeguardError,
@@ -38,7 +38,29 @@ EXIT_STALL = 3
 EXIT_UNDEFINED = 4
 EXIT_VIOLATION = 5
 
-_CONFIG_ERRORS = (ConfigError, InvalidSpecError, DomainError, UnsatisfiableSafeguardError)
+# Exception types -> exit code and stderr prefix; the first match wins.
+# Unwritable output paths surface as OSError and count as config errors.
+_EXITS = (
+    (CertificateError, EXIT_VIOLATION, "violation: armijo_certificate"),
+    ((UndefinedEstimateError, UnsupportedProblemError), EXIT_UNDEFINED, "estimator undefined for this instance"),
+    ((ConfigError, UnsatisfiableSafeguardError, OSError), EXIT_CONFIG, "config error"),
+    (SlsoptError, EXIT_CONFIG, "error"),
+)
+
+
+def _exit_on_error(command):
+    """Map the errors in ``_EXITS`` to their exit code and one stderr line."""
+
+    @functools.wraps(command)
+    def wrapped(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (SlsoptError, OSError) as exc:
+            code, prefix = next((c, p) for types, c, p in _EXITS if isinstance(exc, types))
+            print(f"{prefix}: {exc}", file=sys.stderr)
+            return code
+
+    return wrapped
 
 
 def _load(config_path, overrides, seed):
@@ -62,17 +84,11 @@ def _run_once(cfg) -> tuple[optimizer.RunResult, object]:
     return optimizer.run(run_config), problem
 
 
+@_exit_on_error
 def cmd_run(config_path, overrides=(), seed=None) -> int:
     """Execute one run, write the CSV trace (and optional SVG), print a summary."""
-    try:
-        cfg = _load(config_path, overrides, seed)
-        result, problem = _run_once(cfg)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load(config_path, overrides, seed)
+    result, problem = _run_once(cfg)
 
     out_csv = cfg.run.out_csv
     if out_csv:
@@ -115,6 +131,7 @@ def _sample_points(problem, rng, count):
     return [rng.standard_normal(problem.n) for _ in range(count)]
 
 
+@_exit_on_error
 def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, samples_csv=None) -> int:
     """Estimate the regularity constants on sampled points and print them.
 
@@ -123,20 +140,12 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
     every estimate, slack and samples-CSV row then reads the records.
     """
     if num_points < 1:
-        print(f"config error: --points must be >= 1, got {num_points}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        cfg = _load(config_path, overrides, seed)
-        problem = cfgmod.build_problem(cfg)
-        state = cfgmod.build_direction_state(cfg)
-        ls = cfgmod.build_linesearch_params(cfg)
-        sgr = cfgmod.build_sgr_params(cfg)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--points must be >= 1, got {num_points}")
+    cfg = _load(config_path, overrides, seed)
+    problem = cfgmod.build_problem(cfg)
+    state = cfgmod.build_direction_state(cfg)
+    ls = cfgmod.build_linesearch_params(cfg)
+    sgr = cfgmod.build_sgr_params(cfg)
 
     rng = np.random.default_rng(cfg.run.seed)
     points = _sample_points(problem, rng, num_points)
@@ -146,31 +155,27 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
         for x in points
     ]
 
+    rho_hat, rho_point = diagnostics.rho_from_moments(moments)
     try:
-        rho_hat, rho_point = diagnostics.rho_from_moments(moments)
-        try:
-            c3_hat, c3_point = diagnostics.c3_from_moments(moments)
-        except UndefinedEstimateError:
-            # zero gradient variance everywhere makes the covariance bound
-            # vacuous; any nonnegative constant works, so report the infimum
-            c3_hat, c3_point = 0.0, "n/a"
-            print("note: gradient variance vanished at every sample; covariance bound is vacuous")
+        c3_hat, c3_point = diagnostics.c3_from_moments(moments)
+    except UndefinedEstimateError:
+        # zero gradient variance everywhere makes the covariance bound
+        # vacuous; any nonnegative constant works, so report the infimum
+        c3_hat, c3_point = 0.0, "n/a"
+        print("note: gradient variance vanished at every sample; covariance bound is vacuous")
 
-        print(f"rho_hat = {rho_hat!r}")
-        print(f"c3_hat = {c3_hat!r}")
+    print(f"rho_hat = {rho_hat!r}")
+    print(f"c3_hat = {c3_hat!r}")
 
-        if known is None or known.f_star is None or known.L is None:
-            raise UnsupportedProblemError(
-                "growth and gradient-domination estimates need known f_star and L; "
-                "this instance records neither smoothness constant"
-            )
-        wgc_hat, _ = diagnostics.wgc_from_moments(moments, known.f_star, known.L)
-        mu_hat, _ = diagnostics.pl_from_moments(moments, known.f_star)
-        print(f"mu_hat = {mu_hat!r}")
-        print(f"wgc_hat = {wgc_hat!r}")
-    except (UndefinedEstimateError, UnsupportedProblemError) as exc:
-        print(f"estimator undefined for this instance: {exc}", file=sys.stderr)
-        return EXIT_UNDEFINED
+    if known is None or known.f_star is None or known.L is None:
+        raise UnsupportedProblemError(
+            "growth and gradient-domination estimates need known f_star and L; "
+            "this instance records neither smoothness constant"
+        )
+    wgc_hat, _ = diagnostics.wgc_from_moments(moments, known.f_star, known.L)
+    mu_hat, _ = diagnostics.pl_from_moments(moments, known.f_star)
+    print(f"mu_hat = {mu_hat!r}")
+    print(f"wgc_hat = {wgc_hat!r}")
 
     mu = known.mu if known is not None and known.mu is not None else mu_hat
     constants = diagnostics.TheoremConstants(
@@ -216,31 +221,20 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
     return EXIT_OK
 
 
+@_exit_on_error
 def cmd_verify(config_path, trace_path=None, overrides=(), seed=None) -> int:
     """Replay a run (or read a trace) and re-assert every per-iteration bound."""
-    try:
-        cfg = _load(config_path, overrides, seed)
-        problem = cfgmod.build_problem(cfg)
-        sgr = cfgmod.build_sgr_params(cfg)
-        ls = cfgmod.build_linesearch_params(cfg)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load(config_path, overrides, seed)
+    problem = cfgmod.build_problem(cfg)
+    sgr = cfgmod.build_sgr_params(cfg)
+    ls = cfgmod.build_linesearch_params(cfg)
 
     known = problem.known
     if known is None or known.L_max is None:
-        print("config error: verification needs a generator with known L_max", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("verification needs a generator with known L_max")
 
     if trace_path is not None:
-        try:
-            records = traceio.read_trace(trace_path)
-        except (ConfigError, OSError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        records = traceio.read_trace(trace_path)
         print(f"checking {len(records)} rows from {trace_path}")
     else:
         run_config = cfgmod.build_run_config(cfg, problem=problem)
@@ -280,13 +274,16 @@ def _sweep_worker(args):
 
 
 def _parse_seed_range(text: str) -> list[int]:
-    if ".." in text:
+    try:
+        if ".." not in text:
+            return [int(t) for t in text.split(",")]
         lo, hi = text.split("..", 1)
         seeds = list(range(int(lo), int(hi) + 1))
-        if not seeds:
-            raise ConfigError(f"seed range {text!r} is empty: {hi.strip()} < {lo.strip()}")
-        return seeds
-    return [int(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse seeds {text!r}: {exc}") from exc
+    if not seeds:
+        raise ConfigError(f"seed range {text!r} is empty: {hi.strip()} < {lo.strip()}")
+    return seeds
 
 
 def _sweep_workers(jobs: int | None, tasks: int, cpu_count: int | None) -> int:
@@ -301,18 +298,12 @@ def _sweep_workers(jobs: int | None, tasks: int, cpu_count: int | None) -> int:
     return min(jobs or cpus, cpus, tasks)
 
 
+@_exit_on_error
 def cmd_sweep(config_path, seeds: str, jobs: int | None = None, overrides=()) -> int:
     """Run one independent trajectory per seed, writing one CSV each."""
-    try:
-        seed_list = _parse_seed_range(seeds)
-        workers = _sweep_workers(jobs, len(seed_list), os.cpu_count())
-        cfg = _load(config_path, overrides, None)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    seed_list = _parse_seed_range(seeds)
+    workers = _sweep_workers(jobs, len(seed_list), os.cpu_count())
+    cfg = _load(config_path, overrides, None)
 
     base, ext = os.path.splitext(cfg.run.out_csv or "trace.csv")
     config_text = cfgmod.serialize_config(cfg)
@@ -370,26 +361,19 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--override", action="append", default=[], metavar="SECTION.KEY=VALUE")
 
     args = parser.parse_args(argv)
-    try:
-        if args.command == "run":
-            return cmd_run(args.config, overrides=args.override, seed=args.seed)
-        if args.command == "diagnose":
-            return cmd_diagnose(
-                args.config,
-                num_points=args.points,
-                overrides=args.override,
-                seed=args.seed,
-                samples_csv=args.samples_csv,
-            )
-        if args.command == "verify":
-            return cmd_verify(args.config, trace_path=args.trace, overrides=args.override, seed=args.seed)
-        return cmd_sweep(args.config, seeds=args.seeds, jobs=args.jobs, overrides=args.override)
-    except CertificateError as exc:
-        print(f"violation: armijo_certificate: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except SlsoptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.command == "run":
+        return cmd_run(args.config, overrides=args.override, seed=args.seed)
+    if args.command == "diagnose":
+        return cmd_diagnose(
+            args.config,
+            num_points=args.points,
+            overrides=args.override,
+            seed=args.seed,
+            samples_csv=args.samples_csv,
+        )
+    if args.command == "verify":
+        return cmd_verify(args.config, trace_path=args.trace, overrides=args.override, seed=args.seed)
+    return cmd_sweep(args.config, seeds=args.seeds, jobs=args.jobs, overrides=args.override)
 
 
 def main_entry():

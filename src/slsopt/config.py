@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import directions, linesearch, optimizer, problems
-from .errors import ConfigError, InvalidSpecError
+from .errors import ConfigError, DomainError, InvalidSpecError
 
 __all__ = [
     "ProblemConfig",
@@ -213,34 +213,27 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def validate_config(cfg: ExperimentConfig):
-    p, d, ls, r = cfg.problem, cfg.direction, cfg.linesearch, cfg.run
+    """Reject a config that no run could use.
+
+    The direction and line-search sections are checked by building their
+    domain objects, whose errors become ConfigError naming the section.
+    """
+    p, r = cfg.problem, cfg.run
     if p.kind not in PROBLEM_KINDS:
         raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}, got {p.kind!r}")
     if p.N < 1:
         raise ConfigError(f"problem.N must be >= 1, got {p.N}")
     if p.n < 1:
         raise ConfigError(f"problem.n must be >= 1, got {p.n}")
-    if d.kind not in directions.KINDS:
-        raise ConfigError(f"direction.kind must be one of {directions.KINDS}, got {d.kind!r}")
-    if d.cg_variant not in directions.CG_VARIANTS:
-        raise ConfigError(
-            f"direction.cg_variant must be one of {directions.CG_VARIANTS}, got {d.cg_variant!r}"
-        )
-    if not (0.0 < d.c2 <= d.c1):
-        raise ConfigError(f"direction must satisfy 0 < c2 <= c1, got c1={d.c1}, c2={d.c2}")
-    if d.epsilon <= 0:
-        raise ConfigError(f"direction.epsilon must be > 0, got {d.epsilon}")
-    if d.beta_cap <= 0:
-        raise ConfigError(f"direction.beta_cap must be > 0, got {d.beta_cap}")
-    if not 0.0 < ls.gamma < 1.0:
-        raise ConfigError(f"linesearch.gamma must be in (0, 1), got {ls.gamma}")
-    if not 0.0 < ls.delta < 1.0:
-        raise ConfigError(f"linesearch.delta must be in (0, 1), got {ls.delta}")
-    if ls.alpha_max <= 0:
-        raise ConfigError(f"linesearch.alpha_max must be > 0, got {ls.alpha_max}")
-    _parse_policy(ls.alpha0_policy)
-    if ls.max_backtracks < 1:
-        raise ConfigError(f"linesearch.max_backtracks must be >= 1, got {ls.max_backtracks}")
+    for section, build in (
+        ("direction", build_direction_state),
+        ("direction", build_sgr_params),
+        ("linesearch", build_linesearch_params),
+    ):
+        try:
+            build(cfg)
+        except (InvalidSpecError, DomainError) as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
     if r.max_iters < 1:
         raise ConfigError(f"run.max_iters must be >= 1, got {r.max_iters}")
     if r.grad_tol < 0 or r.fgap_tol < 0:
@@ -295,14 +288,14 @@ def parse_spectrum(text: str, N: int, n: int) -> np.ndarray:
 
 def build_problem(cfg: ExperimentConfig) -> problems.FiniteSumProblem:
     p = cfg.problem
-    if p.kind == "least_squares":
-        spectrum = parse_spectrum(p.spectrum, p.N, p.n)
-        try:
+    try:
+        if p.kind == "least_squares":
+            spectrum = parse_spectrum(p.spectrum, p.N, p.n)
             return problems.gen_interpolating_least_squares(p.N, p.n, p.seed, spectrum)
-        except InvalidSpecError as exc:
-            raise ConfigError(str(exc)) from exc
-    # nonconvex: n is used for both factor sizes
-    return problems.gen_nonconvex_interpolating(p.N, p.n, p.n, p.seed)
+        # nonconvex: n is used for both factor sizes
+        return problems.gen_nonconvex_interpolating(p.N, p.n, p.n, p.seed)
+    except InvalidSpecError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_direction_state(cfg: ExperimentConfig) -> directions.DirectionState:

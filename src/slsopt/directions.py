@@ -89,13 +89,13 @@ class DirectionState:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise InvalidSpecError(f"unknown direction kind {self.kind!r}")
+            raise InvalidSpecError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.cg_variant not in CG_VARIANTS:
-            raise InvalidSpecError(f"unknown cg variant {self.cg_variant!r}")
+            raise InvalidSpecError(f"cg_variant must be one of {CG_VARIANTS}, got {self.cg_variant!r}")
         if self.epsilon <= 0:
-            raise InvalidSpecError("epsilon must be > 0")
+            raise InvalidSpecError(f"epsilon must be > 0, got {self.epsilon}")
         if self.beta_cap <= 0:
-            raise InvalidSpecError("beta_cap must be > 0")
+            raise InvalidSpecError(f"beta_cap must be > 0, got {self.beta_cap}")
 
     def fresh(self) -> "DirectionState":
         """Copy with all memory cleared, for starting a new run."""

@@ -152,57 +152,42 @@ def run(config: RunConfig) -> RunResult:
         g_norm, d_norm, dTg = outcome.g_norm, outcome.d_norm, outcome.dTg
         alpha0 = next_alpha0(ls, prev_result)
 
+        verdict = None
         if g_norm == 0.0:
             # Stationary for this batch: no admissible search. Check the exact
             # gradient now in case this is a true interpolation point.
             if f_full is None:
                 f_full, grad_full = full_oracle(problem, x)
                 grad_full_norm = float(np.linalg.norm(grad_full))
-            records.append(
-                IterationRecord(
-                    k=k,
-                    f_full=f_full,
-                    grad_full_norm=grad_full_norm,
-                    f_batch=f_b,
-                    g_batch_norm=g_norm,
-                    d_norm=d_norm,
-                    dTg=dTg,
-                    alpha0=alpha0,
-                    alpha=0.0,
-                    backtracks=0,
-                    sgr_pass=outcome.sgr_pass,
-                    restarted=outcome.restarted,
-                )
-            )
+            alpha, backtracks = 0.0, 0
             verdict = converged(f_full, grad_full_norm)
-            if verdict is not None:
-                status = verdict
-                break
-            continue
-
-        # The search runs on phi(a) = f_B(x + a d). Problems without a ray
-        # oracle of their own get the generic one, which calls batch_value.
-        ray = getattr(problem, "batch_ray", None)
-        if ray is not None:
-            phi = ray(batch.indices, x, d)
         else:
-            phi = FiniteSumProblem.batch_ray(problem, batch.indices, x, d)
-        try:
-            result = backtrack(Ray(phi, dTg), x, d, g_b, ls, alpha0, f_x=f_b)
-        except LineSearchStallError:
-            status = "stalled"
-            break
+            # The search runs on phi(a) = f_B(x + a d). Problems without a ray
+            # oracle of their own get the generic one, which calls batch_value.
+            ray = getattr(problem, "batch_ray", None)
+            if ray is not None:
+                phi = ray(batch.indices, x, d)
+            else:
+                phi = FiniteSumProblem.batch_ray(problem, batch.indices, x, d)
+            try:
+                result = backtrack(Ray(phi, dTg), x, d, g_b, ls, alpha0, f_x=f_b)
+            except LineSearchStallError:
+                status = "stalled"
+                break
 
-        # Acceptance certificate: same floats the search just tested. An
-        # explicit check, so that running with -O cannot strip it.
-        if not result.accepted_f <= f_b + ls.gamma * result.alpha * dTg:
-            raise CertificateError(
-                f"k={k}: accepted f={result.accepted_f!r} at alpha={result.alpha!r} "
-                f"exceeds f_B + gamma*alpha*d.g = {f_b + ls.gamma * result.alpha * dTg!r}"
-            )
+            # Acceptance certificate: same floats the search just tested. An
+            # explicit check, so that running with -O cannot strip it.
+            if not result.accepted_f <= f_b + ls.gamma * result.alpha * dTg:
+                raise CertificateError(
+                    f"k={k}: accepted f={result.accepted_f!r} at alpha={result.alpha!r} "
+                    f"exceeds f_B + gamma*alpha*d.g = {f_b + ls.gamma * result.alpha * dTg!r}"
+                )
+            alpha0, alpha, backtracks = result.alpha0, result.alpha, result.backtracks
+            x_new = x + alpha * d
+            update_memory(state, x_new, x, g_b, d)
+            prev_result = result
+            x = x_new
 
-        x_new = x + result.alpha * d
-        update_memory(state, x_new, x, g_b, d)
         records.append(
             IterationRecord(
                 k=k,
@@ -212,15 +197,16 @@ def run(config: RunConfig) -> RunResult:
                 g_batch_norm=g_norm,
                 d_norm=d_norm,
                 dTg=dTg,
-                alpha0=result.alpha0,
-                alpha=result.alpha,
-                backtracks=result.backtracks,
+                alpha0=alpha0,
+                alpha=alpha,
+                backtracks=backtracks,
                 sgr_pass=outcome.sgr_pass,
                 restarted=outcome.restarted,
             )
         )
-        prev_result = result
-        x = x_new
+        if verdict is not None:
+            status = verdict
+            break
 
     return RunResult(trajectory=records, final_x=x, status=status)
 

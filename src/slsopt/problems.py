@@ -31,6 +31,7 @@ __all__ = [
     "Batch",
     "BatchSampler",
     "FiniteSumProblem",
+    "ResidualProblem",
     "LeastSquaresProblem",
     "TwoFactorProblem",
     "evaluate_batch",
@@ -216,89 +217,114 @@ class FiniteSumProblem:
             raise InvalidSpecError(f"gradient norm at x_star is {gn:g} > {grad_tol:g}")
 
 
-class LeastSquaresProblem(FiniteSumProblem):
-    """Components f_i(x) = 0.5 (a_i . x - b_i)^2 with rows a_i stacked in A."""
+def _mean_half_square(r) -> float:
+    """Mean of 0.5 r_i^2 over one float residual or an array of residuals."""
+    if isinstance(r, float):
+        return 0.5 * r * r
+    return 0.5 * float(r @ r) / r.size
 
-    def __init__(self, A, b, known: KnownConstants | None = None):
+
+class ResidualProblem(FiniteSumProblem):
+    """Squared residuals f_i(x) = 0.5 (a_i . w(x) - b_i)^2 of features w(x).
+
+    The rows a_i are stacked in A. Every oracle is derived here from the
+    residuals; a family supplies four hooks:
+
+    - ``features(x)``: the feature vector w(x);
+    - ``pullback(x, s)``: the transposed-Jacobian product J_w(x)^T s;
+    - ``ray_coefficients(rows, x, d)``: (c1, c2) such that the residuals of
+      ``rows`` along x + a d are r0 + a (c1 + a c2);
+    - ``component_grads(x)``: the N x n matrix of component gradients.
+
+    ``n`` is the length of x and defaults to the number of columns of A.
+    """
+
+    def __init__(self, A, b, known: KnownConstants | None = None, n: int | None = None):
         A = np.asarray(A, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if A.ndim != 2:
             raise ShapeError("A must be a 2-D array")
         if b.shape != (A.shape[0],):
             raise ShapeError("b must have one entry per row of A")
-        super().__init__(n=A.shape[1], N=A.shape[0], known=known)
+        super().__init__(n=A.shape[1] if n is None else n, N=A.shape[0], known=known)
         self.A = A
         self.b = b
 
-    def _residual(self, i: int, x: Vector) -> float:
-        # float(row @ x) matches the expression used when planting b_i, so the
-        # residual at the planted minimizer is exactly zero.
-        return float(self.A[i] @ x) - float(self.b[i])
+    def _residuals(self, indices, x):
+        """The rows named by ``indices`` (all N when None) and their residuals.
+
+        A single index gives its row and a float residual. float(row @ w)
+        matches the expression the generators plant b_i with, so the residual
+        at the planted minimizer is exactly zero.
+        """
+        w = self.features(x)
+        if indices is None:
+            return self.A, self.A @ w - self.b
+        if len(indices) == 1:
+            i = indices[0]
+            return self.A[i], float(self.A[i] @ w) - float(self.b[i])
+        idx = np.asarray(indices)
+        rows = self.A[idx]
+        return rows, rows @ w - self.b[idx]
+
+    def _mean_grad(self, rows, r, x):
+        if isinstance(r, float):
+            return r * self.pullback(x, rows)
+        return self.pullback(x, (rows.T @ r) / r.size)
 
     def component_value(self, i, x):
-        r = self._residual(i, x)
-        return 0.5 * r * r
+        return _mean_half_square(self._residuals((i,), x)[1])
 
     def component_grad(self, i, x):
-        return self._residual(i, x) * self.A[i]
+        rows, r = self._residuals((i,), x)
+        return self._mean_grad(rows, r, x)
 
     def batch_value(self, indices, x):
-        if len(indices) == 1:
-            return self.component_value(indices[0], x)
-        Ai = self.A[np.asarray(indices)]
-        r = Ai @ x - self.b[np.asarray(indices)]
-        return 0.5 * float(r @ r) / len(indices)
-
-    def batch_ray(self, indices, x, d):
-        # Residuals are affine along the ray: r(a) = r0 + a rd, with r0 from
-        # the expressions evaluate_batch uses, so phi(0) is its f_B(x).
-        if len(indices) == 1:
-            i = indices[0]
-            r0 = self._residual(i, x)
-            rd = float(self.A[i] @ d)
-
-            def phi(a):
-                r = r0 + a * rd
-                return 0.5 * r * r
-
-            return phi
-        idx = np.asarray(indices)
-        Ai = self.A[idx]
-        r0 = Ai @ x - self.b[idx]
-        rd = Ai @ d
-        m = len(indices)
-
-        def phi(a):
-            r = r0 + a * rd
-            return 0.5 * float(r @ r) / m
-
-        return phi
+        return _mean_half_square(self._residuals(indices, x)[1])
 
     def batch_eval(self, indices, x):
-        if len(indices) == 1:
-            i = indices[0]
-            r = self._residual(i, x)
-            return 0.5 * r * r, r * self.A[i]
-        idx = np.asarray(indices)
-        Ai = self.A[idx]
-        r = Ai @ x - self.b[idx]
-        b = len(indices)
-        return 0.5 * float(r @ r) / b, (Ai.T @ r) / b
+        rows, r = self._residuals(indices, x)
+        return _mean_half_square(r), self._mean_grad(rows, r, x)
+
+    def batch_ray(self, indices, x, d):
+        # Residuals are quadratic along the ray; r0 comes from the expressions
+        # batch_value uses, so phi(0) is its f_B(x).
+        rows, r0 = self._residuals(indices, x)
+        c1, c2 = self.ray_coefficients(rows, x, d)
+        if isinstance(r0, float):
+            c1, c2 = float(c1), float(c2)
+        return lambda a: _mean_half_square(r0 + a * (c1 + a * c2))
 
     def full_value_grad(self, x):
-        r = self.A @ x - self.b
-        return 0.5 * float(r @ r) / self.N, (self.A.T @ r) / self.N
+        return self.batch_eval(None, x)
 
     def component_values(self, x):
-        r = self.A @ x - self.b
+        r = self._residuals(None, x)[1]
         return 0.5 * r * r
 
+
+class LeastSquaresProblem(ResidualProblem):
+    """Components f_i(x) = 0.5 (a_i . x - b_i)^2 with rows a_i stacked in A."""
+
+    # bench/tracer.py wraps batch_value and component_grads where each
+    # concrete class defines them, so both are bound in this class body.
+    batch_value = ResidualProblem.batch_value
+
+    def features(self, x):
+        return x
+
+    def pullback(self, x, s):
+        return s
+
+    def ray_coefficients(self, rows, x, d):
+        return rows @ d, 0.0
+
     def component_grads(self, x):
-        r = self.A @ x - self.b
+        r = self._residuals(None, x)[1]
         return r[:, None] * self.A
 
 
-class TwoFactorProblem(FiniteSumProblem):
+class TwoFactorProblem(ResidualProblem):
     """Bilinear regression f_i(x) = 0.5 ((u @ V) . a_i - b_i)^2, x = (u, vec V).
 
     The decision variable packs u (length n_u) followed by V flattened in row
@@ -306,118 +332,42 @@ class TwoFactorProblem(FiniteSumProblem):
     nonconvex in x while keeping every oracle closed-form.
     """
 
+    # bench/tracer.py wraps batch_value and component_grads where each
+    # concrete class defines them, so both are bound in this class body.
+    batch_value = ResidualProblem.batch_value
+
     def __init__(self, n_u: int, n_v: int, A, b, known: KnownConstants | None = None):
-        A = np.asarray(A, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
         if n_u < 1 or n_v < 1:
             raise ShapeError("factor sizes must be >= 1")
-        if A.ndim != 2 or A.shape[1] != n_v:
+        super().__init__(A, b, known, n=n_u + n_u * n_v)
+        if self.A.shape[1] != n_v:
             raise ShapeError(f"A must have shape (N, {n_v})")
-        if b.shape != (A.shape[0],):
-            raise ShapeError("b must have one entry per row of A")
-        super().__init__(n=n_u + n_u * n_v, N=A.shape[0], known=known)
         self.n_u = int(n_u)
         self.n_v = int(n_v)
-        self.A = A
-        self.b = b
 
     def unpack(self, x: Vector) -> tuple[Vector, np.ndarray]:
         return x[: self.n_u], x[self.n_u :].reshape(self.n_u, self.n_v)
 
-    def _features(self, x: Vector) -> tuple[Vector, np.ndarray, Vector]:
+    def features(self, x):
         u, V = self.unpack(x)
-        return u, V, u @ V
+        return u @ V
 
-    def component_value(self, i, x):
-        _, _, w = self._features(x)
-        r = float(self.A[i] @ w) - float(self.b[i])
-        return 0.5 * r * r
+    def pullback(self, x, s):
+        u, V = self.unpack(x)
+        return np.concatenate([V @ s, np.outer(u, s).ravel()])
 
-    def component_grad(self, i, x):
-        u, V, w = self._features(x)
-        r = float(self.A[i] @ w) - float(self.b[i])
-        gu = r * (V @ self.A[i])
-        gV = r * np.outer(u, self.A[i])
-        return np.concatenate([gu, gV.ravel()])
-
-    def batch_eval(self, indices, x):
-        u, V, w = self._features(x)
-        if len(indices) == 1:
-            i = indices[0]
-            r = float(self.A[i] @ w) - float(self.b[i])
-            gu = r * (V @ self.A[i])
-            gV = r * np.outer(u, self.A[i])
-            return 0.5 * r * r, np.concatenate([gu, gV.ravel()])
-        idx = np.asarray(indices)
-        Ai = self.A[idx]
-        r = Ai @ w - self.b[idx]
-        m = len(indices)
-        s = (Ai.T @ r) / m  # mean of r_i a_i
-        gu = V @ s
-        gV = np.outer(u, s)
-        return 0.5 * float(r @ r) / m, np.concatenate([gu, gV.ravel()])
-
-    def batch_value(self, indices, x):
-        _, _, w = self._features(x)
-        if len(indices) == 1:
-            i = indices[0]
-            r = float(self.A[i] @ w) - float(self.b[i])
-            return 0.5 * r * r
-        idx = np.asarray(indices)
-        r = self.A[idx] @ w - self.b[idx]
-        return 0.5 * float(r @ r) / len(indices)
-
-    def batch_ray(self, indices, x, d):
-        # With p = V a_i and q = dV a_i, the residual along the ray is
-        # r(a) = r0 + a (du . p + u . q) + a^2 (du . q); r0 comes from the
-        # expressions batch_value uses, so phi(0) is its f_B(x).
-        u, V, w = self._features(x)
+    def ray_coefficients(self, rows, x, d):
+        # With P = V a_i and Q = dV a_i per row, (u + a du)(V + a dV) a_i
+        # - b_i = r0 + a (du . P + u . Q) + a^2 (du . Q).
+        u, V = self.unpack(x)
         du, dV = self.unpack(d)
-        if len(indices) == 1:
-            i = indices[0]
-            a_i = self.A[i]
-            r0 = float(a_i @ w) - float(self.b[i])
-            p = V @ a_i
-            q = dV @ a_i
-            c1 = float(du @ p) + float(u @ q)
-            c2 = float(du @ q)
-
-            def phi(a):
-                r = r0 + a * (c1 + a * c2)
-                return 0.5 * r * r
-
-            return phi
-        idx = np.asarray(indices)
-        Ai = self.A[idx]
-        r0 = Ai @ w - self.b[idx]
-        P = V @ Ai.T
-        Q = dV @ Ai.T
-        c1 = du @ P + u @ Q
-        c2 = du @ Q
-        m = len(indices)
-
-        def phi(a):
-            r = r0 + a * (c1 + a * c2)
-            return 0.5 * float(r @ r) / m
-
-        return phi
-
-    def full_value_grad(self, x):
-        u, V, w = self._features(x)
-        r = self.A @ w - self.b
-        s = (self.A.T @ r) / self.N
-        gu = V @ s
-        gV = np.outer(u, s)
-        return 0.5 * float(r @ r) / self.N, np.concatenate([gu, gV.ravel()])
-
-    def component_values(self, x):
-        _, _, w = self._features(x)
-        r = self.A @ w - self.b
-        return 0.5 * r * r
+        P = V @ rows.T
+        Q = dV @ rows.T
+        return du @ P + u @ Q, du @ Q
 
     def component_grads(self, x):
-        u, V, w = self._features(x)
-        r = self.A @ w - self.b
+        u, V = self.unpack(x)
+        r = self._residuals(None, x)[1]
         Gu = r[:, None] * (self.A @ V.T)
         GV = np.einsum("i,u,iv->iuv", r, u, self.A).reshape(self.N, -1)
         return np.hstack([Gu, GV])

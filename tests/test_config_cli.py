@@ -115,6 +115,10 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="gamma"):
             parse_config(TOY, overrides=["linesearch.gamma=1.5"])
 
+    def test_nan_alpha_max_rejected_at_parse(self):
+        with pytest.raises(ConfigError, match="alpha_max"):
+            parse_config(TOY, overrides=["linesearch.alpha_max=nan"])
+
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError):
             parse_config(TOY, overrides=["justakey"])
@@ -529,6 +533,19 @@ class TestMainWiring:
     def test_verify_subcommand(self, tmp_path):
         cfg_path = write_cfg(tmp_path, LS)
         assert cli.main(["verify", cfg_path]) == 0
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "diagnose"])
+    def test_unwritable_output_path_exits_one(self, tmp_path, capsys, command):
+        # the write fails after the work has run; it must not escape as a traceback
+        cfg_path = write_cfg(tmp_path, TOY)
+        missing = tmp_path / "no_such_dir" / "out.csv"
+        argv = {
+            "run": ["run", cfg_path, "--override", f"run.out_csv={missing}"],
+            "sweep": ["sweep", cfg_path, "--seeds", "0..1", "--jobs", "1", "--override", f"run.out_csv={missing}"],
+            "diagnose": ["diagnose", cfg_path, "--points", "2", "--samples-csv", str(missing)],
+        }[command]
+        assert cli.main(argv) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_shipped_configs_parse(self):
         import pathlib

@@ -203,19 +203,27 @@ class TestUnbiasedness:
 
 class TestGradientChecks:
     @pytest.mark.parametrize(
-        "p",
+        "p, oracle",
         [
-            gen_interpolating_least_squares(5, 7, seed=21, singular_values=[0.5, 1.0, 3.0]),
-            gen_nonconvex_interpolating(6, 2, 3, seed=21),
+            pytest.param(p, oracle, id=family + path)
+            for family, p in (
+                ("least_squares", gen_interpolating_least_squares(5, 7, seed=21, singular_values=[0.5, 1.0, 3.0])),
+                ("nonconvex", gen_nonconvex_interpolating(6, 2, 3, seed=21)),
+            )
+            for path, oracle in (
+                ("", full_oracle),
+                ("-singleton_batch_eval", lambda p, x: p.batch_eval((1,), x)),
+                ("-duplicate_batch_eval", lambda p, x: p.batch_eval((0, 2, 0), x)),
+                ("-component_grads_mean", lambda p, x: (p.component_values(x).mean(), p.component_grads(x).mean(axis=0))),
+            )
         ],
-        ids=["least_squares", "nonconvex"],
     )
-    def test_full_gradient_matches_central_differences(self, p):
+    def test_full_gradient_matches_central_differences(self, p, oracle):
         rng = np.random.default_rng(13)
         for _ in range(25):
             x = rng.standard_normal(p.n)
-            f, g = full_oracle(p, x)
-            fd = central_diff_grad(lambda y: full_oracle(p, y)[0], x)
+            f, g = oracle(p, x)
+            fd = central_diff_grad(lambda y: oracle(p, y)[0], x)
             denom = max(1.0, float(np.linalg.norm(g)))
             assert np.linalg.norm(g - fd) / denom <= 1e-5
 
