@@ -70,6 +70,17 @@ def _load(config_path, overrides, seed):
     return cfgmod.read_config(config_path, overrides=overrides)
 
 
+def _require_output_dirs(*paths):
+    """Reject an output path whose directory does not exist, before any work."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path}: directory {os.path.dirname(path)} does not exist")
+
+
+def _stall_line(stall) -> str:
+    return f"stall: alpha0={stall.alpha0!r} last_alpha={stall.last_alpha!r} trials={stall.trials}"
+
+
 def _status_exit(status: str) -> int:
     if status in ("converged_grad", "converged_fgap"):
         return EXIT_OK
@@ -88,6 +99,7 @@ def _run_once(cfg) -> tuple[optimizer.RunResult, object]:
 def cmd_run(config_path, overrides=(), seed=None) -> int:
     """Execute one run, write the CSV trace (and optional SVG), print a summary."""
     cfg = _load(config_path, overrides, seed)
+    _require_output_dirs(cfg.run.out_csv, cfg.run.out_svg)
     result, problem = _run_once(cfg)
 
     out_csv = cfg.run.out_csv
@@ -98,6 +110,8 @@ def cmd_run(config_path, overrides=(), seed=None) -> int:
     f_star = problem.known.f_star if problem.known is not None else None
     n_restarts = sum(1 for r in result.trajectory if r.restarted)
     print(f"status: {result.status}")
+    if result.stall is not None:
+        print(_stall_line(result.stall))
     print(f"iterations: {len(result.trajectory)}")
     if result.trajectory:
         print(f"restart_fraction: {n_restarts / len(result.trajectory):.4f}")
@@ -142,6 +156,7 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
     if num_points < 1:
         raise ConfigError(f"--points must be >= 1, got {num_points}")
     cfg = _load(config_path, overrides, seed)
+    _require_output_dirs(samples_csv)
     problem = cfgmod.build_problem(cfg)
     state = cfgmod.build_direction_state(cfg)
     ls = cfgmod.build_linesearch_params(cfg)
@@ -241,6 +256,7 @@ def cmd_verify(config_path, trace_path=None, overrides=(), seed=None) -> int:
         result = optimizer.run(run_config)
         if result.status == "stalled":
             print("status: stalled (verification not reached)", file=sys.stderr)
+            print(_stall_line(result.stall), file=sys.stderr)
             return EXIT_STALL
         records = result.trajectory
         print(f"status: {result.status}; checking {len(records)} rows")
@@ -257,9 +273,10 @@ def cmd_verify(config_path, trace_path=None, overrides=(), seed=None) -> int:
 
 
 def _sweep_worker(args):
-    config_text, seed, out_csv = args
+    # The overrides touch only the [run] section, so every seed shares the
+    # problem the sweep built once.
+    config_text, problem, seed, out_csv = args
     cfg = cfgmod.parse_config(config_text, overrides=[f"run.seed={seed}", f"run.out_csv={out_csv}"])
-    problem = cfgmod.build_problem(cfg)
     run_config = cfgmod.build_run_config(cfg, problem=problem)
     result = optimizer.run(run_config)
     traceio.write_trace(out_csv, result.trajectory)
@@ -306,8 +323,11 @@ def cmd_sweep(config_path, seeds: str, jobs: int | None = None, overrides=()) ->
     cfg = _load(config_path, overrides, None)
 
     base, ext = os.path.splitext(cfg.run.out_csv or "trace.csv")
+    paths = [f"{base}_seed{s}{ext}" for s in seed_list]
+    _require_output_dirs(*paths)
+    problem = cfgmod.build_problem(cfg)
     config_text = cfgmod.serialize_config(cfg)
-    tasks = [(config_text, s, f"{base}_seed{s}{ext}") for s in seed_list]
+    tasks = [(config_text, problem, s, path) for s, path in zip(seed_list, paths)]
 
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -13,6 +13,7 @@ direction actually taken always ties to the sampled gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -133,10 +134,13 @@ def _measure(d, g, params: SgrParams) -> tuple[frozenset, float, float, float]:
     g = np.asarray(g, dtype=np.float64)
     if d.shape != g.shape:
         raise ShapeError(f"d has shape {d.shape}, g has shape {g.shape}")
-    gg = float(g @ g)
-    g_norm = float(np.linalg.norm(g))
-    d_norm = float(np.linalg.norm(d))
-    dTg = float(d @ g)
+    # np.linalg.norm of a 1-D float array is sqrt(x.dot(x)); the same
+    # expression here gives the same floats without the wrapper's overhead.
+    # For 1-D operands, d @ g and d.dot(g) run the same kernel.
+    gg = float(g.dot(g))
+    g_norm = math.sqrt(gg)
+    d_norm = math.sqrt(float(d.dot(d)))
+    dTg = float(d.dot(g))
     violated = set()
     if d_norm > params.c1 * g_norm:
         violated.add(NORM_BOUND)
@@ -210,7 +214,7 @@ def safeguarded_direction(state: DirectionState, g, x, params: SgrParams) -> Dir
     d = -g
     return DirectionOutcome(
         d=d, raw_d=raw, sgr_pass=False, violated=violated, restarted=True,
-        g_norm=g_norm, d_norm=float(np.linalg.norm(d)), dTg=float(d @ g),
+        g_norm=g_norm, d_norm=math.sqrt(float(d.dot(d))), dTg=float(d.dot(g)),
     )
 
 
@@ -220,11 +224,15 @@ def update_memory(state: DirectionState, x_new, x_old, g, d) -> DirectionState:
     Stores x_old as the previous point (the momentum term at the next iterate
     is beta * (x_new - x_old)), g as the previous sampled gradient, d as the
     previous direction, and grows the squared-gradient accumulator.
+
+    Float arrays are stored by reference, not copied: the caller must not
+    mutate x_old, g or d afterwards. ``optimizer.run`` makes fresh arrays
+    every iteration and never writes into them.
     """
     g = np.asarray(g, dtype=np.float64)
-    state.x_prev = np.array(x_old, dtype=np.float64)
-    state.g_prev = g.copy()
-    state.d_prev = np.array(d, dtype=np.float64)
+    state.x_prev = np.asarray(x_old, dtype=np.float64)
+    state.g_prev = g
+    state.d_prev = np.asarray(d, dtype=np.float64)
     if state.kind == "adagrad_diag":
         if state.accum is None:
             state.accum = np.zeros_like(g)

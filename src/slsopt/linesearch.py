@@ -65,8 +65,9 @@ class LineSearchParams:
             raise DomainError(f"gamma must be in (0, 1), got {self.gamma}")
         if not 0.0 < self.delta < 1.0:
             raise DomainError(f"delta must be in (0, 1), got {self.delta}")
-        if not self.alpha_max > 0.0:
-            raise DomainError(f"alpha_max must be > 0, got {self.alpha_max}")
+        # An infinite alpha_max makes every trial inf * delta**j = inf.
+        if not (self.alpha_max > 0.0 and math.isfinite(self.alpha_max)):
+            raise DomainError(f"alpha_max must be finite and > 0, got {self.alpha_max}")
         if self.alpha0_policy not in ALPHA0_POLICIES:
             raise DomainError(f"unknown alpha0 policy {self.alpha0_policy!r}")
         if self.warm_power < 1:

@@ -8,6 +8,7 @@ per-iteration cost model stays stochastic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,7 +70,7 @@ class RunConfig:
         self.sgr.require_fallback_admissible()
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     """Per-iteration observables; f_full / grad_full_norm only on trace points."""
 
@@ -89,9 +90,17 @@ class IterationRecord:
 
 @dataclass
 class RunResult:
+    """A finished run; ``stall`` is the search's error when status is "stalled"."""
+
     trajectory: list[IterationRecord]
     final_x: Vector
     status: str
+    stall: LineSearchStallError | None = None
+
+
+def _norm(v: Vector) -> float:
+    """np.linalg.norm of a 1-D float array, sqrt(v.dot(v)), without its wrapper."""
+    return math.sqrt(float(v.dot(v)))
 
 
 def default_x0(n: int, rng: np.random.Generator) -> Vector:
@@ -124,9 +133,16 @@ def run(config: RunConfig) -> RunResult:
     state = config.direction.fresh()
     f_star = problem.known.f_star if problem.known is not None else None
 
+    # The search runs on phi(a) = f_B(x + a d). Problems without a ray
+    # oracle of their own get the generic one, which calls batch_value.
+    batch_ray = getattr(problem, "batch_ray", None)
+    if batch_ray is None:
+        batch_ray = functools.partial(FiniteSumProblem.batch_ray, problem)
+
     records: list[IterationRecord] = []
     prev_result = None
     status = "max_iters"
+    stall = None
 
     def converged(f_full, grad_norm):
         if grad_norm <= config.grad_tol:
@@ -139,7 +155,7 @@ def run(config: RunConfig) -> RunResult:
         f_full = grad_full_norm = None
         if k % every == 0:
             f_full, grad_full = full_oracle(problem, x)
-            grad_full_norm = float(np.linalg.norm(grad_full))
+            grad_full_norm = _norm(grad_full)
             verdict = converged(f_full, grad_full_norm)
             if verdict is not None:
                 status = verdict
@@ -158,21 +174,16 @@ def run(config: RunConfig) -> RunResult:
             # gradient now in case this is a true interpolation point.
             if f_full is None:
                 f_full, grad_full = full_oracle(problem, x)
-                grad_full_norm = float(np.linalg.norm(grad_full))
+                grad_full_norm = _norm(grad_full)
             alpha, backtracks = 0.0, 0
             verdict = converged(f_full, grad_full_norm)
         else:
-            # The search runs on phi(a) = f_B(x + a d). Problems without a ray
-            # oracle of their own get the generic one, which calls batch_value.
-            ray = getattr(problem, "batch_ray", None)
-            if ray is not None:
-                phi = ray(batch.indices, x, d)
-            else:
-                phi = FiniteSumProblem.batch_ray(problem, batch.indices, x, d)
+            phi = batch_ray(batch.indices, x, d)
             try:
                 result = backtrack(Ray(phi, dTg), x, d, g_b, ls, alpha0, f_x=f_b)
-            except LineSearchStallError:
+            except LineSearchStallError as exc:
                 status = "stalled"
+                stall = exc
                 break
 
             # Acceptance certificate: same floats the search just tested. An
@@ -208,7 +219,7 @@ def run(config: RunConfig) -> RunResult:
             status = verdict
             break
 
-    return RunResult(trajectory=records, final_x=x, status=status)
+    return RunResult(trajectory=records, final_x=x, status=status, stall=stall)
 
 
 def fit_geometric_rate(ks, gaps) -> tuple[float, float]:

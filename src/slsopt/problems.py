@@ -9,6 +9,7 @@ structure permits.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -50,7 +51,7 @@ def as_vector(x, n: int | None = None, name: str = "x") -> Vector:
         raise ShapeError(f"{name} must be 1-dimensional, got ndim={v.ndim}")
     if n is not None and v.shape[0] != n:
         raise ShapeError(f"{name} must have length {n}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericDomainError(f"{name} contains non-finite entries")
     return v
 
@@ -292,7 +293,15 @@ class ResidualProblem(FiniteSumProblem):
         rows, r0 = self._residuals(indices, x)
         c1, c2 = self.ray_coefficients(rows, x, d)
         if isinstance(r0, float):
+            # _mean_half_square of a float residual, inlined: a trial is then
+            # a few float operations and no call.
             c1, c2 = float(c1), float(c2)
+
+            def phi(a):
+                r = r0 + a * (c1 + a * c2)
+                return 0.5 * r * r
+
+            return phi
         return lambda a: _mean_half_square(r0 + a * (c1 + a * c2))
 
     def full_value_grad(self, x):
@@ -374,15 +383,16 @@ class TwoFactorProblem(ResidualProblem):
 
 
 def _check_batch(problem: FiniteSumProblem, batch) -> tuple[int, ...]:
-    indices = batch.indices if isinstance(batch, Batch) else tuple(batch)
-    if len(indices) == 0:
+    raw = batch.indices if isinstance(batch, Batch) else tuple(batch)
+    if len(raw) == 0:
         raise InvalidBatchError("batch must contain at least one index")
-    for i in indices:
-        if not 0 <= int(i) < problem.N:
-            raise InvalidBatchError(
-                f"index {i} outside [0, {problem.N - 1}] for this problem"
-            )
-    return tuple(int(i) for i in indices)
+    indices = tuple(map(int, raw))
+    if min(indices) < 0 or max(indices) >= problem.N:
+        bad = next(r for r, i in zip(raw, indices) if not 0 <= i < problem.N)
+        raise InvalidBatchError(
+            f"index {bad} outside [0, {problem.N - 1}] for this problem"
+        )
+    return indices
 
 
 def evaluate_batch(problem: FiniteSumProblem, batch, x) -> tuple[float, Vector]:
@@ -390,7 +400,7 @@ def evaluate_batch(problem: FiniteSumProblem, batch, x) -> tuple[float, Vector]:
     indices = _check_batch(problem, batch)
     xv = as_vector(x, problem.n)
     f, g = problem.batch_eval(indices, xv)
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
+    if not math.isfinite(f) or not np.isfinite(g).all():
         raise NumericDomainError(f"non-finite batch evaluation at indices {indices}")
     return float(f), np.asarray(g, dtype=np.float64)
 
@@ -399,7 +409,7 @@ def full_oracle(problem: FiniteSumProblem, x) -> tuple[float, Vector]:
     """Exact average over all N components; for tracing and diagnostics only."""
     xv = as_vector(x, problem.n)
     f, g = problem.full_value_grad(xv)
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
+    if not math.isfinite(f) or not np.isfinite(g).all():
         raise NumericDomainError("non-finite full-sum evaluation")
     return float(f), np.asarray(g, dtype=np.float64)
 

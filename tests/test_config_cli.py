@@ -554,3 +554,69 @@ class TestMainWiring:
         for name in ("toy.ini", "least_squares.ini", "momentum.ini"):
             cfg = read_config(here / name)
             assert isinstance(cfg, ExperimentConfig)
+
+
+STALLING = [
+    "problem.spectrum=const:10000.0",
+    "linesearch.gamma=0.1",
+    "linesearch.alpha_max=10.0",
+    "linesearch.max_backtracks=1",
+]
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_infinite_alpha_max_is_a_config_error(self, tmp_path, capsys, command):
+        # before, every trial was inf * delta**j = inf and the run stalled
+        cfg_path = write_cfg(tmp_path, TOY)
+        argv = [command, cfg_path, "--override", "linesearch.alpha_max=inf"]
+        if command == "run":
+            argv += ["--override", f"run.out_csv={tmp_path / 't.csv'}"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: linesearch: alpha_max")
+
+    @pytest.mark.parametrize("where", ["run_csv", "run_svg", "sweep", "diagnose"])
+    def test_missing_output_directory_exits_before_the_work(self, tmp_path, capsys, monkeypatch, where):
+        cfg_path = write_cfg(tmp_path, LS)
+        missing = tmp_path / "no_such_dir" / "out.csv"
+        work = []
+
+        def spy(name):
+            def called(*args, **kwargs):
+                work.append(name)
+                raise AssertionError(f"{name} ran although an output path is unwritable")
+
+            return called
+
+        monkeypatch.setattr(cli.optimizer, "run", spy("optimizer.run"))
+        monkeypatch.setattr(cli.diagnostics, "point_moments", spy("diagnostics.point_moments"))
+        argv = {
+            "run_csv": ["run", cfg_path, "--override", f"run.out_csv={missing}"],
+            "run_svg": [
+                "run", cfg_path,
+                "--override", f"run.out_csv={tmp_path / 'ok.csv'}",
+                "--override", f"run.out_svg={missing}",
+            ],
+            "sweep": ["sweep", cfg_path, "--seeds", "0..2", "--jobs", "1", "--override", f"run.out_csv={missing}"],
+            "diagnose": ["diagnose", cfg_path, "--points", "3", "--samples-csv", str(missing)],
+        }[where]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "no_such_dir" in err
+        assert work == []
+
+
+class TestStallDetails:
+    def test_run_prints_the_failed_search(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, TOY)
+        code = cli.cmd_run(cfg_path, overrides=STALLING + [f"run.out_csv={tmp_path / 's.csv'}"])
+        assert code == 3
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("status: stalled")
+        assert lines[at + 1] == "stall: alpha0=10.0 last_alpha=5.0 trials=2"
+
+    def test_verify_prints_the_same_line(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, TOY)
+        assert cli.cmd_verify(cfg_path, overrides=STALLING) == 3
+        assert "stall: alpha0=10.0 last_alpha=5.0 trials=2" in capsys.readouterr().err.splitlines()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from slsopt import (
+    KINDS,
     DirectionState,
     SgrParams,
     propose_direction,
@@ -186,6 +187,66 @@ class TestSafeguardedDirection:
         assert out.g_norm == float(np.linalg.norm(g))
         assert out.d_norm == float(np.linalg.norm(out.d))
         assert out.dTg == float(out.d @ g)
+
+
+def _state_for(kind, beta, a, b):
+    """A state of the given kind whose raw direction depends on a and b."""
+    state = DirectionState(kind=kind, beta=beta, beta_cap=10.0)
+    if kind == "momentum":
+        state.x_prev = b
+    elif kind == "cg":
+        state.g_prev, state.d_prev = b, a
+    elif kind == "adagrad_diag":
+        state.accum = a * a
+    return state
+
+
+@st.composite
+def _safeguard_case(draw):
+    n = draw(st.integers(1, 300))
+    elements = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    g, a, b = (draw(arrays(np.float64, n, elements=elements)) for _ in range(3))
+    c2 = draw(st.floats(0.0, 1.0, exclude_min=True))
+    c1 = draw(st.floats(1.0, 1e6))
+    return g, a, b, SgrParams(c1=c1, c2=c2)
+
+
+class TestSafeguardProperties:
+    """The safeguard for random 0 < c2 <= 1 <= c1, g and raw directions."""
+
+    @given(case=_safeguard_case(), kind=st.sampled_from(KINDS), beta=st.floats(0.0, 2.0))
+    @settings(max_examples=150, deadline=None)
+    def test_outcome_meets_both_bounds_without_slack(self, case, kind, beta):
+        g, a, b, params = case
+        out = safeguarded_direction(_state_for(kind, beta, a, b), g, a, params)
+        assert np.linalg.norm(out.d) <= params.c1 * np.linalg.norm(g)
+        assert float(out.d @ g) <= -params.c2 * float(g @ g)
+        assert sgr_check(out.d, g, params) == (True, frozenset())
+
+    @given(case=_safeguard_case(), kind=st.sampled_from(KINDS), beta=st.floats(0.0, 2.0))
+    @settings(max_examples=150, deadline=None)
+    def test_scalars_equal_numpy_norms_bit_for_bit(self, case, kind, beta):
+        g, a, b, params = case
+        out = safeguarded_direction(_state_for(kind, beta, a, b), g, a, params)
+        assert out.g_norm == float(np.linalg.norm(g))
+        assert out.d_norm == float(np.linalg.norm(out.d))
+        assert out.dTg == float(out.d @ g)
+        assert out.restarted == bool(sgr_check(out.raw_d, g, params)[1])
+
+
+class TestUpdateMemoryStoresItsInputs:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_memory_equals_the_arguments(self, kind):
+        rng = np.random.default_rng(11)
+        x_new, x_old, g, d = (rng.standard_normal(7) for _ in range(4))
+        given_values = [v.copy() for v in (x_old, g, d)]
+        state = DirectionState(kind=kind)
+        update_memory(state, x_new, x_old, g, d)
+        stored = (state.x_prev, state.g_prev, state.d_prev)
+        for kept, arg, value in zip(stored, (x_old, g, d), given_values):
+            # stored by reference: the caller owns the arrays and leaves them be
+            assert kept is arg
+            assert np.array_equal(kept, value)
 
 
 class TestMatrixFormEquivalence:

@@ -294,3 +294,9 @@ class TestParamsValidation:
     def test_invalid_params(self, kwargs):
         with pytest.raises(DomainError):
             LineSearchParams(**kwargs)
+
+    @pytest.mark.parametrize("alpha_max", [math.inf, math.nan])
+    def test_non_finite_alpha_max_rejected(self, alpha_max):
+        # every trial of an infinite alpha_max is inf * delta**j = inf
+        with pytest.raises(DomainError, match="alpha_max must be finite"):
+            LineSearchParams(alpha_max=alpha_max)

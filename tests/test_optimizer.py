@@ -21,6 +21,7 @@ from slsopt.errors import (
     CertificateError,
     ConfigError,
     InsufficientDataError,
+    LineSearchStallError,
     SlsoptError,
     UnsatisfiableSafeguardError,
 )
@@ -132,6 +133,21 @@ class TestRun:
         )
         res = run(cfg)
         assert res.status == "stalled"
+
+    def test_stalled_result_carries_the_search_error(self):
+        stiff = LeastSquaresProblem(A=np.array([[1e4]]), b=np.array([0.0]))
+        cfg = base_config(
+            stiff,
+            linesearch=LineSearchParams(gamma=0.1, delta=0.5, alpha_max=10.0, max_backtracks=1),
+            x0=np.array([1.0]),
+            grad_tol=0.0,
+            fgap_tol=0.0,
+        )
+        res = run(cfg)
+        assert res.status == "stalled"
+        assert isinstance(res.stall, LineSearchStallError)
+        assert (res.stall.alpha0, res.stall.last_alpha, res.stall.trials) == (10.0, 5.0, 2)
+        assert run(base_config(unit_quadratic(), x0=np.array([1.0]))).stall is None
 
     def test_stationary_batch_records_zero_step_and_continues(self):
         # at x = 1 the first component is exactly minimized but f is not

@@ -21,7 +21,7 @@ from slsopt.errors import (
     NumericDomainError,
     ShapeError,
 )
-from slsopt.problems import as_vector
+from slsopt.problems import _mean_half_square, as_vector
 
 from conftest import central_diff_grad, make_toy2
 
@@ -69,6 +69,63 @@ class TestEvaluateBatch:
         )
         with pytest.raises(NumericDomainError):
             evaluate_batch(bad, Batch((0,)), np.array([1.0]))
+
+
+class TestEvaluateBatchChecks:
+    """Every input check of the batch and full oracles, each on its own."""
+
+    @pytest.mark.parametrize(
+        "indices, named",
+        [((0, 5, -1), "index 5 "), ((1, -1, 7), "index -1 "), ((2,), "index 2 ")],
+    )
+    def test_error_names_the_first_bad_index(self, toy2, indices, named):
+        with pytest.raises(InvalidBatchError, match=named):
+            evaluate_batch(toy2, indices, np.array([1.0]))
+
+    def test_numpy_integer_indices_match_python_ints(self, toy2):
+        x = np.array([1.5])
+        f, g = evaluate_batch(toy2, np.array([0, 1, 1]), x)
+        f_ref, g_ref = evaluate_batch(toy2, Batch((0, 1, 1)), x)
+        assert f == f_ref and np.array_equal(g, g_ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x(self, toy2, bad):
+        with pytest.raises(NumericDomainError):
+            evaluate_batch(toy2, Batch((0,)), np.array([bad]))
+        with pytest.raises(NumericDomainError):
+            full_oracle(toy2, np.array([bad]))
+
+    def test_x_of_the_wrong_shape(self, toy2):
+        with pytest.raises(ShapeError):
+            evaluate_batch(toy2, Batch((0,)), np.array([[1.0]]))
+        with pytest.raises(ShapeError):
+            full_oracle(toy2, np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient(self, bad):
+        p = FiniteSumProblem(n=2, components=[(lambda x: 1.0, lambda x: np.array([0.0, bad]))])
+        with pytest.raises(NumericDomainError, match="indices"):
+            evaluate_batch(p, Batch((0,)), np.zeros(2))
+        with pytest.raises(NumericDomainError):
+            full_oracle(p, np.zeros(2))
+
+    def test_non_finite_full_value(self):
+        p = FiniteSumProblem(n=1, components=[(lambda x: float("nan"), lambda x: np.zeros(1))])
+        with pytest.raises(NumericDomainError):
+            full_oracle(p, np.zeros(1))
+
+    def test_singleton_ray_matches_the_mean_half_square(self):
+        # the singleton ray inlines 0.5 r^2; it must give the floats the
+        # shared helper gives for the same residual
+        p = gen_interpolating_least_squares(5, 9, seed=3, singular_values=[1.0, 3.0])
+        rng = np.random.default_rng(4)
+        x, d = rng.standard_normal(9), rng.standard_normal(9)
+        for i in range(p.N):
+            phi = p.batch_ray((i,), x, d)
+            r0 = float(p.A[i] @ x) - float(p.b[i])
+            c1 = float(p.A[i] @ d)
+            for a in (0.0, 1e-3, 0.5, 10.0):
+                assert phi(a) == _mean_half_square(r0 + a * (c1 + a * 0.0))
 
 
 class TestFullOracle:
