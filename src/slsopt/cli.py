@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from . import _blas
 from . import config as cfgmod
 from . import diagnostics, optimizer, traceio
 from .errors import (
@@ -272,9 +273,11 @@ def cmd_verify(config_path, trace_path=None, overrides=(), seed=None) -> int:
     return EXIT_OK
 
 
+@_blas.single_thread()
 def _sweep_worker(args):
     # The overrides touch only the [run] section, so every seed shares the
-    # problem the sweep built once.
+    # problem the sweep built once. The run, its trace and its final gap use
+    # one BLAS thread: the seeds are the parallelism (--jobs).
     config_text, problem, seed, out_csv = args
     cfg = cfgmod.parse_config(config_text, overrides=[f"run.seed={seed}", f"run.out_csv={out_csv}"])
     run_config = cfgmod.build_run_config(cfg, problem=problem)

@@ -8,12 +8,12 @@ per-iteration cost model stays stochastic.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .directions import DirectionState, SgrParams, safeguarded_direction, update_memory
 from .errors import CertificateError, ConfigError, InsufficientDataError, LineSearchStallError
 from .linesearch import LineSearchParams, Ray, alpha_low, backtrack, jstar, next_alpha0
@@ -107,6 +107,7 @@ def default_x0(n: int, rng: np.random.Generator) -> Vector:
     return rng.standard_normal(n) / math.sqrt(n)
 
 
+@_blas.single_thread()
 def run(config: RunConfig) -> RunResult:
     """Iterate x <- x + alpha d until a tolerance, the cap, or a stall.
 
@@ -115,8 +116,13 @@ def run(config: RunConfig) -> RunResult:
     one step. Convergence is decided on the periodic exact-oracle samples
     (batch gradients vanish spuriously only where stopping is correct anyway);
     a vanishing batch gradient skips the step, forces an exact check, and
-    moves on to the next draw. The trajectory is reproducible bit for bit
-    given the config and seed.
+    moves on to the next draw.
+
+    The whole run holds numpy's OpenBLAS to one thread and restores the
+    previous count on return or raise. A run is sequential by construction;
+    parallelism across seeds belongs to ``sweep --jobs``. The trajectory is
+    therefore reproducible bit for bit given the config and seed, whatever
+    the core count or OPENBLAS_NUM_THREADS.
     """
     config.validate()
     problem = config.problem
@@ -132,12 +138,6 @@ def run(config: RunConfig) -> RunResult:
     sampler = BatchSampler(problem.N, mode=mode, batch_size=config.batch_size, seed=batch_ss)
     state = config.direction.fresh()
     f_star = problem.known.f_star if problem.known is not None else None
-
-    # The search runs on phi(a) = f_B(x + a d). Problems without a ray
-    # oracle of their own get the generic one, which calls batch_value.
-    batch_ray = getattr(problem, "batch_ray", None)
-    if batch_ray is None:
-        batch_ray = functools.partial(FiniteSumProblem.batch_ray, problem)
 
     records: list[IterationRecord] = []
     prev_result = None
@@ -162,7 +162,8 @@ def run(config: RunConfig) -> RunResult:
                 break
 
         batch = sampler.draw()
-        f_b, g_b = evaluate_batch(problem, batch, x)
+        # The search runs on phi(a) = f_B(x + a d); see evaluate_batch.
+        f_b, g_b, ray = evaluate_batch(problem, batch, x, return_ray=True)
         outcome = safeguarded_direction(state, g_b, x, config.sgr)
         d = outcome.d
         g_norm, d_norm, dTg = outcome.g_norm, outcome.d_norm, outcome.dTg
@@ -178,9 +179,8 @@ def run(config: RunConfig) -> RunResult:
             alpha, backtracks = 0.0, 0
             verdict = converged(f_full, grad_full_norm)
         else:
-            phi = batch_ray(batch.indices, x, d)
             try:
-                result = backtrack(Ray(phi, dTg), x, d, g_b, ls, alpha0, f_x=f_b)
+                result = backtrack(Ray(ray(d), dTg), x, d, g_b, ls, alpha0, f_x=f_b)
             except LineSearchStallError as exc:
                 status = "stalled"
                 stall = exc

@@ -9,6 +9,7 @@ structure permits.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -233,8 +234,10 @@ class ResidualProblem(FiniteSumProblem):
 
     - ``features(x)``: the feature vector w(x);
     - ``pullback(x, s)``: the transposed-Jacobian product J_w(x)^T s;
-    - ``ray_coefficients(rows, x, d)``: (c1, c2) such that the residuals of
-      ``rows`` along x + a d are r0 + a (c1 + a c2);
+    - ``ray_coefficients(rows, x, d, grad_r)``: (c1, c2) such that the
+      residuals of ``rows`` along x + a d are r0 + a (c1 + a c2). ``grad_r``
+      is J_w(x)^T a_i when the batch is the singleton i and its gradient was
+      just computed, else None; a family may reuse it;
     - ``component_grads(x)``: the N x n matrix of component gradients.
 
     ``n`` is the length of x and defaults to the number of columns of A.
@@ -268,30 +271,48 @@ class ResidualProblem(FiniteSumProblem):
         rows = self.A[idx]
         return rows, rows @ w - self.b[idx]
 
-    def _mean_grad(self, rows, r, x):
+    def _eval(self, indices, x):
+        """f_B, g_B and what a ray at x reuses of their residual pass.
+
+        That is the rows, the residuals and, for a singleton, the residual's
+        gradient J_w(x)^T a_i (None for a larger batch).
+        """
+        rows, r = self._residuals(indices, x)
         if isinstance(r, float):
-            return r * self.pullback(x, rows)
-        return self.pullback(x, (rows.T @ r) / r.size)
+            grad_r = self.pullback(x, rows)
+            return 0.5 * r * r, r * grad_r, (rows, r, grad_r)
+        return _mean_half_square(r), self.pullback(x, (rows.T @ r) / r.size), (rows, r, None)
 
     def component_value(self, i, x):
         return _mean_half_square(self._residuals((i,), x)[1])
 
     def component_grad(self, i, x):
-        rows, r = self._residuals((i,), x)
-        return self._mean_grad(rows, r, x)
+        return self._eval((i,), x)[1]
 
     def batch_value(self, indices, x):
         return _mean_half_square(self._residuals(indices, x)[1])
 
     def batch_eval(self, indices, x):
-        rows, r = self._residuals(indices, x)
-        return _mean_half_square(r), self._mean_grad(rows, r, x)
+        f, g, _ = self._eval(indices, x)
+        return f, g
+
+    def batch_eval_ray(self, indices, x):
+        """batch_eval and ``ray``, with ray(d) equal to batch_ray(indices, x, d).
+
+        One residual pass serves both: the ray takes the rows and residuals
+        the gradient was computed from.
+        """
+        f, g, (rows, r0, grad_r) = self._eval(indices, x)
+        return f, g, functools.partial(self._ray, rows, r0, grad_r, x)
 
     def batch_ray(self, indices, x, d):
+        rows, r0 = self._residuals(indices, x)
+        return self._ray(rows, r0, None, x, d)
+
+    def _ray(self, rows, r0, grad_r, x, d):
         # Residuals are quadratic along the ray; r0 comes from the expressions
         # batch_value uses, so phi(0) is its f_B(x).
-        rows, r0 = self._residuals(indices, x)
-        c1, c2 = self.ray_coefficients(rows, x, d)
+        c1, c2 = self.ray_coefficients(rows, x, d, grad_r)
         if isinstance(r0, float):
             # _mean_half_square of a float residual, inlined: a trial is then
             # a few float operations and no call.
@@ -325,7 +346,7 @@ class LeastSquaresProblem(ResidualProblem):
     def pullback(self, x, s):
         return s
 
-    def ray_coefficients(self, rows, x, d):
+    def ray_coefficients(self, rows, x, d, grad_r):
         return rows @ d, 0.0
 
     def component_grads(self, x):
@@ -365,12 +386,13 @@ class TwoFactorProblem(ResidualProblem):
         u, V = self.unpack(x)
         return np.concatenate([V @ s, np.outer(u, s).ravel()])
 
-    def ray_coefficients(self, rows, x, d):
+    def ray_coefficients(self, rows, x, d, grad_r):
         # With P = V a_i and Q = dV a_i per row, (u + a du)(V + a dV) a_i
-        # - b_i = r0 + a (du . P + u . Q) + a^2 (du . Q).
+        # - b_i = r0 + a (du . P + u . Q) + a^2 (du . Q). A singleton's
+        # residual gradient (V a_i, u a_i^T) already holds P.
         u, V = self.unpack(x)
         du, dV = self.unpack(d)
-        P = V @ rows.T
+        P = V @ rows.T if grad_r is None else grad_r[: self.n_u]
         Q = dV @ rows.T
         return du @ P + u @ Q, du @ Q
 
@@ -395,14 +417,30 @@ def _check_batch(problem: FiniteSumProblem, batch) -> tuple[int, ...]:
     return indices
 
 
-def evaluate_batch(problem: FiniteSumProblem, batch, x) -> tuple[float, Vector]:
-    """Mean value and gradient of the components named by ``batch`` at ``x``."""
+def evaluate_batch(problem: FiniteSumProblem, batch, x, *, return_ray: bool = False):
+    """Mean value and gradient of the components named by ``batch`` at ``x``.
+
+    With ``return_ray`` a third value ``ray`` follows: ray(d) is the search
+    function phi(a) = f_B(x + a d) that ``batch_ray(indices, x, d)`` builds.
+    A ResidualProblem whose batch_ray is its own builds it from the residuals
+    this evaluation computed. A problem without a batch_ray gets the generic
+    ray, which calls batch_value per trial.
+    """
     indices = _check_batch(problem, batch)
     xv = as_vector(x, problem.n)
-    f, g = problem.batch_eval(indices, xv)
+    if return_ray and getattr(type(problem), "batch_ray", None) is ResidualProblem.batch_ray:
+        f, g, ray = problem.batch_eval_ray(indices, xv)
+    else:
+        f, g = problem.batch_eval(indices, xv)
+        if return_ray:
+            batch_ray = getattr(problem, "batch_ray", None)
+            if batch_ray is None:
+                batch_ray = functools.partial(FiniteSumProblem.batch_ray, problem)
+            ray = functools.partial(batch_ray, indices, xv)
     if not math.isfinite(f) or not np.isfinite(g).all():
         raise NumericDomainError(f"non-finite batch evaluation at indices {indices}")
-    return float(f), np.asarray(g, dtype=np.float64)
+    f, g = float(f), np.asarray(g, dtype=np.float64)
+    return (f, g, ray) if return_ray else (f, g)
 
 
 def full_oracle(problem: FiniteSumProblem, x) -> tuple[float, Vector]:

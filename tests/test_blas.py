@@ -1,0 +1,209 @@
+"""One BLAS thread per run: the pin, its restore paths, and thread-independent traces."""
+
+import dataclasses
+import os
+import subprocess
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import slsopt
+from slsopt import (
+    DirectionState,
+    LeastSquaresProblem,
+    LineSearchParams,
+    RunConfig,
+    SgrParams,
+    _blas,
+    cli,
+    gen_interpolating_least_squares,
+    optimizer,
+    run,
+)
+from slsopt.errors import CertificateError
+
+needs_openblas = pytest.mark.skipif(
+    _blas.openblas() is None, reason="numpy is not linked to a bundled OpenBLAS"
+)
+
+
+def small_config(problem, **kw):
+    fields = dict(
+        problem=problem,
+        direction=DirectionState(kind="sgd"),
+        linesearch=LineSearchParams(gamma=0.1, delta=0.5, alpha_max=10.0),
+        sgr=SgrParams(c1=1.0, c2=1.0),
+        max_iters=30,
+        grad_tol=0.0,
+        fgap_tol=0.0,
+    )
+    fields.update(kw)
+    return RunConfig(**fields)
+
+
+def small_instance():
+    return gen_interpolating_least_squares(8, 12, seed=5, singular_values=np.full(8, 2.0))
+
+
+@pytest.fixture
+def two_threads():
+    """Set the OpenBLAS count to 2 for the test, so a pin to 1 is visible."""
+    get, set_ = _blas.openblas()
+    before = get()
+    set_(2)
+    assert get() == 2
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_threads")
+class TestPin:
+    def test_run_iterates_on_one_thread_and_restores(self):
+        seen = []
+
+        class Spy(LeastSquaresProblem):
+            def features(self, x):
+                seen.append(_blas.threads())
+                return x
+
+        inner = small_instance()
+        result = run(small_config(Spy(inner.A, inner.b, inner.known)))
+        assert len(result.trajectory) == 30
+        assert seen and set(seen) == {1}
+        assert _blas.threads() == 2
+
+    def test_count_restored_when_the_run_raises(self, monkeypatch):
+        real = optimizer.backtrack
+
+        def broken(ray, x, d, g, params, alpha0, f_x):
+            assert _blas.threads() == 1
+            result = real(ray, x, d, g, params, alpha0, f_x=f_x)
+            return dataclasses.replace(result, accepted_f=f_x + 1.0)
+
+        monkeypatch.setattr(optimizer, "backtrack", broken)
+        with pytest.raises(CertificateError):
+            run(small_config(small_instance()))
+        assert _blas.threads() == 2
+
+    def test_nested_use_restores_the_outer_count_once(self):
+        with _blas.single_thread():
+            assert _blas.threads() == 1
+            with _blas.single_thread():
+                assert _blas.threads() == 1
+            assert _blas.threads() == 1
+            run(small_config(small_instance()))
+            assert _blas.threads() == 1
+        assert _blas.threads() == 2
+
+    def test_concurrent_pins_restore_after_the_last_exit(self):
+        errors = []
+        barrier = threading.Barrier(8, timeout=30)
+
+        def worker():
+            try:
+                barrier.wait()
+                for _ in range(200):
+                    with _blas.single_thread():
+                        if _blas.threads() != 1:
+                            errors.append(_blas.threads())
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=worker) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert _blas.threads() == 2
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_sweep_restores_the_count(self, tmp_path, monkeypatch, fail):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[problem]\nkind = least_squares\nN = 8\nn = 12\nseed = 1\nspectrum = const:2.0\n"
+            "[direction]\nc1 = 1.0\nc2 = 1.0\n"
+            f"[run]\nmax_iters = 30\nout_csv = {tmp_path / 't.csv'}\n"
+        )
+        if fail:
+            real = optimizer.backtrack
+
+            def broken(ray, x, d, g, params, alpha0, f_x):
+                result = real(ray, x, d, g, params, alpha0, f_x=f_x)
+                return dataclasses.replace(result, accepted_f=f_x + 1.0)
+
+            monkeypatch.setattr(optimizer, "backtrack", broken)
+        assert cli.main(["sweep", str(cfg), "--seeds", "0..1", "--jobs", "1"]) == (5 if fail else 2)
+        assert _blas.threads() == 2
+
+    def test_no_library_found_means_no_pin(self, monkeypatch):
+        get, _ = _blas.openblas()
+        monkeypatch.setattr(_blas, "openblas", lambda: None)
+        assert _blas.threads() is None
+        with _blas.single_thread():
+            assert get() == 2
+        assert run(small_config(small_instance())).status == "max_iters"
+        assert get() == 2
+
+
+# Two-factor instance with 20 + 110 * 110 = 12,210 variables: long enough
+# that OpenBLAS splits its dot products and matvecs across threads.
+WIDE = """\
+[problem]
+kind = nonconvex
+N = 20
+n = 110
+seed = 7
+
+[direction]
+kind = momentum
+beta = 0.9
+c1 = 10.0
+c2 = 0.1
+
+[linesearch]
+gamma = 0.1
+delta = 0.5
+alpha_max = 10.0
+alpha0_policy = warm_increase
+
+[run]
+max_iters = 60
+grad_tol = 0.0
+fgap_tol = 0.0
+trace_every = 10
+out_svg =
+"""
+
+
+@needs_openblas
+def test_trace_bytes_do_not_depend_on_the_thread_count(tmp_path):
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text(WIDE)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slsopt.__file__)))
+    traces = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"trace_{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "slsopt.cli", "run", str(cfg), "--override", f"run.out_csv={out}"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr
+        traces.append(out.read_bytes())
+    assert len(traces[0].splitlines()) == 61
+    assert traces[0] == traces[1]

@@ -8,11 +8,13 @@ from slsopt import (
     FiniteSumProblem,
     LeastSquaresProblem,
     LineSearchParams,
+    ResidualProblem,
     RunConfig,
     SgrParams,
     contraction_estimate,
     fit_geometric_rate,
     gen_interpolating_least_squares,
+    gen_nonconvex_interpolating,
     run,
     verify_trace_bounds,
 )
@@ -256,6 +258,36 @@ class TestRayOracle:
         counted = Counted(inner.A, inner.b, inner.known)
         res = run(base_config(counted, max_iters=40, grad_tol=0.0, fgap_tol=0.0))
         assert calls == {"batch_value": 0, "batch_ray": len(res.trajectory)}
+
+    @pytest.mark.parametrize("family", ["least_squares", "two_factor"])
+    def test_one_residual_pass_per_iteration(self, monkeypatch, family):
+        # the search ray reuses the residuals of the batch oracle call, so
+        # residuals are computed once per iteration and once per exact point
+        if family == "least_squares":
+            p = small_instance()
+        else:
+            p = gen_nonconvex_interpolating(6, 3, 4, seed=1)
+        calls = []
+        real = ResidualProblem._residuals
+
+        def spy(self, indices, x):
+            calls.append(indices)
+            return real(self, indices, x)
+
+        monkeypatch.setattr(ResidualProblem, "_residuals", spy)
+        cfg = base_config(
+            p,
+            direction=DirectionState(kind="momentum", beta=0.9),
+            sgr=SgrParams(c1=10.0, c2=0.1),
+            max_iters=40,
+            grad_tol=0.0,
+            fgap_tol=0.0,
+        )
+        res = run(cfg)
+        assert res.status == "max_iters"
+        exact_points = sum(1 for r in res.trajectory if r.f_full is not None)
+        assert calls.count(None) == exact_points
+        assert len(calls) == len(res.trajectory) + exact_points
 
     def test_records_carry_no_batch_indices(self):
         assert "batch_indices" not in {f.name for f in dataclasses.fields(IterationRecord)}

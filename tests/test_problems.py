@@ -386,6 +386,25 @@ class TestBatchRay:
         tol = float(np.mean(E * (np.abs(r) + E))) + 4 * U * float(np.mean(r * r))
         assert abs(phi(a) - p.batch_value(idx, x + a * d)) <= tol
 
+    @given(
+        family=st.sampled_from(["least_squares", "two_factor"]),
+        seed=st.integers(0, 2**16),
+        idx=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+        a=st.floats(0.0, 10.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_pass_ray_is_batch_ray_bit_for_bit(self, family, seed, idx, a):
+        # the ray built from the gradient's residual pass reuses its rows,
+        # residuals and (singleton) V a_i; every float must stay the same
+        p = _ray_instance(family, seed % 7)
+        rng = np.random.default_rng(seed)
+        x, d = rng.standard_normal(p.n), rng.standard_normal(p.n)
+        f, g, ray = evaluate_batch(p, Batch(tuple(idx)), x, return_ray=True)
+        f_ref, g_ref = evaluate_batch(p, Batch(tuple(idx)), x)
+        assert f == f_ref
+        assert np.array_equal(g, g_ref)
+        assert ray(d)(a) == p.batch_ray(tuple(idx), x, d)(a)
+
     def test_least_squares_singleton_is_exact_at_zero(self):
         p = gen_interpolating_least_squares(10, 20, seed=3, singular_values=np.full(10, 2.0))
         rng = np.random.default_rng(4)
