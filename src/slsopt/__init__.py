@@ -46,7 +46,6 @@ from .directions import (
 from .linesearch import (
     LineSearchParams,
     LineSearchResult,
-    Ray,
     alpha_low,
     armijo_holds,
     backtrack,
@@ -76,8 +75,6 @@ from .problems import (
     full_oracle,
     gen_interpolating_least_squares,
     gen_nonconvex_interpolating,
-    load_least_squares,
-    save_least_squares,
 )
 
 __version__ = "0.1.0"

@@ -295,14 +295,17 @@ def _sweep_worker(args):
 
 def _parse_seed_range(text: str) -> list[int]:
     try:
-        if ".." not in text:
-            return [int(t) for t in text.split(",")]
-        lo, hi = text.split("..", 1)
-        seeds = list(range(int(lo), int(hi) + 1))
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(t) for t in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"cannot parse seeds {text!r}: {exc}") from exc
     if not seeds:
         raise ConfigError(f"seed range {text!r} is empty: {hi.strip()} < {lo.strip()}")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {min(seeds)} in {text!r}")
     return seeds
 
 

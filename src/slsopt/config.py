@@ -225,6 +225,9 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(f"problem.N must be >= 1, got {p.N}")
     if p.n < 1:
         raise ConfigError(f"problem.n must be >= 1, got {p.n}")
+    for key, seed in (("problem.seed", p.seed), ("run.seed", r.seed)):
+        if seed < 0:
+            raise ConfigError(f"{key} must be >= 0, got {seed}")
     for section, build in (
         ("direction", build_direction_state),
         ("direction", build_sgr_params),

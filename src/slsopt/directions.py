@@ -93,10 +93,12 @@ class DirectionState:
             raise InvalidSpecError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.cg_variant not in CG_VARIANTS:
             raise InvalidSpecError(f"cg_variant must be one of {CG_VARIANTS}, got {self.cg_variant!r}")
-        if self.epsilon <= 0:
-            raise InvalidSpecError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.beta_cap <= 0:
-            raise InvalidSpecError(f"beta_cap must be > 0, got {self.beta_cap}")
+        if not math.isfinite(self.beta):
+            raise InvalidSpecError(f"beta must be finite, got {self.beta}")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise InvalidSpecError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not (self.beta_cap > 0 and math.isfinite(self.beta_cap)):
+            raise InvalidSpecError(f"beta_cap must be finite and > 0, got {self.beta_cap}")
 
     def fresh(self) -> "DirectionState":
         """Copy with all memory cleared, for starting a new run."""
@@ -141,10 +143,11 @@ def _measure(d, g, params: SgrParams) -> tuple[frozenset, float, float, float]:
     g_norm = math.sqrt(gg)
     d_norm = math.sqrt(float(d.dot(d)))
     dTg = float(d.dot(g))
+    # Written as not (lhs <= rhs), so that a non-finite operand fails a bound.
     violated = set()
-    if d_norm > params.c1 * g_norm:
+    if not d_norm <= params.c1 * g_norm:
         violated.add(NORM_BOUND)
-    if dTg > -params.c2 * gg:
+    if not dTg <= -params.c2 * gg:
         violated.add(DESCENT_BOUND)
     return frozenset(violated), g_norm, d_norm, dTg
 

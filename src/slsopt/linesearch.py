@@ -6,8 +6,8 @@ passes
     f_B(x + a d) <= f_B(x) + gamma * a * (d . g),
 
 evaluated on the current batch only; j and the exact trial count are reported
-for complexity accounting. The search loop (``scan``) sees only the scalar
-function phi(a) = f_B(x + a d) and the slope d . g. Companion formulas give
+for complexity accounting. The search sees only the scalar function
+phi(a) = f_B(x + a d) and the slope d . g. Companion formulas give
 the step threshold below which acceptance is guaranteed for a smooth batch,
 and the resulting worst-case backtrack count.
 """
@@ -27,10 +27,8 @@ from .problems import Vector
 __all__ = [
     "LineSearchParams",
     "LineSearchResult",
-    "Ray",
     "armijo_holds",
     "backtrack",
-    "scan",
     "alpha_low",
     "jstar",
     "next_alpha0",
@@ -116,64 +114,29 @@ def armijo_holds(
     return trial <= f_x + gamma * alpha * slope
 
 
-@dataclass(frozen=True)
-class Ray:
-    """The batch objective restricted to one search ray x + a d.
-
-    phi(a) = f_B(x + a d), and slope = d . g, its derivative at a = 0, as the
-    caller already computed it. Passing a Ray as ``f_batch`` to ``backtrack``
-    lets the search run on the scalar function alone.
-    """
-
-    phi: Callable[[float], float]
-    slope: float
-
-
 def backtrack(
-    f_batch: Callable[[Vector], float] | Ray,
-    x: Vector,
-    d: Vector,
-    g: Vector,
-    params: LineSearchParams,
-    alpha0: float,
-    f_x: float,
-) -> LineSearchResult:
-    """Largest step of the form alpha0 * delta**j passing the decrease test.
-
-    Scans j = 0, 1, ... and stops at the first acceptance, which is exactly
-    the largest admissible step on the grid. Requires a strict descent
-    direction for the batch (d . g < 0) and 0 < alpha0 <= alpha_max; f_x is
-    the batch value at x, reused across all trials.
-
-    f_batch is the batch value as a function of the point, evaluated at
-    x + a d for each trial. It may instead be a ``Ray`` for this x and d,
-    which supplies phi and the slope; x, d and g are then not read.
-    """
-    if isinstance(f_batch, Ray):
-        return scan(f_batch.phi, f_batch.slope, params, alpha0, f_x)
-    slope = float(np.dot(d, g))
-    return scan(lambda a: f_batch(x + a * d), slope, params, alpha0, f_x)
-
-
-def scan(
     phi: Callable[[float], float],
     slope: float,
     params: LineSearchParams,
     alpha0: float,
     f_x: float,
 ) -> LineSearchResult:
-    """The backtracking loop on phi(a) = f_B(x + a d), with slope = d . g.
+    """Largest step of the form alpha0 * delta**j passing the decrease test.
 
-    Accepts the first a = alpha0 * delta**j with phi(a) <= f_x + gamma a
-    slope; ties accept. A non-finite phi(a) rejects that trial; a search
-    that meets any logs one warning when it ends, with their count and the
-    first and last such step.
+    phi(a) = f_B(x + a d) is the batch value along the search ray and slope
+    = d . g its derivative at 0, which must be negative; f_x = phi(0) is the
+    batch value at x, reused across all trials, and 0 < alpha0 <= alpha_max.
+    Scans j = 0, 1, ... and accepts the first a = alpha0 * delta**j with
+    phi(a) <= f_x + gamma a slope, which is exactly the largest admissible
+    step on the grid; ties accept. A non-finite phi(a) rejects that trial; a
+    search that meets any logs one warning when it ends, with their count
+    and the first and last such step.
     """
     if not 0.0 < alpha0 <= params.alpha_max:
         raise DomainError(
             f"alpha0 must be in (0, alpha_max={params.alpha_max}], got {alpha0}"
         )
-    if slope >= 0.0:
+    if not slope < 0.0:
         raise NonDescentError(f"d.g = {slope!r} is not negative")
     f_x = float(f_x)
     non_finite = []

@@ -16,7 +16,7 @@ import numpy as np
 from . import _blas
 from .directions import DirectionState, SgrParams, safeguarded_direction, update_memory
 from .errors import CertificateError, ConfigError, InsufficientDataError, LineSearchStallError
-from .linesearch import LineSearchParams, Ray, alpha_low, backtrack, jstar, next_alpha0
+from .linesearch import LineSearchParams, alpha_low, backtrack, jstar, next_alpha0
 from .problems import (
     BatchSampler,
     FiniteSumProblem,
@@ -53,7 +53,6 @@ class RunConfig:
     fgap_tol: float = 1e-8
     seed: int = 0
     trace_full_oracle_every: int = 10
-    batch_size: int = 1
     x0: Vector | None = None
 
     def validate(self):
@@ -65,8 +64,6 @@ class RunConfig:
             raise ConfigError(
                 f"trace period must be >= 1, got {self.trace_full_oracle_every}"
             )
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         self.sgr.require_fallback_admissible()
 
 
@@ -134,8 +131,7 @@ def run(config: RunConfig) -> RunResult:
         x = as_vector(config.x0, problem.n, "x0").copy()
     else:
         x = default_x0(problem.n, np.random.default_rng(init_ss))
-    mode = "singleton" if config.batch_size == 1 else "with_replacement"
-    sampler = BatchSampler(problem.N, mode=mode, batch_size=config.batch_size, seed=batch_ss)
+    sampler = BatchSampler(problem.N, seed=batch_ss)
     state = config.direction.fresh()
     f_star = problem.known.f_star if problem.known is not None else None
 
@@ -163,7 +159,7 @@ def run(config: RunConfig) -> RunResult:
 
         batch = sampler.draw()
         # The search runs on phi(a) = f_B(x + a d); see evaluate_batch.
-        f_b, g_b, ray = evaluate_batch(problem, batch, x, return_ray=True)
+        f_b, g_b, ray = evaluate_batch(problem, batch, x)
         outcome = safeguarded_direction(state, g_b, x, config.sgr)
         d = outcome.d
         g_norm, d_norm, dTg = outcome.g_norm, outcome.d_norm, outcome.dTg
@@ -180,7 +176,7 @@ def run(config: RunConfig) -> RunResult:
             verdict = converged(f_full, grad_full_norm)
         else:
             try:
-                result = backtrack(Ray(ray(d), dTg), x, d, g_b, ls, alpha0, f_x=f_b)
+                result = backtrack(ray(d), dTg, ls, alpha0, f_b)
             except LineSearchStallError as exc:
                 status = "stalled"
                 stall = exc
@@ -273,7 +269,8 @@ def verify_trace_bounds(
     delta**backtracks, the step floor min(alpha0, delta * alpha_low), the
     backtrack ceiling, and both direction bounds on the realized quantities.
     Inequalities re-derived from stored floats get a tiny relative slack; the
-    step expression is checked exactly. Returns the first violation or None.
+    step expression is checked exactly. Each bound is written as not (lhs <=
+    rhs), so a non-finite field fails it. Returns the first violation or None.
     """
     a_low = alpha_low(sgr.c1, sgr.c2, ls.gamma, L_max)
     j_cap = jstar(ls.alpha_max, a_low, ls.delta)
@@ -290,27 +287,27 @@ def verify_trace_bounds(
                 f"alpha={r.alpha!r} but alpha0*delta^j={expected_alpha!r}",
             )
         floor = min(r.alpha0, ls.delta * a_low)
-        if r.alpha < floor * (1.0 - rel_tol):
+        if not r.alpha >= floor * (1.0 - rel_tol):
             return TraceViolation(
                 r.k, "step_floor", f"alpha={r.alpha!r} below floor {floor!r}"
             )
-        if r.backtracks > j_cap:
+        if not r.backtracks <= j_cap:
             return TraceViolation(
                 r.k, "backtrack_ceiling", f"j={r.backtracks} exceeds j*={j_cap}"
             )
         gn2 = r.g_batch_norm * r.g_batch_norm
-        if r.d_norm > sgr.c1 * r.g_batch_norm * (1.0 + rel_tol):
+        if not r.d_norm <= sgr.c1 * r.g_batch_norm * (1.0 + rel_tol):
             return TraceViolation(
                 r.k,
                 "norm_bound",
                 f"||d||={r.d_norm!r} exceeds c1*||g||={sgr.c1 * r.g_batch_norm!r}",
             )
-        if r.dTg > -sgr.c2 * gn2 * (1.0 - rel_tol):
+        if not r.dTg <= -sgr.c2 * gn2 * (1.0 - rel_tol):
             return TraceViolation(
                 r.k,
                 "descent_bound",
                 f"d.g={r.dTg!r} above -c2*||g||^2={-sgr.c2 * gn2!r}",
             )
-        if r.alpha <= 0.0:
+        if not r.alpha > 0.0:
             return TraceViolation(r.k, "positive_step", "alpha must be > 0 when g != 0")
     return None

@@ -13,7 +13,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,8 +40,6 @@ __all__ = [
     "full_oracle",
     "gen_interpolating_least_squares",
     "gen_nonconvex_interpolating",
-    "save_least_squares",
-    "load_least_squares",
 ]
 
 
@@ -88,47 +86,27 @@ class Batch:
 
 
 class BatchSampler:
-    """Uniform batch draws, deterministic for a fixed seed.
+    """Uniform singleton batches, deterministic for a fixed seed.
 
-    mode "singleton" draws size-1 batches and supports exact expectations by
-    enumerating all N singleton batches with weight 1/N; "with_replacement"
-    draws batch_size indices i.i.d. uniform.
-
-    Indices are drawn BLOCK batches at a time from the same generator. One
-    call for BLOCK * batch_size integers yields the same stream as BLOCK
-    calls for batch_size each, so the batch sequence does not depend on the
-    block size.
+    Indices are drawn BLOCK at a time from the same generator. One call for
+    BLOCK integers yields the same stream as BLOCK calls for one each, so the
+    batch sequence does not depend on the block size.
     """
 
-    MODES = ("singleton", "with_replacement")
     BLOCK = 256
 
-    def __init__(self, N: int, mode: str = "singleton", batch_size: int = 1, seed=0):
+    def __init__(self, N: int, seed=0):
         if N < 1:
             raise InvalidSpecError(f"N must be >= 1, got {N}")
-        if mode not in self.MODES:
-            raise InvalidSpecError(f"unknown sampler mode {mode!r}")
-        if batch_size < 1:
-            raise InvalidSpecError(f"batch_size must be >= 1, got {batch_size}")
-        if mode == "singleton" and batch_size != 1:
-            raise InvalidSpecError("singleton mode requires batch_size=1")
         self.N = int(N)
-        self.mode = mode
-        self.batch_size = int(batch_size)
         self._rng = np.random.default_rng(seed)
         self._pending: list[Batch] = []
 
     def draw(self) -> Batch:
         if not self._pending:
-            block = self._rng.integers(0, self.N, size=(self.BLOCK, self.batch_size))
-            self._pending = [Batch(tuple(row)) for row in reversed(block.tolist())]
+            block = self._rng.integers(0, self.N, size=self.BLOCK)
+            self._pending = [Batch((i,)) for i in reversed(block.tolist())]
         return self._pending.pop()
-
-    def enumerate_singletons(self) -> Iterator[Batch]:
-        if self.mode != "singleton":
-            raise InvalidSpecError("exact enumeration requires singleton mode")
-        for i in range(self.N):
-            yield Batch((i,))
 
 
 class FiniteSumProblem:
@@ -177,15 +155,6 @@ class FiniteSumProblem:
     def batch_value(self, indices: Sequence[int], x: Vector) -> float:
         return sum(self.component_value(i, x) for i in indices) / len(indices)
 
-    def batch_ray(self, indices: Sequence[int], x: Vector, d: Vector) -> Callable[[float], float]:
-        """phi(a) = f_B(x + a d), the batch value along one ray.
-
-        This default forms the trial point and calls batch_value, so each
-        trial costs a full evaluation. The generated families override it
-        with closed forms whose trials cost O(|B|) scalar work.
-        """
-        return lambda a: self.batch_value(indices, x + a * d)
-
     def batch_eval(self, indices: Sequence[int], x: Vector) -> tuple[float, Vector]:
         f = 0.0
         g = np.zeros(self.n)
@@ -194,6 +163,20 @@ class FiniteSumProblem:
             g += self.component_grad(i, x)
         b = len(indices)
         return f / b, g / b
+
+    def batch_eval_ray(self, indices: Sequence[int], x: Vector):
+        """f_B(x), g_B(x) and ``ray``, where ray(d) is phi(a) = f_B(x + a d).
+
+        This default forms each trial point and calls batch_value, so a trial
+        costs a full evaluation. ResidualProblem overrides it with a closed
+        form whose trials cost O(|B|) scalar work.
+        """
+        f, g = self.batch_eval(indices, x)
+
+        def ray(d):
+            return lambda a: self.batch_value(indices, x + a * d)
+
+        return f, g, ray
 
     def full_value_grad(self, x: Vector) -> tuple[float, Vector]:
         return self.batch_eval(range(self.N), x)
@@ -297,17 +280,13 @@ class ResidualProblem(FiniteSumProblem):
         return f, g
 
     def batch_eval_ray(self, indices, x):
-        """batch_eval and ``ray``, with ray(d) equal to batch_ray(indices, x, d).
+        """batch_eval and a closed-form ``ray``: trials cost O(|B|) scalar work.
 
         One residual pass serves both: the ray takes the rows and residuals
         the gradient was computed from.
         """
         f, g, (rows, r0, grad_r) = self._eval(indices, x)
         return f, g, functools.partial(self._ray, rows, r0, grad_r, x)
-
-    def batch_ray(self, indices, x, d):
-        rows, r0 = self._residuals(indices, x)
-        return self._ray(rows, r0, None, x, d)
 
     def _ray(self, rows, r0, grad_r, x, d):
         # Residuals are quadratic along the ray; r0 comes from the expressions
@@ -417,30 +396,18 @@ def _check_batch(problem: FiniteSumProblem, batch) -> tuple[int, ...]:
     return indices
 
 
-def evaluate_batch(problem: FiniteSumProblem, batch, x, *, return_ray: bool = False):
-    """Mean value and gradient of the components named by ``batch`` at ``x``.
+def evaluate_batch(problem: FiniteSumProblem, batch, x):
+    """Mean value, gradient and search ray of the components named by ``batch``.
 
-    With ``return_ray`` a third value ``ray`` follows: ray(d) is the search
-    function phi(a) = f_B(x + a d) that ``batch_ray(indices, x, d)`` builds.
-    A ResidualProblem whose batch_ray is its own builds it from the residuals
-    this evaluation computed. A problem without a batch_ray gets the generic
-    ray, which calls batch_value per trial.
+    Returns (f, g, ray) at ``x`` from ``problem.batch_eval_ray``; ray(d) is
+    the search function phi(a) = f_B(x + a d).
     """
     indices = _check_batch(problem, batch)
     xv = as_vector(x, problem.n)
-    if return_ray and getattr(type(problem), "batch_ray", None) is ResidualProblem.batch_ray:
-        f, g, ray = problem.batch_eval_ray(indices, xv)
-    else:
-        f, g = problem.batch_eval(indices, xv)
-        if return_ray:
-            batch_ray = getattr(problem, "batch_ray", None)
-            if batch_ray is None:
-                batch_ray = functools.partial(FiniteSumProblem.batch_ray, problem)
-            ray = functools.partial(batch_ray, indices, xv)
+    f, g, ray = problem.batch_eval_ray(indices, xv)
     if not math.isfinite(f) or not np.isfinite(g).all():
         raise NumericDomainError(f"non-finite batch evaluation at indices {indices}")
-    f, g = float(f), np.asarray(g, dtype=np.float64)
-    return (f, g, ray) if return_ray else (f, g)
+    return float(f), np.asarray(g, dtype=np.float64), ray
 
 
 def full_oracle(problem: FiniteSumProblem, x) -> tuple[float, Vector]:
@@ -529,60 +496,5 @@ def gen_nonconvex_interpolating(
     x_star = np.concatenate([u_star, V_star.ravel()])
     known = KnownConstants(f_star=0.0, x_star=x_star)
     problem = TwoFactorProblem(n_u, n_v, A, b, known)
-    problem.validate_known_constants()
-    return problem
-
-
-def save_least_squares(problem: LeastSquaresProblem, path):
-    """Dump A and b as plain text: header "N n", N rows of A, one line for b."""
-    lines = [f"{problem.N} {problem.n}"]
-    for i in range(problem.N):
-        lines.append(" ".join(repr(float(v)) for v in problem.A[i]))
-    lines.append(" ".join(repr(float(v)) for v in problem.b))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_least_squares(path) -> LeastSquaresProblem:
-    """Rebuild a least-squares instance from the plain-text matrix format.
-
-    Spectral constants are recomputed from A. When the system is consistent
-    (labels in the range of A) the minimum-norm solution is stored as x_star
-    with f_star = 0; otherwise only the curvature constants are kept.
-    """
-    with open(path) as fh:
-        tokens = fh.read().split("\n")
-    header = tokens[0].split()
-    if len(header) != 2:
-        raise InvalidSpecError(f"malformed header line {tokens[0]!r}")
-    N, n = int(header[0]), int(header[1])
-    rows = []
-    for i in range(N):
-        vals = np.array([float(t) for t in tokens[1 + i].split()])
-        if vals.shape != (n,):
-            raise InvalidSpecError(f"row {i} has {vals.size} entries, expected {n}")
-        rows.append(vals)
-    A = np.stack(rows)
-    b = np.array([float(t) for t in tokens[1 + N].split()])
-    if b.shape != (N,):
-        raise InvalidSpecError(f"b has {b.shape[0]} entries, expected {N}")
-
-    s = np.linalg.svd(A, compute_uv=False)
-    cutoff = s.max() * max(A.shape) * np.finfo(np.float64).eps if s.size else 0.0
-    nonzero = s[s > cutoff]
-    if nonzero.size == 0:
-        raise InvalidSpecError("loaded matrix is identically zero")
-    x_hat, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.linalg.norm(A @ x_hat - b))
-    consistent = residual <= 1e-8 * max(1.0, float(np.linalg.norm(b)))
-    row_sq = np.einsum("ij,ij->i", A, A)
-    known = KnownConstants(
-        L=float(nonzero.max() ** 2) / N,
-        L_max=float(np.max(row_sq)),
-        mu=float(nonzero.min() ** 2) / N,
-        f_star=0.0 if consistent else None,
-        x_star=x_hat if consistent else None,
-    )
-    problem = LeastSquaresProblem(A, b, known)
     problem.validate_known_constants()
     return problem

@@ -154,7 +154,7 @@ def test_criterion_03_backtracking_maximality():
             if armijo_holds(f_batch, x, d, g, alpha0 * params.delta**j, params.gamma, f_x):
                 brute = j
                 break
-        res = backtrack(f_batch, x, d, g, params, alpha0=alpha0, f_x=f_x)
+        res = backtrack(lambda a: f_batch(x + a * d), float(np.dot(d, g)), params, alpha0=alpha0, f_x=f_x)
         if brute != res.backtracks:
             mismatches += 1
         checked += 1

@@ -80,9 +80,9 @@ class TestPin:
     def test_count_restored_when_the_run_raises(self, monkeypatch):
         real = optimizer.backtrack
 
-        def broken(ray, x, d, g, params, alpha0, f_x):
+        def broken(phi, slope, params, alpha0, f_x):
             assert _blas.threads() == 1
-            result = real(ray, x, d, g, params, alpha0, f_x=f_x)
+            result = real(phi, slope, params, alpha0, f_x)
             return dataclasses.replace(result, accepted_f=f_x + 1.0)
 
         monkeypatch.setattr(optimizer, "backtrack", broken)
@@ -139,8 +139,8 @@ class TestPin:
         if fail:
             real = optimizer.backtrack
 
-            def broken(ray, x, d, g, params, alpha0, f_x):
-                result = real(ray, x, d, g, params, alpha0, f_x=f_x)
+            def broken(phi, slope, params, alpha0, f_x):
+                result = real(phi, slope, params, alpha0, f_x)
                 return dataclasses.replace(result, accepted_f=f_x + 1.0)
 
             monkeypatch.setattr(optimizer, "backtrack", broken)

@@ -439,6 +439,20 @@ class TestCmdVerify:
         err = capsys.readouterr().err
         assert f"k={victim.k}" in err
 
+    def test_non_finite_direction_in_trace_exits_five(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, LS)
+        out = tmp_path / "v.csv"
+        assert cli.cmd_run(cfg_path, overrides=[f"run.out_csv={out}"]) == 0
+        records = read_trace(out)
+        victim = next(r for r in records if r.alpha > 0)
+        victim.d_norm = victim.dTg = float("nan")
+        write_trace(out, records)
+        capsys.readouterr()
+        assert cli.cmd_verify(cfg_path, trace_path=str(out)) == 5
+        captured = capsys.readouterr()
+        assert f"violation at k={victim.k}: norm_bound" in captured.err
+        assert "all per-iteration bounds hold" not in captured.out
+
     def test_nonconvex_lacks_constants(self, tmp_path):
         cfg_path = write_cfg(tmp_path, TOY)
         code = cli.cmd_verify(
@@ -620,3 +634,41 @@ class TestStallDetails:
         cfg_path = write_cfg(tmp_path, TOY)
         assert cli.cmd_verify(cfg_path, overrides=STALLING) == 3
         assert "stall: alpha0=10.0 last_alpha=5.0 trials=2" in capsys.readouterr().err.splitlines()
+
+
+class TestRejectedInputs:
+    """Inputs no run can use end in exit 1 and one config-error line."""
+
+    def _config_error(self, capsys, argv):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        return err
+
+    def test_nan_momentum_beta(self, capsys):
+        err = self._config_error(
+            capsys, ["run", str(CONFIGS / "momentum.ini"), "--override", "direction.beta=nan"]
+        )
+        assert "beta must be finite" in err
+
+    def test_negative_run_seed(self, capsys):
+        err = self._config_error(capsys, ["run", str(CONFIGS / "toy.ini"), "--seed", "-1"])
+        assert "run.seed must be >= 0" in err
+
+    def test_negative_problem_seed(self, capsys):
+        err = self._config_error(
+            capsys, ["run", str(CONFIGS / "toy.ini"), "--override", "problem.seed=-1"]
+        )
+        assert "problem.seed must be >= 0" in err
+
+    def test_negative_sweep_seeds_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_build(cfg):
+            raise AssertionError("the instance was built")
+
+        monkeypatch.setattr(cli.cfgmod, "build_problem", no_build)
+        out = tmp_path / "t.csv"
+        err = self._config_error(
+            capsys, ["sweep", str(CONFIGS / "toy.ini"), "--seeds=-2..-1", "--override", f"run.out_csv={out}"]
+        )
+        assert "seeds must be >= 0" in err
+        assert not list(tmp_path.glob("t_seed*.csv"))

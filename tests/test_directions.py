@@ -43,6 +43,11 @@ class TestSgrCheck:
         with pytest.raises(ShapeError):
             sgr_check(np.zeros(2), np.zeros(3), SgrParams())
 
+    def test_nan_direction_violates_both_bounds(self):
+        passed, violated = sgr_check(np.array([np.nan, 0.0]), np.array([1.0, 2.0]), SgrParams())
+        assert not passed
+        assert violated == {"norm_bound", "descent_bound"}
+
     def test_params_invariant(self):
         with pytest.raises(InvalidSpecError):
             SgrParams(c1=0.5, c2=1.0)
@@ -144,6 +149,21 @@ class TestSafeguardedDirection:
         out = safeguarded_direction(state, np.zeros(3), np.zeros(3), SgrParams(c1=1.0, c2=1.0))
         assert out.sgr_pass and not out.restarted
         assert np.all(out.d == 0.0)
+
+    def test_nan_raw_direction_restarts_to_negative_gradient(self):
+        state = DirectionState(kind="momentum", beta=0.9)
+        state.x_prev = np.array([np.nan, 0.0])
+        g = np.array([1.0, 2.0])
+        out = safeguarded_direction(state, g, np.zeros(2), SgrParams())
+        assert out.restarted and not out.sgr_pass
+        assert np.array_equal(out.d, -g)
+        assert (out.d_norm, out.dTg) == (float(np.linalg.norm(g)), -5.0)
+
+    @pytest.mark.parametrize("field", ["beta", "epsilon", "beta_cap"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_constants_rejected(self, field, value):
+        with pytest.raises(InvalidSpecError, match=field):
+            DirectionState(kind="momentum", **{field: value})
 
     def test_unsatisfiable_configuration(self):
         state = DirectionState(kind="sgd")

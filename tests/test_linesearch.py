@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slsopt import (
     LineSearchParams,
     LineSearchResult,
-    Ray,
     alpha_low,
     armijo_holds,
     backtrack,
@@ -24,6 +25,14 @@ def half_square(y):
 X1 = np.array([1.0])
 D_MINUS1 = np.array([-1.0])
 G1 = np.array([1.0])
+
+
+def on_ray(f_batch, x, d, g):
+    """(phi, slope) for ``backtrack``: f_batch along x + a d, and d . g."""
+    return (lambda a: f_batch(x + a * d)), float(np.dot(d, g))
+
+
+HALF_SQUARE_RAY = on_ray(half_square, X1, D_MINUS1, G1)
 
 
 class TestArmijoHolds:
@@ -51,7 +60,7 @@ class TestBacktrack:
     def test_four_backtracks_from_ten(self):
         # acceptance region is alpha <= 1; grid 10, 5, 2.5, 1.25, 0.625
         params = LineSearchParams(gamma=0.5, delta=0.5, alpha_max=10.0)
-        res = backtrack(half_square, X1, D_MINUS1, G1, params, alpha0=10.0, f_x=0.5)
+        res = backtrack(*HALF_SQUARE_RAY, params, alpha0=10.0, f_x=0.5)
         assert res.alpha == 0.625
         assert res.backtracks == 4
         assert res.f_trial_count == 5
@@ -59,7 +68,7 @@ class TestBacktrack:
 
     def test_exact_minimizer_step_accepted_immediately(self):
         params = LineSearchParams(gamma=0.5, delta=0.5, alpha_max=1.0)
-        res = backtrack(half_square, X1, D_MINUS1, G1, params, alpha0=1.0, f_x=0.5)
+        res = backtrack(*HALF_SQUARE_RAY, params, alpha0=1.0, f_x=0.5)
         assert res.alpha == 1.0
         assert res.backtracks == 0
         assert res.accepted_f == 0.0
@@ -82,33 +91,33 @@ class TestBacktrack:
             alpha0 = 0.9 * a_low
             params = LineSearchParams(gamma=gamma, delta=0.5, alpha_max=max(1.0, alpha0))
             f_batch = lambda y: 0.5 * float(a @ (y - c)) ** 2
-            res = backtrack(f_batch, x, -g, g, params, alpha0=alpha0, f_x=f_x)
+            res = backtrack(*on_ray(f_batch, x, -g, g), params, alpha0=alpha0, f_x=f_x)
             assert res.backtracks == 0
 
     def test_step_expression_is_exact(self):
         params = LineSearchParams(gamma=0.5, delta=0.7, alpha_max=10.0)
-        res = backtrack(half_square, X1, D_MINUS1, G1, params, alpha0=7.3, f_x=0.5)
+        res = backtrack(*HALF_SQUARE_RAY, params, alpha0=7.3, f_x=0.5)
         assert res.alpha == res.alpha0 * params.delta**res.backtracks
 
     def test_non_descent_error(self):
         with pytest.raises(NonDescentError):
-            backtrack(half_square, X1, -D_MINUS1, G1, LineSearchParams(), alpha0=1.0, f_x=0.5)
+            backtrack(*on_ray(half_square, X1, -D_MINUS1, G1), LineSearchParams(), alpha0=1.0, f_x=0.5)
 
     def test_stall_error_carries_trace(self):
         # acceptance needs alpha <= 2(1-gamma)/L ~ 1.8e-8; two trials cannot reach it
         stiff = lambda y: 0.5e8 * float(y[0]) ** 2
         params = LineSearchParams(gamma=0.1, delta=0.5, alpha_max=10.0, max_backtracks=1)
         with pytest.raises(LineSearchStallError) as info:
-            backtrack(stiff, X1, D_MINUS1, np.array([1e8]), params, alpha0=10.0, f_x=0.5e8)
+            backtrack(*on_ray(stiff, X1, D_MINUS1, np.array([1e8])), params, alpha0=10.0, f_x=0.5e8)
         assert info.value.trials == 2
         assert info.value.alpha0 == 10.0
 
     def test_alpha0_domain(self):
         params = LineSearchParams(alpha_max=1.0)
         with pytest.raises(DomainError):
-            backtrack(half_square, X1, D_MINUS1, G1, params, alpha0=2.0, f_x=0.5)
+            backtrack(*HALF_SQUARE_RAY, params, alpha0=2.0, f_x=0.5)
         with pytest.raises(DomainError):
-            backtrack(half_square, X1, D_MINUS1, G1, params, alpha0=0.0, f_x=0.5)
+            backtrack(*HALF_SQUARE_RAY, params, alpha0=0.0, f_x=0.5)
 
     def test_non_finite_trials_are_skipped_not_fatal(self):
         def guarded(y):
@@ -116,31 +125,16 @@ class TestBacktrack:
             return v if abs(y[0]) < 2.0 else float("nan")
 
         params = LineSearchParams(gamma=0.5, delta=0.5, alpha_max=8.0)
-        res = backtrack(guarded, X1, D_MINUS1, G1, params, alpha0=8.0, f_x=0.5)
+        res = backtrack(*on_ray(guarded, X1, D_MINUS1, G1), params, alpha0=8.0, f_x=0.5)
         assert res.alpha <= 1.0
         assert math.isfinite(res.accepted_f)
 
 
 class TestRaySearch:
-    def test_ray_gives_the_same_search_as_the_point_function(self):
-        rng = np.random.default_rng(3)
-        params = LineSearchParams(gamma=0.2, delta=0.5, alpha_max=10.0)
-        for _ in range(100):
-            n = int(rng.integers(2, 6))
-            h = rng.uniform(0.1, 10.0, n)
-            x = rng.standard_normal(n)
-            g = h * x
-            d = -g
-            f_batch = lambda y: 0.5 * float(np.sum(h * y * y))
-            plain = backtrack(f_batch, x, d, g, params, alpha0=10.0, f_x=f_batch(x))
-            ray = Ray(lambda a: f_batch(x + a * d), float(np.dot(d, g)))
-            # x, d and g are not read when the caller passes the ray
-            on_ray = backtrack(ray, None, None, None, params, alpha0=10.0, f_x=f_batch(x))
-            assert on_ray == plain
-
     def test_ray_slope_must_be_descent(self):
-        with pytest.raises(NonDescentError):
-            backtrack(Ray(lambda a: 0.0, 0.0), X1, D_MINUS1, G1, LineSearchParams(), alpha0=1.0, f_x=0.5)
+        for slope in (0.0, 1.0, math.nan):
+            with pytest.raises(NonDescentError):
+                backtrack(lambda a: 0.0, slope, LineSearchParams(), alpha0=1.0, f_x=0.5)
 
 
 class TestNonFiniteWarning:
@@ -150,10 +144,9 @@ class TestNonFiniteWarning:
         return [r for r in caplog.records if r.levelname == "WARNING"]
 
     def test_one_summary_line_per_failed_search(self, caplog):
-        ray = Ray(lambda a: float("nan"), -1.0)
         with caplog.at_level("WARNING", logger="slsopt.linesearch"):
             with pytest.raises(LineSearchStallError):
-                backtrack(ray, X1, D_MINUS1, G1, self.params, alpha0=8.0, f_x=0.5)
+                backtrack(lambda a: float("nan"), -1.0, self.params, alpha0=8.0, f_x=0.5)
         [record] = self._warnings(caplog)
         message = record.getMessage()
         assert "61 of 61 trials non-finite" in message
@@ -165,7 +158,7 @@ class TestNonFiniteWarning:
             return half_square(y) if abs(y[0]) < 2.0 else float("inf")
 
         with caplog.at_level("WARNING", logger="slsopt.linesearch"):
-            res = backtrack(guarded, X1, D_MINUS1, G1, self.params, alpha0=8.0, f_x=0.5)
+            res = backtrack(*on_ray(guarded, X1, D_MINUS1, G1), self.params, alpha0=8.0, f_x=0.5)
         [record] = self._warnings(caplog)
         # alpha 8 and 4 leave |y| >= 2; 2 fails the decrease test; 1 is accepted
         assert res.alpha == 1.0
@@ -173,38 +166,38 @@ class TestNonFiniteWarning:
 
     def test_clean_search_logs_nothing(self, caplog):
         with caplog.at_level("WARNING", logger="slsopt.linesearch"):
-            backtrack(half_square, X1, D_MINUS1, G1, self.params, alpha0=8.0, f_x=0.5)
+            backtrack(*HALF_SQUARE_RAY, self.params, alpha0=8.0, f_x=0.5)
         assert self._warnings(caplog) == []
 
 
 class TestMaximalityOracle:
-    def test_backtrack_matches_brute_force_scan(self):
-        rng = np.random.default_rng(12)
-        params = LineSearchParams(gamma=0.2, delta=0.5, alpha_max=10.0, max_backtracks=60)
-        for _ in range(100):
-            n = int(rng.integers(2, 6))
-            a = rng.standard_normal(n)
-            cshift = rng.standard_normal(n)
-            x = rng.standard_normal(n)
-            r = float(a @ (x - cshift))
-            if abs(r) < 1e-6:
-                continue
-            g = r * a
-            d = -g + 0.3 * rng.standard_normal(n) * np.linalg.norm(g)
-            if float(d @ g) >= 0:
-                d = -g
-            f_batch = lambda y: 0.5 * float(a @ (y - cshift)) ** 2
-            f_x = f_batch(x)
-            alpha0 = float(rng.uniform(0.1, params.alpha_max))
+    @given(
+        curvature=st.floats(1e-3, 1e3),
+        slope=st.floats(-1e3, -1e-3),
+        f_x=st.floats(0.0, 1e3),
+        alpha0=st.floats(1e-3, 10.0),
+        delta=st.floats(0.05, 0.95),
+        gamma=st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_backtrack_matches_brute_force_scan(self, curvature, slope, f_x, alpha0, delta, gamma):
+        # phi(a) = f_x + slope a + curvature a^2 / 2 in one dimension: x = 0,
+        # d = 1, g = slope. backtrack must return the first grid step that
+        # the independent point oracle armijo_holds accepts.
+        def f_batch(y):
+            a = float(y[0])
+            return f_x + slope * a + 0.5 * curvature * a * a
 
-            expected_j = None
-            for j in range(params.max_backtracks + 1):
-                if armijo_holds(f_batch, x, d, g, alpha0 * params.delta**j, params.gamma, f_x):
-                    expected_j = j
-                    break
-            res = backtrack(f_batch, x, d, g, params, alpha0=alpha0, f_x=f_x)
-            assert expected_j is not None
-            assert res.backtracks == expected_j
+        x, d, g = np.zeros(1), np.ones(1), np.array([slope])
+        params = LineSearchParams(gamma=gamma, delta=delta, alpha_max=10.0, max_backtracks=600)
+        expected_j = next(
+            j
+            for j in range(params.max_backtracks + 1)
+            if armijo_holds(f_batch, x, d, g, alpha0 * delta**j, gamma, f_x)
+        )
+        res = backtrack(*on_ray(f_batch, x, d, g), params, alpha0=alpha0, f_x=f_x)
+        assert res.backtracks == expected_j
+        assert res.alpha == alpha0 * delta**expected_j
 
 
 class TestGuaranteedAcceptanceThreshold:

@@ -197,26 +197,18 @@ class TestRun:
             run(base_config(p, sgr=SgrParams(c1=0.5, c2=0.2)))
 
 
-class CountingProblem:
-    """Delegating wrapper that counts stochastic oracle calls."""
+class CountingProblem(FiniteSumProblem):
+    """Delegating wrapper that counts stochastic oracle calls.
+
+    It takes the generic search ray, which calls batch_value once per trial.
+    """
 
     def __init__(self, inner):
+        super().__init__(n=inner.n, N=inner.N, known=inner.known)
         self.inner = inner
         self.batch_eval_calls = 0
         self.batch_value_calls = 0
         self.full_calls = 0
-
-    @property
-    def n(self):
-        return self.inner.n
-
-    @property
-    def N(self):
-        return self.inner.N
-
-    @property
-    def known(self):
-        return self.inner.known
 
     def batch_eval(self, indices, x):
         self.batch_eval_calls += 1
@@ -243,21 +235,21 @@ class TestEvaluationBudget:
 
 class TestRayOracle:
     def test_searches_use_the_closed_form_ray(self):
-        calls = {"batch_value": 0, "batch_ray": 0}
+        calls = {"batch_value": 0, "batch_eval_ray": 0}
 
         class Counted(LeastSquaresProblem):
             def batch_value(self, indices, x):
                 calls["batch_value"] += 1
                 return super().batch_value(indices, x)
 
-            def batch_ray(self, indices, x, d):
-                calls["batch_ray"] += 1
-                return super().batch_ray(indices, x, d)
+            def batch_eval_ray(self, indices, x):
+                calls["batch_eval_ray"] += 1
+                return super().batch_eval_ray(indices, x)
 
         inner = small_instance()
         counted = Counted(inner.A, inner.b, inner.known)
         res = run(base_config(counted, max_iters=40, grad_tol=0.0, fgap_tol=0.0))
-        assert calls == {"batch_value": 0, "batch_ray": len(res.trajectory)}
+        assert calls == {"batch_value": 0, "batch_eval_ray": len(res.trajectory)}
 
     @pytest.mark.parametrize("family", ["least_squares", "two_factor"])
     def test_one_residual_pass_per_iteration(self, monkeypatch, family):
@@ -388,8 +380,8 @@ def _break_certificate_at(monkeypatch, k_bad):
     real = optimizer.backtrack
     searches = []
 
-    def broken(f_batch, x, d, g, params, alpha0, f_x):
-        result = real(f_batch, x, d, g, params, alpha0, f_x=f_x)
+    def broken(phi, slope, params, alpha0, f_x):
+        result = real(phi, slope, params, alpha0, f_x)
         searches.append(result)
         if len(searches) - 1 == k_bad:
             result = dataclasses.replace(result, accepted_f=f_x + 1.0)

@@ -12,8 +12,6 @@ from slsopt import (
     full_oracle,
     gen_interpolating_least_squares,
     gen_nonconvex_interpolating,
-    load_least_squares,
-    save_least_squares,
 )
 from slsopt.errors import (
     InvalidBatchError,
@@ -30,23 +28,23 @@ class TestEvaluateBatch:
     def test_single_row_least_squares(self):
         # f(x) = (a.x - b)^2 / 2 with a = (1, 0), b = 0 at x = (2, 3)
         p = LeastSquaresProblem(A=np.array([[1.0, 0.0]]), b=np.array([0.0]))
-        f, g = evaluate_batch(p, Batch((0,)), np.array([2.0, 3.0]))
+        f, g, _ = evaluate_batch(p, Batch((0,)), np.array([2.0, 3.0]))
         assert f == 2.0
         assert np.array_equal(g, np.array([2.0, 0.0]))
 
     def test_singleton_gradient_vanishes_at_planted_minimizer(self):
         p = gen_interpolating_least_squares(6, 10, seed=5, singular_values=[1.0, 2.0])
         for i in range(p.N):
-            _, g = evaluate_batch(p, Batch((i,)), p.known.x_star)
+            _, g, _ = evaluate_batch(p, Batch((i,)), p.known.x_star)
             assert np.all(g == 0.0)
 
     def test_two_component_full_batch(self, toy2):
-        f, g = evaluate_batch(toy2, Batch((0, 1)), np.array([1.0]))
+        f, g, _ = evaluate_batch(toy2, Batch((0, 1)), np.array([1.0]))
         assert f == 0.75
         assert g[0] == 1.5
 
     def test_duplicate_indices_count_twice(self, toy2):
-        f, g = evaluate_batch(toy2, Batch((1, 1)), np.array([1.0]))
+        f, g, _ = evaluate_batch(toy2, Batch((1, 1)), np.array([1.0]))
         assert f == 1.0
         assert g[0] == 2.0
 
@@ -84,8 +82,8 @@ class TestEvaluateBatchChecks:
 
     def test_numpy_integer_indices_match_python_ints(self, toy2):
         x = np.array([1.5])
-        f, g = evaluate_batch(toy2, np.array([0, 1, 1]), x)
-        f_ref, g_ref = evaluate_batch(toy2, Batch((0, 1, 1)), x)
+        f, g, _ = evaluate_batch(toy2, np.array([0, 1, 1]), x)
+        f_ref, g_ref, _ = evaluate_batch(toy2, Batch((0, 1, 1)), x)
         assert f == f_ref and np.array_equal(g, g_ref)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -121,7 +119,7 @@ class TestEvaluateBatchChecks:
         rng = np.random.default_rng(4)
         x, d = rng.standard_normal(9), rng.standard_normal(9)
         for i in range(p.N):
-            phi = p.batch_ray((i,), x, d)
+            phi = evaluate_batch(p, Batch((i,)), x)[2](d)
             r0 = float(p.A[i] @ x) - float(p.b[i])
             c1 = float(p.A[i] @ d)
             for a in (0.0, 1e-3, 0.5, 10.0):
@@ -144,7 +142,7 @@ class TestFullOracle:
         p = LeastSquaresProblem(A=np.array([[2.0, 1.0]]), b=np.array([0.5]))
         x = np.array([0.3, -0.7])
         f_full, g_full = full_oracle(p, x)
-        f_batch, g_batch = evaluate_batch(p, Batch((0,)), x)
+        f_batch, g_batch, _ = evaluate_batch(p, Batch((0,)), x)
         assert f_full == f_batch
         assert np.array_equal(g_full, g_batch)
 
@@ -242,7 +240,7 @@ class TestUnbiasedness:
         for p in problems:
             for _ in range(20):
                 x = rng.standard_normal(p.n)
-                fs, gs = zip(*(evaluate_batch(p, Batch((i,)), x) for i in range(p.N)))
+                fs, gs, _ = zip(*(evaluate_batch(p, Batch((i,)), x) for i in range(p.N)))
                 f_mean = float(np.mean(fs))
                 g_mean = np.mean(gs, axis=0)
                 f, g = full_oracle(p, x)
@@ -291,40 +289,23 @@ class TestBatchSampler:
         b = BatchSampler(10, seed=42)
         assert [a.draw() for _ in range(20)] == [b.draw() for _ in range(20)]
 
-    def test_enumeration_covers_all_components(self):
-        s = BatchSampler(4, mode="singleton", seed=0)
-        assert [b.indices for b in s.enumerate_singletons()] == [(0,), (1,), (2,), (3,)]
-
-    def test_with_replacement_size(self):
-        s = BatchSampler(5, mode="with_replacement", batch_size=3, seed=1)
-        batch = s.draw()
-        assert batch.size == 3
-        assert all(0 <= i < 5 for i in batch.indices)
-
-    def test_invalid_modes(self):
-        with pytest.raises(InvalidSpecError):
-            BatchSampler(5, mode="bogus")
-        with pytest.raises(InvalidSpecError):
-            BatchSampler(5, mode="singleton", batch_size=2)
+    def test_invalid_component_count(self):
         with pytest.raises(InvalidSpecError):
             BatchSampler(0)
 
-
     @given(
         N=st.sampled_from([1, 2, 7, 100, 1000, 2**33]),
-        batch_size=st.sampled_from([1, 3, 4]),
         seed=st.integers(0, 2**32 - 1),
         draws=st.integers(1, 600),
     )
     @settings(max_examples=60, deadline=None)
-    def test_block_draws_equal_sequential_draws(self, N, batch_size, seed, draws):
+    def test_block_draws_equal_sequential_draws(self, N, seed, draws):
         # draw() pre-draws indices in blocks; the stream must be the one that
-        # one generator call per batch gives
-        mode = "singleton" if batch_size == 1 else "with_replacement"
-        s = BatchSampler(N, mode=mode, batch_size=batch_size, seed=seed)
+        # one generator call per singleton gives
+        s = BatchSampler(N, seed=seed)
         ref = np.random.default_rng(seed)
         for _ in range(draws):
-            expected = tuple(int(i) for i in ref.integers(0, N, size=batch_size))
+            expected = tuple(int(i) for i in ref.integers(0, N, size=1))
             assert s.draw().indices == expected
 
 
@@ -335,6 +316,11 @@ def _ray_instance(family, seed):
     if family == "least_squares":
         return gen_interpolating_least_squares(6, 9, seed=seed, singular_values=[0.5, 1.0, 3.0])
     return gen_nonconvex_interpolating(6, 3, 4, seed=seed)
+
+
+def _ray(p, idx, x, d):
+    """phi(a) = f_B(x + a d) as the batch oracle builds it."""
+    return p.batch_eval_ray(tuple(idx), x)[2](d)
 
 
 def _residual_envelope(p, idx, x, d, a):
@@ -376,7 +362,7 @@ class TestBatchRay:
         x = rng.standard_normal(p.n)
         d = scale * rng.standard_normal(p.n)
         idx = tuple(idx)
-        phi = p.batch_ray(idx, x, d)
+        phi = _ray(p, idx, x, d)
         # phi(0) is the batch value at x bit for bit, on every path
         assert phi(0.0) == p.batch_value(idx, x)
         if len(idx) == 1:
@@ -389,21 +375,17 @@ class TestBatchRay:
     @given(
         family=st.sampled_from(["least_squares", "two_factor"]),
         seed=st.integers(0, 2**16),
-        idx=st.lists(st.integers(0, 5), min_size=1, max_size=3),
-        a=st.floats(0.0, 10.0),
+        i=st.integers(0, 5),
     )
     @settings(max_examples=100, deadline=None)
-    def test_one_pass_ray_is_batch_ray_bit_for_bit(self, family, seed, idx, a):
-        # the ray built from the gradient's residual pass reuses its rows,
-        # residuals and (singleton) V a_i; every float must stay the same
+    def test_reused_residual_gradient_gives_the_same_coefficients(self, family, seed, i):
+        # a singleton ray reuses J_w(x)^T a_i from the gradient's residual
+        # pass; the coefficients must be the floats a fresh pass gives
         p = _ray_instance(family, seed % 7)
         rng = np.random.default_rng(seed)
         x, d = rng.standard_normal(p.n), rng.standard_normal(p.n)
-        f, g, ray = evaluate_batch(p, Batch(tuple(idx)), x, return_ray=True)
-        f_ref, g_ref = evaluate_batch(p, Batch(tuple(idx)), x)
-        assert f == f_ref
-        assert np.array_equal(g, g_ref)
-        assert ray(d)(a) == p.batch_ray(tuple(idx), x, d)(a)
+        rows, _, grad_r = p._eval((i,), x)[2]
+        assert p.ray_coefficients(rows, x, d, grad_r) == p.ray_coefficients(rows, x, d, None)
 
     def test_least_squares_singleton_is_exact_at_zero(self):
         p = gen_interpolating_least_squares(10, 20, seed=3, singular_values=np.full(10, 2.0))
@@ -412,7 +394,7 @@ class TestBatchRay:
             i = int(rng.integers(p.N))
             x = p.known.x_star + 10.0 ** rng.uniform(-16, 0) * rng.standard_normal(p.n)
             d = rng.standard_normal(p.n)
-            assert p.batch_ray((i,), x, d)(0.0) == evaluate_batch(p, Batch((i,)), x)[0]
+            assert _ray(p, (i,), x, d)(0.0) == evaluate_batch(p, Batch((i,)), x)[0]
 
     def test_residual_is_affine_for_least_squares(self):
         # sgd step on one row: r(a) = r0 (1 - a ||a_i||^2), so the trial at
@@ -420,8 +402,8 @@ class TestBatchRay:
         p = LeastSquaresProblem(A=np.array([[1.0, 1.0]]), b=np.array([0.0]))
         for r0 in (1.0, 1e-15, 3e-200):
             x = np.array([r0, 0.0])
-            _, g = evaluate_batch(p, Batch((0,)), x)
-            assert p.batch_ray((0,), x, -g)(0.5) == 0.0
+            _, g, _ = evaluate_batch(p, Batch((0,)), x)
+            assert _ray(p, (0,), x, -g)(0.5) == 0.0
 
     @given(
         seed=st.integers(0, 2**16),
@@ -433,33 +415,7 @@ class TestBatchRay:
         p = make_toy2()
         rng = np.random.default_rng(seed)
         x, d = rng.standard_normal(1), rng.standard_normal(1)
-        assert p.batch_ray(idx, x, d)(a) == p.batch_value(idx, x + a * d)
-
-
-class TestTextFormat:
-    def test_round_trip_preserves_evaluations(self, tmp_path):
-        p = gen_interpolating_least_squares(5, 8, seed=17, singular_values=[1.0, 2.0])
-        path = tmp_path / "instance.txt"
-        save_least_squares(p, path)
-        q = load_least_squares(path)
-        assert np.array_equal(p.A, q.A)
-        assert np.array_equal(p.b, q.b)
-        assert q.known.L == pytest.approx(p.known.L, rel=1e-10)
-        assert q.known.mu == pytest.approx(p.known.mu, rel=1e-10)
-        assert q.known.L_max == pytest.approx(p.known.L_max, rel=1e-12)
-        assert q.known.f_star == 0.0
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(p.n)
-        fp, gp = full_oracle(p, x)
-        fq, gq = full_oracle(q, x)
-        assert fp == fq
-        assert np.array_equal(gp, gq)
-
-    def test_malformed_header(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("3\n1 2\n")
-        with pytest.raises(InvalidSpecError):
-            load_least_squares(path)
+        assert _ray(p, idx, x, d)(a) == p.batch_value(idx, x + a * d)
 
 
 class TestVectorValidation:
