@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import functools
 import os
 import sys
@@ -82,18 +83,14 @@ def _stall_line(stall) -> str:
     return f"stall: alpha0={stall.alpha0!r} last_alpha={stall.last_alpha!r} trials={stall.trials}"
 
 
-def _status_exit(status: str) -> int:
-    if status in ("converged_grad", "converged_fgap"):
-        return EXIT_OK
-    if status == "stalled":
-        return EXIT_STALL
-    return EXIT_MAX_ITERS
-
-
-def _run_once(cfg) -> tuple[optimizer.RunResult, object]:
-    problem = cfgmod.build_problem(cfg)
-    run_config = cfgmod.build_run_config(cfg, problem=problem)
-    return optimizer.run(run_config), problem
+# Run status -> exit code, one entry per optimizer.STATUSES; a worse end has
+# a larger code, so a sweep exits with its worst seed's code.
+_STATUS_EXIT = {
+    "converged_grad": EXIT_OK,
+    "converged_fgap": EXIT_OK,
+    "max_iters": EXIT_MAX_ITERS,
+    "stalled": EXIT_STALL,
+}
 
 
 @_exit_on_error
@@ -101,7 +98,8 @@ def cmd_run(config_path, overrides=(), seed=None) -> int:
     """Execute one run, write the CSV trace (and optional SVG), print a summary."""
     cfg = _load(config_path, overrides, seed)
     _require_output_dirs(cfg.run.out_csv, cfg.run.out_svg)
-    result, problem = _run_once(cfg)
+    problem = cfgmod.build_problem(cfg)
+    result = optimizer.run(cfgmod.build_run_config(cfg, problem=problem))
 
     out_csv = cfg.run.out_csv
     if out_csv:
@@ -139,7 +137,7 @@ def cmd_run(config_path, overrides=(), seed=None) -> int:
                 fh.write(svg)
             print(f"plot: {cfg.run.out_svg}")
 
-    return _status_exit(result.status)
+    return _STATUS_EXIT[result.status]
 
 
 def _sample_points(problem, rng, count):
@@ -275,14 +273,13 @@ def cmd_verify(config_path, trace_path=None, overrides=(), seed=None) -> int:
 
 @_blas.single_thread()
 def _sweep_worker(args):
-    # The overrides touch only the [run] section, so every seed shares the
-    # problem the sweep built once. The run, its trace and its final gap use
-    # one BLAS thread: the seeds are the parallelism (--jobs).
-    config_text, problem, seed, out_csv = args
-    cfg = cfgmod.parse_config(config_text, overrides=[f"run.seed={seed}", f"run.out_csv={out_csv}"])
-    run_config = cfgmod.build_run_config(cfg, problem=problem)
+    # Each task is the sweep's one RunConfig with its seed replaced, so every
+    # seed shares the problem built once. The run, its trace and its final
+    # gap use one BLAS thread: the seeds are the parallelism (--jobs).
+    run_config, out_csv = args
     result = optimizer.run(run_config)
     traceio.write_trace(out_csv, result.trajectory)
+    problem = run_config.problem
     f_star = problem.known.f_star if problem.known is not None else None
     final_gap = None
     if f_star is not None:
@@ -290,7 +287,7 @@ def _sweep_worker(args):
 
         f, _ = full_oracle(problem, result.final_x)
         final_gap = f - f_star
-    return seed, result.status, len(result.trajectory), final_gap
+    return run_config.seed, result.status, len(result.trajectory), final_gap
 
 
 def _parse_seed_range(text: str) -> list[int]:
@@ -331,9 +328,8 @@ def cmd_sweep(config_path, seeds: str, jobs: int | None = None, overrides=()) ->
     base, ext = os.path.splitext(cfg.run.out_csv or "trace.csv")
     paths = [f"{base}_seed{s}{ext}" for s in seed_list]
     _require_output_dirs(*paths)
-    problem = cfgmod.build_problem(cfg)
-    config_text = cfgmod.serialize_config(cfg)
-    tasks = [(config_text, problem, s, path) for s, path in zip(seed_list, paths)]
+    run_config = cfgmod.build_run_config(cfg, problem=cfgmod.build_problem(cfg))
+    tasks = [(dataclasses.replace(run_config, seed=s), path) for s, path in zip(seed_list, paths)]
 
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -341,18 +337,10 @@ def cmd_sweep(config_path, seeds: str, jobs: int | None = None, overrides=()) ->
     else:
         outcomes = [_sweep_worker(t) for t in tasks]
 
-    any_stall = False
-    all_converged = True
     for seed, status, iters, gap in sorted(outcomes):
         gap_text = "" if gap is None else f" gap={gap!r}"
         print(f"seed={seed} status={status} iters={iters}{gap_text}")
-        if status == "stalled":
-            any_stall = True
-        if status not in ("converged_grad", "converged_fgap"):
-            all_converged = False
-    if any_stall:
-        return EXIT_STALL
-    return EXIT_OK if all_converged else EXIT_MAX_ITERS
+    return max(_STATUS_EXIT[status] for _, status, _, _ in outcomes)
 
 
 def main(argv=None) -> int:

@@ -3,15 +3,13 @@
 Sections are [problem], [direction], [linesearch], [run]. Unknown sections or
 keys are rejected; every key has a documented default; serialization writes
 all keys in a canonical order with full-precision floats, so parse(serialize)
-is the identity. Overrides take "section.key=value" strings; environment
-variables use the prefix SLSOPT_ with SECTION__KEY naming (for example
-SLSOPT_RUN__MAX_ITERS=500).
+is the identity. Overrides take "section.key=value" strings and are applied
+after the file.
 """
 
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,7 +26,6 @@ __all__ = [
     "parse_config",
     "read_config",
     "serialize_config",
-    "apply_env_overrides",
     "parse_spectrum",
     "build_problem",
     "build_direction_state",
@@ -36,8 +33,6 @@ __all__ = [
     "build_linesearch_params",
     "build_run_config",
 ]
-
-ENV_PREFIX = "SLSOPT_"
 
 PROBLEM_KINDS = ("least_squares", "nonconvex")
 
@@ -149,7 +144,6 @@ def _config_from_raw(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
 def parse_config(text: str, overrides=()) -> ExperimentConfig:
     """Parse config text, then apply "section.key=value" override strings."""
     raw = _raw_sections(text)
-    raw = apply_env_overrides(raw)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
@@ -159,34 +153,6 @@ def parse_config(text: str, overrides=()) -> ExperimentConfig:
         section, key = dotted.split(".", 1)
         raw.setdefault(section.strip(), {})[key.strip()] = value
     return _config_from_raw(raw)
-
-
-def apply_env_overrides(raw: dict[str, dict[str, str]], environ=None) -> dict[str, dict[str, str]]:
-    """Fold SLSOPT_SECTION__KEY environment variables into the raw key map.
-
-    Keys resolve exact-case first, then lower-case, so SLSOPT_PROBLEM__N is
-    the component count while the dimension needs the literal lower-case name.
-    """
-    environ = os.environ if environ is None else environ
-    out = {s: dict(kv) for s, kv in raw.items()}
-    for name, value in environ.items():
-        if not name.startswith(ENV_PREFIX):
-            continue
-        rest = name[len(ENV_PREFIX):]
-        if "__" not in rest:
-            raise ConfigError(f"environment override {name} must look like {ENV_PREFIX}SECTION__KEY")
-        section, key = rest.split("__", 1)
-        section = section.lower()
-        if section not in _SECTIONS:
-            raise ConfigError(f"environment override {name} names unknown section {section!r}")
-        field_names = {f.name for f in fields(_SECTIONS[section])}
-        if key not in field_names:
-            if key.lower() in field_names:
-                key = key.lower()
-            else:
-                raise ConfigError(f"environment override {name} names unknown key {key!r}")
-        out.setdefault(section, {})[key] = value
-    return out
 
 
 def read_config(path, overrides=()) -> ExperimentConfig:
@@ -216,7 +182,8 @@ def validate_config(cfg: ExperimentConfig):
     """Reject a config that no run could use.
 
     The direction and line-search sections are checked by building their
-    domain objects, whose errors become ConfigError naming the section.
+    domain objects, and the run section by the limit check RunConfig makes
+    when it is built; each error becomes a ConfigError naming its section.
     """
     p, r = cfg.problem, cfg.run
     if p.kind not in PROBLEM_KINDS:
@@ -237,12 +204,10 @@ def validate_config(cfg: ExperimentConfig):
             build(cfg)
         except (InvalidSpecError, DomainError) as exc:
             raise ConfigError(f"{section}: {exc}") from exc
-    if r.max_iters < 1:
-        raise ConfigError(f"run.max_iters must be >= 1, got {r.max_iters}")
-    if r.grad_tol < 0 or r.fgap_tol < 0:
-        raise ConfigError("run tolerances must be >= 0")
-    if r.trace_every < 1:
-        raise ConfigError(f"run.trace_every must be >= 1, got {r.trace_every}")
+    try:
+        optimizer.check_run_limits(r.max_iters, r.grad_tol, r.fgap_tol, r.trace_every)
+    except ConfigError as exc:
+        raise ConfigError(f"run: {exc}") from exc
 
 
 def _parse_policy(text: str) -> tuple[str, int]:
@@ -255,8 +220,6 @@ def _parse_policy(text: str) -> tuple[str, int]:
             p = int(text.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad warm_increase power in {text!r}") from exc
-        if p < 1:
-            raise ConfigError(f"warm_increase power must be >= 1, got {p}")
         return "warm_increase", p
     raise ConfigError(
         f"linesearch.alpha0_policy must be 'constant' or 'warm_increase[:p]', got {text!r}"
@@ -329,8 +292,7 @@ def build_linesearch_params(cfg: ExperimentConfig) -> linesearch.LineSearchParam
     )
 
 
-def build_run_config(cfg: ExperimentConfig, problem=None) -> optimizer.RunConfig:
-    problem = build_problem(cfg) if problem is None else problem
+def build_run_config(cfg: ExperimentConfig, problem) -> optimizer.RunConfig:
     r = cfg.run
     return optimizer.RunConfig(
         problem=problem,

@@ -45,16 +45,17 @@ class SgrParams:
     """Constants of the direction admissibility test.
 
     c1 caps the direction norm relative to the sampled gradient, c2 is the
-    sufficient-descent coefficient. Requires 0 < c2 <= c1.
+    sufficient-descent coefficient. Requires 0 < c2 <= c1 < inf: an infinite
+    c1 bounds nothing and leaves the step floor alpha_low at 0.
     """
 
     c1: float = 10.0
     c2: float = 0.1
 
     def __post_init__(self):
-        if not (0.0 < self.c2 <= self.c1):
+        if not (0.0 < self.c2 <= self.c1 < math.inf):
             raise InvalidSpecError(
-                f"need 0 < c2 <= c1, got c1={self.c1}, c2={self.c2}"
+                f"need 0 < c2 <= c1 < inf, got c1={self.c1}, c2={self.c2}"
             )
 
     def fallback_admissible(self) -> bool:

@@ -40,9 +40,24 @@ __all__ = [
 STATUSES = ("converged_grad", "converged_fgap", "max_iters", "stalled")
 
 
+def check_run_limits(max_iters, grad_tol, fgap_tol, trace_every):
+    """Raise ConfigError unless each limit is >= its bound; NaN fails."""
+    for name, value, bound in (
+        ("max_iters", max_iters, 1),
+        ("grad_tol", grad_tol, 0.0),
+        ("fgap_tol", fgap_tol, 0.0),
+        ("trace_every", trace_every, 1),
+    ):
+        if not value >= bound:
+            raise ConfigError(f"{name} must be >= {bound}, got {value}")
+
+
 @dataclass
 class RunConfig:
-    """Everything one optimization run depends on."""
+    """Everything one optimization run depends on; checked when built.
+
+    trace_full_oracle_every is the config key run.trace_every.
+    """
 
     problem: FiniteSumProblem
     direction: DirectionState
@@ -55,15 +70,8 @@ class RunConfig:
     trace_full_oracle_every: int = 10
     x0: Vector | None = None
 
-    def validate(self):
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_tol < 0 or self.fgap_tol < 0:
-            raise ConfigError("tolerances must be >= 0")
-        if self.trace_full_oracle_every < 1:
-            raise ConfigError(
-                f"trace period must be >= 1, got {self.trace_full_oracle_every}"
-            )
+    def __post_init__(self):
+        check_run_limits(self.max_iters, self.grad_tol, self.fgap_tol, self.trace_full_oracle_every)
         self.sgr.require_fallback_admissible()
 
 
@@ -121,7 +129,6 @@ def run(config: RunConfig) -> RunResult:
     therefore reproducible bit for bit given the config and seed, whatever
     the core count or OPENBLAS_NUM_THREADS.
     """
-    config.validate()
     problem = config.problem
     ls = config.linesearch
     every = config.trace_full_oracle_every

@@ -1,9 +1,13 @@
+import dataclasses
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slsopt import (
+    CG_VARIANTS,
     KINDS,
     LeastSquaresProblem,
     TheoremConstants,
@@ -20,6 +24,7 @@ from slsopt import (
     verify_lemma_bounds,
 )
 from slsopt.config import (
+    PROBLEM_KINDS,
     ExperimentConfig,
     build_direction_state,
     build_linesearch_params,
@@ -83,6 +88,50 @@ trace_every = 10
 """
 
 
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_path = st.text("abcXYZ019_./-", max_size=12)
+
+# One strategy of valid values per config key, for the round-trip property.
+VALID_SETTINGS = {
+    "problem.kind": st.sampled_from(PROBLEM_KINDS),
+    "problem.N": st.integers(1, 10**9),
+    "problem.n": st.integers(1, 10**9),
+    "problem.seed": st.integers(0, 2**63),
+    "problem.spectrum": st.sampled_from(["const:1.0", "const:2.0:3", "linear:1:2", "geom:0.5:5.0:4", "1,2,3"]),
+    "direction.kind": st.sampled_from(KINDS),
+    "direction.beta": st.floats(allow_nan=False, allow_infinity=False),
+    "direction.cg_variant": st.sampled_from(CG_VARIANTS),
+    "direction.beta_cap": _positive,
+    "direction.epsilon": _positive,
+    "direction.c1": _positive,
+    "direction.c2": _positive,
+    "linesearch.gamma": _unit,
+    "linesearch.delta": _unit,
+    "linesearch.alpha_max": _positive,
+    "linesearch.alpha0_policy": st.sampled_from(["constant", "warm_increase"])
+    | st.integers(1, 64).map(lambda p: f"warm_increase:{p}"),
+    "linesearch.max_backtracks": st.integers(1, 10**6),
+    "run.max_iters": st.integers(1, 10**9),
+    "run.grad_tol": st.floats(min_value=0.0, allow_infinity=False),
+    "run.fgap_tol": st.floats(min_value=0.0, allow_infinity=False),
+    "run.seed": st.integers(0, 2**63),
+    "run.trace_every": st.integers(1, 10**6),
+    "run.out_csv": _path,
+    "run.out_svg": _path,
+}
+
+
+def _consistent(values):
+    """Order c1 and c2 so that 0 < c2 <= c1."""
+    c2, c1 = sorted((values["direction.c1"], values["direction.c2"]))
+    return {**values, "direction.c1": c1, "direction.c2": c2}
+
+
+def _text(value):
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def write_cfg(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -129,15 +178,27 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             parse_config(TOY, overrides=["run.max_iters=ten"])
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SLSOPT_RUN__MAX_ITERS", "7")
-        cfg = parse_config(TOY)
-        assert cfg.run.max_iters == 7
+    def test_infinite_c1_rejected_at_parse(self):
+        # c1 = inf bounds nothing and makes the step floor alpha_low zero
+        with pytest.raises(ConfigError, match=r"^direction: need 0 < c2 <= c1 < inf"):
+            parse_config(TOY, overrides=["direction.c1=inf"])
 
-    def test_explicit_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("SLSOPT_RUN__MAX_ITERS", "7")
-        cfg = parse_config(TOY, overrides=["run.max_iters=9"])
-        assert cfg.run.max_iters == 9
+    @given(values=st.fixed_dictionaries(VALID_SETTINGS))
+    @settings(max_examples=200, deadline=None)
+    def test_overrides_round_trip(self, values):
+        values = _consistent(values)
+        cfg = parse_config("", overrides=[f"{k}={_text(v)}" for k, v in values.items()])
+        expected = ExperimentConfig.default()
+        every_key = {
+            f"{f.name}.{g.name}" for f in dataclasses.fields(expected)
+            for g in dataclasses.fields(getattr(expected, f.name))
+        }
+        assert set(values) == every_key
+        for dotted, value in values.items():
+            section, key = dotted.split(".")
+            setattr(getattr(expected, section), key, value)
+        assert cfg == expected
+        assert parse_config(serialize_config(cfg)) == cfg
 
 
 class TestSpectrumParser:
@@ -175,7 +236,7 @@ class TestBuilders:
 
     def test_build_run_config_carries_sections(self):
         cfg = parse_config(LS, overrides=["run.seed=5"])
-        rc = build_run_config(cfg)
+        rc = build_run_config(cfg, problem=build_problem(cfg))
         assert rc.seed == 5
         assert rc.linesearch.gamma == 0.1
         assert rc.sgr.c1 == 1.0
@@ -259,15 +320,14 @@ class TestCmdRun:
         assert "href" not in svg  # no external assets
         assert svg.rstrip().endswith("</svg>")
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_environment_does_not_change_the_run(self, tmp_path, monkeypatch):
         cfg_path = write_cfg(tmp_path, LS)
-        out_env = tmp_path / "env.csv"
+        out_plain, out_env = tmp_path / "plain.csv", tmp_path / "env.csv"
+        assert cli.cmd_run(cfg_path, overrides=[f"run.out_csv={out_plain}"]) == 0
+        monkeypatch.setenv("SLSOPT_RUN__MAX_ITERS", "5")
         monkeypatch.setenv("SLSOPT_RUN__SEED", "9")
-        cli.cmd_run(cfg_path, overrides=[f"run.out_csv={out_env}"])
-        monkeypatch.delenv("SLSOPT_RUN__SEED")
-        out_flag = tmp_path / "flag.csv"
-        cli.cmd_run(cfg_path, overrides=[f"run.out_csv={out_flag}"], seed=9)
-        assert out_env.read_bytes() == out_flag.read_bytes()
+        assert cli.cmd_run(cfg_path, overrides=[f"run.out_csv={out_env}"]) == 0
+        assert out_env.read_bytes() == out_plain.read_bytes()
 
 
 class TestCmdDiagnose:
@@ -480,7 +540,7 @@ class TestRoundingLevelResiduals:
     @pytest.mark.parametrize("seed", range(5))
     def test_toy_converges_in_one_accepted_step(self, seed):
         cfg = read_config(str(CONFIGS / "toy.ini"), overrides=[f"run.seed={seed}"])
-        result = optimizer.run(build_run_config(cfg))
+        result = optimizer.run(build_run_config(cfg, problem=build_problem(cfg)))
         assert result.status == "converged_grad"
         [step] = result.trajectory
         assert (step.alpha, step.backtracks) == (1.0, 0)
@@ -507,6 +567,78 @@ class TestCmdSweep:
         assert (tmp_path / "t_seed3.csv").exists()
         assert (tmp_path / "t_seed5.csv").exists()
 
+
+    def test_seed_trace_equals_run_trace(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, LS)
+        code = cli.cmd_sweep(cfg_path, seeds="0..2", jobs=1, overrides=[f"run.out_csv={tmp_path / 'sw.csv'}"])
+        assert code == 0
+        for s in range(3):
+            out = tmp_path / f"run{s}.csv"
+            assert cli.cmd_run(cfg_path, overrides=[f"run.out_csv={out}"], seed=s) == 0
+            assert (tmp_path / f"sw_seed{s}.csv").read_bytes() == out.read_bytes()
+
+    def test_one_parse_and_one_run_config_per_sweep(self, tmp_path, monkeypatch):
+        calls = {"parse_config": 0, "build_run_config": 0}
+        for name in calls:
+            original = getattr(cli.cfgmod, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli.cfgmod, name, counted)
+        cfg_path = write_cfg(tmp_path, TOY)
+        assert cli.cmd_sweep(cfg_path, seeds="0..3", jobs=1, overrides=[f"run.out_csv={tmp_path / 't.csv'}"]) == 0
+        assert calls == {"parse_config": 1, "build_run_config": 1}
+
+    def test_converged_and_capped_seeds_exit_two(self, tmp_path, capsys):
+        # at max_iters=500, seeds 0 and 2 converge (480 and 440 iterations)
+        # and seed 1 (540) reaches the cap
+        cfg_path = write_cfg(tmp_path, LS)
+        code = cli.cmd_sweep(
+            cfg_path, seeds="0..2", jobs=1,
+            overrides=[f"run.out_csv={tmp_path / 't.csv'}", "run.max_iters=500"],
+        )
+        assert code == 2
+        statuses = [ln.split()[1] for ln in capsys.readouterr().out.splitlines()]
+        assert statuses == ["status=converged_fgap", "status=max_iters", "status=converged_fgap"]
+
+    def test_stalled_seed_exits_three(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, TOY)
+        code = cli.cmd_sweep(
+            cfg_path, seeds="0..1", jobs=1,
+            overrides=[
+                f"run.out_csv={tmp_path / 't.csv'}",
+                "problem.spectrum=const:10000.0",
+                "linesearch.gamma=0.1",
+                "linesearch.alpha_max=10.0",
+                "linesearch.max_backtracks=2",
+            ],
+        )
+        assert code == 3
+        assert capsys.readouterr().out.count("status=stalled") == 2
+
+    def test_stalled_and_capped_seeds_exit_three(self, tmp_path, capsys):
+        # rows of unequal norm: seed 0 draws one whose search needs more than
+        # five backtracks, seed 1 does not within its two iterations
+        cfg_path = write_cfg(tmp_path, LS)
+        code = cli.cmd_sweep(
+            cfg_path, seeds="0..1", jobs=1,
+            overrides=[
+                f"run.out_csv={tmp_path / 't.csv'}",
+                "problem.spectrum=geom:0.5:5.0",
+                "linesearch.max_backtracks=5",
+                "run.max_iters=2",
+            ],
+        )
+        assert code == 3
+        statuses = [ln.split()[1] for ln in capsys.readouterr().out.splitlines()]
+        assert statuses == ["status=stalled", "status=max_iters"]
+
+    def test_every_status_has_an_exit_code(self):
+        assert set(cli._STATUS_EXIT) == set(optimizer.STATUSES)
+        assert cli._STATUS_EXIT["converged_grad"] == cli._STATUS_EXIT["converged_fgap"] == 0
+        assert (cli._STATUS_EXIT["max_iters"], cli._STATUS_EXIT["stalled"]) == (2, 3)
 
     @pytest.mark.parametrize("seeds", ["5..1", "1,,3", "", "a..b", "0..-1"])
     def test_bad_seed_specs_exit_one(self, tmp_path, capsys, seeds):
@@ -660,6 +792,32 @@ class TestRejectedInputs:
             capsys, ["run", str(CONFIGS / "toy.ini"), "--override", "problem.seed=-1"]
         )
         assert "problem.seed must be >= 0" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("key", ["grad_tol", "fgap_tol"])
+    def test_nan_tolerance_rejected_before_the_build(self, tmp_path, capsys, monkeypatch, command, key):
+        def no_build(cfg):
+            raise AssertionError("the instance was built")
+
+        monkeypatch.setattr(cli.cfgmod, "build_problem", no_build)
+        argv = [command, str(CONFIGS / "least_squares.ini"), "--override", f"run.{key}=nan"]
+        argv += ["--override", f"run.out_csv={tmp_path / 't.csv'}"]
+        if command == "sweep":
+            argv += ["--seeds", "0..1", "--jobs", "1"]
+        err = self._config_error(capsys, argv)
+        assert err.startswith(f"config error: run: {key} must be >= 0")
+
+    def test_infinite_c1_rejected_before_the_replay(self, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("the run was replayed")
+
+        monkeypatch.setattr(cli.optimizer, "run", no_run)
+        err = self._config_error(
+            capsys,
+            ["verify", str(CONFIGS / "momentum.ini"), "--override", "direction.c1=inf",
+             "--override", "run.max_iters=20"],
+        )
+        assert err.startswith("config error: direction: need 0 < c2 <= c1 < inf")
 
     def test_negative_sweep_seeds_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
         def no_build(cfg):

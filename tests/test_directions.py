@@ -53,6 +53,9 @@ class TestSgrCheck:
             SgrParams(c1=0.5, c2=1.0)
         with pytest.raises(InvalidSpecError):
             SgrParams(c1=1.0, c2=0.0)
+        for c1 in (np.nan, np.inf):
+            with pytest.raises(InvalidSpecError, match="c1 < inf"):
+                SgrParams(c1=c1, c2=0.1)
 
 
 class TestProposeDirection:

@@ -195,6 +195,10 @@ class TestRun:
             run(base_config(p, trace_full_oracle_every=0))
         with pytest.raises(UnsatisfiableSafeguardError):
             run(base_config(p, sgr=SgrParams(c1=0.5, c2=0.2)))
+        # each limit is checked when the config is built, and NaN fails it
+        for field in ("max_iters", "grad_tol", "fgap_tol", "trace_full_oracle_every"):
+            with pytest.raises(ConfigError, match="must be >= "):
+                base_config(p, **{field: float("nan")})
 
 
 class CountingProblem(FiniteSumProblem):
