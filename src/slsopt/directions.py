@@ -170,6 +170,10 @@ def propose_direction(state: DirectionState, g, x) -> Vector:
     beta_k from the Fletcher-Reeves or nonnegative Polak-Ribiere formula,
     clipped at beta_cap. adagrad_diag: -g / sqrt(accum + epsilon) elementwise.
     First iterations with empty memory fall back to -g.
+
+    Each recipe builds its direction in one new array, in place. The
+    operations are those of the formulas above, reordered only where IEEE
+    arithmetic is exact about it: b - a == -a + b, and -(a / b) == -a / b.
     """
     g = np.asarray(g, dtype=np.float64)
     if state.kind == "sgd":
@@ -180,22 +184,35 @@ def propose_direction(state: DirectionState, g, x) -> Vector:
         x = np.asarray(x, dtype=np.float64)
         if state.x_prev.shape != x.shape:
             raise ShapeError("direction memory does not match the iterate shape")
-        return -g + state.beta * (x - state.x_prev)
+        d = np.subtract(x, state.x_prev)
+        d *= state.beta
+        d -= g
+        return d
     if state.kind == "cg":
         if state.d_prev is None or state.g_prev is None:
             return -g
         denom = float(state.g_prev @ state.g_prev)
+        d = np.empty_like(g)
         if denom == 0.0:
             beta_k = 0.0
         elif state.cg_variant == "fr":
             beta_k = float(g @ g) / denom
-        else:  # pr+
-            beta_k = max(0.0, float(g @ (g - state.g_prev)) / denom)
+        else:  # pr+; d holds g - g_prev until the direction overwrites it
+            np.subtract(g, state.g_prev, out=d)
+            beta_k = max(0.0, float(g @ d) / denom)
         beta_k = min(beta_k, state.beta_cap)
-        return -g + beta_k * state.d_prev
+        np.multiply(state.d_prev, beta_k, out=d)
+        d -= g
+        return d
     # adagrad_diag
-    acc = state.accum if state.accum is not None else np.zeros_like(g)
-    return -g / np.sqrt(acc + state.epsilon)
+    if state.accum is None:
+        d = np.full_like(g, state.epsilon)
+    else:
+        d = np.add(state.accum, state.epsilon)
+    np.sqrt(d, out=d)
+    np.divide(g, d, out=d)
+    np.negative(d, out=d)
+    return d
 
 
 def safeguarded_direction(state: DirectionState, g, x, params: SgrParams) -> DirectionOutcome:
@@ -238,7 +255,10 @@ def update_memory(state: DirectionState, x_new, x_old, g, d) -> DirectionState:
     state.g_prev = g
     state.d_prev = np.asarray(d, dtype=np.float64)
     if state.kind == "adagrad_diag":
-        if state.accum is None:
-            state.accum = np.zeros_like(g)
-        state.accum = state.accum + g * g
+        # accum + g*g, formed in the g*g buffer; with no accum yet, 0 + g*g
+        # is g*g exactly.
+        accum = np.multiply(g, g)
+        if state.accum is not None:
+            accum += state.accum
+        state.accum = accum
     return state

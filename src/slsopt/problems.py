@@ -50,9 +50,19 @@ def as_vector(x, n: int | None = None, name: str = "x") -> Vector:
         raise ShapeError(f"{name} must be 1-dimensional, got ndim={v.ndim}")
     if n is not None and v.shape[0] != n:
         raise ShapeError(f"{name} must have length {n}, got {v.shape[0]}")
-    if not np.isfinite(v).all():
+    if not _all_finite(v):
         raise NumericDomainError(f"{name} contains non-finite entries")
     return v
+
+
+def _all_finite(v: Vector) -> bool:
+    """np.isfinite(v).all() for a 1-D float64 array, without its bool temporary.
+
+    v.dot(v) is finite when every entry is, unless the squared norm overflows;
+    a NaN or infinite entry makes it NaN or inf. So only a non-finite dot
+    needs the elementwise test, and the verdict is always that test's.
+    """
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,11 +226,16 @@ class ResidualProblem(FiniteSumProblem):
     residuals; a family supplies four hooks:
 
     - ``features(x)``: the feature vector w(x);
-    - ``pullback(x, s)``: the transposed-Jacobian product J_w(x)^T s;
-    - ``ray_coefficients(rows, x, d, grad_r)``: (c1, c2) such that the
-      residuals of ``rows`` along x + a d are r0 + a (c1 + a c2). ``grad_r``
-      is J_w(x)^T a_i when the batch is the singleton i and its gradient was
-      just computed, else None; a family may reuse it;
+    - ``pullback(x, s, scale=None)``: ``(g, reuse)``. g is the
+      transposed-Jacobian product J_w(x)^T s, each entry multiplied by the
+      float ``scale`` when one is given, written into one new array (or s
+      itself when w is the identity and there is no scale; s is never
+      written to). ``reuse`` is any part of that product the ray may take,
+      or None;
+    - ``ray_coefficients(rows, x, d, reuse)``: (c1, c2) such that the
+      residuals of ``rows`` along x + a d are r0 + a (c1 + a c2). ``reuse``
+      is what ``pullback(x, a_i, r)`` returned when the batch is the
+      singleton i and its gradient was just computed, else None;
     - ``component_grads(x)``: the N x n matrix of component gradients.
 
     ``n`` is the length of x and defaults to the number of columns of A.
@@ -257,14 +272,16 @@ class ResidualProblem(FiniteSumProblem):
     def _eval(self, indices, x):
         """f_B, g_B and what a ray at x reuses of their residual pass.
 
-        That is the rows, the residuals and, for a singleton, the residual's
-        gradient J_w(x)^T a_i (None for a larger batch).
+        That is the rows, the residuals and, for a singleton, what the
+        pullback of its gradient r J_w(x)^T a_i offers (None for a larger
+        batch).
         """
         rows, r = self._residuals(indices, x)
         if isinstance(r, float):
-            grad_r = self.pullback(x, rows)
-            return 0.5 * r * r, r * grad_r, (rows, r, grad_r)
-        return _mean_half_square(r), self.pullback(x, (rows.T @ r) / r.size), (rows, r, None)
+            g, reuse = self.pullback(x, rows, r)
+            return 0.5 * r * r, g, (rows, r, reuse)
+        g = self.pullback(x, (rows.T @ r) / r.size)[0]
+        return _mean_half_square(r), g, (rows, r, None)
 
     def component_value(self, i, x):
         return _mean_half_square(self._residuals((i,), x)[1])
@@ -285,13 +302,13 @@ class ResidualProblem(FiniteSumProblem):
         One residual pass serves both: the ray takes the rows and residuals
         the gradient was computed from.
         """
-        f, g, (rows, r0, grad_r) = self._eval(indices, x)
-        return f, g, functools.partial(self._ray, rows, r0, grad_r, x)
+        f, g, (rows, r0, reuse) = self._eval(indices, x)
+        return f, g, functools.partial(self._ray, rows, r0, reuse, x)
 
-    def _ray(self, rows, r0, grad_r, x, d):
+    def _ray(self, rows, r0, reuse, x, d):
         # Residuals are quadratic along the ray; r0 comes from the expressions
         # batch_value uses, so phi(0) is its f_B(x).
-        c1, c2 = self.ray_coefficients(rows, x, d, grad_r)
+        c1, c2 = self.ray_coefficients(rows, x, d, reuse)
         if isinstance(r0, float):
             # _mean_half_square of a float residual, inlined: a trial is then
             # a few float operations and no call.
@@ -322,10 +339,10 @@ class LeastSquaresProblem(ResidualProblem):
     def features(self, x):
         return x
 
-    def pullback(self, x, s):
-        return s
+    def pullback(self, x, s, scale=None):
+        return (s if scale is None else scale * s), None
 
-    def ray_coefficients(self, rows, x, d, grad_r):
+    def ray_coefficients(self, rows, x, d, reuse):
         return rows @ d, 0.0
 
     def component_grads(self, x):
@@ -361,17 +378,31 @@ class TwoFactorProblem(ResidualProblem):
         u, V = self.unpack(x)
         return u @ V
 
-    def pullback(self, x, s):
+    def pullback(self, x, s, scale=None):
+        # J_w(x)^T s = (V s, u s^T), written into g. The V block gets s in
+        # each row, then is multiplied by u in place: s_k u_j is the float
+        # u_j s_k of np.outer(u, s), with one ufunc iterator buffer where
+        # np.outer takes two, and faster. A singleton ray reuses V s.
         u, V = self.unpack(x)
-        return np.concatenate([V @ s, np.outer(u, s).ravel()])
+        Vs = V @ s
+        g = np.empty(self.n)
+        GV = g[self.n_u :].reshape(self.n_u, self.n_v)
+        GV[...] = s
+        GV *= u[:, None]
+        if scale is None:
+            g[: self.n_u] = Vs
+        else:
+            np.multiply(Vs, scale, out=g[: self.n_u])
+            GV *= scale
+        return g, Vs
 
-    def ray_coefficients(self, rows, x, d, grad_r):
+    def ray_coefficients(self, rows, x, d, reuse):
         # With P = V a_i and Q = dV a_i per row, (u + a du)(V + a dV) a_i
         # - b_i = r0 + a (du . P + u . Q) + a^2 (du . Q). A singleton's
-        # residual gradient (V a_i, u a_i^T) already holds P.
+        # pullback hands over P = V a_i as ``reuse``.
         u, V = self.unpack(x)
         du, dV = self.unpack(d)
-        P = V @ rows.T if grad_r is None else grad_r[: self.n_u]
+        P = V @ rows.T if reuse is None else reuse
         Q = dV @ rows.T
         return du @ P + u @ Q, du @ Q
 
@@ -405,18 +436,20 @@ def evaluate_batch(problem: FiniteSumProblem, batch, x):
     indices = _check_batch(problem, batch)
     xv = as_vector(x, problem.n)
     f, g, ray = problem.batch_eval_ray(indices, xv)
-    if not math.isfinite(f) or not np.isfinite(g).all():
+    g = np.asarray(g, dtype=np.float64)
+    if not math.isfinite(f) or not _all_finite(g):
         raise NumericDomainError(f"non-finite batch evaluation at indices {indices}")
-    return float(f), np.asarray(g, dtype=np.float64), ray
+    return float(f), g, ray
 
 
 def full_oracle(problem: FiniteSumProblem, x) -> tuple[float, Vector]:
     """Exact average over all N components; for tracing and diagnostics only."""
     xv = as_vector(x, problem.n)
     f, g = problem.full_value_grad(xv)
-    if not math.isfinite(f) or not np.isfinite(g).all():
+    g = np.asarray(g, dtype=np.float64)
+    if not math.isfinite(f) or not _all_finite(g):
         raise NumericDomainError("non-finite full-sum evaluation")
-    return float(f), np.asarray(g, dtype=np.float64)
+    return float(f), g
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -20,34 +20,18 @@ CSV_HEADER = (
 )
 
 
-def _fmt_opt(v) -> str:
-    return "" if v is None else repr(float(v))
-
-
-def _fmt_bool(v) -> str:
-    return "true" if v else "false"
-
-
 def trace_to_csv(records) -> str:
+    # One f-string per row: a helper call per field costs more than the
+    # formatting. float() keeps ints and numpy scalars printing as doubles.
     lines = [CSV_HEADER]
     for r in records:
         lines.append(
-            ",".join(
-                (
-                    str(r.k),
-                    _fmt_opt(r.f_full),
-                    _fmt_opt(r.grad_full_norm),
-                    repr(float(r.f_batch)),
-                    repr(float(r.g_batch_norm)),
-                    repr(float(r.d_norm)),
-                    repr(float(r.dTg)),
-                    repr(float(r.alpha0)),
-                    repr(float(r.alpha)),
-                    str(r.backtracks),
-                    _fmt_bool(r.sgr_pass),
-                    _fmt_bool(r.restarted),
-                )
-            )
+            f"{r.k},"
+            f"{'' if r.f_full is None else repr(float(r.f_full))},"
+            f"{'' if r.grad_full_norm is None else repr(float(r.grad_full_norm))},"
+            f"{float(r.f_batch)!r},{float(r.g_batch_norm)!r},{float(r.d_norm)!r},"
+            f"{float(r.dTg)!r},{float(r.alpha0)!r},{float(r.alpha)!r},{r.backtracks},"
+            f"{'true' if r.sgr_pass else 'false'},{'true' if r.restarted else 'false'}"
         )
     return "\n".join(lines) + "\n"
 

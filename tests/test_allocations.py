@@ -1,0 +1,81 @@
+"""Full-length arrays that one oracle or direction call allocates.
+
+On the 40,200-variable two-factor model each call should allocate the
+vectors it returns and no temporary of that size. numpy reports its buffers
+to tracemalloc, so the peak traced above the level at the start of a call
+counts every temporary; it is reported in units of one length-n float64
+vector. The small remainder above a whole number is the residuals, the
+features, V a_i and one ufunc iterator buffer.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from slsopt import (
+    Batch,
+    DirectionState,
+    SgrParams,
+    evaluate_batch,
+    full_oracle,
+    gen_nonconvex_interpolating,
+    safeguarded_direction,
+)
+
+
+@pytest.fixture(scope="module")
+def wide():
+    # the instance of bench/configs/twofactor_wide.ini: n = 200 + 200 * 200
+    p = gen_nonconvex_interpolating(100, 200, 200, seed=2024)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(p.n) / np.sqrt(p.n)
+    g = evaluate_batch(p, Batch((3,)), x)[1]
+    return p, x, g
+
+
+def _peak_vectors(fn, n):
+    """Peak traced bytes above the starting level while fn runs, in vectors."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / (8 * n), result
+
+
+class TestOracleAllocations:
+    # The gradient is the one vector kept. Before the gradient was written
+    # in one array these read 2.1 and 2.0: a concatenate of two blocks,
+    # then a scaled copy, then a boolean array for the finiteness check.
+    def test_evaluate_batch(self, wide):
+        p, x, _ = wide
+        peak, _ = _peak_vectors(lambda: evaluate_batch(p, Batch((7,)), x), p.n)
+        assert 1.0 <= peak <= 1.5
+
+    def test_full_oracle(self, wide):
+        p, x, _ = wide
+        peak, _ = _peak_vectors(lambda: full_oracle(p, x), p.n)
+        assert 1.0 <= peak <= 1.5
+
+
+class TestDirectionAllocations:
+    # The direction is the one vector kept. Before each recipe was built in
+    # its own buffer, momentum and cg read 2.0 and adagrad_diag 3.0.
+    @pytest.mark.parametrize(
+        "kind, variant",
+        [("sgd", "pr+"), ("momentum", "pr+"), ("cg", "pr+"), ("cg", "fr"), ("adagrad_diag", "pr+")],
+    )
+    def test_safeguarded_direction(self, wide, kind, variant):
+        p, x, g = wide
+        state = DirectionState(kind=kind, cg_variant=variant)
+        state.x_prev = x - 1e-3 * g
+        state.g_prev = 1.1 * g
+        state.d_prev = -state.g_prev
+        state.accum = np.ones(p.n)
+        peak, out = _peak_vectors(lambda: safeguarded_direction(state, g, x, SgrParams()), p.n)
+        assert not out.restarted
+        assert 1.0 <= peak <= 1.1

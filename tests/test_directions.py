@@ -341,3 +341,67 @@ class TestUpdateMemory:
         assert fresh.beta == 0.7
         assert fresh.x_prev is None
         assert state.x_prev is not None  # original untouched
+
+
+# Finite entries that cannot overflow the recipes below; subnormals and
+# signed zeros included.
+_entries = st.floats(-1e100, 1e100)
+
+
+def _vectors(count, elements=_entries):
+    return st.integers(1, 30).flatmap(
+        lambda n: st.tuples(*[arrays(np.float64, n, elements=elements)] * count)
+    )
+
+
+class TestOneBufferDirections:
+    """Each recipe builds its direction in one array; the bits are those of
+    the formula it replaces."""
+
+    @given(vecs=_vectors(3), beta=st.floats(-10.0, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_momentum(self, vecs, beta):
+        g, x, x_prev = vecs
+        state = DirectionState(kind="momentum", beta=beta)
+        state.x_prev = x_prev
+        want = -g + beta * (x - x_prev)
+        assert propose_direction(state, g, x).tobytes() == want.tobytes()
+
+    @given(
+        vecs=_vectors(3),
+        variant=st.sampled_from(["fr", "pr+"]),
+        beta_cap=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cg(self, vecs, variant, beta_cap):
+        g, g_prev, d_prev = vecs
+        state = DirectionState(kind="cg", cg_variant=variant, beta_cap=beta_cap)
+        state.g_prev, state.d_prev = g_prev, d_prev
+        denom = float(g_prev @ g_prev)
+        if denom == 0.0:
+            beta_k = 0.0
+        elif variant == "fr":
+            beta_k = float(g @ g) / denom
+        else:
+            beta_k = max(0.0, float(g @ (g - g_prev)) / denom)
+        want = -g + min(beta_k, beta_cap) * d_prev
+        assert propose_direction(state, g, np.zeros_like(g)).tobytes() == want.tobytes()
+
+    @given(
+        vecs=_vectors(2, st.floats(0.0, 1e100)),
+        epsilon=st.floats(1e-300, 1.0),
+        empty=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_adagrad(self, vecs, epsilon, empty):
+        g, acc = vecs
+        g = g - acc  # both signs and signed zeros
+        state = DirectionState(kind="adagrad_diag", epsilon=epsilon)
+        if empty:
+            acc = np.zeros_like(g)
+        else:
+            state.accum = acc
+        want = -g / np.sqrt(acc + epsilon)
+        assert propose_direction(state, g, np.zeros_like(g)).tobytes() == want.tobytes()
+        update_memory(state, g, g, g, g)
+        assert state.accum.tobytes() == (acc + g * g).tobytes()

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slsopt import (
+    KINDS,
     DirectionState,
     FiniteSumProblem,
     LeastSquaresProblem,
@@ -24,9 +27,11 @@ from slsopt.errors import (
     ConfigError,
     InsufficientDataError,
     LineSearchStallError,
+    NumericDomainError,
     SlsoptError,
     UnsatisfiableSafeguardError,
 )
+from slsopt.linesearch import ALPHA0_POLICIES
 from slsopt.optimizer import IterationRecord
 
 
@@ -377,6 +382,36 @@ class TestVerifyTraceBounds:
         assert violation is not None
         assert violation.k == victim.k
         assert violation.bound == "step_expression"
+
+    @given(
+        seed=st.integers(0, 2**16),
+        N=st.integers(2, 10),
+        extra=st.integers(0, 10),
+        kind=st.sampled_from(KINDS),
+        c1=st.floats(1.0, 20.0),
+        c2=st.floats(0.01, 1.0),
+        gamma=st.floats(0.01, 0.9),
+        delta=st.floats(0.1, 0.9),
+        alpha_max=st.floats(0.1, 100.0),
+        policy=st.sampled_from(ALPHA0_POLICIES),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_run_passes(self, seed, N, extra, kind, c1, c2, gamma, delta, alpha_max, policy):
+        rng = np.random.default_rng(seed)
+        p = gen_interpolating_least_squares(
+            N, N + extra, seed=seed, singular_values=rng.uniform(0.1, 3.0, size=N)
+        )
+        sgr = SgrParams(c1=c1, c2=c2)
+        ls = LineSearchParams(gamma=gamma, delta=delta, alpha_max=alpha_max, alpha0_policy=policy)
+        config = base_config(p, direction=DirectionState(kind=kind), sgr=sgr, linesearch=ls,
+                             fgap_tol=1e-8, seed=seed)
+        try:
+            res = run(config)
+        except NumericDomainError:
+            # a diverging run ends in the full oracle's finiteness check;
+            # it has no status of its own yet
+            assume(False)
+        assert verify_trace_bounds(res.trajectory, sgr, ls, p.known.L_max) is None
 
 
 def _break_certificate_at(monkeypatch, k_bad):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from slsopt import (
     Batch,
@@ -19,7 +22,7 @@ from slsopt.errors import (
     NumericDomainError,
     ShapeError,
 )
-from slsopt.problems import _mean_half_square, as_vector
+from slsopt.problems import _all_finite, _mean_half_square, as_vector
 
 from conftest import central_diff_grad, make_toy2
 
@@ -436,3 +439,77 @@ class TestVectorValidation:
         )
         with pytest.raises(InvalidSpecError):
             bad.validate_known_constants()
+
+
+class TestOneBufferOracles:
+    """The oracles write each gradient into one array; the bits are those of
+    the concatenate expressions they replace."""
+
+    @given(
+        family=st.sampled_from(["least_squares", "two_factor"]),
+        seed=st.integers(0, 2**16),
+        scale=st.sampled_from([0.0, 1e-150, 1e-3, 1.0, 1e3, 1e50]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_singleton_gradient_is_the_scaled_residual_gradient(self, family, seed, scale):
+        # scale 0 puts signed zeros in x, so in u and in the outer product
+        p = _ray_instance(family, seed % 7)
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal(p.n)
+        i = int(rng.integers(p.N))
+        a_i = p.A[i]
+        if family == "least_squares":
+            r = float(a_i @ x) - float(p.b[i])
+            want = r * a_i
+        else:
+            u, V = p.unpack(x)
+            r = float(a_i @ (u @ V)) - float(p.b[i])
+            want = r * np.concatenate([V @ a_i, np.outer(u, a_i).ravel()])
+        assert p.batch_eval((i,), x)[1].tobytes() == want.tobytes()
+        assert evaluate_batch(p, Batch((i,)), x)[1].tobytes() == want.tobytes()
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_u=st.integers(1, 7),
+        n_v=st.integers(1, 7),
+        scale=st.sampled_from([-2.5, 1e-3, 1.0, 7.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_two_factor_pullback_is_the_concatenate_form(self, seed, n_u, n_v, scale):
+        p = gen_nonconvex_interpolating(5, n_u, n_v, seed=seed % 11)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(p.n)
+        x[rng.random(p.n) < 0.2] = -0.0
+        s = rng.standard_normal(n_v)
+        u, V = p.unpack(x)
+        want = np.concatenate([V @ s, np.outer(u, s).ravel()])
+        g, reuse = p.pullback(x, s)
+        assert g.tobytes() == want.tobytes()
+        assert reuse.tobytes() == (V @ s).tobytes()
+        assert p.pullback(x, s, scale)[0].tobytes() == (scale * want).tobytes()
+        # the full-batch gradient is the pullback of the mean weighted row
+        r = p.A @ (u @ V) - p.b
+        full = np.concatenate([V @ ((p.A.T @ r) / p.N), np.outer(u, (p.A.T @ r) / p.N).ravel()])
+        assert full_oracle(p, x)[1].tobytes() == full.tobytes()
+
+    @given(
+        v=arrays(np.float64, st.integers(0, 40), elements=st.floats(-1e300, 1e300)),
+        bad=st.lists(
+            st.tuples(st.integers(0, 10**6), st.sampled_from([np.nan, np.inf, -np.inf])),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_dot_finiteness_check_is_isfinite(self, v, bad):
+        for pos, value in bad:
+            if v.size:
+                v[pos % v.size] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _all_finite(v) == bool(np.isfinite(v).all())
+
+    def test_finite_vector_with_overflowing_norm_passes(self):
+        v = np.full(1000, 1e200)
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(v.dot(v))
+            assert _all_finite(v)
+            assert as_vector(v) is v
