@@ -26,7 +26,6 @@ from slsopt import (
     estimate_c3,
     estimate_rho,
     gen_interpolating_least_squares,
-    negative_gradient_rule,
     run,
 )
 from slsopt.plotting import convergence_svg
@@ -49,7 +48,7 @@ def main():
     rng = np.random.default_rng(1)
     points = [rng.standard_normal(problem.n) for _ in range(50)]
     rho_hat = estimate_rho(problem, points)
-    c3_hat = estimate_c3(problem, points, negative_gradient_rule)
+    c3_hat = estimate_c3(problem, points)
 
     ls = LineSearchParams(gamma=args.gamma, delta=args.delta, alpha_max=args.alpha_max)
     constants = TheoremConstants(

@@ -10,7 +10,6 @@ instances.
 
 from .diagnostics import (
     EtaReport,
-    FrozenDirectionRule,
     LemmaBoundsReport,
     MomentReport,
     TheoremConstants,
@@ -22,10 +21,7 @@ from .diagnostics import (
     estimate_rho,
     estimate_wgc,
     exact_moments,
-    frozen_direction_rule,
     lemma_bounds_from_moments,
-    monte_carlo_moments,
-    negative_gradient_rule,
     pl_from_moments,
     point_moments,
     rho_from_moments,

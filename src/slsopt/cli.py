@@ -164,10 +164,7 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
     rng = np.random.default_rng(cfg.run.seed)
     points = _sample_points(problem, rng, num_points)
     known = problem.known
-    moments = [
-        diagnostics.point_moments(problem, x, diagnostics.frozen_direction_rule(state.fresh(), x))
-        for x in points
-    ]
+    moments = [diagnostics.point_moments(problem, x, state) for x in points]
 
     rho_hat, rho_point = diagnostics.rho_from_moments(moments)
     try:

@@ -1,4 +1,4 @@
-"""Exact and Monte Carlo estimation of the statistical regularity constants.
+"""Exact estimation of the statistical regularity constants.
 
 All expectations are conditional on the current point and taken over the batch
 draw. With singleton batches they are computed exactly as uniform averages
@@ -7,6 +7,10 @@ the certified contraction coefficient into checkable numbers instead of
 assumptions. var / cov are accumulated in centered form; the uncentered
 identities then hold as genuine floating-point checks rather than by
 construction.
+
+The direction at each point is the optimizer's own recipe: propose_direction
+on every component gradient, with the memory of a DirectionState that is
+read and never written. Without a state it is -g.
 """
 
 from __future__ import annotations
@@ -14,18 +18,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .directions import DirectionState, propose_direction
-from .errors import (
-    DomainError,
-    NumericDomainError,
-    ShapeError,
-    UndefinedEstimateError,
-    UnsupportedProblemError,
-)
+from .errors import DomainError, NumericDomainError, UndefinedEstimateError, UnsupportedProblemError
 from .problems import FiniteSumProblem, Vector, as_vector
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "LemmaBoundsReport",
     "exact_moments",
     "point_moments",
-    "monte_carlo_moments",
     "estimate_c3",
     "estimate_rho",
     "estimate_wgc",
@@ -48,15 +45,12 @@ __all__ = [
     "lemma_bounds_from_moments",
     "compute_eta",
     "check_interpolation",
-    "negative_gradient_rule",
-    "frozen_direction_rule",
-    "FrozenDirectionRule",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class MomentReport:
-    """First and second moments of the sampled gradient and a direction rule.
+    """First and second moments of the sampled gradient and the direction.
 
     var_g and cov_dg come from centered accumulation (var_g clamped at 0);
     E_dTg should reconstruct E_d . E_g + cov_dg up to roundoff. f, the
@@ -70,83 +64,11 @@ class MomentReport:
     E_d: Vector
     E_dTg: float
     cov_dg: float
-    mode: str
-    samples: int | None = None
     f: float | None = None
 
 
-class FrozenDirectionRule:
-    """Direction rule applying a recipe with its memory frozen at x.
-
-    Calling it as rule(i, g) is pure in (i, g): proposals read the state but
-    never mutate it, so the expectation runs over the batch draw only. rows(G)
-    gives the directions for every row of a gradient matrix in one numpy call,
-    with the same floats as calling the rule row by row.
-    """
-
-    def __init__(self, state: DirectionState, x):
-        self.state = state
-        self.x = x
-
-    def __call__(self, i, g) -> Vector:
-        return propose_direction(self.state, g, self.x)
-
-    @property
-    def negates_gradient(self) -> bool:
-        """Whether the recipe reduces to d = -g with the frozen memory."""
-        s = self.state
-        if s.kind == "momentum":
-            return s.x_prev is None
-        if s.kind == "cg":
-            return s.d_prev is None or s.g_prev is None
-        return s.kind == "sgd"
-
-    def rows(self, G: np.ndarray) -> np.ndarray | None:
-        """Directions for all rows of G, or None where the recipe is not row-wise.
-
-        Each recipe adds the same vector to, or divides by the same vector,
-        every row, except cg with memory, whose mixing coefficient depends on
-        the row itself.
-        """
-        s = self.state
-        if self.negates_gradient:
-            return -G
-        if s.kind == "momentum":
-            x = np.asarray(self.x, dtype=np.float64)
-            if s.x_prev.shape != x.shape:
-                raise ShapeError("direction memory does not match the iterate shape")
-            return -G + s.beta * (x - s.x_prev)
-        if s.kind == "adagrad_diag":
-            acc = s.accum if s.accum is not None else np.zeros(G.shape[1])
-            return -G / np.sqrt(acc + s.epsilon)
-        return None
-
-
-def frozen_direction_rule(state: DirectionState, x) -> FrozenDirectionRule:
-    """Direction rule applying a recipe with its memory frozen at x."""
-    return FrozenDirectionRule(state, x)
-
-
-# The plain direction rule d = -g: sgd keeps no memory, so x is never read.
-negative_gradient_rule = FrozenDirectionRule(DirectionState(kind="sgd"), None)
-
-
-def _direction_matrix(direction_rule: Callable, G: np.ndarray) -> np.ndarray | None:
-    """All N directions of a rule, or None when the rule is d = -g.
-
-    Rules offering rows() build the matrix in one call; any other callable
-    is applied row by row.
-    """
-    if getattr(direction_rule, "negates_gradient", False):
-        return None
-    rows = getattr(direction_rule, "rows", None)
-    D = rows(G) if rows is not None else None
-    if D is None:
-        D = np.stack([np.asarray(direction_rule(i, G[i]), dtype=np.float64) for i in range(len(G))])
-    return D
-
-
-def _moments_from_samples(x, G: np.ndarray, D: np.ndarray | None, mode: str, samples=None) -> MomentReport:
+def _moments_from_samples(x, G: np.ndarray, D: np.ndarray | None) -> MomentReport:
+    """Moments of the rows of G and D; D None stands for -G."""
     E_g = G.mean(axis=0)
     E_norm_g_sq = float(np.einsum("ij,ij->i", G, G).mean())
     Gc = G - E_g
@@ -161,30 +83,23 @@ def _moments_from_samples(x, G: np.ndarray, D: np.ndarray | None, mode: str, sam
         E_dTg = float(np.einsum("ij,ij->i", D, G).mean())
         Dc = D - E_d
         cov_dg = float(np.einsum("ij,ij->i", Dc, Gc).mean())
-    return MomentReport(
-        x=x,
-        E_g=E_g,
-        E_norm_g_sq=E_norm_g_sq,
-        var_g=max(var_g, 0.0),
-        E_d=E_d,
-        E_dTg=E_dTg,
-        cov_dg=cov_dg,
-        mode=mode,
-        samples=samples,
-    )
+    return MomentReport(x, E_g, E_norm_g_sq, max(var_g, 0.0), E_d, E_dTg, cov_dg)
 
 
-def exact_moments(problem: FiniteSumProblem, x, direction_rule: Callable) -> MomentReport:
+def exact_moments(problem: FiniteSumProblem, x, state: DirectionState | None = None) -> MomentReport:
     """Moments as exact uniform averages over the N singleton batches.
 
     Builds the N x n component-gradient matrix once and drops it on return.
+    The directions are propose_direction(state, G, x), built only when the
+    recipe with that memory is not -g.
     """
     xv = as_vector(x, problem.n)
     G = problem.component_grads(xv)
-    return _moments_from_samples(xv, G, _direction_matrix(direction_rule, G), mode="exact_singleton_enumeration")
+    D = None if state is None or state.negates_gradient else propose_direction(state, G, xv)
+    return _moments_from_samples(xv, G, D)
 
 
-def point_moments(problem: FiniteSumProblem, x, direction_rule: Callable = negative_gradient_rule) -> MomentReport:
+def point_moments(problem: FiniteSumProblem, x, state: DirectionState | None = None) -> MomentReport:
     """Everything the estimators read at x, from one exact pass.
 
     exact_moments plus the objective value f: component values and component
@@ -193,37 +108,7 @@ def point_moments(problem: FiniteSumProblem, x, direction_rule: Callable = negat
     """
     xv = as_vector(x, problem.n)
     f = float(problem.component_values(xv).mean())
-    return replace(exact_moments(problem, xv, direction_rule), f=f)
-
-
-def monte_carlo_moments(
-    problem: FiniteSumProblem,
-    x,
-    direction_rule: Callable,
-    samples: int,
-    seed: int = 0,
-    batch_size: int = 1,
-) -> MomentReport:
-    """Moment estimates from repeated uniform batch draws.
-
-    For batch_size 1 the rule receives the drawn index; for larger batches it
-    receives the index tuple. Exists for spot checks; enumeration is the
-    reference.
-    """
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
-    xv = as_vector(x, problem.n)
-    rng = np.random.default_rng(seed)
-    G = np.empty((samples, problem.n))
-    D = np.empty((samples, problem.n))
-    for s in range(samples):
-        idx = rng.integers(0, problem.N, size=batch_size)
-        indices = tuple(int(i) for i in idx)
-        _, g = problem.batch_eval(indices, xv)
-        key = indices[0] if batch_size == 1 else indices
-        G[s] = g
-        D[s] = np.asarray(direction_rule(key, g), dtype=np.float64)
-    return _moments_from_samples(xv, G, D, mode="monte_carlo", samples=samples)
+    return replace(exact_moments(problem, xv, state), f=f)
 
 
 def _first_best(ratios: Iterable[float | None], better, undefined: str) -> tuple[float, int]:
@@ -294,18 +179,18 @@ def pl_from_moments(moments: Iterable[MomentReport], f_star: float, tol: float =
     return _first_best(map(ratio, moments), operator.lt, "no sample had a positive optimality gap")
 
 
-def estimate_c3(problem: FiniteSumProblem, x_samples, direction_rule: Callable) -> float:
+def estimate_c3(problem: FiniteSumProblem, x_samples, state: DirectionState | None = None) -> float:
     """Smallest anti-correlation coefficient covering all sampled points.
 
     Returns max over samples of max(0, -cov_dg) / var_g, skipping points with
     zero gradient variance; errors out if every sample is degenerate.
     """
-    return c3_from_moments(exact_moments(problem, x, direction_rule) for x in x_samples)[0]
+    return c3_from_moments(exact_moments(problem, x, state) for x in x_samples)[0]
 
 
 def estimate_rho(problem: FiniteSumProblem, x_samples, tol: float = 1e-10) -> float:
     """Sampled strong-growth ratio max E||g||^2 / ||grad f||^2; always >= 1."""
-    return rho_from_moments((exact_moments(problem, x, negative_gradient_rule) for x in x_samples), tol)[0]
+    return rho_from_moments((exact_moments(problem, x) for x in x_samples), tol)[0]
 
 
 def _require_f_star(problem):
@@ -438,10 +323,12 @@ def lemma_bounds_from_moments(m: MomentReport, constants: TheoremConstants) -> L
 def verify_lemma_bounds(
     problem: FiniteSumProblem,
     x,
-    direction_rule: Callable,
     constants: TheoremConstants,
+    state: DirectionState | None = None,
 ) -> LemmaBoundsReport:
     """Check the expected-direction bounds at x with exact enumeration moments.
+
+    The direction is the recipe of state with its memory (-g without one).
 
         ||E[d]|| <= c1 sqrt(rho) ||grad f||
         E[d] . grad f <= -sigma ||grad f||^2
@@ -449,7 +336,7 @@ def verify_lemma_bounds(
     Requires sigma > 0; slacks are rhs - lhs, nonnegative when the bound holds.
     """
     _require_lemma_applicable(constants)
-    return lemma_bounds_from_moments(exact_moments(problem, x, direction_rule), constants)
+    return lemma_bounds_from_moments(exact_moments(problem, x, state), constants)
 
 
 def check_interpolation(problem: FiniteSumProblem, x_star, tol: float) -> tuple[bool, int, float]:

@@ -105,6 +105,19 @@ class DirectionState:
         """Copy with all memory cleared, for starting a new run."""
         return replace(self, x_prev=None, g_prev=None, d_prev=None, accum=None)
 
+    @property
+    def negates_gradient(self) -> bool:
+        """Whether the recipe with this memory is d = -g.
+
+        So are sgd, and momentum and cg before their first update.
+        """
+        kind = self.kind
+        if kind == "momentum":
+            return self.x_prev is None
+        if kind == "cg":
+            return self.d_prev is None or self.g_prev is None
+        return kind == "sgd"
+
     def reset_history(self):
         """Drop momentum / conjugate history; the preconditioner accumulator stays."""
         self.x_prev = None
@@ -118,23 +131,26 @@ class DirectionOutcome:
 
     g_norm, d_norm and dTg are ||g||, ||d|| and d . g for the direction
     actually taken, computed once by the safeguard for the trace and the
-    line search.
+    line search. A restart is exactly a failed test.
     """
 
     d: Vector
-    raw_d: Vector
     sgr_pass: bool
     violated: frozenset
-    restarted: bool
     g_norm: float
     d_norm: float
     dTg: float
 
+    @property
+    def restarted(self) -> bool:
+        return not self.sgr_pass
+
 
 def _measure(d, g, params: SgrParams) -> tuple[frozenset, float, float, float]:
     """Both admissibility bounds, plus the ||g||, ||d|| and d . g they read."""
-    d = np.asarray(d, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
+    # np.asarray(v, float) is dtype=np.float64, and cheaper when v already is.
+    d = np.asarray(d, float)
+    g = np.asarray(g, float)
     if d.shape != g.shape:
         raise ShapeError(f"d has shape {d.shape}, g has shape {g.shape}")
     # np.linalg.norm of a 1-D float array is sqrt(x.dot(x)); the same
@@ -169,91 +185,108 @@ def propose_direction(state: DirectionState, g, x) -> Vector:
     sgd: -g. momentum: -g + beta (x - x_prev). cg: -g + beta_k d_prev with
     beta_k from the Fletcher-Reeves or nonnegative Polak-Ribiere formula,
     clipped at beta_cap. adagrad_diag: -g / sqrt(accum + epsilon) elementwise.
-    First iterations with empty memory fall back to -g.
+    With empty memory momentum and cg fall back to -g (see negates_gradient).
 
-    Each recipe builds its direction in one new array, in place. The
-    operations are those of the formulas above, reordered only where IEEE
-    arithmetic is exact about it: b - a == -a + b, and -(a / b) == -a / b.
+    g is one sampled gradient (n,) or a stack of gradient rows (K, n); the
+    result has the shape of g. Every row reads the same memory, which is
+    never written, and gets the same floats as a call with that row alone;
+    cg takes its beta_k per row. For one gradient each recipe builds its
+    direction in one new array, in place. The operations are those of the
+    formulas above, reordered only where IEEE arithmetic is exact about it:
+    b - a == -a + b, and -(a / b) == -a / b.
     """
-    g = np.asarray(g, dtype=np.float64)
-    if state.kind == "sgd":
+    g = np.asarray(g, float)
+    # momentum and adagrad_diag build the term every row shares in a new (n,)
+    # array and combine one gradient into that same array.
+    kind = state.kind
+    if kind == "adagrad_diag":  # no history; an empty accumulator is zeros
+        if state.accum is None:
+            d = np.full(g.shape[-1], state.epsilon)
+        else:
+            d = np.add(state.accum, state.epsilon)
+        np.sqrt(d, out=d)
+        if g.ndim == 1:
+            np.divide(g, d, out=d)
+        else:
+            d = g / d
+        np.negative(d, out=d)
+        return d
+    if state.negates_gradient:
         return -g
-    if state.kind == "momentum":
-        if state.x_prev is None:
-            return -g
-        x = np.asarray(x, dtype=np.float64)
-        if state.x_prev.shape != x.shape:
+    if kind == "momentum":
+        x, x_prev = np.asarray(x, float), state.x_prev
+        # x_prev is a stored iterate, 1-D; this is x.shape != x_prev.shape
+        if x.ndim != 1 or len(x) != len(x_prev):
             raise ShapeError("direction memory does not match the iterate shape")
-        d = np.subtract(x, state.x_prev)
+        d = np.subtract(x, x_prev)
         d *= state.beta
-        d -= g
-        return d
-    if state.kind == "cg":
-        if state.d_prev is None or state.g_prev is None:
-            return -g
-        denom = float(state.g_prev @ state.g_prev)
-        d = np.empty_like(g)
-        if denom == 0.0:
-            beta_k = 0.0
-        elif state.cg_variant == "fr":
-            beta_k = float(g @ g) / denom
-        else:  # pr+; d holds g - g_prev until the direction overwrites it
-            np.subtract(g, state.g_prev, out=d)
-            beta_k = max(0.0, float(g @ d) / denom)
-        beta_k = min(beta_k, state.beta_cap)
-        np.multiply(state.d_prev, beta_k, out=d)
-        d -= g
-        return d
-    # adagrad_diag
-    if state.accum is None:
-        d = np.full_like(g, state.epsilon)
+        if g.ndim == 1:
+            d -= g
+            return d
+        return d - g
+    # cg. For 1-D operands g.dot(v) and g @ v run the same kernel, and
+    # np.vecdot gives each row of a stack the bits of that dot.
+    denom = float(state.g_prev.dot(state.g_prev))
+    d = np.empty_like(g)
+    if denom == 0.0:
+        beta_k = 0.0
     else:
-        d = np.add(state.accum, state.epsilon)
-    np.sqrt(d, out=d)
-    np.divide(g, d, out=d)
-    np.negative(d, out=d)
+        pr = state.cg_variant == "pr+"
+        # pr+ dots g with g - g_prev, held in d until the direction overwrites it
+        r = np.subtract(g, state.g_prev, out=d) if pr else g
+        if g.ndim == 1:
+            beta_k = float(g.dot(r)) / denom
+            beta_k = min(max(0.0, beta_k) if pr else beta_k, state.beta_cap)
+        else:
+            # The same min(max(0, b), beta_cap) on every row: pr+ maps NaN
+            # and -0.0 to +0.0, fr keeps a NaN, and an overflow is inf with
+            # no warning, as in float division.
+            with np.errstate(over="ignore", invalid="ignore"):
+                beta_k = np.vecdot(g, r) / denom
+            if pr:
+                beta_k = np.where(beta_k > 0.0, beta_k, 0.0)
+            beta_k = np.minimum(beta_k, state.beta_cap)[:, None]
+    np.multiply(state.d_prev, beta_k, out=d)
+    d -= g
     return d
 
 
 def safeguarded_direction(state: DirectionState, g, x, params: SgrParams) -> DirectionOutcome:
     """Propose a direction and enforce the bounds, restarting to -g on failure.
 
-    On restart the momentum / conjugate history is cleared. Raises at once if
+    On restart the momentum / conjugate history is cleared and -g is written
+    into the rejected proposal's own buffer. Raises at once if
     the configured (c1, c2) make the fallback itself inadmissible, since no
     run could proceed under such a configuration.
     """
     params.require_fallback_admissible()
-    g = np.asarray(g, dtype=np.float64)
-    raw = propose_direction(state, g, x)
-    violated, g_norm, d_norm, dTg = _measure(raw, g, params)
+    d = propose_direction(state, g, x)
+    violated, g_norm, d_norm, dTg = _measure(d, g, params)
     if not violated:
-        return DirectionOutcome(
-            d=raw, raw_d=raw, sgr_pass=True, violated=violated, restarted=False,
-            g_norm=g_norm, d_norm=d_norm, dTg=dTg,
-        )
+        return DirectionOutcome(d=d, sgr_pass=True, violated=violated, g_norm=g_norm, d_norm=d_norm, dTg=dTg)
     state.reset_history()
-    d = -g
+    np.negative(g, out=d)
     return DirectionOutcome(
-        d=d, raw_d=raw, sgr_pass=False, violated=violated, restarted=True,
+        d=d, sgr_pass=False, violated=violated,
         g_norm=g_norm, d_norm=math.sqrt(float(d.dot(d))), dTg=float(d.dot(g)),
     )
 
 
-def update_memory(state: DirectionState, x_new, x_old, g, d) -> DirectionState:
+def update_memory(state: DirectionState, x_old, g, d) -> None:
     """Record the accepted step so the next proposal sees this iteration's data.
 
     Stores x_old as the previous point (the momentum term at the next iterate
-    is beta * (x_new - x_old)), g as the previous sampled gradient, d as the
+    x_new is beta * (x_new - x_old)), g as the previous sampled gradient, d as the
     previous direction, and grows the squared-gradient accumulator.
 
     Float arrays are stored by reference, not copied: the caller must not
     mutate x_old, g or d afterwards. ``optimizer.run`` makes fresh arrays
     every iteration and never writes into them.
     """
-    g = np.asarray(g, dtype=np.float64)
-    state.x_prev = np.asarray(x_old, dtype=np.float64)
+    g = np.asarray(g, float)
+    state.x_prev = np.asarray(x_old, float)
     state.g_prev = g
-    state.d_prev = np.asarray(d, dtype=np.float64)
+    state.d_prev = np.asarray(d, float)
     if state.kind == "adagrad_diag":
         # accum + g*g, formed in the g*g buffer; with no accum yet, 0 + g*g
         # is g*g exactly.
@@ -261,4 +294,3 @@ def update_memory(state: DirectionState, x_new, x_old, g, d) -> DirectionState:
         if state.accum is not None:
             accum += state.accum
         state.accum = accum
-    return state

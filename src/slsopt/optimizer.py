@@ -197,8 +197,11 @@ def run(config: RunConfig) -> RunResult:
                     f"exceeds f_B + gamma*alpha*d.g = {f_b + ls.gamma * result.alpha * dTg!r}"
                 )
             alpha0, alpha, backtracks = result.alpha0, result.alpha, result.backtracks
+            # x_new comes before update_memory frees the arrays it replaces:
+            # freed first, they let the allocator trim the heap top, and each
+            # wide iteration then faults those pages back in.
             x_new = x + alpha * d
-            update_memory(state, x_new, x, g_b, d)
+            update_memory(state, x, g_b, d)
             prev_result = result
             x = x_new
 

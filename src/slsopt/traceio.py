@@ -45,34 +45,37 @@ def _parse_bool(s: str) -> bool:
         return True
     if s == "false":
         return False
-    raise ConfigError(f"expected true/false, got {s!r}")
+    raise ValueError(f"expected true/false, got {s!r}")
+
+
+_FIELDS = CSV_HEADER.split(",")
+_PARSERS = (int, _parse_opt, _parse_opt, float, float, float, float, float, float, int, _parse_bool, _parse_bool)
+
+
+def _parse_row(ln: str) -> IterationRecord:
+    parts = ln.split(",")
+    if len(parts) != len(_FIELDS):
+        raise ValueError(f"row has {len(parts)} fields, expected {len(_FIELDS)}: {ln!r}")
+    values = {}
+    for name, parse, text in zip(_FIELDS, _PARSERS, parts):
+        try:
+            values[name] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return IterationRecord(**values)
 
 
 def records_from_csv(text: str) -> list[IterationRecord]:
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    if not lines or lines[0] != CSV_HEADER:
+    """Records of a trace; a malformed row raises ConfigError naming its line."""
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln != ""]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ConfigError("trace file does not start with the expected header")
     records = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 12:
-            raise ConfigError(f"trace row has {len(parts)} fields, expected 12: {ln!r}")
-        records.append(
-            IterationRecord(
-                k=int(parts[0]),
-                f_full=_parse_opt(parts[1]),
-                grad_full_norm=_parse_opt(parts[2]),
-                f_batch=float(parts[3]),
-                g_batch_norm=float(parts[4]),
-                d_norm=float(parts[5]),
-                dTg=float(parts[6]),
-                alpha0=float(parts[7]),
-                alpha=float(parts[8]),
-                backtracks=int(parts[9]),
-                sgr_pass=_parse_bool(parts[10]),
-                restarted=_parse_bool(parts[11]),
-            )
-        )
+    for i, ln in lines[1:]:
+        try:
+            records.append(_parse_row(ln))
+        except ValueError as exc:
+            raise ConfigError(f"trace line {i}: {exc}") from None
     return records
 
 

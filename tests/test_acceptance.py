@@ -25,11 +25,9 @@ from slsopt import (
     estimate_c3,
     estimate_rho,
     exact_moments,
-    frozen_direction_rule,
     full_oracle,
     gen_interpolating_least_squares,
     gen_nonconvex_interpolating,
-    negative_gradient_rule,
     run,
     verify_lemma_bounds,
 )
@@ -240,7 +238,7 @@ def test_criterion_06_rate_coefficient_and_certified_bound():
     rng = np.random.default_rng(1)
     points = [rng.standard_normal(p.n) for _ in range(50)]
     rho_hat = estimate_rho(p, points)
-    c3_hat = estimate_c3(p, points, negative_gradient_rule)
+    c3_hat = estimate_c3(p, points)
     ls = LineSearchParams(gamma=0.5, delta=0.99, alpha_max=0.5)
     constants = TheoremConstants(
         c1=1.0, c2=1.0, c3=c3_hat, rho=rho_hat, mu=p.known.mu, L=p.known.L,
@@ -293,8 +291,8 @@ def test_criterion_07_moment_identities():
         for _ in range(100):
             x = rng.standard_normal(p.n)
             state.x_prev = x - 0.3 * rng.standard_normal(p.n)
-            for rule in (negative_gradient_rule, frozen_direction_rule(state, x)):
-                m = exact_moments(p, x, rule)
+            for direction in (None, state):
+                m = exact_moments(p, x, direction)
                 lhs = m.E_dTg
                 rhs = float(m.E_d @ m.E_g) + m.cov_dg
                 if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs), abs(rhs)):
@@ -321,7 +319,7 @@ def test_criterion_08_expected_direction_bounds(std_instance):
     )
     worst_norm = worst_descent = np.inf
     for x in points:
-        rep = verify_lemma_bounds(std_instance, x, negative_gradient_rule, constants)
+        rep = verify_lemma_bounds(std_instance, x, constants)
         worst_norm = min(worst_norm, rep.norm_slack)
         worst_descent = min(worst_descent, rep.descent_slack)
     ok = worst_norm >= -1e-10 and worst_descent >= -1e-10

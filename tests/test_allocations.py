@@ -79,3 +79,21 @@ class TestDirectionAllocations:
         peak, out = _peak_vectors(lambda: safeguarded_direction(state, g, x, SgrParams()), p.n)
         assert not out.restarted
         assert 1.0 <= peak <= 1.1
+
+    # A restart writes -g into the rejected proposal's own buffer. When -g
+    # was a second array, these read 2.0.
+    @pytest.mark.parametrize(
+        "kind, variant",
+        [("momentum", "pr+"), ("cg", "pr+"), ("cg", "fr"), ("adagrad_diag", "pr+")],
+    )
+    def test_restarting_proposal(self, wide, kind, variant):
+        p, x, g = wide
+        state = DirectionState(kind=kind, cg_variant=variant)
+        state.x_prev = x - 1e3 * g  # momentum: 900 g - g
+        state.g_prev = 0.5 * g  # cg: beta_k 4 (fr) or 2 (pr+), so d = beta_k g - g
+        state.d_prev = g.copy()
+        state.accum = np.zeros(p.n)  # adagrad_diag: -g / 1e-4
+        peak, out = _peak_vectors(lambda: safeguarded_direction(state, g, x, SgrParams()), p.n)
+        assert out.restarted
+        assert np.array_equal(out.d, -g)
+        assert peak <= 1.1

@@ -18,8 +18,6 @@ from slsopt import (
     estimate_rho,
     estimate_wgc,
     exact_moments,
-    frozen_direction_rule,
-    negative_gradient_rule,
     optimizer,
     verify_lemma_bounds,
 )
@@ -406,10 +404,9 @@ class TestCmdDiagnose:
         ls, sgr = build_linesearch_params(cfg), build_sgr_params(cfg)
         rng = np.random.default_rng(seed)
         pts = [rng.standard_normal(p.n) for _ in range(k)]
-        rules = [frozen_direction_rule(state.fresh(), x) for x in pts]
 
         rho_each = [estimate_rho(p, [x]) for x in pts]
-        c3_each = [estimate_c3(p, [x], r) for x, r in zip(pts, rules)]
+        c3_each = [estimate_c3(p, [x], state) for x in pts]
         rho, c3 = estimate_rho(p, pts), max(c3_each)
         mu = estimate_pl(p, pts)
         wgc = estimate_wgc(p, pts, p.known.L)
@@ -425,7 +422,7 @@ class TestCmdDiagnose:
             ("rate_certified", str(eta.certified).lower()),
         ]
         if constants.lemma_applicable:
-            reps = [verify_lemma_bounds(p, x, r, constants) for x, r in zip(pts, rules)]
+            reps = [verify_lemma_bounds(p, x, constants, state) for x in pts]
             expected += [
                 ("lemma_norm_min_slack", min(r.norm_slack for r in reps)),
                 ("lemma_descent_min_slack", min(r.descent_slack for r in reps)),
@@ -440,7 +437,7 @@ class TestCmdDiagnose:
 
         rows = ["index,f,grad_norm,e_norm_g_sq,var_g,rho_ratio"]
         for i, x in enumerate(pts):
-            m = exact_moments(p, x, negative_gradient_rule)
+            m = exact_moments(p, x)
             f = float(p.component_values(x).mean())
             gn = float(np.linalg.norm(m.E_g))
             rows.append(f"{i},{f!r},{gn!r},{m.E_norm_g_sq!r},{m.var_g!r},{m.E_norm_g_sq / (gn * gn)!r}")
@@ -512,6 +509,23 @@ class TestCmdVerify:
         captured = capsys.readouterr()
         assert f"violation at k={victim.k}: norm_bound" in captured.err
         assert "all per-iteration bounds hold" not in captured.out
+
+    @pytest.mark.parametrize("column, bad", [(0, "x"), (9, "1.5")])
+    def test_malformed_number_in_trace_exits_one_naming_line(self, tmp_path, capsys, column, bad):
+        # k = x, or backtracks = 1.5, on the second data row (file line 3)
+        cfg_path = write_cfg(tmp_path, LS)
+        out = tmp_path / "v.csv"
+        assert cli.cmd_run(cfg_path, overrides=[f"run.out_csv={out}"]) == 0
+        lines = out.read_text().split("\n")
+        parts = lines[2].split(",")
+        parts[column] = bad
+        lines[2] = ",".join(parts)
+        out.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert cli.cmd_verify(cfg_path, trace_path=str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: trace line 3: ")
+        assert repr(bad) in err
 
     def test_nonconvex_lacks_constants(self, tmp_path):
         cfg_path = write_cfg(tmp_path, TOY)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from slsopt import (
+    CG_VARIANTS,
     KINDS,
     DirectionState,
     LeastSquaresProblem,
     TheoremConstants,
+    c3_from_moments,
     check_interpolation,
     compute_eta,
     estimate_c3,
@@ -18,18 +20,18 @@ from slsopt import (
     estimate_rho,
     estimate_wgc,
     exact_moments,
-    frozen_direction_rule,
     full_oracle,
     gen_interpolating_least_squares,
     gen_nonconvex_interpolating,
-    monte_carlo_moments,
-    negative_gradient_rule,
+    lemma_bounds_from_moments,
     pl_from_moments,
     point_moments,
+    propose_direction,
     rho_from_moments,
     verify_lemma_bounds,
     wgc_from_moments,
 )
+from slsopt.diagnostics import _moments_from_samples
 from slsopt.errors import DomainError, UndefinedEstimateError, UnsupportedProblemError
 
 from conftest import make_toy2
@@ -45,21 +47,20 @@ def constants_with(c1=1.0, c2=1.0, c3=1.0, rho=10.0 / 9.0, mu=1.0, L=1.0, L_max=
 
 class TestExactMoments:
     def test_two_component_enumeration(self):
-        m = exact_moments(make_toy2(), X1, negative_gradient_rule)
+        m = exact_moments(make_toy2(), X1)
         assert m.E_g[0] == 1.5
         assert m.E_norm_g_sq == 2.5
         assert m.var_g == 0.25
         assert m.E_d[0] == -1.5
         assert m.E_dTg == -2.5
-        assert m.mode == "exact_singleton_enumeration"
 
     def test_negative_gradient_has_cov_minus_var(self):
-        m = exact_moments(make_toy2(), X1, negative_gradient_rule)
+        m = exact_moments(make_toy2(), X1)
         assert m.cov_dg == -m.var_g
 
     def test_constant_rule_has_zero_covariance(self):
-        const = np.array([7.0])
-        m = exact_moments(make_toy2(), X1, lambda i, g: const)
+        G = make_toy2().component_grads(X1)
+        m = _moments_from_samples(X1, G, np.full_like(G, 7.0))
         assert m.cov_dg == 0.0
         assert m.E_dTg == pytest.approx(7.0 * 1.5, rel=1e-15)
 
@@ -75,8 +76,8 @@ class TestExactMoments:
             for _ in range(30):
                 x = rng.standard_normal(p.n)
                 state.x_prev = x - rng.standard_normal(p.n)
-                for rule in (negative_gradient_rule, frozen_direction_rule(state, x)):
-                    m = exact_moments(p, x, rule)
+                for direction in (None, state):
+                    m = exact_moments(p, x, direction)
                     lhs = m.E_dTg
                     rhs = float(m.E_d @ m.E_g) + m.cov_dg
                     scale = max(1.0, abs(lhs), abs(rhs))
@@ -89,7 +90,7 @@ class TestExactMoments:
         p = gen_interpolating_least_squares(5, 7, seed=3, singular_values=[0.5, 2.0])
         rng = np.random.default_rng(3)
         for _ in range(50):
-            m = exact_moments(p, rng.standard_normal(p.n), negative_gradient_rule)
+            m = exact_moments(p, rng.standard_normal(p.n))
             assert float(m.E_g @ m.E_g) <= m.E_norm_g_sq + 1e-12
 
 
@@ -97,12 +98,17 @@ class TestEstimateC3:
     def test_negative_gradient_rule_gives_one(self, ):
         rng = np.random.default_rng(4)
         pts = [rng.standard_normal(1) for _ in range(10)]
-        assert estimate_c3(make_toy2(), pts, negative_gradient_rule) == 1.0
+        assert estimate_c3(make_toy2(), pts) == 1.0
 
     def test_constant_rule_gives_zero(self):
         rng = np.random.default_rng(4)
         pts = [rng.standard_normal(1) for _ in range(10)]
-        assert estimate_c3(make_toy2(), pts, lambda i, g: np.array([3.0])) == 0.0
+        p = make_toy2()
+        moments = []
+        for x in pts:
+            G = p.component_grads(x)
+            moments.append(_moments_from_samples(x, G, np.full_like(G, 3.0)))
+        assert c3_from_moments(moments) == (0.0, 0)
 
     def test_momentum_rule_finite_nonnegative(self):
         p = gen_interpolating_least_squares(10, 15, seed=5, singular_values=np.full(10, 1.5))
@@ -112,13 +118,13 @@ class TestEstimateC3:
         for _ in range(100):
             x = rng.standard_normal(p.n)
             state.x_prev = x - 0.1 * rng.standard_normal(p.n)
-            values.append(estimate_c3(p, [x], frozen_direction_rule(state, x)))
+            values.append(estimate_c3(p, [x], state))
         assert all(np.isfinite(v) and v >= 0 for v in values)
 
     def test_undefined_when_variance_vanishes(self):
         single = LeastSquaresProblem(A=np.array([[1.0]]), b=np.array([0.0]))
         with pytest.raises(UndefinedEstimateError):
-            estimate_c3(single, [np.array([2.0])], negative_gradient_rule)
+            estimate_c3(single, [np.array([2.0])])
 
 
 class TestEstimateRho:
@@ -180,7 +186,7 @@ class TestEstimateWgcPl:
         wgc = estimate_wgc(p, pts, L=L)
         pl = estimate_pl(p, pts)
         for x in pts:
-            m = exact_moments(p, x, negative_gradient_rule)
+            m = exact_moments(p, x)
             f, grad = full_oracle(p, x)
             assert m.E_norm_g_sq <= (wgc * L / pl) * float(grad @ grad) * (1.0 + 1e-9)
 
@@ -197,32 +203,31 @@ class TestVerifyLemmaBounds:
         toy = make_toy2()
         rho = estimate_rho(toy, [X1])
         c = constants_with(rho=rho)
-        rep = verify_lemma_bounds(toy, X1, negative_gradient_rule, c)
+        rep = verify_lemma_bounds(toy, X1, c)
         assert rep.norm_ok and rep.descent_ok
         assert rep.norm_slack >= -1e-10 and rep.descent_slack >= -1e-10
 
     def test_single_component_reduces_to_direction_bound(self):
         single = LeastSquaresProblem(A=np.array([[2.0]]), b=np.array([0.0]))
         c = constants_with(rho=1.0, c3=5.0)  # 1 - 1/rho = 0 makes c3 irrelevant
-        rep = verify_lemma_bounds(single, np.array([1.5]), negative_gradient_rule, c)
+        rep = verify_lemma_bounds(single, np.array([1.5]), c)
         assert rep.norm_ok and rep.descent_ok
         assert rep.descent_slack == pytest.approx(0.0, abs=1e-12)
 
     def test_adversarial_rule_violates_descent(self):
         toy = make_toy2()
         rho = estimate_rho(toy, [X1])
-
-        def adversarial(i, g):
-            return -g + np.array([100.0]) if i == 0 else -g
-
-        rep = verify_lemma_bounds(toy, X1, adversarial, constants_with(rho=rho))
+        G = toy.component_grads(X1)
+        D = -G
+        D[0] += 100.0  # component 0 pushes uphill
+        rep = lemma_bounds_from_moments(_moments_from_samples(X1, G, D), constants_with(rho=rho))
         assert not rep.descent_ok
 
     def test_inapplicable_constants_rejected(self):
         toy = make_toy2()
         bad = constants_with(c2=0.05, c3=1.0, rho=2.0)  # c3 (1 - 1/rho) = 0.5 > c2
         with pytest.raises(DomainError, match="c2 > c3"):
-            verify_lemma_bounds(toy, X1, negative_gradient_rule, bad)
+            verify_lemma_bounds(toy, X1, bad)
 
 
 class TestComputeEta:
@@ -276,85 +281,67 @@ class TestCheckInterpolation:
         assert holds and worst == 0.0
 
 
-class TestMonteCarlo:
-    def test_matches_enumeration_within_three_standard_errors(self):
-        toy = make_toy2()
-        exact = exact_moments(toy, X1, negative_gradient_rule)
-        M = 100_000
-        mc = monte_carlo_moments(toy, X1, negative_gradient_rule, samples=M, seed=123)
-        assert mc.mode == "monte_carlo"
-        assert mc.samples == M
-        # per-draw standard deviations from exact enumeration: g in {1, 2}
-        se_mean = 0.5 / np.sqrt(M)  # sd of g and of d
-        se_sq = 1.5 / np.sqrt(M)  # sd of g^2 and of d.g
-        assert abs(mc.E_g[0] - exact.E_g[0]) <= 3 * se_mean
-        assert abs(mc.E_d[0] - exact.E_d[0]) <= 3 * se_mean
-        assert abs(mc.E_norm_g_sq - exact.E_norm_g_sq) <= 3 * se_sq
-        assert abs(mc.E_dTg - exact.E_dTg) <= 3 * se_sq
-        # derived moments: error propagated from the primary ones
-        assert abs(mc.var_g - exact.var_g) <= 3 * (se_sq + 2 * 1.5 * se_mean)
-        assert abs(mc.cov_dg - exact.cov_dg) <= 3 * (se_sq + 2 * 1.5 * se_mean)
-
-    def test_batched_draws_supported(self):
-        toy = make_toy2()
-        mc = monte_carlo_moments(
-            toy, X1, lambda idx, g: -g, samples=2000, seed=7, batch_size=2
-        )
-        # batch-mean gradient at x=1 averages values in {1, 1.5, 2}
-        assert mc.E_g[0] == pytest.approx(1.5, abs=0.05)
-
-
 class TestFrozenRule:
     def test_rule_is_pure_in_state(self):
+        # the moments read the memory and never write it
+        p = gen_interpolating_least_squares(2, 2, seed=1, singular_values=[1.0, 2.0])
         state = DirectionState(kind="cg", cg_variant="fr")
         state.g_prev = np.array([1.0, 0.0])
         state.d_prev = np.array([0.5, 0.5])
-        x = np.zeros(2)
-        rule = frozen_direction_rule(state, x)
-        before = (state.g_prev.copy(), state.d_prev.copy())
-        for g in (np.array([1.0, 1.0]), np.array([0.0, 2.0])):
-            rule(0, g)
-        assert np.array_equal(state.g_prev, before[0])
-        assert np.array_equal(state.d_prev, before[1])
+        before = (state.g_prev, state.d_prev, state.g_prev.copy(), state.d_prev.copy())
+        for x in (np.array([1.0, 1.0]), np.array([0.0, 2.0])):
+            exact_moments(p, x, state)
+            point_moments(p, x, state)
+        assert state.g_prev is before[0] and state.d_prev is before[1]
+        assert np.array_equal(state.g_prev, before[2])
+        assert np.array_equal(state.d_prev, before[3])
+        assert state.x_prev is None and state.accum is None
 
 
-def _bits(a):
-    return np.ascontiguousarray(a).tobytes()
+def _per_row_moments(p, x, state):
+    """The moments of the directions built one component gradient at a time."""
+    G = p.component_grads(x)
+    D = -G if state is None else np.stack([propose_direction(state, g, x) for g in G])
+    return _moments_from_samples(x, G, D)
+
+
+def _assert_same_moments(fast, slow):
+    for name in ("E_g", "E_d"):
+        assert np.array_equal(getattr(fast, name), getattr(slow, name))
+    for name in ("E_norm_g_sq", "var_g", "E_dTg", "cov_dg"):
+        assert getattr(fast, name) == getattr(slow, name)
 
 
 class TestRowwiseRule:
-    """rows(G) must reproduce the row-by-row rule bit for bit."""
+    """The moments of a recipe are those of its per-row directions."""
 
     @given(
-        G=arrays(np.float64, (5, 4), elements=st.floats(-1e3, 1e3, allow_nan=False)),
-        x=arrays(np.float64, 4, elements=st.floats(-1e3, 1e3, allow_nan=False)),
-        x_prev=arrays(np.float64, 4, elements=st.floats(-1e3, 1e3, allow_nan=False)),
-        accum=arrays(np.float64, 4, elements=st.floats(0.0, 1e3)),
+        x=arrays(np.float64, 3, elements=st.floats(-1e3, 1e3)),
+        x_prev=arrays(np.float64, 3, elements=st.floats(-1e3, 1e3)),
+        g_prev=arrays(np.float64, 3, elements=st.floats(-1e3, 1e3)),
+        d_prev=arrays(np.float64, 3, elements=st.floats(-1e3, 1e3)),
+        accum=arrays(np.float64, 3, elements=st.floats(0.0, 1e3)),
         beta=st.floats(0.0, 2.0),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_rows_match_per_row_rule(self, G, x, x_prev, accum, beta):
-        states = [DirectionState(kind=kind, beta=beta) for kind in KINDS]
-        states.append(DirectionState(kind="momentum", beta=beta, x_prev=x_prev))
-        states.append(DirectionState(kind="adagrad_diag", accum=accum))
-        for state in states:
-            rule = frozen_direction_rule(state, x)
-            D = rule.rows(G)
-            expected = np.stack([rule(i, G[i]) for i in range(len(G))])
-            assert D.shape == expected.shape
-            assert _bits(D) == _bits(expected), state.kind
-
-    def test_cg_with_memory_falls_back_to_per_row_loop(self):
-        state = DirectionState(kind="cg", g_prev=np.ones(3), d_prev=-np.ones(3))
-        rule = frozen_direction_rule(state, np.zeros(3))
-        assert not rule.negates_gradient
-        assert rule.rows(np.ones((2, 3))) is None
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_per_row_rule(self, x, x_prev, g_prev, d_prev, accum, beta):
+        p = gen_interpolating_least_squares(2, 3, seed=1, singular_values=[1.0, 2.0])
+        memory = dict(x_prev=x_prev, g_prev=g_prev, d_prev=d_prev, accum=accum)
+        for kind in KINDS:
+            for variant in CG_VARIANTS:
+                for state in (
+                    DirectionState(kind=kind, cg_variant=variant, beta=beta),
+                    DirectionState(kind=kind, cg_variant=variant, beta=beta, **memory),
+                ):
+                    _assert_same_moments(exact_moments(p, x, state), _per_row_moments(p, x, state))
 
     def test_fresh_states_negate_the_gradient_except_adagrad(self):
+        p = gen_interpolating_least_squares(2, 3, seed=1, singular_values=[1.0, 2.0])
+        x = np.array([0.5, -1.0, 2.0])
+        plain = exact_moments(p, x)
         for kind in KINDS:
-            rule = frozen_direction_rule(DirectionState(kind=kind), np.zeros(2))
-            assert rule.negates_gradient == (kind != "adagrad_diag")
-        assert negative_gradient_rule.negates_gradient
+            m = exact_moments(p, x, DirectionState(kind=kind))
+            assert np.array_equal(m.E_d, plain.E_d) == (kind != "adagrad_diag")
 
 
 class TestOnePassMoments:
@@ -366,27 +353,23 @@ class TestOnePassMoments:
 
     @pytest.mark.parametrize("make", PROBLEMS)
     def test_shortcuts_equal_the_per_row_loop(self, make):
-        # negation shortcut and rows(): the same values as the generic loop
+        # negation shortcut and the stacked recipe: the same values as the
+        # directions built row by row
         p = make()
         rng = np.random.default_rng(21)
         for _ in range(20):
             x = rng.standard_normal(p.n)
             state = DirectionState(kind="momentum", beta=0.9, x_prev=x - rng.standard_normal(p.n))
-            for rule in (negative_gradient_rule, frozen_direction_rule(state, x)):
-                fast = exact_moments(p, x, rule)
-                slow = exact_moments(p, x, lambda i, g, rule=rule: rule(i, g))
-                for name in ("E_g", "E_d"):
-                    assert np.array_equal(getattr(fast, name), getattr(slow, name))
-                for name in ("E_norm_g_sq", "var_g", "E_dTg", "cov_dg"):
-                    assert getattr(fast, name) == getattr(slow, name)
+            for direction in (None, state):
+                _assert_same_moments(exact_moments(p, x, direction), _per_row_moments(p, x, direction))
 
     def test_point_moments_adds_the_objective_value(self):
         p = gen_interpolating_least_squares(6, 9, seed=1, singular_values=[1.0, 2.0])
         x = np.random.default_rng(3).standard_normal(p.n)
         m = point_moments(p, x)
         assert m.f == float(p.component_values(x).mean())
-        assert exact_moments(p, x, negative_gradient_rule).f is None
-        assert np.array_equal(m.E_g, exact_moments(p, x, negative_gradient_rule).E_g)
+        assert exact_moments(p, x).f is None
+        assert np.array_equal(m.E_g, exact_moments(p, x).E_g)
 
     def test_reducers_match_estimators_and_name_the_point(self):
         p = gen_interpolating_least_squares(6, 10, seed=11, singular_values=[1.0, 2.0])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from slsopt import (
+    CG_VARIANTS,
     KINDS,
     DirectionState,
     SgrParams,
@@ -138,12 +141,12 @@ class TestSafeguardedDirection:
         state.d_prev = np.array([-1.0, 0.0])
         x = np.array([0.0, 10.0])
         g = np.array([1.0, 0.0])
+        assert np.array_equal(propose_direction(state, g, x), np.array([-1.0, 10.0]))
         out = safeguarded_direction(state, g, x, SgrParams(c1=2.0, c2=0.5))
         assert not out.sgr_pass
         assert out.restarted
         assert "norm_bound" in out.violated
         assert np.array_equal(out.d, -g)
-        assert np.array_equal(out.raw_d, np.array([-1.0, 10.0]))
         # history cleared by the restart
         assert state.x_prev is None and state.g_prev is None and state.d_prev is None
 
@@ -250,21 +253,23 @@ class TestSafeguardProperties:
     @settings(max_examples=150, deadline=None)
     def test_scalars_equal_numpy_norms_bit_for_bit(self, case, kind, beta):
         g, a, b, params = case
-        out = safeguarded_direction(_state_for(kind, beta, a, b), g, a, params)
+        state = _state_for(kind, beta, a, b)
+        raw = propose_direction(state, g, a)
+        out = safeguarded_direction(state, g, a, params)
         assert out.g_norm == float(np.linalg.norm(g))
         assert out.d_norm == float(np.linalg.norm(out.d))
         assert out.dTg == float(out.d @ g)
-        assert out.restarted == bool(sgr_check(out.raw_d, g, params)[1])
+        assert out.restarted == (not out.sgr_pass) == bool(sgr_check(raw, g, params)[1])
 
 
 class TestUpdateMemoryStoresItsInputs:
     @pytest.mark.parametrize("kind", KINDS)
     def test_memory_equals_the_arguments(self, kind):
         rng = np.random.default_rng(11)
-        x_new, x_old, g, d = (rng.standard_normal(7) for _ in range(4))
+        x_old, g, d = (rng.standard_normal(7) for _ in range(3))
         given_values = [v.copy() for v in (x_old, g, d)]
         state = DirectionState(kind=kind)
-        update_memory(state, x_new, x_old, g, d)
+        update_memory(state, x_old, g, d)
         stored = (state.x_prev, state.g_prev, state.d_prev)
         for kept, arg, value in zip(stored, (x_old, g, d), given_values):
             # stored by reference: the caller owns the arrays and leaves them be
@@ -309,7 +314,7 @@ class TestUpdateMemory:
         x_old = np.array([1.0, 1.0])
         x_new = np.array([0.5, 1.0])
         g = np.array([1.0, 0.0])
-        update_memory(state, x_new, x_old, g, -g)
+        update_memory(state, x_old, g, -g)
         assert np.array_equal(state.x_prev, x_old)
         assert np.array_equal(state.g_prev, g)
         # next proposal is now well-defined
@@ -319,9 +324,9 @@ class TestUpdateMemory:
     def test_adagrad_accumulates_squares(self):
         state = DirectionState(kind="adagrad_diag")
         g = np.array([1.0, 2.0])
-        update_memory(state, np.zeros(2), np.zeros(2), g, -g)
+        update_memory(state, np.zeros(2), g, -g)
         assert np.array_equal(state.accum, np.array([1.0, 4.0]))
-        update_memory(state, np.zeros(2), np.zeros(2), g, -g)
+        update_memory(state, np.zeros(2), g, -g)
         assert np.array_equal(state.accum, np.array([2.0, 8.0]))
 
     def test_cg_memory_after_restart_stores_fallback(self):
@@ -331,7 +336,7 @@ class TestUpdateMemory:
         g = np.array([1.0, 0.0])
         out = safeguarded_direction(state, g, np.zeros(2), SgrParams(c1=2.0, c2=0.5))
         assert out.restarted
-        update_memory(state, np.zeros(2), np.zeros(2), g, out.d)
+        update_memory(state, np.zeros(2), g, out.d)
         assert np.array_equal(state.d_prev, -g)
 
     def test_fresh_clears_memory_only(self):
@@ -403,5 +408,70 @@ class TestOneBufferDirections:
             state.accum = acc
         want = -g / np.sqrt(acc + epsilon)
         assert propose_direction(state, g, np.zeros_like(g)).tobytes() == want.tobytes()
-        update_memory(state, g, g, g, g)
+        update_memory(state, g, g, g)
         assert state.accum.tobytes() == (acc + g * g).tobytes()
+
+
+@st.composite
+def _row_case(draw):
+    """A stack of gradient rows and one memory, with rows at cg's corners."""
+    n = draw(st.integers(1, 12))
+    elements = st.floats(-1e3, 1e3)  # signed zeros and subnormals included
+    x, x_prev, g_prev, d_prev = (draw(arrays(np.float64, n, elements=elements)) for _ in range(4))
+    accum = draw(arrays(np.float64, n, elements=st.floats(0.0, 1e3)))
+    rows = list(draw(arrays(np.float64, (draw(st.integers(0, 5)), n), elements=elements)))
+    # g . (g - g_prev) is zero for g = 0 or g = g_prev, negative for
+    # g = g_prev / 2 (g_prev != 0), and far above any cap for g = 1e3 g_prev.
+    corners = [np.zeros(n), -np.zeros(n), g_prev, 0.5 * g_prev, 1e3 * g_prev, -g_prev]
+    rows += draw(st.lists(st.sampled_from(corners), min_size=1, max_size=4))
+    G = np.stack(draw(st.permutations(rows)))
+    return G, x, dict(x_prev=x_prev, g_prev=g_prev, d_prev=d_prev, accum=accum)
+
+
+def _every_recipe(memory, beta, beta_cap):
+    """Every kind and cg variant, each fresh and with memory."""
+    for kind in KINDS:
+        for variant in CG_VARIANTS if kind == "cg" else ("pr+",):
+            fresh = DirectionState(kind=kind, cg_variant=variant, beta=beta, beta_cap=beta_cap)
+            yield fresh
+            yield DirectionState(kind=kind, cg_variant=variant, beta=beta, beta_cap=beta_cap, **memory)
+
+
+class TestDirectionRows:
+    """propose_direction on a stack of rows is the stack of per-row calls."""
+
+    @given(case=_row_case(), beta=st.floats(-2.0, 2.0), beta_cap=st.floats(1e-3, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_stack_equals_per_row_calls_byte_for_byte(self, case, beta, beta_cap):
+        G, x, memory = case
+        kept = {name: v.copy() for name, v in memory.items()}
+        for state in _every_recipe(memory, beta, beta_cap):
+            D = propose_direction(state, G, x)
+            rows = np.stack([propose_direction(state, g, x) for g in G])
+            assert D.shape == G.shape
+            assert D.tobytes() == rows.tobytes(), (state.kind, state.cg_variant)
+        for name, value in kept.items():
+            # the memory is read, never written
+            assert memory[name].tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("variant", CG_VARIANTS)
+    def test_overflowing_and_nan_beta_keep_the_scalar_meaning(self, variant):
+        # beta_k = 1e300 / 1e-20 overflows to inf and is capped; a NaN row
+        # stays NaN under fr and is clipped to 0 under pr+; no warning either way
+        state = DirectionState(kind="cg", cg_variant=variant, beta_cap=2.0)
+        state.g_prev = np.array([1e-10, 0.0])
+        state.d_prev = np.array([1.0, -1.0])
+        G = np.array([[1e150, 0.0], [np.nan, 1.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            D = propose_direction(state, G, np.zeros(2))
+            rows = np.stack([propose_direction(state, g, np.zeros(2)) for g in G])
+        assert D.tobytes() == rows.tobytes()
+        assert np.array_equal(D[0], 2.0 * state.d_prev - G[0])
+
+    def test_negates_gradient_until_the_first_update(self):
+        memory = dict(x_prev=np.ones(2), g_prev=np.ones(2), d_prev=-np.ones(2), accum=np.ones(2))
+        for kind in KINDS:
+            assert DirectionState(kind=kind).negates_gradient == (kind != "adagrad_diag")
+            assert DirectionState(kind=kind, **memory).negates_gradient == (kind == "sgd")
+        assert DirectionState(kind="cg", g_prev=np.ones(2)).negates_gradient
