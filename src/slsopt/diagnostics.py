@@ -68,30 +68,36 @@ class MomentReport:
 
 
 def _moments_from_samples(x, G: np.ndarray, D: np.ndarray | None) -> MomentReport:
-    """Moments of the rows of G and D; D None stands for -G."""
+    """Moments of the rows of G and D; D None stands for -G.
+
+    Takes ownership of G and D: both are centred in their own buffers, after
+    every uncentred moment has been read from them, so a point holds no
+    second N x n matrix. The floats are those of the out-of-place G - E_g.
+    """
     E_g = G.mean(axis=0)
     E_norm_g_sq = float(np.einsum("ij,ij->i", G, G).mean())
-    Gc = G - E_g
-    var_g = float(np.einsum("ij,ij->i", Gc, Gc).mean())
+    if D is not None:
+        E_d = D.mean(axis=0)
+        E_dTg = float(np.einsum("ij,ij->i", D, G).mean())
+        np.subtract(D, E_d, out=D)
+    np.subtract(G, E_g, out=G)
+    var_g = float(np.einsum("ij,ij->i", G, G).mean())
     if D is None:
         # D = -G. Negating every term of a sum negates the rounded sum, so
         # these equal the moments of the explicit matrix -G (as values; a sum
         # that cancels to zero may differ in the sign of that zero).
         E_d, E_dTg, cov_dg = -E_g, -E_norm_g_sq, -var_g
     else:
-        E_d = D.mean(axis=0)
-        E_dTg = float(np.einsum("ij,ij->i", D, G).mean())
-        Dc = D - E_d
-        cov_dg = float(np.einsum("ij,ij->i", Dc, Gc).mean())
+        cov_dg = float(np.einsum("ij,ij->i", D, G).mean())
     return MomentReport(x, E_g, E_norm_g_sq, max(var_g, 0.0), E_d, E_dTg, cov_dg)
 
 
 def exact_moments(problem: FiniteSumProblem, x, state: DirectionState | None = None) -> MomentReport:
     """Moments as exact uniform averages over the N singleton batches.
 
-    Builds the N x n component-gradient matrix once and drops it on return.
-    The directions are propose_direction(state, G, x), built only when the
-    recipe with that memory is not -g.
+    Builds the N x n component-gradient matrix once, centres it in place and
+    drops it on return. The directions are propose_direction(state, G, x),
+    built only when the recipe with that memory is not -g.
     """
     xv = as_vector(x, problem.n)
     G = problem.component_grads(xv)

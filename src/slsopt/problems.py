@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _blas
 from .errors import (
     InvalidBatchError,
     InvalidSpecError,
@@ -125,6 +126,10 @@ class FiniteSumProblem:
     ``components`` is a sequence of (value, grad) callable pairs; generated
     families subclass this and override the bulk evaluation paths with
     vectorized code, in which case ``components`` may be omitted.
+
+    ``component_grads(x)`` returns the N x n matrix of component gradients
+    in a new array that the caller owns: it shares no memory with the
+    problem's data, and the diagnostics centre it in place.
     """
 
     def __init__(
@@ -236,7 +241,9 @@ class ResidualProblem(FiniteSumProblem):
       residuals of ``rows`` along x + a d are r0 + a (c1 + a c2). ``reuse``
       is what ``pullback(x, a_i, r)`` returned when the batch is the
       singleton i and its gradient was just computed, else None;
-    - ``component_grads(x)``: the N x n matrix of component gradients.
+    - ``component_grads(x)``: the N x n matrix of component gradients, in
+      a new array that the caller owns and may overwrite; it must not be
+      A or a view of it.
 
     ``n`` is the length of x and defaults to the number of columns of A.
     """
@@ -485,26 +492,30 @@ def gen_interpolating_least_squares(
             "at the planted point but the regime is not the intended one",
             stacklevel=2,
         )
-    rng = np.random.default_rng(seed)
-    k = s.size
-    U = _orthonormal_columns(rng, N, k)
-    V = _orthonormal_columns(rng, n, k)
-    A = (U * s) @ V.T
-    x_star = rng.standard_normal(n)
-    # Plant labels with the same row-dot expression the oracles use, so the
-    # per-component residuals at x_star are exactly 0.0.
-    b = np.array([float(A[i] @ x_star) for i in range(N)])
-    row_sq = np.einsum("ij,ij->i", A, A)
-    known = KnownConstants(
-        L=float(np.max(s) ** 2) / N,
-        L_max=float(np.max(row_sq)),
-        mu=float(np.min(s) ** 2) / N,
-        f_star=0.0,
-        x_star=x_star,
-    )
-    problem = LeastSquaresProblem(A, b, known)
-    problem.validate_known_constants()
-    return problem
+    # One BLAS thread: the QR factorisations and the product below round
+    # differently at another thread count, and a woken OpenBLAS worker
+    # would go on spinning through the single-threaded run that follows.
+    with _blas.single_thread():
+        rng = np.random.default_rng(seed)
+        k = s.size
+        U = _orthonormal_columns(rng, N, k)
+        V = _orthonormal_columns(rng, n, k)
+        A = (U * s) @ V.T
+        x_star = rng.standard_normal(n)
+        # Plant labels with the same row-dot expression the oracles use, so
+        # the per-component residuals at x_star are exactly 0.0.
+        b = np.array([float(A[i] @ x_star) for i in range(N)])
+        row_sq = np.einsum("ij,ij->i", A, A)
+        known = KnownConstants(
+            L=float(np.max(s) ** 2) / N,
+            L_max=float(np.max(row_sq)),
+            mu=float(np.min(s) ** 2) / N,
+            f_star=0.0,
+            x_star=x_star,
+        )
+        problem = LeastSquaresProblem(A, b, known)
+        problem.validate_known_constants()
+        return problem
 
 
 def gen_nonconvex_interpolating(
@@ -520,14 +531,16 @@ def gen_nonconvex_interpolating(
         raise InvalidSpecError("N must be >= 1")
     if n_u < 1 or n_v < 1:
         raise InvalidSpecError("n_u and n_v must be >= 1")
-    rng = np.random.default_rng(seed)
-    u_star = rng.standard_normal(n_u)
-    V_star = rng.standard_normal((n_u, n_v))
-    A = rng.standard_normal((N, n_v))
-    w_star = u_star @ V_star
-    b = np.array([float(A[i] @ w_star) for i in range(N)])
-    x_star = np.concatenate([u_star, V_star.ravel()])
-    known = KnownConstants(f_star=0.0, x_star=x_star)
-    problem = TwoFactorProblem(n_u, n_v, A, b, known)
-    problem.validate_known_constants()
-    return problem
+    # One BLAS thread, as in gen_interpolating_least_squares.
+    with _blas.single_thread():
+        rng = np.random.default_rng(seed)
+        u_star = rng.standard_normal(n_u)
+        V_star = rng.standard_normal((n_u, n_v))
+        A = rng.standard_normal((N, n_v))
+        w_star = u_star @ V_star
+        b = np.array([float(A[i] @ w_star) for i in range(N)])
+        x_star = np.concatenate([u_star, V_star.ravel()])
+        known = KnownConstants(f_star=0.0, x_star=x_star)
+        problem = TwoFactorProblem(n_u, n_v, A, b, known)
+        problem.validate_known_constants()
+        return problem

@@ -1,4 +1,4 @@
-"""One BLAS thread per run: the pin, its restore paths, and thread-independent traces."""
+"""One BLAS thread per run and per build: the pin, its restore paths, and thread-independent bytes."""
 
 import dataclasses
 import os
@@ -19,7 +19,9 @@ from slsopt import (
     _blas,
     cli,
     gen_interpolating_least_squares,
+    gen_nonconvex_interpolating,
     optimizer,
+    problems,
     run,
 )
 from slsopt.errors import CertificateError
@@ -155,6 +157,52 @@ class TestPin:
             assert get() == 2
         assert run(small_config(small_instance())).status == "max_iters"
         assert get() == 2
+
+
+def _instance_bytes(p):
+    k = p.known
+    scalars = np.array([np.nan if v is None else v for v in (k.L, k.L_max, k.mu, k.f_star)])
+    return p.A.tobytes(), p.b.tobytes(), scalars.tobytes(), k.x_star.tobytes()
+
+
+# At 300 x 600 the least-squares build rounds differently at 2 threads when
+# it is not pinned; the two-factor spec is the WIDE config below.
+INSTANCES = {
+    "least_squares": lambda: gen_interpolating_least_squares(300, 600, 2024, np.full(300, 2.0)),
+    "two_factor": lambda: gen_nonconvex_interpolating(20, 110, 110, 7),
+}
+
+
+@needs_openblas
+class TestBuildPin:
+    @pytest.mark.parametrize("kind", sorted(INSTANCES))
+    def test_instance_bytes_do_not_depend_on_the_callers_count(self, kind):
+        get, set_ = _blas.openblas()
+        before = get()
+        built = []
+        try:
+            for count in (1, 2):
+                set_(count)
+                assert get() == count
+                built.append(_instance_bytes(INSTANCES[kind]()))
+                assert get() == count
+        finally:
+            set_(before)
+        assert built[0] == built[1]
+
+    @pytest.mark.usefixtures("two_threads")
+    def test_build_runs_on_one_thread_and_restores_when_it_raises(self, monkeypatch):
+        seen = []
+
+        def broken(rng, rows, cols):
+            seen.append(_blas.threads())
+            raise RuntimeError("spec failed mid-build")
+
+        monkeypatch.setattr(problems, "_orthonormal_columns", broken)
+        with pytest.raises(RuntimeError, match="mid-build"):
+            INSTANCES["least_squares"]()
+        assert seen == [1]
+        assert _blas.threads() == 2
 
 
 # Two-factor instance with 20 + 110 * 110 = 12,210 variables: long enough

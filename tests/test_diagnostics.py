@@ -298,18 +298,52 @@ class TestFrozenRule:
         assert state.x_prev is None and state.accum is None
 
 
+def _out_of_place_moments(G, D):
+    """The moments of the rows of G and D with centred copies; D None is -G.
+
+    The reference for _moments_from_samples, which centres in place: it
+    reads G and D and writes neither.
+    """
+    E_g = G.mean(axis=0)
+    E_norm_g_sq = float(np.einsum("ij,ij->i", G, G).mean())
+    Gc = G - E_g
+    var_g = float(np.einsum("ij,ij->i", Gc, Gc).mean())
+    if D is None:
+        E_d, E_dTg, cov_dg = -E_g, -E_norm_g_sq, -var_g
+    else:
+        E_d = D.mean(axis=0)
+        E_dTg = float(np.einsum("ij,ij->i", D, G).mean())
+        Dc = D - E_d
+        cov_dg = float(np.einsum("ij,ij->i", Dc, Gc).mean())
+    return E_g, E_norm_g_sq, max(var_g, 0.0), E_d, E_dTg, cov_dg
+
+
 def _per_row_moments(p, x, state):
     """The moments of the directions built one component gradient at a time."""
     G = p.component_grads(x)
     D = -G if state is None else np.stack([propose_direction(state, g, x) for g in G])
-    return _moments_from_samples(x, G, D)
+    return _out_of_place_moments(G, D)
+
+
+MOMENT_FIELDS = ("E_g", "E_norm_g_sq", "var_g", "E_d", "E_dTg", "cov_dg")
 
 
 def _assert_same_moments(fast, slow):
-    for name in ("E_g", "E_d"):
-        assert np.array_equal(getattr(fast, name), getattr(slow, name))
-    for name in ("E_norm_g_sq", "var_g", "E_dTg", "cov_dg"):
-        assert getattr(fast, name) == getattr(slow, name)
+    """Equal values field by field; slow is a tuple in MOMENT_FIELDS order."""
+    for name, want in zip(MOMENT_FIELDS, slow):
+        if name in ("E_g", "E_d"):
+            assert np.array_equal(getattr(fast, name), want)
+        else:
+            assert getattr(fast, name) == want
+
+
+def _assert_same_bits(fast, slow):
+    for name, want in zip(MOMENT_FIELDS, slow):
+        got = getattr(fast, name)
+        if name in ("E_g", "E_d"):
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert got.hex() == want.hex(), name
 
 
 class TestRowwiseRule:
@@ -363,6 +397,29 @@ class TestOnePassMoments:
             for direction in (None, state):
                 _assert_same_moments(exact_moments(p, x, direction), _per_row_moments(p, x, direction))
 
+    @pytest.mark.parametrize("make", PROBLEMS[1:], ids=["least_squares", "two_factor"])
+    @pytest.mark.parametrize("kind", [None, "momentum", "cg", "adagrad_diag"])
+    def test_in_place_centring_keeps_the_out_of_place_bits(self, make, kind):
+        # exact_moments centres the gradient and direction matrices in their
+        # own buffers; every uncentred moment must be read before that
+        p = make()
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            x = rng.standard_normal(p.n)
+            state = None
+            if kind is not None:
+                g_prev = rng.standard_normal(p.n)
+                state = DirectionState(
+                    kind=kind,
+                    x_prev=x - rng.standard_normal(p.n),
+                    g_prev=g_prev,
+                    d_prev=-g_prev + 0.1 * rng.standard_normal(p.n),
+                    accum=rng.random(p.n),
+                )
+            G = p.component_grads(x)
+            D = None if state is None or state.negates_gradient else propose_direction(state, G, x)
+            _assert_same_bits(exact_moments(p, x, state), _out_of_place_moments(G, D))
+
     def test_point_moments_adds_the_objective_value(self):
         p = gen_interpolating_least_squares(6, 9, seed=1, singular_values=[1.0, 2.0])
         x = np.random.default_rng(3).standard_normal(p.n)
@@ -388,15 +445,24 @@ class TestOnePassMoments:
             assert per_point[point] == value == pick(per_point)
             assert point == per_point.index(value)
 
-    def test_holds_one_gradient_matrix_and_its_centred_copy(self):
+    @staticmethod
+    def _peak_matrices(kind):
         p = gen_interpolating_least_squares(200, 300, seed=2, singular_values=[1.0, 2.0])
         x = np.random.default_rng(2).standard_normal(p.n)
-        matrix = p.N * p.n * 8
-        point_moments(p, x)  # warm up lazily allocated numpy state
+        state = None if kind is None else DirectionState(kind=kind, x_prev=np.zeros(p.n))
+        point_moments(p, x, state)  # warm up lazily allocated numpy state
         tracemalloc.start()
         try:
-            point_moments(p, x)
+            point_moments(p, x, state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * matrix
+        return peak / (p.N * p.n * 8)
+
+    # Both matrices are centred in their own buffers. With a centred copy of
+    # each, these held 2 and 4 matrices.
+    def test_holds_one_gradient_matrix(self):
+        assert self._peak_matrices(None) < 1.5
+
+    def test_holds_one_gradient_and_one_direction_matrix(self):
+        assert self._peak_matrices("momentum") < 2.5

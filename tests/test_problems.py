@@ -9,9 +9,12 @@ from hypothesis.extra.numpy import arrays
 from slsopt import (
     Batch,
     BatchSampler,
+    DirectionState,
     FiniteSumProblem,
     LeastSquaresProblem,
+    ResidualProblem,
     evaluate_batch,
+    exact_moments,
     full_oracle,
     gen_interpolating_least_squares,
     gen_nonconvex_interpolating,
@@ -284,6 +287,35 @@ class TestGradientChecks:
             fd = central_diff_grad(lambda y: oracle(p, y)[0], x)
             denom = max(1.0, float(np.linalg.norm(g)))
             assert np.linalg.norm(g - fd) / denom <= 1e-5
+
+
+class TestComponentGradsOwnership:
+    """component_grads returns a new array that the caller owns."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(make_toy2, id="toy"),
+            pytest.param(lambda: gen_interpolating_least_squares(6, 9, seed=3, singular_values=[1.0, 2.0]), id="least_squares"),
+            pytest.param(lambda: gen_nonconvex_interpolating(5, 2, 3, seed=3), id="two_factor"),
+        ],
+    )
+    def test_caller_may_overwrite_the_result(self, make):
+        p = make()
+        data = [p.A, p.b] if isinstance(p, ResidualProblem) else []
+        before = [a.copy() for a in data]
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            x = rng.standard_normal(p.n)
+            G = p.component_grads(x)
+            assert not any(np.shares_memory(G, a) for a in data)
+            want = G.copy()
+            G[...] = np.nan
+            assert np.array_equal(p.component_grads(x), want)
+            # exact_moments centres the gradient and direction matrices in place
+            exact_moments(p, x)
+            exact_moments(p, x, DirectionState(kind="momentum", x_prev=np.zeros(p.n)))
+            assert all(np.array_equal(a, b) for a, b in zip(data, before))
 
 
 class TestBatchSampler:
