@@ -14,7 +14,6 @@ from .diagnostics import (
     MomentReport,
     TheoremConstants,
     c3_from_moments,
-    check_interpolation,
     compute_eta,
     estimate_c3,
     estimate_pl,
@@ -58,7 +57,6 @@ from .optimizer import (
     verify_trace_bounds,
 )
 from .problems import (
-    Batch,
     BatchSampler,
     FiniteSumProblem,
     KnownConstants,

@@ -44,7 +44,6 @@ __all__ = [
     "pl_from_moments",
     "lemma_bounds_from_moments",
     "compute_eta",
-    "check_interpolation",
 ]
 
 
@@ -343,17 +342,3 @@ def verify_lemma_bounds(
     """
     _require_lemma_applicable(constants)
     return lemma_bounds_from_moments(exact_moments(problem, x, state), constants)
-
-
-def check_interpolation(problem: FiniteSumProblem, x_star, tol: float) -> tuple[bool, int, float]:
-    """Whether every component gradient vanishes at x_star, plus the worst one.
-
-    Uses the per-component oracles, which are exact at a planted minimizer.
-    """
-    xv = as_vector(x_star, problem.n, "x_star")
-    worst, worst_norm = 0, -1.0
-    for i in range(problem.N):
-        norm = float(np.linalg.norm(problem.component_grad(i, xv)))
-        if norm > worst_norm:
-            worst, worst_norm = i, norm
-    return worst_norm <= tol, worst, worst_norm

@@ -14,7 +14,7 @@ class NumericDomainError(SlsoptError, ValueError):
 
 
 class InvalidBatchError(SlsoptError, ValueError):
-    """Batch is empty or names a component index outside the problem."""
+    """A sampled component index is not an integer or lies outside the problem."""
 
 
 class InvalidSpecError(SlsoptError, ValueError):

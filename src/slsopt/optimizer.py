@@ -1,8 +1,8 @@
-"""Outer iteration: draw batch, safeguard direction, line-search, step, trace.
+"""Outer iteration: draw a component, safeguard direction, line-search, step, trace.
 
 One run is strictly sequential and fully determined by its seed: a single
 seed feeds a splittable generator whose children drive the starting point and
-the batch stream. Exact full-sum values are logged only periodically so the
+the stream of sampled components. Exact full-sum values are logged only periodically so the
 per-iteration cost model stays stochastic.
 """
 
@@ -116,7 +116,7 @@ def default_x0(n: int, rng: np.random.Generator) -> Vector:
 def run(config: RunConfig) -> RunResult:
     """Iterate x <- x + alpha d until a tolerance, the cap, or a stall.
 
-    Each iteration draws one batch, evaluates its value and gradient once,
+    Each iteration draws one component, evaluates its value and gradient once,
     forms one safeguarded direction, runs one backtracking search, and takes
     one step. Convergence is decided on the periodic exact-oracle samples
     (batch gradients vanish spuriously only where stopping is correct anyway);
@@ -164,9 +164,9 @@ def run(config: RunConfig) -> RunResult:
                 status = verdict
                 break
 
-        batch = sampler.draw()
-        # The search runs on phi(a) = f_B(x + a d); see evaluate_batch.
-        f_b, g_b, ray = evaluate_batch(problem, batch, x)
+        i = sampler.draw()
+        # The search runs on phi(a) = f_i(x + a d); see evaluate_batch.
+        f_b, g_b, ray = evaluate_batch(problem, i, x)
         outcome = safeguarded_direction(state, g_b, x, config.sgr)
         d = outcome.d
         g_norm, d_norm, dTg = outcome.g_norm, outcome.d_norm, outcome.dTg

@@ -1,7 +1,7 @@
 """Finite-sum objectives f(x) = (1/N) sum_i f_i(x) with exact component oracles.
 
-Problems expose per-component values and gradients, mini-batch averages, and
-an exact full-sum oracle. The synthetic generators plant a minimizer shared by
+Problems expose per-component values and gradients, the search ray of one
+sampled component, and an exact full-sum oracle. The synthetic generators plant a minimizer shared by
 every component, so the interpolation property holds by construction and the
 smoothness / gradient-domination constants are known analytically where the
 structure permits.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -31,7 +32,6 @@ __all__ = [
     "Vector",
     "as_vector",
     "KnownConstants",
-    "Batch",
     "BatchSampler",
     "FiniteSumProblem",
     "ResidualProblem",
@@ -81,27 +81,12 @@ class KnownConstants:
     x_star: Vector | None = None
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Multiset of component indices (0-based); duplicates are allowed."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.indices) == 0:
-            raise InvalidBatchError("batch must contain at least one index")
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-
 class BatchSampler:
-    """Uniform singleton batches, deterministic for a fixed seed.
+    """Uniform component index draws (0-based), deterministic for a fixed seed.
 
     Indices are drawn BLOCK at a time from the same generator. One call for
     BLOCK integers yields the same stream as BLOCK calls for one each, so the
-    batch sequence does not depend on the block size.
+    index sequence does not depend on the block size.
     """
 
     BLOCK = 256
@@ -111,12 +96,11 @@ class BatchSampler:
             raise InvalidSpecError(f"N must be >= 1, got {N}")
         self.N = int(N)
         self._rng = np.random.default_rng(seed)
-        self._pending: list[Batch] = []
+        self._pending: list[int] = []
 
-    def draw(self) -> Batch:
+    def draw(self) -> int:
         if not self._pending:
-            block = self._rng.integers(0, self.N, size=self.BLOCK)
-            self._pending = [Batch((i,)) for i in reversed(block.tolist())]
+            self._pending = self._rng.integers(0, self.N, size=self.BLOCK).tolist()[::-1]
         return self._pending.pop()
 
 
@@ -124,8 +108,8 @@ class FiniteSumProblem:
     """Average of N differentiable components with exact oracles.
 
     ``components`` is a sequence of (value, grad) callable pairs; generated
-    families subclass this and override the bulk evaluation paths with
-    vectorized code, in which case ``components`` may be omitted.
+    families subclass this and override every oracle with vectorized code,
+    in which case ``components`` may be omitted.
 
     ``component_grads(x)`` returns the N x n matrix of component gradients
     in a new array that the caller owns: it shares no memory with the
@@ -159,42 +143,33 @@ class FiniteSumProblem:
         return self._N
 
     # Per-component primitives. Subclasses either rely on the callables or
-    # override these together with the bulk paths below.
+    # override these together with the paths below.
     def component_value(self, i: int, x: Vector) -> float:
         return float(self._components[i][0](x))
 
     def component_grad(self, i: int, x: Vector) -> Vector:
         return np.asarray(self._components[i][1](x), dtype=np.float64)
 
-    # Bulk paths; default implementations loop over the primitives.
-    def batch_value(self, indices: Sequence[int], x: Vector) -> float:
-        return sum(self.component_value(i, x) for i in indices) / len(indices)
+    def batch_eval_ray(self, i: int, x: Vector):
+        """f_i(x), g_i(x) and ``ray``, where ray(d) is phi(a) = f_i(x + a d).
 
-    def batch_eval(self, indices: Sequence[int], x: Vector) -> tuple[float, Vector]:
-        f = 0.0
-        g = np.zeros(self.n)
-        for i in indices:
-            f += self.component_value(i, x)
-            g += self.component_grad(i, x)
-        b = len(indices)
-        return f / b, g / b
-
-    def batch_eval_ray(self, indices: Sequence[int], x: Vector):
-        """f_B(x), g_B(x) and ``ray``, where ray(d) is phi(a) = f_B(x + a d).
-
-        This default forms each trial point and calls batch_value, so a trial
-        costs a full evaluation. ResidualProblem overrides it with a closed
-        form whose trials cost O(|B|) scalar work.
+        This default forms each trial point and calls component_value, so a
+        trial costs a full component evaluation. ResidualProblem overrides it
+        with a closed form whose trials cost a few float operations.
         """
-        f, g = self.batch_eval(indices, x)
 
         def ray(d):
-            return lambda a: self.batch_value(indices, x + a * d)
+            return lambda a: self.component_value(i, x + a * d)
 
-        return f, g, ray
+        return self.component_value(i, x), self.component_grad(i, x), ray
 
     def full_value_grad(self, x: Vector) -> tuple[float, Vector]:
-        return self.batch_eval(range(self.N), x)
+        f = 0.0
+        g = np.zeros(self.n)
+        for i in range(self.N):
+            f += self.component_value(i, x)
+            g += self.component_grad(i, x)
+        return f / self.N, g / self.N
 
     def component_values(self, x: Vector) -> np.ndarray:
         return np.array([self.component_value(i, x) for i in range(self.N)])
@@ -217,13 +192,6 @@ class FiniteSumProblem:
             raise InvalidSpecError(f"gradient norm at x_star is {gn:g} > {grad_tol:g}")
 
 
-def _mean_half_square(r) -> float:
-    """Mean of 0.5 r_i^2 over one float residual or an array of residuals."""
-    if isinstance(r, float):
-        return 0.5 * r * r
-    return 0.5 * float(r @ r) / r.size
-
-
 class ResidualProblem(FiniteSumProblem):
     """Squared residuals f_i(x) = 0.5 (a_i . w(x) - b_i)^2 of features w(x).
 
@@ -237,10 +205,10 @@ class ResidualProblem(FiniteSumProblem):
       itself when w is the identity and there is no scale; s is never
       written to). ``reuse`` is any part of that product the ray may take,
       or None;
-    - ``ray_coefficients(rows, x, d, reuse)``: (c1, c2) such that the
-      residuals of ``rows`` along x + a d are r0 + a (c1 + a c2). ``reuse``
-      is what ``pullback(x, a_i, r)`` returned when the batch is the
-      singleton i and its gradient was just computed, else None;
+    - ``ray_coefficients(row, x, d, reuse)``: (c1, c2) such that the
+      residual of row a_i along x + a d is r0 + a (c1 + a c2). ``reuse`` is
+      what ``pullback(x, a_i, r)`` returned when the gradient of f_i at x
+      was computed;
     - ``component_grads(x)``: the N x n matrix of component gradients, in
       a new array that the caller owns and may overwrite; it must not be
       A or a view of it.
@@ -259,77 +227,51 @@ class ResidualProblem(FiniteSumProblem):
         self.A = A
         self.b = b
 
-    def _residuals(self, indices, x):
-        """The rows named by ``indices`` (all N when None) and their residuals.
+    def _residuals(self, i, x):
+        """Row i and its float residual, or all N rows and residuals when None.
 
-        A single index gives its row and a float residual. float(row @ w)
-        matches the expression the generators plant b_i with, so the residual
-        at the planted minimizer is exactly zero.
+        float(row @ w) matches the expression the generators plant b_i with,
+        so the residual at the planted minimizer is exactly zero.
         """
         w = self.features(x)
-        if indices is None:
+        if i is None:
             return self.A, self.A @ w - self.b
-        if len(indices) == 1:
-            i = indices[0]
-            return self.A[i], float(self.A[i] @ w) - float(self.b[i])
-        idx = np.asarray(indices)
-        rows = self.A[idx]
-        return rows, rows @ w - self.b[idx]
-
-    def _eval(self, indices, x):
-        """f_B, g_B and what a ray at x reuses of their residual pass.
-
-        That is the rows, the residuals and, for a singleton, what the
-        pullback of its gradient r J_w(x)^T a_i offers (None for a larger
-        batch).
-        """
-        rows, r = self._residuals(indices, x)
-        if isinstance(r, float):
-            g, reuse = self.pullback(x, rows, r)
-            return 0.5 * r * r, g, (rows, r, reuse)
-        g = self.pullback(x, (rows.T @ r) / r.size)[0]
-        return _mean_half_square(r), g, (rows, r, None)
+        return self.A[i], float(self.A[i] @ w) - float(self.b[i])
 
     def component_value(self, i, x):
-        return _mean_half_square(self._residuals((i,), x)[1])
+        r = self._residuals(i, x)[1]
+        return 0.5 * r * r
 
     def component_grad(self, i, x):
-        return self._eval((i,), x)[1]
+        row, r = self._residuals(i, x)
+        return self.pullback(x, row, r)[0]
 
-    def batch_value(self, indices, x):
-        return _mean_half_square(self._residuals(indices, x)[1])
+    def batch_eval_ray(self, i, x):
+        """f_i, g_i and a closed-form ``ray``: a trial is a few float operations.
 
-    def batch_eval(self, indices, x):
-        f, g, _ = self._eval(indices, x)
-        return f, g
-
-    def batch_eval_ray(self, indices, x):
-        """batch_eval and a closed-form ``ray``: trials cost O(|B|) scalar work.
-
-        One residual pass serves both: the ray takes the rows and residuals
-        the gradient was computed from.
+        One residual pass serves both: the ray takes the row and residual the
+        gradient was computed from, and what its pullback offers.
         """
-        f, g, (rows, r0, reuse) = self._eval(indices, x)
-        return f, g, functools.partial(self._ray, rows, r0, reuse, x)
+        row, r0 = self._residuals(i, x)
+        g, reuse = self.pullback(x, row, r0)
+        return 0.5 * r0 * r0, g, functools.partial(self._ray, row, r0, reuse, x)
 
-    def _ray(self, rows, r0, reuse, x, d):
-        # Residuals are quadratic along the ray; r0 comes from the expressions
-        # batch_value uses, so phi(0) is its f_B(x).
-        c1, c2 = self.ray_coefficients(rows, x, d, reuse)
-        if isinstance(r0, float):
-            # _mean_half_square of a float residual, inlined: a trial is then
-            # a few float operations and no call.
-            c1, c2 = float(c1), float(c2)
+    def _ray(self, row, r0, reuse, x, d):
+        # The residual is quadratic along the ray; r0 comes from the
+        # expression component_value uses, so phi(0) is its f_i(x).
+        c1, c2 = self.ray_coefficients(row, x, d, reuse)
+        c1, c2 = float(c1), float(c2)
 
-            def phi(a):
-                r = r0 + a * (c1 + a * c2)
-                return 0.5 * r * r
+        def phi(a):
+            r = r0 + a * (c1 + a * c2)
+            return 0.5 * r * r
 
-            return phi
-        return lambda a: _mean_half_square(r0 + a * (c1 + a * c2))
+        return phi
 
     def full_value_grad(self, x):
-        return self.batch_eval(None, x)
+        rows, r = self._residuals(None, x)
+        g = self.pullback(x, (rows.T @ r) / r.size)[0]
+        return 0.5 * float(r @ r) / r.size, g
 
     def component_values(self, x):
         r = self._residuals(None, x)[1]
@@ -341,7 +283,8 @@ class LeastSquaresProblem(ResidualProblem):
 
     # bench/tracer.py wraps batch_value and component_grads where each
     # concrete class defines them, so both are bound in this class body.
-    batch_value = ResidualProblem.batch_value
+    # Nothing else reads batch_value.
+    batch_value = ResidualProblem.component_value
 
     def features(self, x):
         return x
@@ -349,8 +292,8 @@ class LeastSquaresProblem(ResidualProblem):
     def pullback(self, x, s, scale=None):
         return (s if scale is None else scale * s), None
 
-    def ray_coefficients(self, rows, x, d, reuse):
-        return rows @ d, 0.0
+    def ray_coefficients(self, row, x, d, reuse):
+        return row @ d, 0.0
 
     def component_grads(self, x):
         r = self._residuals(None, x)[1]
@@ -367,7 +310,8 @@ class TwoFactorProblem(ResidualProblem):
 
     # bench/tracer.py wraps batch_value and component_grads where each
     # concrete class defines them, so both are bound in this class body.
-    batch_value = ResidualProblem.batch_value
+    # Nothing else reads batch_value.
+    batch_value = ResidualProblem.component_value
 
     def __init__(self, n_u: int, n_v: int, A, b, known: KnownConstants | None = None):
         if n_u < 1 or n_v < 1:
@@ -389,7 +333,7 @@ class TwoFactorProblem(ResidualProblem):
         # J_w(x)^T s = (V s, u s^T), written into g. The V block gets s in
         # each row, then is multiplied by u in place: s_k u_j is the float
         # u_j s_k of np.outer(u, s), with one ufunc iterator buffer where
-        # np.outer takes two, and faster. A singleton ray reuses V s.
+        # np.outer takes two, and faster. The ray reuses V s.
         u, V = self.unpack(x)
         Vs = V @ s
         g = np.empty(self.n)
@@ -403,15 +347,14 @@ class TwoFactorProblem(ResidualProblem):
             GV *= scale
         return g, Vs
 
-    def ray_coefficients(self, rows, x, d, reuse):
-        # With P = V a_i and Q = dV a_i per row, (u + a du)(V + a dV) a_i
-        # - b_i = r0 + a (du . P + u . Q) + a^2 (du . Q). A singleton's
-        # pullback hands over P = V a_i as ``reuse``.
-        u, V = self.unpack(x)
+    def ray_coefficients(self, row, x, d, reuse):
+        # With P = V a_i and Q = dV a_i, (u + a du)(V + a dV) a_i - b_i
+        # = r0 + a (du . P + u . Q) + a^2 (du . Q). The pullback of the
+        # gradient hands over P as ``reuse``.
+        u = self.unpack(x)[0]
         du, dV = self.unpack(d)
-        P = V @ rows.T if reuse is None else reuse
-        Q = dV @ rows.T
-        return du @ P + u @ Q, du @ Q
+        Q = dV @ row
+        return du @ reuse + u @ Q, du @ Q
 
     def component_grads(self, x):
         u, V = self.unpack(x)
@@ -421,31 +364,24 @@ class TwoFactorProblem(ResidualProblem):
         return np.hstack([Gu, GV])
 
 
-def _check_batch(problem: FiniteSumProblem, batch) -> tuple[int, ...]:
-    raw = batch.indices if isinstance(batch, Batch) else tuple(batch)
-    if len(raw) == 0:
-        raise InvalidBatchError("batch must contain at least one index")
-    indices = tuple(map(int, raw))
-    if min(indices) < 0 or max(indices) >= problem.N:
-        bad = next(r for r, i in zip(raw, indices) if not 0 <= i < problem.N)
-        raise InvalidBatchError(
-            f"index {bad} outside [0, {problem.N - 1}] for this problem"
-        )
-    return indices
-
-
-def evaluate_batch(problem: FiniteSumProblem, batch, x):
-    """Mean value, gradient and search ray of the components named by ``batch``.
+def evaluate_batch(problem: FiniteSumProblem, i, x):
+    """Value, gradient and search ray of the sampled component ``i``.
 
     Returns (f, g, ray) at ``x`` from ``problem.batch_eval_ray``; ray(d) is
-    the search function phi(a) = f_B(x + a d).
+    the search function phi(a) = f_i(x + a d). ``i`` must be an integer
+    (operator.index accepts it) in [0, N).
     """
-    indices = _check_batch(problem, batch)
+    try:
+        k = operator.index(i)
+    except TypeError:
+        raise InvalidBatchError(f"component index must be an integer, got {i!r}") from None
+    if not 0 <= k < problem.N:
+        raise InvalidBatchError(f"index {k} outside [0, {problem.N - 1}] for this problem")
     xv = as_vector(x, problem.n)
-    f, g, ray = problem.batch_eval_ray(indices, xv)
+    f, g, ray = problem.batch_eval_ray(k, xv)
     g = np.asarray(g, dtype=np.float64)
     if not math.isfinite(f) or not _all_finite(g):
-        raise NumericDomainError(f"non-finite batch evaluation at indices {indices}")
+        raise NumericDomainError(f"non-finite evaluation of component {k}")
     return float(f), g, ray
 
 

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from slsopt import (
-    Batch,
     DirectionState,
     SgrParams,
     evaluate_batch,
@@ -30,7 +29,7 @@ def wide():
     p = gen_nonconvex_interpolating(100, 200, 200, seed=2024)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(p.n) / np.sqrt(p.n)
-    g = evaluate_batch(p, Batch((3,)), x)[1]
+    g = evaluate_batch(p, 3, x)[1]
     return p, x, g
 
 
@@ -53,7 +52,7 @@ class TestOracleAllocations:
     # then a scaled copy, then a boolean array for the finiteness check.
     def test_evaluate_batch(self, wide):
         p, x, _ = wide
-        peak, _ = _peak_vectors(lambda: evaluate_batch(p, Batch((7,)), x), p.n)
+        peak, _ = _peak_vectors(lambda: evaluate_batch(p, 7, x), p.n)
         assert 1.0 <= peak <= 1.5
 
     def test_full_oracle(self, wide):

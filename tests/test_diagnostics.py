@@ -13,7 +13,6 @@ from slsopt import (
     LeastSquaresProblem,
     TheoremConstants,
     c3_from_moments,
-    check_interpolation,
     compute_eta,
     estimate_c3,
     estimate_pl,
@@ -257,28 +256,6 @@ class TestComputeEta:
     def test_rho_below_one_rejected(self):
         with pytest.raises(DomainError):
             constants_with(rho=0.5)
-
-
-class TestCheckInterpolation:
-    def test_generator_minimizer(self):
-        p = gen_interpolating_least_squares(5, 9, seed=13, singular_values=[1.0, 2.0])
-        holds, _, worst = check_interpolation(p, p.known.x_star, tol=1e-10)
-        assert holds
-        assert worst == 0.0
-
-    def test_perturbed_point_fails(self):
-        p = gen_interpolating_least_squares(5, 9, seed=13, singular_values=[1.0, 2.0])
-        x = p.known.x_star.copy()
-        x[0] += 1e-2
-        holds, worst_i, worst = check_interpolation(p, x, tol=1e-10)
-        assert not holds
-        assert 0 <= worst_i < p.N
-        assert worst > 0
-
-    def test_single_component_at_own_minimizer(self):
-        single = LeastSquaresProblem(A=np.array([[1.0, 2.0]]), b=np.array([0.0]))
-        holds, _, worst = check_interpolation(single, np.zeros(2), tol=1e-12)
-        assert holds and worst == 0.0
 
 
 class TestFrozenRule:

@@ -207,25 +207,24 @@ class TestRun:
 
 
 class CountingProblem(FiniteSumProblem):
-    """Delegating wrapper that counts stochastic oracle calls.
+    """Delegating wrapper that counts stochastic value calls.
 
-    It takes the generic search ray, which calls batch_value once per trial.
+    It takes the generic search ray, which calls component_value once at x
+    and once per trial.
     """
 
     def __init__(self, inner):
         super().__init__(n=inner.n, N=inner.N, known=inner.known)
         self.inner = inner
-        self.batch_eval_calls = 0
-        self.batch_value_calls = 0
+        self.component_value_calls = 0
         self.full_calls = 0
 
-    def batch_eval(self, indices, x):
-        self.batch_eval_calls += 1
-        return self.inner.batch_eval(indices, x)
+    def component_value(self, i, x):
+        self.component_value_calls += 1
+        return self.inner.component_value(i, x)
 
-    def batch_value(self, indices, x):
-        self.batch_value_calls += 1
-        return self.inner.batch_value(indices, x)
+    def component_grad(self, i, x):
+        return self.inner.component_grad(i, x)
 
     def full_value_grad(self, x):
         self.full_calls += 1
@@ -239,26 +238,26 @@ class TestEvaluationBudget:
         res = run(cfg)
         assert all(r.g_batch_norm > 0 for r in res.trajectory)
         expected = sum(r.backtracks + 2 for r in res.trajectory)
-        assert counted.batch_eval_calls + counted.batch_value_calls == expected
+        assert counted.component_value_calls == expected
 
 
 class TestRayOracle:
     def test_searches_use_the_closed_form_ray(self):
-        calls = {"batch_value": 0, "batch_eval_ray": 0}
+        calls = {"component_value": 0, "batch_eval_ray": 0}
 
         class Counted(LeastSquaresProblem):
-            def batch_value(self, indices, x):
-                calls["batch_value"] += 1
-                return super().batch_value(indices, x)
+            def component_value(self, i, x):
+                calls["component_value"] += 1
+                return super().component_value(i, x)
 
-            def batch_eval_ray(self, indices, x):
+            def batch_eval_ray(self, i, x):
                 calls["batch_eval_ray"] += 1
-                return super().batch_eval_ray(indices, x)
+                return super().batch_eval_ray(i, x)
 
         inner = small_instance()
         counted = Counted(inner.A, inner.b, inner.known)
         res = run(base_config(counted, max_iters=40, grad_tol=0.0, fgap_tol=0.0))
-        assert calls == {"batch_value": 0, "batch_eval_ray": len(res.trajectory)}
+        assert calls == {"component_value": 0, "batch_eval_ray": len(res.trajectory)}
 
     @pytest.mark.parametrize("family", ["least_squares", "two_factor"])
     def test_one_residual_pass_per_iteration(self, monkeypatch, family):
@@ -271,9 +270,9 @@ class TestRayOracle:
         calls = []
         real = ResidualProblem._residuals
 
-        def spy(self, indices, x):
-            calls.append(indices)
-            return real(self, indices, x)
+        def spy(self, i, x):
+            calls.append(i)
+            return real(self, i, x)
 
         monkeypatch.setattr(ResidualProblem, "_residuals", spy)
         cfg = base_config(
@@ -300,8 +299,8 @@ class TestMonotoneBatchDecrease:
         log = []
 
         class Recording(CountingProblem):
-            def batch_value(self, indices, x):
-                v = super().batch_value(indices, x)
+            def component_value(self, i, x):
+                v = super().component_value(i, x)
                 log.append(v)
                 return v
 
@@ -310,14 +309,17 @@ class TestMonotoneBatchDecrease:
         cfg = base_config(counted, max_iters=60, grad_tol=0.0, fgap_tol=0.0,
                           linesearch=LineSearchParams(gamma=gamma, delta=0.5, alpha_max=10.0))
         res = run(cfg)
-        # the last trial of each iteration is the accepted point
+        # each iteration logs f_i(x), then its trials; the last trial is
+        # the accepted point
         pos = 0
         for r in res.trajectory:
+            assert log[pos] == r.f_batch
             trial_count = r.backtracks + 1
-            accepted = log[pos + trial_count - 1]
-            pos += trial_count
+            accepted = log[pos + trial_count]
+            pos += 1 + trial_count
             assert accepted <= r.f_batch + gamma * r.alpha * r.dTg
             assert accepted < r.f_batch
+        assert pos == len(log)
 
 
 class TestContractionEstimate:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from slsopt import (
-    Batch,
     BatchSampler,
     DirectionState,
     FiniteSumProblem,
@@ -25,7 +25,7 @@ from slsopt.errors import (
     NumericDomainError,
     ShapeError,
 )
-from slsopt.problems import _all_finite, _mean_half_square, as_vector
+from slsopt.problems import _all_finite, as_vector
 
 from conftest import central_diff_grad, make_toy2
 
@@ -34,37 +34,23 @@ class TestEvaluateBatch:
     def test_single_row_least_squares(self):
         # f(x) = (a.x - b)^2 / 2 with a = (1, 0), b = 0 at x = (2, 3)
         p = LeastSquaresProblem(A=np.array([[1.0, 0.0]]), b=np.array([0.0]))
-        f, g, _ = evaluate_batch(p, Batch((0,)), np.array([2.0, 3.0]))
+        f, g, _ = evaluate_batch(p, 0, np.array([2.0, 3.0]))
         assert f == 2.0
         assert np.array_equal(g, np.array([2.0, 0.0]))
 
     def test_singleton_gradient_vanishes_at_planted_minimizer(self):
         p = gen_interpolating_least_squares(6, 10, seed=5, singular_values=[1.0, 2.0])
         for i in range(p.N):
-            _, g, _ = evaluate_batch(p, Batch((i,)), p.known.x_star)
+            _, g, _ = evaluate_batch(p, i, p.known.x_star)
             assert np.all(g == 0.0)
-
-    def test_two_component_full_batch(self, toy2):
-        f, g, _ = evaluate_batch(toy2, Batch((0, 1)), np.array([1.0]))
-        assert f == 0.75
-        assert g[0] == 1.5
-
-    def test_duplicate_indices_count_twice(self, toy2):
-        f, g, _ = evaluate_batch(toy2, Batch((1, 1)), np.array([1.0]))
-        assert f == 1.0
-        assert g[0] == 2.0
 
     def test_out_of_range_index(self, toy2):
         with pytest.raises(InvalidBatchError):
-            evaluate_batch(toy2, Batch((2,)), np.array([1.0]))
-
-    def test_empty_batch(self, toy2):
-        with pytest.raises(InvalidBatchError):
-            evaluate_batch(toy2, (), np.array([1.0]))
+            evaluate_batch(toy2, 2, np.array([1.0]))
 
     def test_wrong_dimension(self, toy2):
         with pytest.raises(ShapeError):
-            evaluate_batch(toy2, Batch((0,)), np.array([1.0, 2.0]))
+            evaluate_batch(toy2, 0, np.array([1.0, 2.0]))
 
     def test_non_finite_evaluation(self):
         bad = FiniteSumProblem(
@@ -72,44 +58,50 @@ class TestEvaluateBatch:
             components=[(lambda x: float("inf"), lambda x: np.array([1.0]))],
         )
         with pytest.raises(NumericDomainError):
-            evaluate_batch(bad, Batch((0,)), np.array([1.0]))
+            evaluate_batch(bad, 0, np.array([1.0]))
 
 
 class TestEvaluateBatchChecks:
-    """Every input check of the batch and full oracles, each on its own."""
+    """Every input check of the sampled and full oracles, each on its own."""
 
-    @pytest.mark.parametrize(
-        "indices, named",
-        [((0, 5, -1), "index 5 "), ((1, -1, 7), "index -1 "), ((2,), "index 2 ")],
-    )
-    def test_error_names_the_first_bad_index(self, toy2, indices, named):
-        with pytest.raises(InvalidBatchError, match=named):
-            evaluate_batch(toy2, indices, np.array([1.0]))
+    @pytest.mark.parametrize("i", [2, -1, np.int64(5)])
+    def test_error_names_the_bad_index(self, toy2, i):
+        with pytest.raises(InvalidBatchError, match=f"index {int(i)} "):
+            evaluate_batch(toy2, i, np.array([1.0]))
 
-    def test_numpy_integer_indices_match_python_ints(self, toy2):
-        x = np.array([1.5])
-        f, g, _ = evaluate_batch(toy2, np.array([0, 1, 1]), x)
-        f_ref, g_ref, _ = evaluate_batch(toy2, Batch((0, 1, 1)), x)
-        assert f == f_ref and np.array_equal(g, g_ref)
+    @pytest.mark.parametrize("i", [1.5, 2.0, np.float64(2.0), "2", (1,), None])
+    def test_non_integer_index_is_rejected(self, i):
+        # int() would truncate 1.5 and parse "2"; the check takes only what
+        # operator.index accepts, and names the value it refused
+        p = gen_interpolating_least_squares(4, 6, seed=1, singular_values=[1.0])
+        with pytest.raises(InvalidBatchError, match="integer, got " + re.escape(repr(i))):
+            evaluate_batch(p, i, np.zeros(6))
+
+    def test_numpy_integer_indices_match_python_ints(self):
+        p = gen_interpolating_least_squares(4, 6, seed=1, singular_values=[1.0])
+        x = np.linspace(-1.0, 1.0, 6)
+        f, g, _ = evaluate_batch(p, np.int64(2), x)
+        f_ref, g_ref, _ = evaluate_batch(p, 2, x)
+        assert f == f_ref and g.tobytes() == g_ref.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_x(self, toy2, bad):
         with pytest.raises(NumericDomainError):
-            evaluate_batch(toy2, Batch((0,)), np.array([bad]))
+            evaluate_batch(toy2, 0, np.array([bad]))
         with pytest.raises(NumericDomainError):
             full_oracle(toy2, np.array([bad]))
 
     def test_x_of_the_wrong_shape(self, toy2):
         with pytest.raises(ShapeError):
-            evaluate_batch(toy2, Batch((0,)), np.array([[1.0]]))
+            evaluate_batch(toy2, 0, np.array([[1.0]]))
         with pytest.raises(ShapeError):
             full_oracle(toy2, np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gradient(self, bad):
         p = FiniteSumProblem(n=2, components=[(lambda x: 1.0, lambda x: np.array([0.0, bad]))])
-        with pytest.raises(NumericDomainError, match="indices"):
-            evaluate_batch(p, Batch((0,)), np.zeros(2))
+        with pytest.raises(NumericDomainError, match="evaluation of component 0"):
+            evaluate_batch(p, 0, np.zeros(2))
         with pytest.raises(NumericDomainError):
             full_oracle(p, np.zeros(2))
 
@@ -119,17 +111,18 @@ class TestEvaluateBatchChecks:
             full_oracle(p, np.zeros(1))
 
     def test_singleton_ray_matches_the_mean_half_square(self):
-        # the singleton ray inlines 0.5 r^2; it must give the floats the
-        # shared helper gives for the same residual
+        # the ray evaluates 0.5 r^2 of the residual r0 + a (c1 + a c2); it
+        # must give the floats of that expression written out here
         p = gen_interpolating_least_squares(5, 9, seed=3, singular_values=[1.0, 3.0])
         rng = np.random.default_rng(4)
         x, d = rng.standard_normal(9), rng.standard_normal(9)
         for i in range(p.N):
-            phi = evaluate_batch(p, Batch((i,)), x)[2](d)
+            phi = evaluate_batch(p, i, x)[2](d)
             r0 = float(p.A[i] @ x) - float(p.b[i])
             c1 = float(p.A[i] @ d)
             for a in (0.0, 1e-3, 0.5, 10.0):
-                assert phi(a) == _mean_half_square(r0 + a * (c1 + a * 0.0))
+                r = r0 + a * (c1 + a * 0.0)
+                assert phi(a) == 0.5 * r * r
 
 
 class TestFullOracle:
@@ -148,7 +141,7 @@ class TestFullOracle:
         p = LeastSquaresProblem(A=np.array([[2.0, 1.0]]), b=np.array([0.5]))
         x = np.array([0.3, -0.7])
         f_full, g_full = full_oracle(p, x)
-        f_batch, g_batch, _ = evaluate_batch(p, Batch((0,)), x)
+        f_batch, g_batch, _ = evaluate_batch(p, 0, x)
         assert f_full == f_batch
         assert np.array_equal(g_full, g_batch)
 
@@ -202,7 +195,7 @@ class TestNonconvexGenerator:
     def test_planted_point_is_exactly_interpolating(self):
         p = gen_nonconvex_interpolating(7, 3, 4, seed=1)
         xs = p.known.x_star
-        assert p.batch_value((0,), xs) == 0.0
+        assert p.component_value(0, xs) == 0.0
         for i in range(p.N):
             assert np.all(p.component_grad(i, xs) == 0.0)
 
@@ -246,7 +239,7 @@ class TestUnbiasedness:
         for p in problems:
             for _ in range(20):
                 x = rng.standard_normal(p.n)
-                fs, gs, _ = zip(*(evaluate_batch(p, Batch((i,)), x) for i in range(p.N)))
+                fs, gs, _ = zip(*(evaluate_batch(p, i, x) for i in range(p.N)))
                 f_mean = float(np.mean(fs))
                 g_mean = np.mean(gs, axis=0)
                 f, g = full_oracle(p, x)
@@ -258,7 +251,7 @@ class TestUnbiasedness:
     def test_toy_unbiasedness_property(self, x):
         p = make_toy2()
         xv = np.array([x])
-        f_mean = np.mean([evaluate_batch(p, Batch((i,)), xv)[0] for i in range(2)])
+        f_mean = np.mean([evaluate_batch(p, i, xv)[0] for i in range(2)])
         assert f_mean == pytest.approx(full_oracle(p, xv)[0], rel=1e-12, abs=1e-15)
 
 
@@ -273,8 +266,7 @@ class TestGradientChecks:
             )
             for path, oracle in (
                 ("", full_oracle),
-                ("-singleton_batch_eval", lambda p, x: p.batch_eval((1,), x)),
-                ("-duplicate_batch_eval", lambda p, x: p.batch_eval((0, 2, 0), x)),
+                ("-singleton_batch_eval", lambda p, x: evaluate_batch(p, 1, x)[:2]),
                 ("-component_grads_mean", lambda p, x: (p.component_values(x).mean(), p.component_grads(x).mean(axis=0))),
             )
         ],
@@ -340,8 +332,9 @@ class TestBatchSampler:
         s = BatchSampler(N, seed=seed)
         ref = np.random.default_rng(seed)
         for _ in range(draws):
-            expected = tuple(int(i) for i in ref.integers(0, N, size=1))
-            assert s.draw().indices == expected
+            expected = int(ref.integers(0, N, size=1)[0])
+            i = s.draw()
+            assert type(i) is int and i == expected
 
 
 U = np.finfo(np.float64).eps / 2.0
@@ -353,29 +346,29 @@ def _ray_instance(family, seed):
     return gen_nonconvex_interpolating(6, 3, 4, seed=seed)
 
 
-def _ray(p, idx, x, d):
-    """phi(a) = f_B(x + a d) as the batch oracle builds it."""
-    return p.batch_eval_ray(tuple(idx), x)[2](d)
+def _ray(p, i, x, d):
+    """phi(a) = f_i(x + a d) as the sampled oracle builds it."""
+    return p.batch_eval_ray(i, x)[2](d)
 
 
-def _residual_envelope(p, idx, x, d, a):
-    """Exact-path residuals at x + a d and a bound on |ray - exact| per row.
+def _residual_envelope(p, i, x, d, a):
+    """Exact-path residual at x + a d and a bound on |ray - exact|.
 
     Both paths sum the same products in a different order, so each is within
-    gamma_k of the sum of their absolute values, M_i; the bound is twice
-    gamma_k M_i, with k the number of rounded operations per residual.
+    gamma_k of the sum of their absolute values, M; the bound is twice
+    gamma_k M, with k the number of rounded operations per residual.
     """
-    A, b = p.A[list(idx)], p.b[list(idx)]
+    a_i, b_i = p.A[i], p.b[i]
     y = x + a * d
     if isinstance(p, LeastSquaresProblem):
-        r = A @ y - b
-        M = np.abs(A) @ (np.abs(x) + abs(a) * np.abs(d)) + np.abs(b)
+        r = a_i @ y - b_i
+        M = np.abs(a_i) @ (np.abs(x) + abs(a) * np.abs(d)) + abs(b_i)
         k = p.n + 4
     else:
         u, V = p.unpack(y)
-        r = A @ (u @ V) - b
+        r = a_i @ (u @ V) - b_i
         (xu, xV), (du, dV) = p.unpack(np.abs(x)), p.unpack(np.abs(d))
-        M = np.abs(A) @ ((xu + abs(a) * du) @ (xV + abs(a) * dV)) + np.abs(b)
+        M = np.abs(a_i) @ ((xu + abs(a) * du) @ (xV + abs(a) * dV)) + abs(b_i)
         k = p.n_u + p.n_v + 6
     gamma = k * U / (1.0 - k * U)
     return r, 2.0 * gamma * M
@@ -385,27 +378,25 @@ class TestBatchRay:
     @given(
         family=st.sampled_from(["least_squares", "two_factor"]),
         seed=st.integers(0, 2**16),
-        idx=st.lists(st.integers(0, 5), min_size=1, max_size=5),
+        i=st.integers(0, 5),
         scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e3]),
         alpha0=st.floats(1e-3, 10.0),
         j=st.integers(0, 60),
     )
     @settings(max_examples=300, deadline=None)
-    def test_ray_matches_exact_path_within_rounding(self, family, seed, idx, scale, alpha0, j):
+    def test_ray_matches_exact_path_within_rounding(self, family, seed, i, scale, alpha0, j):
         p = _ray_instance(family, seed % 7)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(p.n)
         d = scale * rng.standard_normal(p.n)
-        idx = tuple(idx)
-        phi = _ray(p, idx, x, d)
-        # phi(0) is the batch value at x bit for bit, on every path
-        assert phi(0.0) == p.batch_value(idx, x)
-        if len(idx) == 1:
-            assert phi(0.0) == evaluate_batch(p, Batch(idx), x)[0]
+        phi = _ray(p, i, x, d)
+        # phi(0) is the component value at x bit for bit
+        assert phi(0.0) == p.component_value(i, x)
+        assert phi(0.0) == evaluate_batch(p, i, x)[0]
         a = alpha0 * 0.5**j
-        r, E = _residual_envelope(p, idx, x, d, a)
-        tol = float(np.mean(E * (np.abs(r) + E))) + 4 * U * float(np.mean(r * r))
-        assert abs(phi(a) - p.batch_value(idx, x + a * d)) <= tol
+        r, E = _residual_envelope(p, i, x, d, a)
+        tol = float(E * (abs(r) + E)) + 4 * U * float(r * r)
+        assert abs(phi(a) - p.component_value(i, x + a * d)) <= tol
 
     @given(
         family=st.sampled_from(["least_squares", "two_factor"]),
@@ -414,13 +405,20 @@ class TestBatchRay:
     )
     @settings(max_examples=100, deadline=None)
     def test_reused_residual_gradient_gives_the_same_coefficients(self, family, seed, i):
-        # a singleton ray reuses J_w(x)^T a_i from the gradient's residual
-        # pass; the coefficients must be the floats a fresh pass gives
+        # the ray reuses J_w(x)^T a_i from the gradient's residual pass; the
+        # coefficients must be the floats of a fresh V a_i
         p = _ray_instance(family, seed % 7)
         rng = np.random.default_rng(seed)
         x, d = rng.standard_normal(p.n), rng.standard_normal(p.n)
-        rows, _, grad_r = p._eval((i,), x)[2]
-        assert p.ray_coefficients(rows, x, d, grad_r) == p.ray_coefficients(rows, x, d, None)
+        row, r = p._residuals(i, x)
+        reuse = p.pullback(x, row, r)[1]
+        if family == "least_squares":
+            want = (row @ d, 0.0)
+        else:
+            (u, V), (du, dV) = p.unpack(x), p.unpack(d)
+            Q = dV @ row
+            want = (du @ (V @ row) + u @ Q, du @ Q)
+        assert p.ray_coefficients(row, x, d, reuse) == want
 
     def test_least_squares_singleton_is_exact_at_zero(self):
         p = gen_interpolating_least_squares(10, 20, seed=3, singular_values=np.full(10, 2.0))
@@ -429,7 +427,7 @@ class TestBatchRay:
             i = int(rng.integers(p.N))
             x = p.known.x_star + 10.0 ** rng.uniform(-16, 0) * rng.standard_normal(p.n)
             d = rng.standard_normal(p.n)
-            assert _ray(p, (i,), x, d)(0.0) == evaluate_batch(p, Batch((i,)), x)[0]
+            assert _ray(p, i, x, d)(0.0) == evaluate_batch(p, i, x)[0]
 
     def test_residual_is_affine_for_least_squares(self):
         # sgd step on one row: r(a) = r0 (1 - a ||a_i||^2), so the trial at
@@ -437,20 +435,21 @@ class TestBatchRay:
         p = LeastSquaresProblem(A=np.array([[1.0, 1.0]]), b=np.array([0.0]))
         for r0 in (1.0, 1e-15, 3e-200):
             x = np.array([r0, 0.0])
-            _, g, _ = evaluate_batch(p, Batch((0,)), x)
-            assert _ray(p, (0,), x, -g)(0.5) == 0.0
+            _, g, _ = evaluate_batch(p, 0, x)
+            assert _ray(p, 0, x, -g)(0.5) == 0.0
 
     @given(
         seed=st.integers(0, 2**16),
-        idx=st.lists(st.integers(0, 1), min_size=1, max_size=4),
+        i=st.integers(0, 1),
         a=st.floats(0.0, 10.0),
     )
     @settings(max_examples=100, deadline=None)
-    def test_base_class_path_is_batch_value(self, seed, idx, a):
+    def test_base_class_path_is_batch_value(self, seed, i, a):
+        # the generic ray evaluates the component at each trial point
         p = make_toy2()
         rng = np.random.default_rng(seed)
         x, d = rng.standard_normal(1), rng.standard_normal(1)
-        assert _ray(p, idx, x, d)(a) == p.batch_value(idx, x + a * d)
+        assert _ray(p, i, x, d)(a) == p.component_value(i, x + a * d)
 
 
 class TestVectorValidation:
@@ -497,8 +496,8 @@ class TestOneBufferOracles:
             u, V = p.unpack(x)
             r = float(a_i @ (u @ V)) - float(p.b[i])
             want = r * np.concatenate([V @ a_i, np.outer(u, a_i).ravel()])
-        assert p.batch_eval((i,), x)[1].tobytes() == want.tobytes()
-        assert evaluate_batch(p, Batch((i,)), x)[1].tobytes() == want.tobytes()
+        assert p.component_grad(i, x).tobytes() == want.tobytes()
+        assert evaluate_batch(p, i, x)[1].tobytes() == want.tobytes()
 
     @given(
         seed=st.integers(0, 2**16),
