@@ -54,6 +54,7 @@ from .optimizer import (
     contraction_estimate,
     fit_geometric_rate,
     run,
+    run_many,
     verify_trace_bounds,
 )
 from .problems import (

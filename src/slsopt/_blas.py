@@ -6,10 +6,10 @@ a fork/join per call, keeps idle workers spinning, and sums in an order that
 depends on the thread count. Inside ``single_thread()`` every BLAS call runs
 on the calling thread, so the result depends on the inputs alone.
 
-``optimizer.run``, each sweep task and both instance generators hold the
-pin. Building under it makes an instance a function of its spec, and it
-keeps the build from waking an OpenBLAS worker that would then spin through
-the run after it. ``diagnose``'s per-point passes keep the library's
+``optimizer.run``, ``optimizer.run_many``, each sweep task and both instance
+generators hold the pin. Building under it makes an instance a function of
+its spec, and it keeps the build from waking an OpenBLAS worker that would
+then spin through the run after it. ``diagnose``'s per-point passes keep the library's
 threads; their output is checked not to depend on the count.
 """
 

@@ -31,6 +31,7 @@ __all__ = [
     "propose_direction",
     "safeguarded_direction",
     "update_memory",
+    "MemoryRows",
 ]
 
 KINDS = ("sgd", "momentum", "cg", "adagrad_diag")
@@ -294,3 +295,114 @@ def update_memory(state: DirectionState, x_old, g, d) -> None:
         if state.accum is not None:
             accum += state.accum
         state.accum = accum
+
+
+class MemoryRows:
+    """The memories of K runs of one recipe, one row each, for lockstep runs.
+
+    Row k holds what run k's DirectionState would: ``x_prev``, ``g_prev``
+    and ``d_prev`` are (K, n) stacks, read where ``has_history`` is True
+    (where the state's fields are set), and ``accum`` is zeros where the
+    state's is None, since 0 + eps is eps and g*g + 0 is g*g. Each method
+    gives every row the floats the one-run function gives that run:
+    ``propose`` those of propose_direction, ``safeguard`` those of
+    safeguarded_direction, ``update`` those of update_memory.
+    """
+
+    # The memory fields each recipe reads.
+    FIELDS = {"sgd": (), "momentum": ("x_prev",), "cg": ("g_prev", "d_prev"), "adagrad_diag": ("accum",)}
+
+    def __init__(self, spec: DirectionState, K: int, n: int):
+        self.spec = spec
+        self.has_history = np.zeros(K, dtype=bool)
+        self.x_prev = self.g_prev = self.d_prev = self.accum = None
+        for name in self.FIELDS[spec.kind]:
+            setattr(self, name, np.zeros((K, n)))
+
+    def propose(self, G, X):
+        """propose_direction for every row, each from its own memory."""
+        spec = self.spec
+        if spec.kind == "adagrad_diag":
+            D = np.add(self.accum, spec.epsilon)
+            np.sqrt(D, out=D)
+            np.divide(G, D, out=D)
+            np.negative(D, out=D)
+            return D
+        if spec.kind == "sgd" or not self.has_history.any():
+            return -G
+        if spec.kind == "momentum":
+            D = np.subtract(X, self.x_prev)
+            D *= spec.beta
+            D -= G
+        else:
+            denom = np.vecdot(self.g_prev, self.g_prev)
+            pr = spec.cg_variant == "pr+"
+            R = G - self.g_prev if pr else G
+            # Per row as in propose_direction: beta_k = 0 where the stored
+            # gradient is zero, pr+ maps NaN and -0.0 to +0.0, and an
+            # overflow is inf, all with no warning, as in float division.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                beta = np.vecdot(G, R) / denom
+            beta[denom == 0.0] = 0.0
+            if pr:
+                beta = np.where(beta > 0.0, beta, 0.0)
+            beta = np.minimum(beta, spec.beta_cap)
+            D = np.multiply(self.d_prev, beta[:, None])
+            D -= G
+        if not self.has_history.all():
+            fresh = ~self.has_history
+            D[fresh] = -G[fresh]
+        return D
+
+    def safeguard(self, D, G, ggs, params: SgrParams):
+        """safeguarded_direction's test and restart on every row of D.
+
+        ggs lists the rows' g.g (np.vecdot(G, G)). The two dots per row are
+        one np.vecdot each; the bounds are then tested in float arithmetic
+        as _measure tests them. Returns the lists (restarted, g_norm, d_norm,
+        dTg). A restarted row gets -g written into its row of D, its norm
+        and slope re-measured, and its history cleared.
+        """
+        g_norm = [math.sqrt(gg) for gg in ggs]
+        d_norm = [math.sqrt(dd) for dd in np.vecdot(D, D).tolist()]
+        dTg = np.vecdot(D, G).tolist()
+        c1, c2 = params.c1, params.c2
+        # Written as not (lhs <= rhs), so that a non-finite operand fails.
+        restarted = [
+            not dn <= c1 * gn or not dg <= -c2 * gg for gn, dn, dg, gg in zip(g_norm, d_norm, dTg, ggs)
+        ]
+        for k in [k for k, failed in enumerate(restarted) if failed]:
+            d = D[k]
+            np.negative(G[k], out=d)
+            d_norm[k], dTg[k] = math.sqrt(float(d.dot(d))), float(d.dot(G[k]))
+            self.has_history[k] = False
+        return restarted, g_norm, d_norm, dTg
+
+    def update(self, step, X, G, D):
+        """update_memory on the rows where ``step`` is True (None: on all).
+
+        With every row stepping the stacks are stored by reference; the
+        caller must not write into X, G or D afterwards.
+        """
+        kind = self.spec.kind
+        if kind == "adagrad_diag":
+            if step is None:
+                self.accum += np.multiply(G, G)
+            else:
+                self.accum[step] += np.multiply(G[step], G[step])
+            return
+        if kind == "sgd":
+            return
+        stored = {"x_prev": X, "g_prev": G, "d_prev": D}
+        for name in self.FIELDS[kind]:
+            if step is None:
+                setattr(self, name, stored[name])
+            else:
+                getattr(self, name)[step] = stored[name][step]
+        self.has_history[slice(None) if step is None else step] = True
+
+    def keep(self, rows):
+        """Drop every row not selected by the boolean mask ``rows``."""
+        self.has_history = self.has_history[rows]
+        for name in self.FIELDS[self.spec.kind]:
+            setattr(self, name, getattr(self, name)[rows])

@@ -3,19 +3,28 @@
 One run is strictly sequential and fully determined by its seed: a single
 seed feeds a splittable generator whose children drive the starting point and
 the stream of sampled components. Exact full-sum values are logged only periodically so the
-per-iteration cost model stays stochastic.
+per-iteration cost model stays stochastic. ``run_many`` advances the seeds of
+one config together as the rows of one array, each seed's result that of
+``run`` byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _blas
-from .directions import DirectionState, SgrParams, safeguarded_direction, update_memory
-from .errors import CertificateError, ConfigError, InsufficientDataError, LineSearchStallError
+from .directions import DirectionState, MemoryRows, SgrParams, safeguarded_direction, update_memory
+from .errors import (
+    CertificateError,
+    ConfigError,
+    InsufficientDataError,
+    LineSearchStallError,
+    NumericDomainError,
+    SlsoptError,
+)
 from .linesearch import LineSearchParams, alpha_low, backtrack, jstar, next_alpha0
 from .problems import (
     BatchSampler,
@@ -24,6 +33,7 @@ from .problems import (
     as_vector,
     evaluate_batch,
     full_oracle,
+    ray_phi,
 )
 
 __all__ = [
@@ -31,6 +41,7 @@ __all__ = [
     "IterationRecord",
     "RunResult",
     "run",
+    "run_many",
     "contraction_estimate",
     "fit_geometric_rate",
     "TraceViolation",
@@ -112,6 +123,26 @@ def default_x0(n: int, rng: np.random.Generator) -> Vector:
     return rng.standard_normal(n) / math.sqrt(n)
 
 
+def _start(config: RunConfig, seed: int) -> tuple[Vector, BatchSampler]:
+    """The starting point and the index sampler of the run with this seed."""
+    problem = config.problem
+    init_ss, batch_ss = np.random.SeedSequence(seed).spawn(2)
+    if config.x0 is not None:
+        x = as_vector(config.x0, problem.n, "x0").copy()
+    else:
+        x = default_x0(problem.n, np.random.default_rng(init_ss))
+    return x, BatchSampler(problem.N, seed=batch_ss)
+
+
+def _verdict(config: RunConfig, f_star, f_full, grad_norm) -> str | None:
+    """The converged status an exact sample shows, or None."""
+    if grad_norm <= config.grad_tol:
+        return "converged_grad"
+    if f_star is not None and f_full - f_star <= config.fgap_tol:
+        return "converged_fgap"
+    return None
+
+
 @_blas.single_thread()
 def run(config: RunConfig) -> RunResult:
     """Iterate x <- x + alpha d until a tolerance, the cap, or a stall.
@@ -133,12 +164,7 @@ def run(config: RunConfig) -> RunResult:
     ls = config.linesearch
     every = config.trace_full_oracle_every
 
-    init_ss, batch_ss = np.random.SeedSequence(config.seed).spawn(2)
-    if config.x0 is not None:
-        x = as_vector(config.x0, problem.n, "x0").copy()
-    else:
-        x = default_x0(problem.n, np.random.default_rng(init_ss))
-    sampler = BatchSampler(problem.N, seed=batch_ss)
+    x, sampler = _start(config, config.seed)
     state = config.direction.fresh()
     f_star = problem.known.f_star if problem.known is not None else None
 
@@ -147,19 +173,12 @@ def run(config: RunConfig) -> RunResult:
     status = "max_iters"
     stall = None
 
-    def converged(f_full, grad_norm):
-        if grad_norm <= config.grad_tol:
-            return "converged_grad"
-        if f_star is not None and f_full - f_star <= config.fgap_tol:
-            return "converged_fgap"
-        return None
-
     for k in range(config.max_iters):
         f_full = grad_full_norm = None
         if k % every == 0:
             f_full, grad_full = full_oracle(problem, x)
             grad_full_norm = _norm(grad_full)
-            verdict = converged(f_full, grad_full_norm)
+            verdict = _verdict(config, f_star, f_full, grad_full_norm)
             if verdict is not None:
                 status = verdict
                 break
@@ -180,7 +199,7 @@ def run(config: RunConfig) -> RunResult:
                 f_full, grad_full = full_oracle(problem, x)
                 grad_full_norm = _norm(grad_full)
             alpha, backtracks = 0.0, 0
-            verdict = converged(f_full, grad_full_norm)
+            verdict = _verdict(config, f_star, f_full, grad_full_norm)
         else:
             try:
                 result = backtrack(ray(d), dTg, ls, alpha0, f_b)
@@ -226,6 +245,195 @@ def run(config: RunConfig) -> RunResult:
             break
 
     return RunResult(trajectory=records, final_x=x, status=status, stall=stall)
+
+
+class _Lane:
+    """One seed of a lockstep group: what run keeps outside the stacks."""
+
+    __slots__ = ("seed", "sampler", "records", "prev_result", "result")
+
+    def __init__(self, seed, sampler):
+        self.seed = seed
+        self.sampler = sampler
+        self.records: list[IterationRecord] = []
+        self.prev_result = None
+        self.result: RunResult | None = None
+
+    def finish(self, x, status, stall=None):
+        self.result = RunResult(trajectory=self.records, final_x=x.copy(), status=status, stall=stall)
+
+
+@_blas.single_thread()
+def run_many(config: RunConfig, seeds) -> list[RunResult]:
+    """``run(replace(config, seed=s))`` for each seed s, advanced in lockstep.
+
+    The K seeds' iterates are the rows of one (K, n) stack, and each
+    iteration treats them together: the sampled rows, residuals and
+    gradients, the finiteness checks, the direction recipe (each row with
+    its own memory), the (c1, c2) safeguard with its per-row restart, the
+    ray coefficients and the step are each one operation on the stack.
+    Each seed keeps its own sampler, initial trial step, backtrack call,
+    Armijo certificate, exact trace points and zero-gradient path. A seed
+    that converges, stalls or meets its zero-gradient verdict leaves the
+    stack; the others go on.
+
+    Result i is run(replace(config, seed=seeds[i])) byte for byte: the
+    stacked operations give each row the floats of the one-run operations
+    (see ResidualProblem.batch_eval_rows and MemoryRows), and everything
+    per seed is the code run uses. Every per-iteration check of run is made
+    per row, and its error names the seed. A problem with no stacked
+    oracle (batch_eval_rows is None) runs its seeds one by one. The whole
+    call holds numpy's OpenBLAS to one thread, like run.
+    """
+    seeds = list(seeds)
+    problem = config.problem
+    if problem.batch_eval_rows is None:
+        return [run(replace(config, seed=s)) for s in seeds]
+    ls = config.linesearch
+    sgr = config.sgr
+    every = config.trace_full_oracle_every
+    f_star = problem.known.f_star if problem.known is not None else None
+
+    lanes, starts = [], []
+    for seed in seeds:
+        x, sampler = _start(config, seed)
+        lanes.append(_Lane(seed, sampler))
+        starts.append(x)
+    results = list(lanes)
+    X = np.stack(starts)
+    memory = MemoryRows(config.direction, len(lanes), problem.n)
+
+    for k in range(config.max_iters):
+        K = len(lanes)
+        f_full = [None] * K
+        grad_full_norm = [None] * K
+        if k % every == 0:
+            for j, lane in enumerate(lanes):
+                try:
+                    f_full[j], grad_full = full_oracle(problem, X[j])
+                except SlsoptError as exc:
+                    raise type(exc)(f"seed={lane.seed}: {exc}") from exc
+                grad_full_norm[j] = _norm(grad_full)
+                verdict = _verdict(config, f_star, f_full[j], grad_full_norm[j])
+                if verdict is not None:
+                    lane.finish(X[j], verdict)
+            if any(lane.result is not None for lane in lanes):
+                X, lanes, f_full, grad_full_norm = _drop_finished(X, memory, lanes, f_full, grad_full_norm)
+                K = len(lanes)
+                if not K:
+                    break
+
+        # evaluate_batch's checks, one row each: a finite iterate, then a
+        # finite value and gradient of the sampled component. A finite sum
+        # of the rows' squared norms clears every row at once; the sum is
+        # taken in float arithmetic, which overflows without a warning.
+        xx = np.vecdot(X, X).tolist()
+        j = None if math.isfinite(sum(xx)) else _first_non_finite(X, xx)
+        if j is not None:
+            raise NumericDomainError(f"seed={lanes[j].seed}: x contains non-finite entries")
+        idx = np.array([lane.sampler.draw() for lane in lanes])
+        R0, G, ray_rows = problem.batch_eval_rows(idx, X)
+        r0s = R0.tolist()
+        fs = [0.5 * r0 * r0 for r0 in r0s]
+        ggs = np.vecdot(G, G).tolist()
+        j = None if math.isfinite(sum(fs) + sum(ggs)) else _first_non_finite(G, ggs, fs)
+        if j is not None:
+            raise NumericDomainError(f"seed={lanes[j].seed}: non-finite evaluation of component {idx[j]}")
+        D = memory.propose(G, X)
+        restarts, gns, dns, dTgs = memory.safeguard(D, G, ggs, sgr)
+        c1s, c2s = (v.tolist() for v in ray_rows(D))
+
+        alphas = [0.0] * K
+        stepped = [True] * K
+        finished = False
+        for j, lane in enumerate(lanes):
+            try:
+                alpha0 = next_alpha0(ls, lane.prev_result)
+                verdict = None
+                if gns[j] == 0.0:
+                    # run's zero-gradient path: no search, an exact check now.
+                    if f_full[j] is None:
+                        f_full[j], grad_full = full_oracle(problem, X[j])
+                        grad_full_norm[j] = _norm(grad_full)
+                    alpha, backtracks = 0.0, 0
+                    verdict = _verdict(config, f_star, f_full[j], grad_full_norm[j])
+                    stepped[j] = False
+                else:
+                    f_b, slope = fs[j], dTgs[j]
+                    try:
+                        result = backtrack(ray_phi(r0s[j], c1s[j], c2s[j]), slope, ls, alpha0, f_b)
+                    except LineSearchStallError as exc:
+                        lane.finish(X[j], "stalled", exc)
+                        stepped[j] = False
+                        finished = True
+                        continue
+                    if not result.accepted_f <= f_b + ls.gamma * result.alpha * slope:
+                        raise CertificateError(
+                            f"k={k}: accepted f={result.accepted_f!r} at alpha={result.alpha!r} "
+                            f"exceeds f_B + gamma*alpha*d.g = {f_b + ls.gamma * result.alpha * slope!r}"
+                        )
+                    alpha0, alpha, backtracks = result.alpha0, result.alpha, result.backtracks
+                    alphas[j] = alpha
+                    lane.prev_result = result
+            except SlsoptError as exc:
+                raise type(exc)(f"seed={lane.seed}: {exc}") from exc
+            # The fields in order, positionally: keywords cost a dataclass
+            # about three times as much, and this runs once per seed-iteration.
+            lane.records.append(
+                IterationRecord(
+                    k, f_full[j], grad_full_norm[j], fs[j], gns[j], dns[j], dTgs[j],
+                    alpha0, alpha, backtracks, not restarts[j], restarts[j],
+                )
+            )
+            if verdict is not None:
+                lane.finish(X[j], verdict)
+                finished = True
+
+        # The step and the memory update of run, on the rows that searched;
+        # a row on the zero-gradient path keeps its x and its memory.
+        # alpha d + x is x + alpha d: IEEE addition is commutative.
+        alpha = np.array(alphas)[:, None]
+        if all(stepped):
+            X_new = alpha * D
+            X_new += X
+            memory.update(None, X, G, D)
+        else:
+            step = np.array(stepped)
+            X_new = X.copy()
+            X_new[step] += alpha[step] * D[step]
+            memory.update(step, X, G, D)
+        X = X_new
+        if finished:
+            X, lanes = _drop_finished(X, memory, lanes)
+            if not lanes:
+                break
+
+    for j, lane in enumerate(lanes):
+        lane.finish(X[j], "max_iters")
+    return [lane.result for lane in results]
+
+
+def _drop_finished(X, memory, lanes, *per_lane):
+    """The stack, the memory and the per-lane lists without finished lanes."""
+    keep = [lane.result is None for lane in lanes]
+    memory.keep(np.array(keep))
+    cut = [[v for v, kept in zip(seq, keep) if kept] for seq in (lanes, *per_lane)]
+    return (X[np.array(keep)], *cut)
+
+
+def _first_non_finite(V, squares, values=None) -> int | None:
+    """The first row whose value (if given) or entries are not all finite.
+
+    squares are the rows' v.v. As in problems._all_finite, a finite square
+    settles a row, and only a row whose square is not finite needs the
+    elementwise test.
+    """
+    for j, vv in enumerate(squares):
+        if not (math.isfinite(vv) or np.isfinite(V[j]).all()):
+            return j
+        if values is not None and not math.isfinite(values[j]):
+            return j
+    return None
 
 
 def fit_geometric_rate(ks, gaps) -> tuple[float, float]:

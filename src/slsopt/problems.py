@@ -39,6 +39,7 @@ __all__ = [
     "TwoFactorProblem",
     "evaluate_batch",
     "full_oracle",
+    "ray_phi",
     "gen_interpolating_least_squares",
     "gen_nonconvex_interpolating",
 ]
@@ -177,6 +178,10 @@ class FiniteSumProblem:
     def component_grads(self, x: Vector) -> np.ndarray:
         return np.stack([self.component_grad(i, x) for i in range(self.N)])
 
+    # The stacked oracle optimizer.run_many advances its rows with; a
+    # family without one has its seeds run one by one.
+    batch_eval_rows = None
+
     def validate_known_constants(self, rtol: float = 1e-12, grad_tol: float = 1e-10):
         """Check that the planted minimizer actually attains f_star with zero gradient."""
         k = self.known
@@ -214,6 +219,12 @@ class ResidualProblem(FiniteSumProblem):
       A or a view of it.
 
     ``n`` is the length of x and defaults to the number of columns of A.
+
+    ``batch_eval_rows`` evaluates K components at K points at once. It takes
+    three more hooks, each the one above on a (K, n) stack of points, with
+    every row given the floats of the one-row hook: ``features_rows(X)``,
+    ``pullback_rows(X, rows, R0)`` and ``ray_coefficients_rows(rows, X, D,
+    reuse)``.
     """
 
     def __init__(self, A, b, known: KnownConstants | None = None, n: int | None = None):
@@ -260,13 +271,23 @@ class ResidualProblem(FiniteSumProblem):
         # The residual is quadratic along the ray; r0 comes from the
         # expression component_value uses, so phi(0) is its f_i(x).
         c1, c2 = self.ray_coefficients(row, x, d, reuse)
-        c1, c2 = float(c1), float(c2)
+        return ray_phi(r0, float(c1), float(c2))
 
-        def phi(a):
-            r = r0 + a * (c1 + a * c2)
-            return 0.5 * r * r
+    def batch_eval_rows(self, idx, X):
+        """batch_eval_ray on a stack: row k is component idx[k] at X[k].
 
-        return phi
+        Returns (R0, G, ray_rows): the K residuals, so that f_k is
+        0.5 * R0[k] * R0[k]; the (K, n) gradients; and ray_rows(D), the
+        arrays (C1, C2) of the K rays along the rows of D, to be passed to
+        ray_phi row by row. Each row has the floats of batch_eval_ray for
+        its component and point: np.vecdot and stacked np.matmul give a row
+        the bits of its one-row dot or product, and the elementwise
+        operations are those of the one-row hooks. Nothing is checked here.
+        """
+        rows = self.A.take(idx, axis=0)
+        R0 = np.vecdot(rows, self.features_rows(X)) - self.b.take(idx)
+        G, reuse = self.pullback_rows(X, rows, R0)
+        return R0, G, functools.partial(self.ray_coefficients_rows, rows, X, reuse=reuse)
 
     def full_value_grad(self, x):
         rows, r = self._residuals(None, x)
@@ -294,6 +315,15 @@ class LeastSquaresProblem(ResidualProblem):
 
     def ray_coefficients(self, row, x, d, reuse):
         return row @ d, 0.0
+
+    def features_rows(self, X):
+        return X
+
+    def pullback_rows(self, X, rows, R0):
+        return R0[:, None] * rows, None
+
+    def ray_coefficients_rows(self, rows, X, D, reuse):
+        return np.vecdot(rows, D), np.zeros(len(D))
 
     def component_grads(self, x):
         r = self._residuals(None, x)[1]
@@ -356,6 +386,33 @@ class TwoFactorProblem(ResidualProblem):
         Q = dV @ row
         return du @ reuse + u @ Q, du @ Q
 
+    # The row forms below repeat features, pullback and ray_coefficients on
+    # (K, n) stacks; a row's products are stacked np.matmul, its dots
+    # np.vecdot.
+    def _unpack_rows(self, X):
+        return X[:, : self.n_u], X[:, self.n_u :].reshape(len(X), self.n_u, self.n_v)
+
+    def features_rows(self, X):
+        U, V = self._unpack_rows(X)
+        return np.matmul(U[:, None, :], V)[:, 0]
+
+    def pullback_rows(self, X, rows, R0):
+        U, V = self._unpack_rows(X)
+        P = np.matmul(V, rows[:, :, None])[:, :, 0]
+        G = np.empty((len(X), self.n))
+        GV = self._unpack_rows(G)[1]
+        GV[...] = rows[:, None, :]
+        GV *= U[:, :, None]
+        np.multiply(P, R0[:, None], out=G[:, : self.n_u])
+        GV *= R0[:, None, None]
+        return G, P
+
+    def ray_coefficients_rows(self, rows, X, D, reuse):
+        U = X[:, : self.n_u]
+        DU, DV = self._unpack_rows(D)
+        Q = np.matmul(DV, rows[:, :, None])[:, :, 0]
+        return np.vecdot(DU, reuse) + np.vecdot(U, Q), np.vecdot(DU, Q)
+
     def component_grads(self, x):
         u, V = self.unpack(x)
         r = self._residuals(None, x)[1]
@@ -383,6 +440,16 @@ def evaluate_batch(problem: FiniteSumProblem, i, x):
     if not math.isfinite(f) or not _all_finite(g):
         raise NumericDomainError(f"non-finite evaluation of component {k}")
     return float(f), g, ray
+
+
+def ray_phi(r0: float, c1: float, c2: float):
+    """phi(a) = f_i(x + a d) = 0.5 r^2 for the residual r = r0 + a (c1 + a c2)."""
+
+    def phi(a):
+        r = r0 + a * (c1 + a * c2)
+        return 0.5 * r * r
+
+    return phi
 
 
 def full_oracle(problem: FiniteSumProblem, x) -> tuple[float, Vector]:

@@ -79,6 +79,20 @@ class TestPin:
         assert seen and set(seen) == {1}
         assert _blas.threads() == 2
 
+    def test_run_many_iterates_on_one_thread_and_restores(self):
+        seen = []
+
+        class Spy(LeastSquaresProblem):
+            def features_rows(self, X):
+                seen.append(_blas.threads())
+                return X
+
+        inner = small_instance()
+        results = optimizer.run_many(small_config(Spy(inner.A, inner.b, inner.known)), [0, 1, 2])
+        assert [len(r.trajectory) for r in results] == [30, 30, 30]
+        assert seen and set(seen) == {1}
+        assert _blas.threads() == 2
+
     def test_count_restored_when_the_run_raises(self, monkeypatch):
         real = optimizer.backtrack
 
@@ -255,3 +269,37 @@ def test_trace_bytes_do_not_depend_on_the_thread_count(tmp_path):
         traces.append(out.read_bytes())
     assert len(traces[0].splitlines()) == 61
     assert traces[0] == traces[1]
+
+
+# (n_u, n_v) with n_u * n_v = n, for the stacked products of the two-factor
+# rows; 40,200 = 200 * 201 is about the width of bench/configs/twofactor_wide.ini.
+FACTORS = {1: (1, 1), 7: (7, 1), 200: (10, 20), 40_200: (200, 201)}
+
+
+class TestKernelIdentities:
+    """The bit identities optimizer.run_many rests on, on one BLAS thread.
+
+    A lockstep row must get the floats its one-seed run gets: np.vecdot
+    must give each row the bits of that row's dot product, and a stacked
+    np.matmul those of the row's own product. A numpy or OpenBLAS upgrade
+    that breaks one fails here by name, not as changed sweep traces.
+    """
+
+    @pytest.mark.parametrize("K", [1, 4, 20])
+    @pytest.mark.parametrize("n", sorted(FACTORS))
+    def test_stacked_kernels_give_each_row_its_own_bits(self, n, K):
+        rng = np.random.default_rng(n * 100 + K)
+        A, B = rng.standard_normal((K, n)), rng.standard_normal((K, n))
+        p, q = FACTORS[n]
+        U, V, a = rng.standard_normal((K, p)), rng.standard_normal((K, p, q)), rng.standard_normal((K, q))
+        shared = rng.standard_normal(q)
+        with _blas.single_thread():
+            dots = np.vecdot(A, B)
+            uV = np.matmul(U[:, None, :], V)[:, 0]
+            Va = np.matmul(V, a[:, :, None])[:, :, 0]
+            V_shared = np.matmul(V, shared)
+            for k in range(K):
+                assert dots[k].tobytes() == A[k].dot(B[k]).tobytes() == (A[k] @ B[k]).tobytes()
+                assert uV[k].tobytes() == (U[k] @ V[k]).tobytes()
+                assert Va[k].tobytes() == (V[k] @ a[k]).tobytes()
+                assert V_shared[k].tobytes() == (V[k] @ shared).tobytes()

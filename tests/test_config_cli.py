@@ -654,13 +654,49 @@ class TestCmdSweep:
         assert cli._STATUS_EXIT["converged_grad"] == cli._STATUS_EXIT["converged_fgap"] == 0
         assert (cli._STATUS_EXIT["max_iters"], cli._STATUS_EXIT["stalled"]) == (2, 3)
 
-    @pytest.mark.parametrize("seeds", ["5..1", "1,,3", "", "a..b", "0..-1"])
+    @pytest.mark.parametrize("seeds", ["5..1", "1,,3", "", "a..b", "0..-1", "1,1,2", "3,1,3"])
     def test_bad_seed_specs_exit_one(self, tmp_path, capsys, seeds):
         cfg_path = write_cfg(tmp_path, TOY)
         code = cli.cmd_sweep(cfg_path, seeds=seeds, jobs=1, overrides=[f"run.out_csv={tmp_path / 't.csv'}"])
         assert code == 1
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("t_seed*.csv"))
+
+    def test_repeated_seed_is_named(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, TOY)
+        assert cli.main(["sweep", cfg_path, "--seeds", "3,1,3"]) == 1
+        assert "seed 3 appears more than once in '3,1,3'" in capsys.readouterr().err
+
+    def test_groups_split_each_workers_seeds_evenly(self):
+        # pure helper: no process pool is started
+        assert cli._sweep_groups(list(range(6)), 1, 200) == [[0, 1, 2, 3, 4, 5]]
+        assert cli._sweep_groups(list(range(6)), 2, 200) == [[0, 1, 2], [3, 4, 5]]
+        assert [len(g) for g in cli._sweep_groups(list(range(20)), 1, 200)] == [7, 7, 6]
+        assert [len(g) for g in cli._sweep_groups(list(range(20)), 2, 200)] == [5, 5, 5, 5]
+        assert cli._sweep_groups([9, 4], 1, 200) == [[9, 4]]
+        for workers in (1, 3):
+            for count in (1, 5, 17, 40):
+                groups = cli._sweep_groups(list(range(count)), min(workers, count), 200)
+                assert [s for g in groups for s in g] == list(range(count))
+                assert max(map(len, groups)) <= cli.SWEEP_GROUP
+        wide = cli.SWEEP_LOCKSTEP_MAX_N + 1
+        assert cli._sweep_groups([0, 1, 2], 1, wide) == [[0], [1], [2]]
+
+    def test_group_of_one_is_run_and_larger_groups_are_lockstep(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("run", "run_many"):
+            original = getattr(cli.optimizer, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(cli.optimizer, name, counted)
+        cfg_path = write_cfg(tmp_path, LS)
+        out = f"run.out_csv={tmp_path / 't.csv'}"
+        assert cli.cmd_sweep(cfg_path, seeds="4", jobs=1, overrides=[out]) == 0
+        assert cli.cmd_sweep(cfg_path, seeds="0..2", jobs=1, overrides=[out]) == 0
+        assert calls == ["run", "run_many"]
 
     def test_reversed_range_names_the_range(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, TOY)

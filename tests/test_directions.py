@@ -16,6 +16,7 @@ from slsopt import (
     sgr_check,
     update_memory,
 )
+from slsopt.directions import MemoryRows
 from slsopt.errors import InvalidSpecError, ShapeError, UnsatisfiableSafeguardError
 
 
@@ -475,3 +476,115 @@ class TestDirectionRows:
             assert DirectionState(kind=kind).negates_gradient == (kind != "adagrad_diag")
             assert DirectionState(kind=kind, **memory).negates_gradient == (kind == "sgd")
         assert DirectionState(kind="cg", g_prev=np.ones(2)).negates_gradient
+
+
+@st.composite
+def _lockstep_rows(draw):
+    """K runs' (memory or None, gradient, iterate), with gradients at cg's corners."""
+    n, K = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    elements = st.floats(-1e3, 1e3)  # signed zeros and subnormals included
+
+    def vec():
+        return draw(arrays(np.float64, n, elements=elements))
+
+    rows = []
+    for _ in range(K):
+        g_prev = vec()
+        memory = None
+        if draw(st.booleans()):
+            memory = dict(x_prev=vec(), g_prev=g_prev, d_prev=vec(), accum=np.abs(vec()))
+        g = draw(st.sampled_from([vec(), np.zeros(n), g_prev, 0.5 * g_prev, 1e3 * g_prev, -g_prev]))
+        rows.append((memory, g, vec()))
+    return rows
+
+
+def _memories(spec, rows):
+    """A MemoryRows and the K DirectionStates it stands for."""
+    n = len(rows[0][1])
+    memory_rows = MemoryRows(spec, len(rows), n)
+    states = []
+    for k, (memory, _, _) in enumerate(rows):
+        state = spec.fresh()
+        if memory is not None:
+            # update_memory sets the three history fields together, and accum
+            # only for adagrad_diag
+            state.x_prev, state.g_prev, state.d_prev = memory["x_prev"], memory["g_prev"], memory["d_prev"]
+            if spec.kind == "adagrad_diag":
+                state.accum = memory["accum"]
+            for name in MemoryRows.FIELDS[spec.kind]:
+                getattr(memory_rows, name)[k] = memory[name]
+            memory_rows.has_history[k] = True
+        states.append(state)
+    return memory_rows, states
+
+
+class TestMemoryRows:
+    """Each row of a MemoryRows behaves as its own run's DirectionState."""
+
+    @given(
+        rows=_lockstep_rows(),
+        kind=st.sampled_from(KINDS),
+        variant=st.sampled_from(CG_VARIANTS),
+        beta=st.floats(-2.0, 2.0),
+        beta_cap=st.floats(1e-3, 10.0),
+        bounds=st.sampled_from([(1.0, 1.0), (10.0, 0.1), (1.5, 0.5)]),
+        step=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_one_run_calls_byte_for_byte(self, rows, kind, variant, beta, beta_cap, bounds, step):
+        spec = DirectionState(kind=kind, cg_variant=variant, beta=beta, beta_cap=beta_cap)
+        params = SgrParams(*bounds)
+        memory_rows, states = _memories(spec, rows)
+        G = np.stack([g for _, g, _ in rows])
+        X = np.stack([x for _, _, x in rows])
+
+        D = memory_rows.propose(G, X)
+        for k, state in enumerate(states):
+            assert D[k].tobytes() == propose_direction(state, G[k], X[k]).tobytes()
+
+        restarted, g_norm, d_norm, dTg = memory_rows.safeguard(D, G, np.vecdot(G, G).tolist(), params)
+        for k, state in enumerate(states):
+            out = safeguarded_direction(state, G[k], X[k], params)
+            assert D[k].tobytes() == out.d.tobytes()
+            assert (restarted[k], g_norm[k], d_norm[k], dTg[k]) == (out.restarted, out.g_norm, out.d_norm, out.dTg)
+            if kind in ("momentum", "cg"):
+                assert memory_rows.has_history[k] == (not state.negates_gradient)
+
+        stepped = np.array(step[: len(rows)])
+        before = {name: getattr(memory_rows, name).copy() for name in MemoryRows.FIELDS[kind]}
+        memory_rows.update(None if stepped.all() else stepped, X, G, D)
+        for k, state in enumerate(states):
+            if stepped[k]:
+                update_memory(state, X[k], G[k], D[k])
+            for name in MemoryRows.FIELDS[kind]:
+                want = getattr(state, name) if stepped[k] else before[name][k]
+                assert getattr(memory_rows, name)[k].tobytes() == want.tobytes()
+            if kind in ("momentum", "cg") and stepped[k]:
+                assert memory_rows.has_history[k]
+
+    @pytest.mark.parametrize("variant", CG_VARIANTS)
+    def test_cg_beta_corners_need_no_warning(self, variant):
+        # per row: beta_k overflows to inf and is capped, a NaN row, and a
+        # zero stored gradient; no warning is raised for any of them
+        spec = DirectionState(kind="cg", cg_variant=variant, beta_cap=2.0)
+        memory_rows = MemoryRows(spec, 3, 2)
+        memory_rows.g_prev[:] = [[1e-10, 0.0], [1.0, 1.0], [0.0, 0.0]]
+        memory_rows.d_prev[:] = [[1.0, -1.0], [1.0, 2.0], [3.0, 4.0]]
+        memory_rows.has_history[:] = True
+        G = np.array([[1e150, 0.0], [np.nan, 1.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            D = memory_rows.propose(G, np.zeros((3, 2)))
+        for k in range(3):
+            state = DirectionState(kind="cg", cg_variant=variant, beta_cap=2.0,
+                                   g_prev=memory_rows.g_prev[k], d_prev=memory_rows.d_prev[k])
+            assert D[k].tobytes() == propose_direction(state, G[k], np.zeros(2)).tobytes()
+
+    def test_keep_drops_rows(self):
+        memory_rows = MemoryRows(DirectionState(kind="cg"), 3, 2)
+        memory_rows.g_prev[:] = np.arange(6.0).reshape(3, 2)
+        memory_rows.has_history[:] = [True, False, True]
+        memory_rows.keep(np.array([True, False, True]))
+        assert memory_rows.g_prev.tolist() == [[0.0, 1.0], [4.0, 5.0]]
+        assert memory_rows.d_prev.shape == (2, 2)
+        assert memory_rows.has_history.tolist() == [True, True]

@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from slsopt import (
     KINDS,
     DirectionState,
     FiniteSumProblem,
+    KnownConstants,
     LeastSquaresProblem,
     LineSearchParams,
     ResidualProblem,
@@ -22,6 +24,7 @@ from slsopt import (
     verify_trace_bounds,
 )
 from slsopt import cli, optimizer
+from slsopt.config import build_problem, build_run_config, read_config
 from slsopt.errors import (
     CertificateError,
     ConfigError,
@@ -33,6 +36,7 @@ from slsopt.errors import (
 )
 from slsopt.linesearch import ALPHA0_POLICIES
 from slsopt.optimizer import IterationRecord
+from slsopt.traceio import trace_to_csv
 
 
 def unit_quadratic():
@@ -464,3 +468,218 @@ class TestArmijoCertificate:
         _break_certificate_at(monkeypatch, 0)
         assert cli.main(["run", str(cfg)]) == 5
         assert "armijo_certificate" in capsys.readouterr().err
+
+
+# -- run_many: seeds in lockstep ---------------------------------------------
+
+
+def _stall_fields(result):
+    s = result.stall
+    return None if s is None else (str(s), s.alpha0, s.last_alpha, s.trials)
+
+
+def assert_same_run(got, want):
+    """Equal as run_many promises: trace CSV, status, stall and final_x bytes."""
+    assert trace_to_csv(got.trajectory) == trace_to_csv(want.trajectory)
+    assert got.status == want.status
+    assert _stall_fields(got) == _stall_fields(want)
+    assert got.final_x.tobytes() == want.final_x.tobytes()
+
+
+def assert_lockstep_equals_run(config, seeds):
+    """run_many(config, seeds)[i] is run with seeds[i]; returns the results.
+
+    Where some seed's run raises NumericDomainError (a diverging run), the
+    group raises it too, naming one of those seeds.
+    """
+    want, failing = [], set()
+    for s in seeds:
+        try:
+            want.append(run(dataclasses.replace(config, seed=s)))
+        except NumericDomainError:
+            failing.add(s)
+    if failing:
+        with pytest.raises(NumericDomainError) as info:
+            optimizer.run_many(config, seeds)
+        assert int(str(info.value).split(":")[0].removeprefix("seed=")) in failing
+        return None
+    got = optimizer.run_many(config, seeds)
+    assert len(got) == len(seeds)
+    for g, w in zip(got, want):
+        assert_same_run(g, w)
+    return got
+
+
+def _zero_gradient_rows(results):
+    return sum(1 for r in results for rec in r.trajectory if rec.g_batch_norm == 0.0)
+
+
+def _restarts(results):
+    return sum(1 for r in results for rec in r.trajectory if rec.restarted)
+
+
+def mixed_endings_config(kind):
+    """Orthogonal power-of-two rows: seeds of one group end every way.
+
+    Rows 2 e_i (i < 3) accept alpha = 1/4 and land exactly on zero, so a
+    later draw of the same row has a zero gradient. Row 8 e_3 needs
+    alpha = 2^-6: from alpha0 = 1 that is six backtracks, one more than
+    allowed (a stall), from a warm alpha0 = 1/2 five. A seed that zeroes all
+    four rows converges; one that does neither within 12 iterations is
+    capped. With c1 = c2 = 1 every memory term restarts.
+    """
+    problem = LeastSquaresProblem(np.diag([2.0, 2.0, 2.0, 8.0]), np.zeros(4), KnownConstants(f_star=0.0))
+    return base_config(
+        problem,
+        direction=DirectionState(kind=kind, beta=0.9),
+        linesearch=LineSearchParams(
+            gamma=0.5, delta=0.5, alpha_max=1.0, alpha0_policy="warm_increase", max_backtracks=5
+        ),
+        max_iters=12,
+        trace_full_oracle_every=5,
+    )
+
+
+@st.composite
+def _lockstep_config(draw):
+    """A small instance of either family with any recipe, policy and limits."""
+    seed = draw(st.integers(0, 2**16))
+    N = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(seed)
+        n = N + draw(st.integers(0, 6))
+        problem = gen_interpolating_least_squares(N, n, seed=seed, singular_values=rng.uniform(0.2, 3.0, size=N))
+    else:
+        problem = gen_nonconvex_interpolating(N, draw(st.integers(1, 3)), draw(st.integers(1, 4)), seed)
+    c1, c2 = draw(st.sampled_from([(1.0, 1.0), (10.0, 0.1), (2.0, 0.5)]))
+    return base_config(
+        problem,
+        direction=DirectionState(
+            kind=draw(st.sampled_from(KINDS)),
+            cg_variant=draw(st.sampled_from(["fr", "pr+"])),
+            beta=draw(st.sampled_from([0.5, 0.9])),
+        ),
+        linesearch=LineSearchParams(
+            gamma=draw(st.sampled_from([0.1, 0.5])),
+            delta=draw(st.sampled_from([0.3, 0.5])),
+            alpha_max=draw(st.sampled_from([1.0, 10.0])),
+            alpha0_policy=draw(st.sampled_from(ALPHA0_POLICIES)),
+            max_backtracks=draw(st.sampled_from([3, 60])),
+        ),
+        sgr=SgrParams(c1=c1, c2=c2),
+        max_iters=draw(st.integers(1, 80)),
+        grad_tol=draw(st.sampled_from([0.0, 1e-10])),
+        fgap_tol=1e-8,
+        trace_full_oracle_every=draw(st.integers(1, 12)),
+    )
+
+
+class TestRunMany:
+    @given(
+        config=_lockstep_config(),
+        seeds=st.lists(st.integers(0, 10**6), min_size=1, max_size=8, unique=True),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_each_seed_is_its_run_byte_for_byte(self, config, seeds):
+        assert_lockstep_equals_run(config, seeds)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_group_ends_every_way(self, kind):
+        results = assert_lockstep_equals_run(mixed_endings_config(kind), list(range(8)))
+        assert {r.status for r in results} == {"converged_grad", "stalled", "max_iters"}
+        assert _zero_gradient_rows(results) > 0
+        assert (_restarts(results) > 0) == (kind != "sgd")
+
+    def test_benchmark_sweep_seeds_with_zero_batch_gradients(self):
+        # bench/configs/ls_sweep.ini with the benchmark's sgd overrides: two
+        # of seeds 20..27 draw a component whose residual is exactly zero
+        cfg = read_config(
+            pathlib.Path(__file__).resolve().parent.parent / "bench" / "configs" / "ls_sweep.ini",
+            overrides=["direction.kind=sgd", "direction.c1=1.0", "direction.c2=1.0"],
+        )
+        config = build_run_config(cfg, problem=build_problem(cfg))
+        results = assert_lockstep_equals_run(config, list(range(20, 28)))
+        assert {r.status for r in results} == {"converged_fgap"}
+        assert _zero_gradient_rows(results) > 0
+
+    def test_overflowing_gradient_norm_stalls_alike(self):
+        # g = 1e308 is finite but g.g overflows: the finiteness check passes
+        # on the elementwise test, and the search meets only infinite values.
+        # Both paths warn about the overflow alike; the warning is not the
+        # subject here.
+        p = LeastSquaresProblem(np.array([[1e154]]), np.array([0.0]))
+        config = base_config(p, x0=np.array([1.0]))
+        with np.errstate(over="ignore"):
+            results = assert_lockstep_equals_run(config, [0, 1, 2])
+        assert [r.status for r in results] == ["stalled"] * 3
+
+    def test_groups_of_every_size_up_to_eight(self):
+        config = base_config(small_instance(), direction=DirectionState(kind="momentum"),
+                             sgr=SgrParams(c1=10.0, c2=0.1), max_iters=60)
+        for K in range(1, 9):
+            assert_lockstep_equals_run(config, list(range(100, 100 + K)))
+
+    def test_callable_problem_runs_each_seed_alone(self, toy2):
+        config = base_config(toy2, max_iters=20)
+        assert toy2.batch_eval_rows is None
+        assert_lockstep_equals_run(config, [0, 1, 2])
+
+    def test_x0_is_shared_and_not_written(self):
+        x0 = np.linspace(-1.0, 1.0, 12)
+        kept = x0.copy()
+        assert_lockstep_equals_run(base_config(small_instance(), x0=x0, max_iters=40), [0, 1])
+        assert x0.tobytes() == kept.tobytes()
+
+
+class TestRunManyChecks:
+    def test_certificate_error_names_its_seed(self, monkeypatch):
+        # searches alternate between the two seeds: search 3 is seed 11 at k=1
+        searches = _break_certificate_at(monkeypatch, 3)
+        with pytest.raises(CertificateError, match=r"^seed=11: k=1: accepted f="):
+            optimizer.run_many(base_config(small_instance()), [10, 11])
+        assert len(searches) == 4
+
+    def test_certificate_check_survives_stripped_asserts(self, monkeypatch):
+        _break_certificate_at(monkeypatch, 0)
+        with pytest.raises(CertificateError, match="^seed=5: "):
+            optimizer.run_many(base_config(small_instance()), [5, 6])
+
+    def test_non_finite_evaluations_name_their_seed(self):
+        class FiniteFullSum(LeastSquaresProblem):
+            def full_value_grad(self, x):
+                return 1.0, np.ones(self.n)
+
+        A, b, x0 = np.array([[1e200]]), np.array([0.0]), np.array([1.0])
+        cases = [
+            (LeastSquaresProblem(A, b), "non-finite full-sum evaluation"),
+            (FiniteFullSum(A, b), "non-finite evaluation of component 0"),
+        ]
+        for problem, message in cases:
+            config = base_config(problem, x0=x0)
+            with np.errstate(over="ignore"):
+                with pytest.raises(NumericDomainError, match=f"^{message}$"):
+                    run(config)
+                with pytest.raises(NumericDomainError, match=f"^seed=3: {message}$"):
+                    optimizer.run_many(config, [3, 4])
+
+    def test_search_errors_name_their_seed(self, monkeypatch):
+        real = optimizer.backtrack
+        calls = []
+
+        def refuses_seconds(phi, slope, params, alpha0, f_x):
+            calls.append(alpha0)
+            if len(calls) == 2:
+                return real(phi, slope, params, -1.0, f_x)
+            return real(phi, slope, params, alpha0, f_x)
+
+        monkeypatch.setattr(optimizer, "backtrack", refuses_seconds)
+        with pytest.raises(SlsoptError, match=r"^seed=8: alpha0 must be in"):
+            optimizer.run_many(base_config(small_instance()), [7, 8])
+
+    def test_a_stall_ends_only_its_seed(self):
+        config = mixed_endings_config("sgd")
+        results = optimizer.run_many(config, list(range(8)))
+        stalled = [r for r in results if r.status == "stalled"]
+        assert stalled and len(stalled) < len(results)
+        longest = max(len(r.trajectory) for r in results)
+        assert all(len(r.trajectory) < longest for r in stalled)

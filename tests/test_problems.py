@@ -25,7 +25,7 @@ from slsopt.errors import (
     NumericDomainError,
     ShapeError,
 )
-from slsopt.problems import _all_finite, as_vector
+from slsopt.problems import _all_finite, as_vector, ray_phi
 
 from conftest import central_diff_grad, make_toy2
 
@@ -450,6 +450,39 @@ class TestBatchRay:
         rng = np.random.default_rng(seed)
         x, d = rng.standard_normal(1), rng.standard_normal(1)
         assert _ray(p, i, x, d)(a) == p.component_value(i, x + a * d)
+
+
+class TestBatchEvalRows:
+    """The stacked oracle gives each row the floats of batch_eval_ray."""
+
+    @given(
+        family=st.sampled_from(["least_squares", "two_factor"]),
+        seed=st.integers(0, 2**16),
+        K=st.integers(1, 8),
+        scale=st.sampled_from([1e-12, 1.0, 1e3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_one_component_calls_byte_for_byte(self, family, seed, K, scale):
+        p = _ray_instance(family, seed % 7)
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, p.N, size=K)  # repeated indices included
+        X = scale * rng.standard_normal((K, p.n))
+        D = rng.standard_normal((K, p.n))
+        R0, G, ray_rows = p.batch_eval_rows(idx, X)
+        C1, C2 = ray_rows(D)
+        assert G.shape == (K, p.n)
+        for k, i in enumerate(idx.tolist()):
+            f, g, ray = p.batch_eval_ray(i, X[k].copy())
+            assert 0.5 * R0[k] * R0[k] == f
+            assert G[k].tobytes() == g.tobytes()
+            row, r = p._residuals(i, X[k])
+            c1, c2 = p.ray_coefficients(row, X[k], D[k], p.pullback(X[k], row, r)[1])
+            assert (float(C1[k]), float(C2[k])) == (float(c1), float(c2))
+            a = float(rng.uniform(0.0, 2.0))
+            assert ray_phi(float(R0[k]), float(C1[k]), float(C2[k]))(a) == ray(D[k].copy())(a)
+
+    def test_callable_problems_have_no_stacked_oracle(self):
+        assert make_toy2().batch_eval_rows is None
 
 
 class TestVectorValidation:
