@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import dataclasses
 import functools
 import os
 import sys
@@ -281,14 +280,11 @@ SWEEP_LOCKSTEP_MAX_N = 6000
 @_blas.single_thread()
 def _sweep_worker(args):
     # One task is one group: the sweep's RunConfig, built once, and the seeds
-    # it runs in lockstep. A group of one is run itself. Every trace is then
+    # it runs in lockstep (a group of one is run itself). Every trace is then
     # written, and each final gap evaluated, on one BLAS thread: the groups
     # are the parallelism (--jobs).
     run_config, seeds, paths = args
-    if len(seeds) == 1:
-        results = [optimizer.run(dataclasses.replace(run_config, seed=seeds[0]))]
-    else:
-        results = optimizer.run_many(run_config, seeds)
+    results = optimizer.run_many(run_config, seeds)
     from .problems import full_oracle
 
     problem = run_config.problem

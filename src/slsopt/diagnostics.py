@@ -10,7 +10,8 @@ construction.
 
 The direction at each point is the optimizer's own recipe: propose_direction
 on every component gradient, with the memory of a DirectionState that is
-read and never written. Without a state it is -g.
+read and never written; MemoryRows.broadcast builds the N rows at once.
+Without a state it is -g.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .directions import DirectionState, propose_direction
+from .directions import DirectionState, MemoryRows
 from .errors import DomainError, NumericDomainError, UndefinedEstimateError, UnsupportedProblemError
 from .problems import FiniteSumProblem, Vector, as_vector
 
@@ -95,12 +96,15 @@ def exact_moments(problem: FiniteSumProblem, x, state: DirectionState | None = N
     """Moments as exact uniform averages over the N singleton batches.
 
     Builds the N x n component-gradient matrix once, centres it in place and
-    drops it on return. The directions are propose_direction(state, G, x),
-    built only when the recipe with that memory is not -g.
+    drops it on return. Row i of the direction matrix is
+    propose_direction(state, G[i], x), built only when the recipe with that
+    memory is not -g.
     """
     xv = as_vector(x, problem.n)
     G = problem.component_grads(xv)
-    D = None if state is None or state.negates_gradient else propose_direction(state, G, xv)
+    D = None
+    if state is not None and not state.negates_gradient:
+        D = MemoryRows.broadcast(state, *G.shape).propose(G, xv)
     return _moments_from_samples(xv, G, D)
 
 

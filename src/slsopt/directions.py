@@ -147,6 +147,26 @@ class DirectionOutcome:
         return not self.sgr_pass
 
 
+# The bounds a direction breaks, keyed by (norm bound fails, descent bound fails).
+_VIOLATED = {
+    (False, False): frozenset(),
+    (True, False): frozenset({NORM_BOUND}),
+    (False, True): frozenset({DESCENT_BOUND}),
+    (True, True): frozenset({NORM_BOUND, DESCENT_BOUND}),
+}
+
+
+def _violated(rows, params: SgrParams) -> list[frozenset]:
+    """The admissibility bounds each (||g||, ||d||, d . g, g . g) row breaks."""
+    c1, c2 = params.c1, params.c2
+    # Written as not (lhs <= rhs), so that a non-finite operand fails a bound.
+    return [_VIOLATED[not dn <= c1 * gn, not dg <= -c2 * gg] for gn, dn, dg, gg in rows]
+
+
+# The dots of _measure, _restart and MemoryRows.safeguard run under
+# errstate(over="ignore"): a finite vector whose products overflow measures
+# inf, which the bounds read, so the overflow needs no warning.
+@np.errstate(over="ignore")
 def _measure(d, g, params: SgrParams) -> tuple[frozenset, float, float, float]:
     """Both admissibility bounds, plus the ||g||, ||d|| and d . g they read."""
     # np.asarray(v, float) is dtype=np.float64, and cheaper when v already is.
@@ -161,13 +181,16 @@ def _measure(d, g, params: SgrParams) -> tuple[frozenset, float, float, float]:
     g_norm = math.sqrt(gg)
     d_norm = math.sqrt(float(d.dot(d)))
     dTg = float(d.dot(g))
-    # Written as not (lhs <= rhs), so that a non-finite operand fails a bound.
-    violated = set()
-    if not d_norm <= params.c1 * g_norm:
-        violated.add(NORM_BOUND)
-    if not dTg <= -params.c2 * gg:
-        violated.add(DESCENT_BOUND)
-    return frozenset(violated), g_norm, d_norm, dTg
+    return _violated([(g_norm, d_norm, dTg, gg)], params)[0], g_norm, d_norm, dTg
+
+
+def _restart(d, g) -> tuple[float, float]:
+    """Write -g into d; return the new ||d|| and d . g, as _measure takes them.
+
+    Callers hold errstate(over="ignore").
+    """
+    np.negative(g, out=d)
+    return math.sqrt(float(d.dot(d))), float(d.dot(g))
 
 
 def sgr_check(d, g, params: SgrParams) -> tuple[bool, frozenset]:
@@ -188,28 +211,21 @@ def propose_direction(state: DirectionState, g, x) -> Vector:
     clipped at beta_cap. adagrad_diag: -g / sqrt(accum + epsilon) elementwise.
     With empty memory momentum and cg fall back to -g (see negates_gradient).
 
-    g is one sampled gradient (n,) or a stack of gradient rows (K, n); the
-    result has the shape of g. Every row reads the same memory, which is
-    never written, and gets the same floats as a call with that row alone;
-    cg takes its beta_k per row. For one gradient each recipe builds its
-    direction in one new array, in place. The operations are those of the
-    formulas above, reordered only where IEEE arithmetic is exact about it:
-    b - a == -a + b, and -(a / b) == -a / b.
+    g is one sampled gradient (n,); the memory is read, never written. Each
+    recipe builds its direction in one new array, in place. The operations
+    are those of the formulas above, reordered only where IEEE arithmetic is
+    exact about it: b - a == -a + b, and -(a / b) == -a / b. MemoryRows gives
+    a stack of gradients, each row with its own memory, the same floats.
     """
     g = np.asarray(g, float)
-    # momentum and adagrad_diag build the term every row shares in a new (n,)
-    # array and combine one gradient into that same array.
     kind = state.kind
     if kind == "adagrad_diag":  # no history; an empty accumulator is zeros
         if state.accum is None:
-            d = np.full(g.shape[-1], state.epsilon)
+            d = np.full(len(g), state.epsilon)
         else:
             d = np.add(state.accum, state.epsilon)
         np.sqrt(d, out=d)
-        if g.ndim == 1:
-            np.divide(g, d, out=d)
-        else:
-            d = g / d
+        np.divide(g, d, out=d)
         np.negative(d, out=d)
         return d
     if state.negates_gradient:
@@ -221,12 +237,9 @@ def propose_direction(state: DirectionState, g, x) -> Vector:
             raise ShapeError("direction memory does not match the iterate shape")
         d = np.subtract(x, x_prev)
         d *= state.beta
-        if g.ndim == 1:
-            d -= g
-            return d
-        return d - g
-    # cg. For 1-D operands g.dot(v) and g @ v run the same kernel, and
-    # np.vecdot gives each row of a stack the bits of that dot.
+        d -= g
+        return d
+    # cg. For 1-D operands g.dot(v) and g @ v run the same kernel.
     denom = float(state.g_prev.dot(state.g_prev))
     d = np.empty_like(g)
     if denom == 0.0:
@@ -235,18 +248,8 @@ def propose_direction(state: DirectionState, g, x) -> Vector:
         pr = state.cg_variant == "pr+"
         # pr+ dots g with g - g_prev, held in d until the direction overwrites it
         r = np.subtract(g, state.g_prev, out=d) if pr else g
-        if g.ndim == 1:
-            beta_k = float(g.dot(r)) / denom
-            beta_k = min(max(0.0, beta_k) if pr else beta_k, state.beta_cap)
-        else:
-            # The same min(max(0, b), beta_cap) on every row: pr+ maps NaN
-            # and -0.0 to +0.0, fr keeps a NaN, and an overflow is inf with
-            # no warning, as in float division.
-            with np.errstate(over="ignore", invalid="ignore"):
-                beta_k = np.vecdot(g, r) / denom
-            if pr:
-                beta_k = np.where(beta_k > 0.0, beta_k, 0.0)
-            beta_k = np.minimum(beta_k, state.beta_cap)[:, None]
+        beta_k = float(g.dot(r)) / denom
+        beta_k = min(max(0.0, beta_k) if pr else beta_k, state.beta_cap)
     np.multiply(state.d_prev, beta_k, out=d)
     d -= g
     return d
@@ -266,11 +269,9 @@ def safeguarded_direction(state: DirectionState, g, x, params: SgrParams) -> Dir
     if not violated:
         return DirectionOutcome(d=d, sgr_pass=True, violated=violated, g_norm=g_norm, d_norm=d_norm, dTg=dTg)
     state.reset_history()
-    np.negative(g, out=d)
-    return DirectionOutcome(
-        d=d, sgr_pass=False, violated=violated,
-        g_norm=g_norm, d_norm=math.sqrt(float(d.dot(d))), dTg=float(d.dot(g)),
-    )
+    with np.errstate(over="ignore"):
+        d_norm, dTg = _restart(d, g)
+    return DirectionOutcome(d=d, sgr_pass=False, violated=violated, g_norm=g_norm, d_norm=d_norm, dTg=dTg)
 
 
 def update_memory(state: DirectionState, x_old, g, d) -> None:
@@ -298,15 +299,19 @@ def update_memory(state: DirectionState, x_old, g, d) -> None:
 
 
 class MemoryRows:
-    """The memories of K runs of one recipe, one row each, for lockstep runs.
+    """The memories of K rows of one recipe, for stacks of gradients.
 
-    Row k holds what run k's DirectionState would: ``x_prev``, ``g_prev``
-    and ``d_prev`` are (K, n) stacks, read where ``has_history`` is True
-    (where the state's fields are set), and ``accum`` is zeros where the
-    state's is None, since 0 + eps is eps and g*g + 0 is g*g. Each method
-    gives every row the floats the one-run function gives that run:
+    Row k holds what a DirectionState would: ``x_prev``, ``g_prev`` and
+    ``d_prev`` are (K, n) stacks, read where ``has_history`` is True (where
+    the state's fields are set), and ``accum`` is zeros where the state's is
+    None, since 0 + eps is eps and g*g + 0 is g*g. Each method gives every
+    row the floats the one-gradient function gives that row's state:
     ``propose`` those of propose_direction, ``safeguard`` those of
     safeguarded_direction, ``update`` those of update_memory.
+
+    ``MemoryRows(spec, K, n)`` holds K fresh memories, one per run of a
+    lockstep group; ``MemoryRows.broadcast(state, K, n)`` holds K read-only
+    views of one state's memory, for the N-row matrices of the diagnostics.
     """
 
     # The memory fields each recipe reads.
@@ -319,8 +324,26 @@ class MemoryRows:
         for name in self.FIELDS[spec.kind]:
             setattr(self, name, np.zeros((K, n)))
 
+    @classmethod
+    def broadcast(cls, state: DirectionState, K: int, n: int) -> "MemoryRows":
+        """K rows that each hold state's memory, as np.broadcast_to views of it.
+
+        ``propose(G, x)`` is then np.stack of propose_direction(state, g, x)
+        over the rows g of G. The views are read-only, so nothing writes the
+        state.
+        """
+        rows = cls(state, 0, n)
+        rows.has_history = np.full(K, not state.negates_gradient)
+        for name in cls.FIELDS[state.kind]:
+            value = getattr(state, name)
+            setattr(rows, name, np.broadcast_to(0.0 if value is None else value, (K, n)))
+        return rows
+
     def propose(self, G, X):
-        """propose_direction for every row, each from its own memory."""
+        """propose_direction for every row, each from its own memory.
+
+        X is the rows' iterates, a (K, n) stack or one (n,) iterate they share.
+        """
         spec = self.spec
         if spec.kind == "adagrad_diag":
             D = np.add(self.accum, spec.epsilon)
@@ -337,46 +360,43 @@ class MemoryRows:
         else:
             denom = np.vecdot(self.g_prev, self.g_prev)
             pr = spec.cg_variant == "pr+"
-            R = G - self.g_prev if pr else G
+            # pr+ dots G with G - g_prev, held in D until the direction overwrites it
+            R = np.subtract(G, self.g_prev) if pr else G
             # Per row as in propose_direction: beta_k = 0 where the stored
-            # gradient is zero, pr+ maps NaN and -0.0 to +0.0, and an
-            # overflow is inf, all with no warning, as in float division.
+            # gradient is zero, pr+ maps NaN and -0.0 to +0.0, fr keeps a
+            # NaN, and an overflow is inf, all with no warning, as in float
+            # division.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 beta = np.vecdot(G, R) / denom
             beta[denom == 0.0] = 0.0
             if pr:
                 beta = np.where(beta > 0.0, beta, 0.0)
             beta = np.minimum(beta, spec.beta_cap)
-            D = np.multiply(self.d_prev, beta[:, None])
+            D = np.multiply(self.d_prev, beta[:, None], out=R if pr else None)
             D -= G
         if not self.has_history.all():
             fresh = ~self.has_history
             D[fresh] = -G[fresh]
         return D
 
-    def safeguard(self, D, G, ggs, params: SgrParams):
+    @np.errstate(over="ignore")  # as _measure
+    def safeguard(self, D, G, params: SgrParams):
         """safeguarded_direction's test and restart on every row of D.
 
-        ggs lists the rows' g.g (np.vecdot(G, G)). The two dots per row are
-        one np.vecdot each; the bounds are then tested in float arithmetic
-        as _measure tests them. Returns the lists (restarted, g_norm, d_norm,
-        dTg). A restarted row gets -g written into its row of D, its norm
-        and slope re-measured, and its history cleared.
+        Each of the three dots per row is one np.vecdot, and each row then
+        takes _measure's bound test. Returns the lists (violated, g_norm,
+        d_norm, dTg). A row that violates a bound gets -g written into its
+        row of D, its norm and slope re-measured, and its history cleared.
         """
+        ggs = np.vecdot(G, G).tolist()
         g_norm = [math.sqrt(gg) for gg in ggs]
         d_norm = [math.sqrt(dd) for dd in np.vecdot(D, D).tolist()]
         dTg = np.vecdot(D, G).tolist()
-        c1, c2 = params.c1, params.c2
-        # Written as not (lhs <= rhs), so that a non-finite operand fails.
-        restarted = [
-            not dn <= c1 * gn or not dg <= -c2 * gg for gn, dn, dg, gg in zip(g_norm, d_norm, dTg, ggs)
-        ]
-        for k in [k for k, failed in enumerate(restarted) if failed]:
-            d = D[k]
-            np.negative(G[k], out=d)
-            d_norm[k], dTg[k] = math.sqrt(float(d.dot(d))), float(d.dot(G[k]))
+        violated = _violated(zip(g_norm, d_norm, dTg, ggs), params)
+        for k in [k for k, v in enumerate(violated) if v]:
+            d_norm[k], dTg[k] = _restart(D[k], G[k])
             self.has_history[k] = False
-        return restarted, g_norm, d_norm, dTg
+        return violated, g_norm, d_norm, dTg
 
     def update(self, step, X, G, D):
         """update_memory on the rows where ``step`` is True (None: on all).

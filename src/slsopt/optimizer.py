@@ -28,6 +28,7 @@ from .errors import (
 from .linesearch import LineSearchParams, alpha_low, backtrack, jstar, next_alpha0
 from .problems import (
     BatchSampler,
+    _all_finite,
     FiniteSumProblem,
     Vector,
     as_vector,
@@ -114,9 +115,14 @@ class RunResult:
     stall: LineSearchStallError | None = None
 
 
+@np.errstate(over="ignore")
 def _norm(v: Vector) -> float:
-    """np.linalg.norm of a 1-D float array, sqrt(v.dot(v)), without its wrapper."""
+    """np.linalg.norm of a 1-D float array, sqrt(v.dot(v)), without its wrapper.
+
+    A finite v whose square overflows has norm inf, without a warning.
+    """
     return math.sqrt(float(v.dot(v)))
+
 
 
 def default_x0(n: int, rng: np.random.Generator) -> Vector:
@@ -143,6 +149,93 @@ def _verdict(config: RunConfig, f_star, f_full, grad_norm) -> str | None:
     return None
 
 
+class _Lane:
+    """One seed of a run: everything it does outside the arrays of its iterate.
+
+    The trace points' verdict, the initial trial step, the search with its
+    stall and Armijo certificate, the zero-batch-gradient path and the
+    records. run advances one lane with the one-gradient kernels, run_many
+    K lanes with the stacked ones: ``sample`` at each trace point, then
+    ``step``. A lane that has ended holds its RunResult in ``result``.
+    """
+
+    __slots__ = ("config", "f_star", "seed", "sampler", "records", "prev_result", "f_full", "grad_full_norm", "result")
+
+    def __init__(self, config: RunConfig, seed: int, sampler: BatchSampler):
+        self.config = config
+        known = config.problem.known
+        self.f_star = known.f_star if known is not None else None
+        self.seed = seed
+        self.sampler = sampler
+        self.records: list[IterationRecord] = []
+        self.prev_result = None
+        self.f_full = self.grad_full_norm = None
+        self.result: RunResult | None = None
+
+    def finish(self, x, status, stall=None):
+        self.result = RunResult(trajectory=self.records, final_x=x.copy(), status=status, stall=stall)
+
+    def _exact(self, x) -> str | None:
+        """Sample the exact oracle at x; the converged status it shows, or None."""
+        self.f_full, grad_full = full_oracle(self.config.problem, x)
+        self.grad_full_norm = _norm(grad_full)
+        return _verdict(self.config, self.f_star, self.f_full, self.grad_full_norm)
+
+    def sample(self, x) -> bool:
+        """The exact sample of a trace point at x; True if its verdict ends the lane."""
+        verdict = self._exact(x)
+        if verdict is not None:
+            self.finish(x, verdict)
+        return verdict is not None
+
+    def step(self, k: int, x, f_b, g_norm, d_norm, dTg, restarted, phi) -> float | None:
+        """Search from x along the safeguarded direction, and record iteration k.
+
+        f_b is the sampled component's value at x and phi(a) its value along
+        the direction; the rest are the safeguard's measures. Returns the
+        accepted step, or None at a zero batch gradient or a stall (which
+        ends the lane).
+        """
+        ls = self.config.linesearch
+        alpha0 = next_alpha0(ls, self.prev_result)
+        verdict = step = None
+        if g_norm == 0.0:
+            # Stationary for this batch: no admissible search. Check the exact
+            # gradient now in case this is a true interpolation point; a trace
+            # point this iteration has checked it already.
+            if self.f_full is None:
+                verdict = self._exact(x)
+            alpha, backtracks = 0.0, 0
+        else:
+            try:
+                result = backtrack(phi, dTg, ls, alpha0, f_b)
+            except LineSearchStallError as exc:
+                self.finish(x, "stalled", exc)
+                return None
+            # Acceptance certificate: same floats the search just tested. An
+            # explicit check, so that running with -O cannot strip it.
+            if not result.accepted_f <= f_b + ls.gamma * result.alpha * dTg:
+                raise CertificateError(
+                    f"k={k}: accepted f={result.accepted_f!r} at alpha={result.alpha!r} "
+                    f"exceeds f_B + gamma*alpha*d.g = {f_b + ls.gamma * result.alpha * dTg!r}"
+                )
+            alpha0, alpha, backtracks = result.alpha0, result.alpha, result.backtracks
+            step = alpha
+            self.prev_result = result
+        # The fields in order, positionally: keywords cost a dataclass about
+        # three times as much, and this runs once per seed-iteration.
+        self.records.append(
+            IterationRecord(
+                k, self.f_full, self.grad_full_norm, f_b, g_norm, d_norm, dTg,
+                alpha0, alpha, backtracks, not restarted, restarted,
+            )
+        )
+        self.f_full = self.grad_full_norm = None
+        if verdict is not None:
+            self.finish(x, verdict)
+        return step
+
+
 @_blas.single_thread()
 def run(config: RunConfig) -> RunResult:
     """Iterate x <- x + alpha d until a tolerance, the cap, or a stall.
@@ -152,7 +245,8 @@ def run(config: RunConfig) -> RunResult:
     one step. Convergence is decided on the periodic exact-oracle samples
     (batch gradients vanish spuriously only where stopping is correct anyway);
     a vanishing batch gradient skips the step, forces an exact check, and
-    moves on to the next draw.
+    moves on to the next draw. The per-seed part of each iteration is
+    _Lane's; the arrays go through the one-gradient kernels.
 
     The whole run holds numpy's OpenBLAS to one thread and restores the
     previous count on return or raise. A run is sequential by construction;
@@ -161,277 +255,142 @@ def run(config: RunConfig) -> RunResult:
     the core count or OPENBLAS_NUM_THREADS.
     """
     problem = config.problem
-    ls = config.linesearch
-    every = config.trace_full_oracle_every
-
     x, sampler = _start(config, config.seed)
+    lane = _Lane(config, config.seed, sampler)
     state = config.direction.fresh()
-    f_star = problem.known.f_star if problem.known is not None else None
-
-    records: list[IterationRecord] = []
-    prev_result = None
-    status = "max_iters"
-    stall = None
-
+    every = config.trace_full_oracle_every
     for k in range(config.max_iters):
-        f_full = grad_full_norm = None
-        if k % every == 0:
-            f_full, grad_full = full_oracle(problem, x)
-            grad_full_norm = _norm(grad_full)
-            verdict = _verdict(config, f_star, f_full, grad_full_norm)
-            if verdict is not None:
-                status = verdict
-                break
-
-        i = sampler.draw()
+        if k % every == 0 and lane.sample(x):
+            break
         # The search runs on phi(a) = f_i(x + a d); see evaluate_batch.
-        f_b, g_b, ray = evaluate_batch(problem, i, x)
+        f_b, g_b, ray = evaluate_batch(problem, sampler.draw(), x)
         outcome = safeguarded_direction(state, g_b, x, config.sgr)
         d = outcome.d
-        g_norm, d_norm, dTg = outcome.g_norm, outcome.d_norm, outcome.dTg
-        alpha0 = next_alpha0(ls, prev_result)
-
-        verdict = None
-        if g_norm == 0.0:
-            # Stationary for this batch: no admissible search. Check the exact
-            # gradient now in case this is a true interpolation point.
-            if f_full is None:
-                f_full, grad_full = full_oracle(problem, x)
-                grad_full_norm = _norm(grad_full)
-            alpha, backtracks = 0.0, 0
-            verdict = _verdict(config, f_star, f_full, grad_full_norm)
-        else:
-            try:
-                result = backtrack(ray(d), dTg, ls, alpha0, f_b)
-            except LineSearchStallError as exc:
-                status = "stalled"
-                stall = exc
-                break
-
-            # Acceptance certificate: same floats the search just tested. An
-            # explicit check, so that running with -O cannot strip it.
-            if not result.accepted_f <= f_b + ls.gamma * result.alpha * dTg:
-                raise CertificateError(
-                    f"k={k}: accepted f={result.accepted_f!r} at alpha={result.alpha!r} "
-                    f"exceeds f_B + gamma*alpha*d.g = {f_b + ls.gamma * result.alpha * dTg!r}"
-                )
-            alpha0, alpha, backtracks = result.alpha0, result.alpha, result.backtracks
+        alpha = lane.step(k, x, f_b, outcome.g_norm, outcome.d_norm, outcome.dTg, outcome.restarted, ray(d))
+        if alpha is not None:
             # x_new comes before update_memory frees the arrays it replaces:
             # freed first, they let the allocator trim the heap top, and each
             # wide iteration then faults those pages back in.
             x_new = x + alpha * d
             update_memory(state, x, g_b, d)
-            prev_result = result
             x = x_new
-
-        records.append(
-            IterationRecord(
-                k=k,
-                f_full=f_full,
-                grad_full_norm=grad_full_norm,
-                f_batch=f_b,
-                g_batch_norm=g_norm,
-                d_norm=d_norm,
-                dTg=dTg,
-                alpha0=alpha0,
-                alpha=alpha,
-                backtracks=backtracks,
-                sgr_pass=outcome.sgr_pass,
-                restarted=outcome.restarted,
-            )
-        )
-        if verdict is not None:
-            status = verdict
+        elif lane.result is not None:
             break
-
-    return RunResult(trajectory=records, final_x=x, status=status, stall=stall)
-
-
-class _Lane:
-    """One seed of a lockstep group: what run keeps outside the stacks."""
-
-    __slots__ = ("seed", "sampler", "records", "prev_result", "result")
-
-    def __init__(self, seed, sampler):
-        self.seed = seed
-        self.sampler = sampler
-        self.records: list[IterationRecord] = []
-        self.prev_result = None
-        self.result: RunResult | None = None
-
-    def finish(self, x, status, stall=None):
-        self.result = RunResult(trajectory=self.records, final_x=x.copy(), status=status, stall=stall)
+    else:
+        lane.finish(x, "max_iters")
+    return lane.result
 
 
 @_blas.single_thread()
 def run_many(config: RunConfig, seeds) -> list[RunResult]:
     """``run(replace(config, seed=s))`` for each seed s, advanced in lockstep.
 
-    The K seeds' iterates are the rows of one (K, n) stack, and each
-    iteration treats them together: the sampled rows, residuals and
-    gradients, the finiteness checks, the direction recipe (each row with
-    its own memory), the (c1, c2) safeguard with its per-row restart, the
-    ray coefficients and the step are each one operation on the stack.
-    Each seed keeps its own sampler, initial trial step, backtrack call,
-    Armijo certificate, exact trace points and zero-gradient path. A seed
-    that converges, stalls or meets its zero-gradient verdict leaves the
-    stack; the others go on.
-
-    Result i is run(replace(config, seed=seeds[i])) byte for byte: the
-    stacked operations give each row the floats of the one-run operations
-    (see ResidualProblem.batch_eval_rows and MemoryRows), and everything
-    per seed is the code run uses. Every per-iteration check of run is made
-    per row, and its error names the seed. A problem with no stacked
-    oracle (batch_eval_rows is None) runs its seeds one by one. The whole
-    call holds numpy's OpenBLAS to one thread, like run.
+    The K seeds' iterates are the rows of one (K, n) stack: the sampled
+    rows, the finiteness checks, the direction recipe (MemoryRows), the
+    (c1, c2) safeguard, the ray coefficients and the step are each one
+    operation on the stack, giving each row the floats of run's one-row
+    kernel. Each seed is a _Lane, as in run, and leaves the stack when it
+    ends. So result i is run(replace(config, seed=seeds[i])) byte for byte,
+    and the error a seed meets is run's, after "seed=S: ". Fewer than two
+    seeds, or a problem with no stacked oracle (batch_eval_rows is None),
+    go through run one by one. The call holds numpy's OpenBLAS to one
+    thread, like run.
     """
     seeds = list(seeds)
     problem = config.problem
-    if problem.batch_eval_rows is None:
+    if len(seeds) < 2 or problem.batch_eval_rows is None:
         return [run(replace(config, seed=s)) for s in seeds]
-    ls = config.linesearch
-    sgr = config.sgr
-    every = config.trace_full_oracle_every
-    f_star = problem.known.f_star if problem.known is not None else None
 
     lanes, starts = [], []
     for seed in seeds:
         x, sampler = _start(config, seed)
-        lanes.append(_Lane(seed, sampler))
+        lanes.append(_Lane(config, seed, sampler))
         starts.append(x)
     results = list(lanes)
     X = np.stack(starts)
     memory = MemoryRows(config.direction, len(lanes), problem.n)
 
+    every = config.trace_full_oracle_every
     for k in range(config.max_iters):
-        K = len(lanes)
-        f_full = [None] * K
-        grad_full_norm = [None] * K
         if k % every == 0:
-            for j, lane in enumerate(lanes):
+            for lane, x in zip(lanes, X):
                 try:
-                    f_full[j], grad_full = full_oracle(problem, X[j])
+                    lane.sample(x)
                 except SlsoptError as exc:
-                    raise type(exc)(f"seed={lane.seed}: {exc}") from exc
-                grad_full_norm[j] = _norm(grad_full)
-                verdict = _verdict(config, f_star, f_full[j], grad_full_norm[j])
-                if verdict is not None:
-                    lane.finish(X[j], verdict)
+                    raise _named(lane, exc) from exc
             if any(lane.result is not None for lane in lanes):
-                X, lanes, f_full, grad_full_norm = _drop_finished(X, memory, lanes, f_full, grad_full_norm)
-                K = len(lanes)
-                if not K:
+                X, lanes = _drop_finished(X, memory, lanes)
+                if not lanes:
                     break
 
         # evaluate_batch's checks, one row each: a finite iterate, then a
-        # finite value and gradient of the sampled component. A finite sum
-        # of the rows' squared norms clears every row at once; the sum is
-        # taken in float arithmetic, which overflows without a warning.
-        xx = np.vecdot(X, X).tolist()
-        j = None if math.isfinite(sum(xx)) else _first_non_finite(X, xx)
+        # finite value and gradient of the sampled component. As in
+        # problems._all_finite, one finite dot of the whole stack with
+        # itself clears every row at once; the values' sum is taken in
+        # float arithmetic, which overflows without a warning.
+        j = None if _all_finite(X) else _first_non_finite(X)
         if j is not None:
-            raise NumericDomainError(f"seed={lanes[j].seed}: x contains non-finite entries")
+            raise _named(lanes[j], NumericDomainError("x contains non-finite entries"))
         idx = np.array([lane.sampler.draw() for lane in lanes])
         R0, G, ray_rows = problem.batch_eval_rows(idx, X)
         r0s = R0.tolist()
         fs = [0.5 * r0 * r0 for r0 in r0s]
-        ggs = np.vecdot(G, G).tolist()
-        j = None if math.isfinite(sum(fs) + sum(ggs)) else _first_non_finite(G, ggs, fs)
+        j = None if math.isfinite(sum(fs)) and _all_finite(G) else _first_non_finite(G, fs)
         if j is not None:
-            raise NumericDomainError(f"seed={lanes[j].seed}: non-finite evaluation of component {idx[j]}")
+            raise _named(lanes[j], NumericDomainError(f"non-finite evaluation of component {idx[j]}"))
         D = memory.propose(G, X)
-        restarts, gns, dns, dTgs = memory.safeguard(D, G, ggs, sgr)
+        violated, gns, dns, dTgs = memory.safeguard(D, G, config.sgr)
         c1s, c2s = (v.tolist() for v in ray_rows(D))
 
-        alphas = [0.0] * K
-        stepped = [True] * K
-        finished = False
+        alphas = []
         for j, lane in enumerate(lanes):
+            phi = ray_phi(r0s[j], c1s[j], c2s[j])
             try:
-                alpha0 = next_alpha0(ls, lane.prev_result)
-                verdict = None
-                if gns[j] == 0.0:
-                    # run's zero-gradient path: no search, an exact check now.
-                    if f_full[j] is None:
-                        f_full[j], grad_full = full_oracle(problem, X[j])
-                        grad_full_norm[j] = _norm(grad_full)
-                    alpha, backtracks = 0.0, 0
-                    verdict = _verdict(config, f_star, f_full[j], grad_full_norm[j])
-                    stepped[j] = False
-                else:
-                    f_b, slope = fs[j], dTgs[j]
-                    try:
-                        result = backtrack(ray_phi(r0s[j], c1s[j], c2s[j]), slope, ls, alpha0, f_b)
-                    except LineSearchStallError as exc:
-                        lane.finish(X[j], "stalled", exc)
-                        stepped[j] = False
-                        finished = True
-                        continue
-                    if not result.accepted_f <= f_b + ls.gamma * result.alpha * slope:
-                        raise CertificateError(
-                            f"k={k}: accepted f={result.accepted_f!r} at alpha={result.alpha!r} "
-                            f"exceeds f_B + gamma*alpha*d.g = {f_b + ls.gamma * result.alpha * slope!r}"
-                        )
-                    alpha0, alpha, backtracks = result.alpha0, result.alpha, result.backtracks
-                    alphas[j] = alpha
-                    lane.prev_result = result
+                alphas.append(lane.step(k, X[j], fs[j], gns[j], dns[j], dTgs[j], bool(violated[j]), phi))
             except SlsoptError as exc:
-                raise type(exc)(f"seed={lane.seed}: {exc}") from exc
-            # The fields in order, positionally: keywords cost a dataclass
-            # about three times as much, and this runs once per seed-iteration.
-            lane.records.append(
-                IterationRecord(
-                    k, f_full[j], grad_full_norm[j], fs[j], gns[j], dns[j], dTgs[j],
-                    alpha0, alpha, backtracks, not restarts[j], restarts[j],
-                )
-            )
-            if verdict is not None:
-                lane.finish(X[j], verdict)
-                finished = True
+                raise _named(lane, exc) from exc
 
         # The step and the memory update of run, on the rows that searched;
-        # a row on the zero-gradient path keeps its x and its memory.
-        # alpha d + x is x + alpha d: IEEE addition is commutative.
-        alpha = np.array(alphas)[:, None]
-        if all(stepped):
-            X_new = alpha * D
+        # a row on the zero-gradient path, or one that stalled, keeps its x
+        # and its memory. alpha d + x is x + alpha d: IEEE addition is
+        # commutative.
+        if None not in alphas:
+            X_new = np.array(alphas)[:, None] * D
             X_new += X
             memory.update(None, X, G, D)
-        else:
-            step = np.array(stepped)
-            X_new = X.copy()
-            X_new[step] += alpha[step] * D[step]
-            memory.update(step, X, G, D)
+            X = X_new
+            continue
+        step = np.array([alpha is not None for alpha in alphas])
+        X_new = X.copy()
+        X_new[step] += np.array([alpha for alpha in alphas if alpha is not None])[:, None] * D[step]
+        memory.update(step, X, G, D)
         X = X_new
-        if finished:
+        if any(lane.result is not None for lane in lanes):
             X, lanes = _drop_finished(X, memory, lanes)
             if not lanes:
                 break
 
-    for j, lane in enumerate(lanes):
-        lane.finish(X[j], "max_iters")
+    for lane, x in zip(lanes, X):
+        lane.finish(x, "max_iters")
     return [lane.result for lane in results]
 
 
-def _drop_finished(X, memory, lanes, *per_lane):
-    """The stack, the memory and the per-lane lists without finished lanes."""
+def _named(lane: _Lane, exc: SlsoptError) -> SlsoptError:
+    """exc as run_many raises it: "seed=S: " before the message run gives for S."""
+    return type(exc)(f"seed={lane.seed}: {exc}")
+
+
+def _drop_finished(X, memory, lanes):
+    """The stack, the memory and the lanes without the finished lanes."""
     keep = [lane.result is None for lane in lanes]
     memory.keep(np.array(keep))
-    cut = [[v for v, kept in zip(seq, keep) if kept] for seq in (lanes, *per_lane)]
-    return (X[np.array(keep)], *cut)
+    return X[np.array(keep)], [lane for lane, kept in zip(lanes, keep) if kept]
 
 
-def _first_non_finite(V, squares, values=None) -> int | None:
-    """The first row whose value (if given) or entries are not all finite.
-
-    squares are the rows' v.v. As in problems._all_finite, a finite square
-    settles a row, and only a row whose square is not finite needs the
-    elementwise test.
-    """
-    for j, vv in enumerate(squares):
-        if not (math.isfinite(vv) or np.isfinite(V[j]).all()):
-            return j
-        if values is not None and not math.isfinite(values[j]):
+def _first_non_finite(V, values=None) -> int | None:
+    """The first row whose value (if given) or entries are not all finite."""
+    for j, v in enumerate(V):
+        if values is not None and not math.isfinite(values[j]) or not np.isfinite(v).all():
             return j
     return None
 

@@ -57,14 +57,16 @@ def as_vector(x, n: int | None = None, name: str = "x") -> Vector:
     return v
 
 
-def _all_finite(v: Vector) -> bool:
-    """np.isfinite(v).all() for a 1-D float64 array, without its bool temporary.
+def _all_finite(v) -> bool:
+    """np.isfinite(v).all() for a float64 array, without its bool temporary.
 
-    v.dot(v) is finite when every entry is, unless the squared norm overflows;
-    a NaN or infinite entry makes it NaN or inf. So only a non-finite dot
-    needs the elementwise test, and the verdict is always that test's.
+    v . v is finite when every entry is, unless the squared norm overflows; a
+    NaN or infinite entry makes it NaN or inf. So only a non-finite dot needs
+    the elementwise test, and the verdict is always that test's. np.vdot
+    runs the dot kernel of v.dot(v) on v's entries in order without numpy's
+    floating-point error check, so an overflow is inf without a warning.
     """
-    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
 
 
 @dataclass(frozen=True, eq=False)

@@ -694,9 +694,11 @@ class TestCmdSweep:
             monkeypatch.setattr(cli.optimizer, name, counted)
         cfg_path = write_cfg(tmp_path, LS)
         out = f"run.out_csv={tmp_path / 't.csv'}"
+        # every group goes through run_many, which runs a group of one as run
         assert cli.cmd_sweep(cfg_path, seeds="4", jobs=1, overrides=[out]) == 0
+        assert calls == ["run_many", "run"]
         assert cli.cmd_sweep(cfg_path, seeds="0..2", jobs=1, overrides=[out]) == 0
-        assert calls == ["run", "run_many"]
+        assert calls == ["run_many", "run", "run_many"]
 
     def test_reversed_range_names_the_range(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, TOY)

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from slsopt import (
     verify_lemma_bounds,
     wgc_from_moments,
 )
+from slsopt import diagnostics
 from slsopt.diagnostics import _moments_from_samples
 from slsopt.errors import DomainError, UndefinedEstimateError, UnsupportedProblemError
 
@@ -302,6 +304,68 @@ def _per_row_moments(p, x, state):
     return _out_of_place_moments(G, D)
 
 
+@st.composite
+def _row_case(draw):
+    """A stack of gradient rows and one memory, with rows at cg's corners."""
+    n = draw(st.integers(1, 12))
+    elements = st.floats(-1e3, 1e3)  # signed zeros and subnormals included
+    x, x_prev, g_prev, d_prev = (draw(arrays(np.float64, n, elements=elements)) for _ in range(4))
+    accum = draw(arrays(np.float64, n, elements=st.floats(0.0, 1e3)))
+    rows = list(draw(arrays(np.float64, (draw(st.integers(0, 5)), n), elements=elements)))
+    # g . (g - g_prev) is zero for g = 0 or g = g_prev, negative for
+    # g = g_prev / 2 (g_prev != 0), and far above any cap for g = 1e3 g_prev.
+    corners = [np.zeros(n), -np.zeros(n), g_prev, 0.5 * g_prev, 1e3 * g_prev, -g_prev]
+    rows += draw(st.lists(st.sampled_from(corners), min_size=1, max_size=4))
+    G = np.stack(draw(st.permutations(rows)))
+    return G, x, dict(x_prev=x_prev, g_prev=g_prev, d_prev=d_prev, accum=accum)
+
+
+def _every_recipe(memory, beta, beta_cap):
+    """Every kind and cg variant, each fresh and with memory."""
+    for kind in KINDS:
+        for variant in CG_VARIANTS if kind == "cg" else ("pr+",):
+            fresh = DirectionState(kind=kind, cg_variant=variant, beta=beta, beta_cap=beta_cap)
+            yield fresh
+            yield DirectionState(kind=kind, cg_variant=variant, beta=beta, beta_cap=beta_cap, **memory)
+
+
+class _Rows:
+    """A problem whose component gradients at every x are the rows of G."""
+
+    def __init__(self, G):
+        self.G = G
+        self.n = G.shape[1]
+
+    def component_grads(self, x):
+        return self.G.copy()
+
+
+class TestDirectionMatrix:
+    @given(case=_row_case(), beta=st.floats(-2.0, 2.0), beta_cap=st.floats(1e-3, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_direction_matrix_equals_per_row_calls_byte_for_byte(self, case, beta, beta_cap):
+        # the matrix exact_moments averages, before it is centred; None
+        # stands for -G
+        G, x, memory = case
+        kept = {name: v.copy() for name, v in memory.items()}
+        for state in _every_recipe(memory, beta, beta_cap):
+            seen = []
+
+            def spy(x, G, D):
+                seen.append(None if D is None else D.copy())
+                return _moments_from_samples(x, G, D)
+
+            with mock.patch.object(diagnostics, "_moments_from_samples", spy):
+                exact_moments(_Rows(G), x, state)
+            D = -G if seen[0] is None else seen[0]
+            rows = np.stack([propose_direction(state, g, x) for g in G])
+            assert D.shape == G.shape
+            assert D.tobytes() == rows.tobytes(), (state.kind, state.cg_variant)
+        for name, value in kept.items():
+            # the memory is read, never written
+            assert memory[name].tobytes() == value.tobytes()
+
+
 MOMENT_FIELDS = ("E_g", "E_norm_g_sq", "var_g", "E_d", "E_dTg", "cov_dg")
 
 
@@ -394,7 +458,7 @@ class TestOnePassMoments:
                     accum=rng.random(p.n),
                 )
             G = p.component_grads(x)
-            D = None if state is None or state.negates_gradient else propose_direction(state, G, x)
+            D = None if state is None or state.negates_gradient else np.stack([propose_direction(state, g, x) for g in G])
             _assert_same_bits(exact_moments(p, x, state), _out_of_place_moments(G, D))
 
     def test_point_moments_adds_the_objective_value(self):

@@ -413,47 +413,10 @@ class TestOneBufferDirections:
         assert state.accum.tobytes() == (acc + g * g).tobytes()
 
 
-@st.composite
-def _row_case(draw):
-    """A stack of gradient rows and one memory, with rows at cg's corners."""
-    n = draw(st.integers(1, 12))
-    elements = st.floats(-1e3, 1e3)  # signed zeros and subnormals included
-    x, x_prev, g_prev, d_prev = (draw(arrays(np.float64, n, elements=elements)) for _ in range(4))
-    accum = draw(arrays(np.float64, n, elements=st.floats(0.0, 1e3)))
-    rows = list(draw(arrays(np.float64, (draw(st.integers(0, 5)), n), elements=elements)))
-    # g . (g - g_prev) is zero for g = 0 or g = g_prev, negative for
-    # g = g_prev / 2 (g_prev != 0), and far above any cap for g = 1e3 g_prev.
-    corners = [np.zeros(n), -np.zeros(n), g_prev, 0.5 * g_prev, 1e3 * g_prev, -g_prev]
-    rows += draw(st.lists(st.sampled_from(corners), min_size=1, max_size=4))
-    G = np.stack(draw(st.permutations(rows)))
-    return G, x, dict(x_prev=x_prev, g_prev=g_prev, d_prev=d_prev, accum=accum)
-
-
-def _every_recipe(memory, beta, beta_cap):
-    """Every kind and cg variant, each fresh and with memory."""
-    for kind in KINDS:
-        for variant in CG_VARIANTS if kind == "cg" else ("pr+",):
-            fresh = DirectionState(kind=kind, cg_variant=variant, beta=beta, beta_cap=beta_cap)
-            yield fresh
-            yield DirectionState(kind=kind, cg_variant=variant, beta=beta, beta_cap=beta_cap, **memory)
-
-
 class TestDirectionRows:
-    """propose_direction on a stack of rows is the stack of per-row calls."""
-
-    @given(case=_row_case(), beta=st.floats(-2.0, 2.0), beta_cap=st.floats(1e-3, 10.0))
-    @settings(max_examples=300, deadline=None)
-    def test_stack_equals_per_row_calls_byte_for_byte(self, case, beta, beta_cap):
-        G, x, memory = case
-        kept = {name: v.copy() for name, v in memory.items()}
-        for state in _every_recipe(memory, beta, beta_cap):
-            D = propose_direction(state, G, x)
-            rows = np.stack([propose_direction(state, g, x) for g in G])
-            assert D.shape == G.shape
-            assert D.tobytes() == rows.tobytes(), (state.kind, state.cg_variant)
-        for name, value in kept.items():
-            # the memory is read, never written
-            assert memory[name].tobytes() == value.tobytes()
+    """A stack of gradients on one shared memory (MemoryRows.broadcast) is the
+    stack of one-gradient calls; exact_moments builds its direction matrix so
+    (see test_diagnostics.TestDirectionMatrix)."""
 
     @pytest.mark.parametrize("variant", CG_VARIANTS)
     def test_overflowing_and_nan_beta_keep_the_scalar_meaning(self, variant):
@@ -465,7 +428,7 @@ class TestDirectionRows:
         G = np.array([[1e150, 0.0], [np.nan, 1.0], [0.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            D = propose_direction(state, G, np.zeros(2))
+            D = MemoryRows.broadcast(state, *G.shape).propose(G, np.zeros(2))
             rows = np.stack([propose_direction(state, g, np.zeros(2)) for g in G])
         assert D.tobytes() == rows.tobytes()
         assert np.array_equal(D[0], 2.0 * state.d_prev - G[0])
@@ -542,11 +505,11 @@ class TestMemoryRows:
         for k, state in enumerate(states):
             assert D[k].tobytes() == propose_direction(state, G[k], X[k]).tobytes()
 
-        restarted, g_norm, d_norm, dTg = memory_rows.safeguard(D, G, np.vecdot(G, G).tolist(), params)
+        violated, g_norm, d_norm, dTg = memory_rows.safeguard(D, G, params)
         for k, state in enumerate(states):
             out = safeguarded_direction(state, G[k], X[k], params)
             assert D[k].tobytes() == out.d.tobytes()
-            assert (restarted[k], g_norm[k], d_norm[k], dTg[k]) == (out.restarted, out.g_norm, out.d_norm, out.dTg)
+            assert (violated[k], g_norm[k], d_norm[k], dTg[k]) == (out.violated, out.g_norm, out.d_norm, out.dTg)
             if kind in ("momentum", "cg"):
                 assert memory_rows.has_history[k] == (not state.negates_gradient)
 

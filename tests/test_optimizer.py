@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from slsopt import (
 )
 from slsopt import cli, optimizer
 from slsopt.config import build_problem, build_run_config, read_config
+from slsopt.directions import MemoryRows, safeguarded_direction
 from slsopt.errors import (
     CertificateError,
     ConfigError,
@@ -36,6 +39,7 @@ from slsopt.errors import (
 )
 from slsopt.linesearch import ALPHA0_POLICIES
 from slsopt.optimizer import IterationRecord
+from slsopt.problems import _all_finite
 from slsopt.traceio import trace_to_csv
 
 
@@ -168,20 +172,21 @@ class TestRun:
         ]
         p = FiniteSumProblem(n=1, components=components)
         hit = None
-        for seed in range(20):
+        for seed in range(40):
+            # k = 0 is the only trace point, so an exact sample at k = 1 is
+            # the zero-gradient path's own
             cfg = base_config(p, x0=np.array([1.0]), max_iters=5, seed=seed,
-                              grad_tol=0.0, fgap_tol=0.0)
+                              grad_tol=0.0, fgap_tol=0.0, trace_full_oracle_every=100)
             res = run(cfg)
-            first = res.trajectory[0]
-            if first.g_batch_norm == 0.0:
-                hit = (res, first)
+            if all(r.g_batch_norm == 0.0 for r in res.trajectory[:2]):
+                hit = res
                 break
-        assert hit is not None, "no seed drew the stationary component first"
-        res, first = hit
-        assert first.alpha == 0.0
-        assert first.backtracks == 0
-        assert first.f_full is not None  # forced exact check
-        assert len(res.trajectory) > 1  # run continued past the stationary batch
+        assert hit is not None, "no seed drew the stationary component twice first"
+        for rec in hit.trajectory[:2]:
+            assert rec.alpha == 0.0
+            assert rec.backtracks == 0
+            assert rec.f_full is not None  # forced exact check
+        assert len(hit.trajectory) > 2  # run continued past the stationary batches
 
     def test_warm_increase_policy_grows_initial_trials(self):
         p = small_instance()
@@ -605,8 +610,9 @@ class TestRunMany:
     def test_overflowing_gradient_norm_stalls_alike(self):
         # g = 1e308 is finite but g.g overflows: the finiteness check passes
         # on the elementwise test, and the search meets only infinite values.
-        # Both paths warn about the overflow alike; the warning is not the
-        # subject here.
+        # The ray's slope a.d overflows too, and both paths warn about it
+        # alike; the warning is not the subject here (TestOverflowingSquares
+        # has an instance whose only overflows are squares).
         p = LeastSquaresProblem(np.array([[1e154]]), np.array([0.0]))
         config = base_config(p, x0=np.array([1.0]))
         with np.errstate(over="ignore"):
@@ -624,6 +630,10 @@ class TestRunMany:
         assert toy2.batch_eval_rows is None
         assert_lockstep_equals_run(config, [0, 1, 2])
 
+    def test_no_seeds_give_no_results(self):
+        assert optimizer.run_many(base_config(small_instance()), []) == []
+        assert optimizer.run_many(base_config(small_instance()), iter(())) == []
+
     def test_x0_is_shared_and_not_written(self):
         x0 = np.linspace(-1.0, 1.0, 12)
         kept = x0.copy()
@@ -631,13 +641,58 @@ class TestRunMany:
         assert x0.tobytes() == kept.tobytes()
 
 
+def _error_of(call) -> SlsoptError:
+    with pytest.raises(SlsoptError) as info:
+        call()
+    return info.value
+
+
+def assert_named_run_error(config, seeds, seed) -> SlsoptError:
+    """run_many's error is the one run raises for seed, after "seed=S: "; returns it."""
+    want = _error_of(lambda: run(dataclasses.replace(config, seed=seed)))
+    got = _error_of(lambda: optimizer.run_many(config, seeds))
+    assert type(got) is type(want)
+    assert str(got) == f"seed={seed}: {want}"
+    return got
+
+
+def _fault_at(monkeypatch, config, seed, search, fault):
+    """Make backtrack call fault instead at that search of seed's run.
+
+    The search is found by its f_B, the sampled value it starts from, so the
+    fault strikes the same search whether the seed runs alone or in a group.
+    """
+    real = optimizer.backtrack
+    starts = []
+
+    def recorded(phi, slope, params, alpha0, f_x):
+        starts.append(f_x)
+        return real(phi, slope, params, alpha0, f_x)
+
+    monkeypatch.setattr(optimizer, "backtrack", recorded)
+    run(dataclasses.replace(config, seed=seed))
+    target = starts[search]
+    assert starts.count(target) == 1
+
+    def faulty(phi, slope, params, alpha0, f_x):
+        if f_x == target:
+            return fault(real, phi, slope, params, alpha0, f_x)
+        return real(phi, slope, params, alpha0, f_x)
+
+    monkeypatch.setattr(optimizer, "backtrack", faulty)
+
+
 class TestRunManyChecks:
     def test_certificate_error_names_its_seed(self, monkeypatch):
-        # searches alternate between the two seeds: search 3 is seed 11 at k=1
-        searches = _break_certificate_at(monkeypatch, 3)
-        with pytest.raises(CertificateError, match=r"^seed=11: k=1: accepted f="):
-            optimizer.run_many(base_config(small_instance()), [10, 11])
-        assert len(searches) == 4
+        config = base_config(small_instance())
+
+        def above_the_bound(real, phi, slope, params, alpha0, f_x):
+            return dataclasses.replace(real(phi, slope, params, alpha0, f_x), accepted_f=f_x + 1.0)
+
+        _fault_at(monkeypatch, config, 11, 1, above_the_bound)
+        error = assert_named_run_error(config, [10, 11, 12], 11)
+        assert isinstance(error, CertificateError)
+        assert str(error).startswith("seed=11: k=1: accepted f=")
 
     def test_certificate_check_survives_stripped_asserts(self, monkeypatch):
         _break_certificate_at(monkeypatch, 0)
@@ -655,26 +710,20 @@ class TestRunManyChecks:
             (FiniteFullSum(A, b), "non-finite evaluation of component 0"),
         ]
         for problem, message in cases:
-            config = base_config(problem, x0=x0)
             with np.errstate(over="ignore"):
-                with pytest.raises(NumericDomainError, match=f"^{message}$"):
-                    run(config)
-                with pytest.raises(NumericDomainError, match=f"^seed=3: {message}$"):
-                    optimizer.run_many(config, [3, 4])
+                error = assert_named_run_error(base_config(problem, x0=x0), [3, 4], 3)
+            assert isinstance(error, NumericDomainError)
+            assert str(error) == f"seed=3: {message}"
 
     def test_search_errors_name_their_seed(self, monkeypatch):
-        real = optimizer.backtrack
-        calls = []
+        config = base_config(small_instance())
 
-        def refuses_seconds(phi, slope, params, alpha0, f_x):
-            calls.append(alpha0)
-            if len(calls) == 2:
-                return real(phi, slope, params, -1.0, f_x)
-            return real(phi, slope, params, alpha0, f_x)
+        def bad_alpha0(real, phi, slope, params, alpha0, f_x):
+            return real(phi, slope, params, -1.0, f_x)
 
-        monkeypatch.setattr(optimizer, "backtrack", refuses_seconds)
-        with pytest.raises(SlsoptError, match=r"^seed=8: alpha0 must be in"):
-            optimizer.run_many(base_config(small_instance()), [7, 8])
+        _fault_at(monkeypatch, config, 8, 0, bad_alpha0)
+        error = assert_named_run_error(config, [7, 8], 8)
+        assert str(error).startswith("seed=8: alpha0 must be in")
 
     def test_a_stall_ends_only_its_seed(self):
         config = mixed_endings_config("sgd")
@@ -683,3 +732,45 @@ class TestRunManyChecks:
         assert stalled and len(stalled) < len(results)
         longest = max(len(r.trajectory) for r in results)
         assert all(len(r.trajectory) < longest for r in stalled)
+
+
+class TestOverflowingSquares:
+    """A finite vector whose squared norm overflows measures inf, without a warning."""
+
+    def test_each_measure_is_inf_without_a_warning(self):
+        # momentum with beta = 1.5 proposes d = 1.5e308 - 1e308 = 5e307 > 0
+        # along g = 1e308: both squares and d . g overflow, the descent bound
+        # fails, and the restart measures -g, whose square overflows too
+        g = np.array([1e308, 0.0])
+        spec = DirectionState(kind="momentum", beta=1.5)
+        state = dataclasses.replace(spec, x_prev=np.array([-1e308, 0.0]), g_prev=g, d_prev=g)
+        memory = MemoryRows(spec, 1, 2)
+        memory.x_prev[0] = state.x_prev
+        memory.has_history[0] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _all_finite(g)
+            assert optimizer._norm(g) == math.inf
+            out = safeguarded_direction(state, g, np.zeros(2), SgrParams(c1=10.0, c2=0.1))
+            D = memory.propose(g[None, :], np.zeros((1, 2)))
+            violated, g_norm, d_norm, dTg = memory.safeguard(D, g[None, :], SgrParams(c1=10.0, c2=0.1))
+        assert out.violated == {"descent_bound"}
+        assert (out.g_norm, out.d_norm, out.dTg) == (math.inf, math.inf, -math.inf)
+        assert (violated[0], g_norm[0], d_norm[0], dTg[0]) == (out.violated, out.g_norm, out.d_norm, out.dTg)
+        assert D[0].tobytes() == out.d.tobytes()
+
+    def test_runs_end_alike_without_a_warning(self):
+        # g = 1e159 (x = 1e-139, a = 1e149) is finite but g.g overflows, while
+        # the ray's slope a.d = -1e308 does not: every search trial is
+        # infinite, and each seed stalls. x = 1e200 has an overflowing x.x and
+        # a gradient that rounds to 0, so each seed converges at once.
+        cases = [
+            (np.array([[1e149]]), np.array([1e-139]), "stalled"),
+            (np.array([[1e-200]]), np.array([1e200]), "converged_grad"),
+        ]
+        for A, x0, status in cases:
+            config = base_config(LeastSquaresProblem(A, np.array([0.0]), KnownConstants(f_star=0.0)), x0=x0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                results = assert_lockstep_equals_run(config, [0, 1, 2])
+            assert [r.status for r in results] == [status] * 3
