@@ -35,14 +35,12 @@ from .directions import (
     SgrParams,
     propose_direction,
     safeguarded_direction,
-    sgr_check,
     update_memory,
 )
 from .linesearch import (
     LineSearchParams,
     LineSearchResult,
     alpha_low,
-    armijo_holds,
     backtrack,
     jstar,
     next_alpha0,
@@ -59,7 +57,6 @@ from .optimizer import (
 )
 from .problems import (
     BatchSampler,
-    FiniteSumProblem,
     KnownConstants,
     LeastSquaresProblem,
     ResidualProblem,

@@ -252,7 +252,7 @@ def parse_spectrum(text: str, N: int, n: int) -> np.ndarray:
         raise ConfigError(f"cannot parse spectrum spec {text!r}") from exc
 
 
-def build_problem(cfg: ExperimentConfig) -> problems.FiniteSumProblem:
+def build_problem(cfg: ExperimentConfig) -> problems.ResidualProblem:
     p = cfg.problem
     try:
         if p.kind == "least_squares":

@@ -2,11 +2,11 @@
 
 All expectations are conditional on the current point and taken over the batch
 draw. With singleton batches they are computed exactly as uniform averages
-over the N components, which turns growth conditions, covariance bounds, and
-the certified contraction coefficient into checkable numbers instead of
-assumptions. var / cov are accumulated in centered form; the uncentered
-identities then hold as genuine floating-point checks rather than by
-construction.
+over the N component functions, which turns growth conditions, covariance
+bounds, and the certified contraction coefficient into checkable numbers
+instead of assumptions. var / cov are accumulated in centered form; the
+uncentered identities then hold as genuine floating-point checks rather than
+by construction.
 
 The direction at each point is the optimizer's own recipe: propose_direction
 on every component gradient, with the memory of a DirectionState that is
@@ -25,7 +25,7 @@ import numpy as np
 
 from .directions import DirectionState, MemoryRows
 from .errors import DomainError, NumericDomainError, UndefinedEstimateError, UnsupportedProblemError
-from .problems import FiniteSumProblem, Vector, as_vector
+from .problems import ResidualProblem, Vector, as_vector
 
 __all__ = [
     "MomentReport",
@@ -92,7 +92,7 @@ def _moments_from_samples(x, G: np.ndarray, D: np.ndarray | None) -> MomentRepor
     return MomentReport(x, E_g, E_norm_g_sq, max(var_g, 0.0), E_d, E_dTg, cov_dg)
 
 
-def exact_moments(problem: FiniteSumProblem, x, state: DirectionState | None = None) -> MomentReport:
+def exact_moments(problem: ResidualProblem, x, state: DirectionState | None = None) -> MomentReport:
     """Moments as exact uniform averages over the N singleton batches.
 
     Builds the N x n component-gradient matrix once, centres it in place and
@@ -108,7 +108,7 @@ def exact_moments(problem: FiniteSumProblem, x, state: DirectionState | None = N
     return _moments_from_samples(xv, G, D)
 
 
-def point_moments(problem: FiniteSumProblem, x, state: DirectionState | None = None) -> MomentReport:
+def point_moments(problem: ResidualProblem, x, state: DirectionState | None = None) -> MomentReport:
     """Everything the estimators read at x, from one exact pass.
 
     exact_moments plus the objective value f: component values and component
@@ -188,7 +188,7 @@ def pl_from_moments(moments: Iterable[MomentReport], f_star: float, tol: float =
     return _first_best(map(ratio, moments), operator.lt, "no sample had a positive optimality gap")
 
 
-def estimate_c3(problem: FiniteSumProblem, x_samples, state: DirectionState | None = None) -> float:
+def estimate_c3(problem: ResidualProblem, x_samples, state: DirectionState | None = None) -> float:
     """Smallest anti-correlation coefficient covering all sampled points.
 
     Returns max over samples of max(0, -cov_dg) / var_g, skipping points with
@@ -197,7 +197,7 @@ def estimate_c3(problem: FiniteSumProblem, x_samples, state: DirectionState | No
     return c3_from_moments(exact_moments(problem, x, state) for x in x_samples)[0]
 
 
-def estimate_rho(problem: FiniteSumProblem, x_samples, tol: float = 1e-10) -> float:
+def estimate_rho(problem: ResidualProblem, x_samples, tol: float = 1e-10) -> float:
     """Sampled strong-growth ratio max E||g||^2 / ||grad f||^2; always >= 1."""
     return rho_from_moments((exact_moments(problem, x) for x in x_samples), tol)[0]
 
@@ -208,7 +208,7 @@ def _require_f_star(problem):
     return problem.known.f_star
 
 
-def estimate_wgc(problem: FiniteSumProblem, x_samples, L: float, tol: float = 1e-12) -> float:
+def estimate_wgc(problem: ResidualProblem, x_samples, L: float, tol: float = 1e-12) -> float:
     """Sampled weak-growth ratio max E||g||^2 / (2 L (f - f_star))."""
     if L <= 0:
         raise DomainError(f"L must be > 0, got {L}")
@@ -216,7 +216,7 @@ def estimate_wgc(problem: FiniteSumProblem, x_samples, L: float, tol: float = 1e
     return wgc_from_moments((point_moments(problem, x) for x in x_samples), f_star, L, tol)[0]
 
 
-def estimate_pl(problem: FiniteSumProblem, x_samples, tol: float = 1e-12) -> float:
+def estimate_pl(problem: ResidualProblem, x_samples, tol: float = 1e-12) -> float:
     """Largest gradient-domination constant valid on the sample set.
 
     Returns min over samples of ||grad f||^2 / (2 (f - f_star)); points at the
@@ -330,7 +330,7 @@ def lemma_bounds_from_moments(m: MomentReport, constants: TheoremConstants) -> L
 
 
 def verify_lemma_bounds(
-    problem: FiniteSumProblem,
+    problem: ResidualProblem,
     x,
     constants: TheoremConstants,
     state: DirectionState | None = None,

@@ -27,7 +27,6 @@ __all__ = [
     "SgrParams",
     "DirectionState",
     "DirectionOutcome",
-    "sgr_check",
     "propose_direction",
     "safeguarded_direction",
     "update_memory",
@@ -191,16 +190,6 @@ def _restart(d, g) -> tuple[float, float]:
     """
     np.negative(g, out=d)
     return math.sqrt(float(d.dot(d))), float(d.dot(g))
-
-
-def sgr_check(d, g, params: SgrParams) -> tuple[bool, frozenset]:
-    """Test both admissibility bounds with no slack.
-
-    Returns (passed, violated) where violated names each failed inequality.
-    A zero gradient passes only with a zero direction.
-    """
-    violated = _measure(d, g, params)[0]
-    return (not violated, violated)
 
 
 def propose_direction(state: DirectionState, g, x) -> Vector:
@@ -391,7 +380,10 @@ class MemoryRows:
         ggs = np.vecdot(G, G).tolist()
         g_norm = [math.sqrt(gg) for gg in ggs]
         d_norm = [math.sqrt(dd) for dd in np.vecdot(D, D).tolist()]
-        dTg = np.vecdot(D, G).tolist()
+        # ndarray.dot takes a one-entry operand as a scalar, so _measure's
+        # d . g of one variable is the product itself, -0.0 included, where
+        # np.vecdot adds the product to +0.0.
+        dTg = (D[:, 0] * G[:, 0] if D.shape[1] == 1 else np.vecdot(D, G)).tolist()
         violated = _violated(zip(g_norm, d_norm, dTg, ggs), params)
         for k in [k for k, v in enumerate(violated) if v]:
             d_norm[k], dTg[k] = _restart(D[k], G[k])

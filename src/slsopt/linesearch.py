@@ -19,15 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError, LineSearchStallError, NonDescentError
-from .problems import Vector
 
 __all__ = [
     "LineSearchParams",
     "LineSearchResult",
-    "armijo_holds",
     "backtrack",
     "alpha_low",
     "jstar",
@@ -88,30 +84,6 @@ class LineSearchResult:
     f_trial_count: int
     accepted_f: float
     alpha0: float
-
-
-def armijo_holds(
-    f_batch: Callable[[Vector], float],
-    x: Vector,
-    d: Vector,
-    g: Vector,
-    alpha: float,
-    gamma: float,
-    f_x: float,
-) -> bool:
-    """Sufficient-decrease test at step alpha, costing one new oracle call.
-
-    f_x must be the already-computed batch value at x. Ties accept. A
-    non-finite trial value counts as a failed test, not an error.
-    """
-    if alpha < 0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
-    slope = float(np.dot(d, g))
-    trial = float(f_batch(x + alpha * d))
-    if not math.isfinite(trial):
-        logger.warning("non-finite trial value at alpha=%g; treating as rejected", alpha)
-        return False
-    return trial <= f_x + gamma * alpha * slope
 
 
 def backtrack(

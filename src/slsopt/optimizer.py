@@ -2,10 +2,10 @@
 
 One run is strictly sequential and fully determined by its seed: a single
 seed feeds a splittable generator whose children drive the starting point and
-the stream of sampled components. Exact full-sum values are logged only periodically so the
-per-iteration cost model stays stochastic. ``run_many`` advances the seeds of
-one config together as the rows of one array, each seed's result that of
-``run`` byte for byte.
+the stream of sampled component indices. Exact full-sum values are logged
+only periodically so the per-iteration cost model stays stochastic.
+``run_many`` advances the seeds of one config together as the rows of one
+array, each seed's result that of ``run`` byte for byte.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .linesearch import LineSearchParams, alpha_low, backtrack, jstar, next_alph
 from .problems import (
     BatchSampler,
     _all_finite,
-    FiniteSumProblem,
+    ResidualProblem,
     Vector,
     as_vector,
     evaluate_batch,
@@ -71,7 +71,7 @@ class RunConfig:
     trace_full_oracle_every is the config key run.trace_every.
     """
 
-    problem: FiniteSumProblem
+    problem: ResidualProblem
     direction: DirectionState
     linesearch: LineSearchParams
     sgr: SgrParams
@@ -292,13 +292,12 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
     kernel. Each seed is a _Lane, as in run, and leaves the stack when it
     ends. So result i is run(replace(config, seed=seeds[i])) byte for byte,
     and the error a seed meets is run's, after "seed=S: ". Fewer than two
-    seeds, or a problem with no stacked oracle (batch_eval_rows is None),
-    go through run one by one. The call holds numpy's OpenBLAS to one
-    thread, like run.
+    seeds go through run. The call holds numpy's OpenBLAS to one thread,
+    like run.
     """
     seeds = list(seeds)
     problem = config.problem
-    if len(seeds) < 2 or problem.batch_eval_rows is None:
+    if len(seeds) < 2:
         return [run(replace(config, seed=s)) for s in seeds]
 
     lanes, starts = [], []

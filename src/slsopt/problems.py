@@ -1,7 +1,9 @@
-"""Finite-sum objectives f(x) = (1/N) sum_i f_i(x) with exact component oracles.
+"""Finite sums f(x) = (1/N) sum_i f_i(x) of squared residuals with exact oracles.
 
-Problems expose per-component values and gradients, the search ray of one
-sampled component, and an exact full-sum oracle. The synthetic generators plant a minimizer shared by
+Every problem is a ResidualProblem: f_i(x) = 0.5 (a_i . w(x) - b_i)^2 for
+features w(x). It exposes the value and gradient of one sampled component
+with its closed-form search ray, the same for a stack of points, and an
+exact full-sum oracle. The synthetic generators plant a minimizer shared by
 every component, so the interpolation property holds by construction and the
 smoothness / gradient-domination constants are known analytically where the
 structure permits.
@@ -14,8 +16,6 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
 import numpy as np
 
 from . import _blas
@@ -33,7 +33,6 @@ __all__ = [
     "as_vector",
     "KnownConstants",
     "BatchSampler",
-    "FiniteSumProblem",
     "ResidualProblem",
     "LeastSquaresProblem",
     "TwoFactorProblem",
@@ -107,82 +106,105 @@ class BatchSampler:
         return self._pending.pop()
 
 
-class FiniteSumProblem:
-    """Average of N differentiable components with exact oracles.
+class ResidualProblem:
+    """Average of N squared residuals f_i(x) = 0.5 (a_i . w(x) - b_i)^2 of features w(x).
 
-    ``components`` is a sequence of (value, grad) callable pairs; generated
-    families subclass this and override every oracle with vectorized code,
-    in which case ``components`` may be omitted.
+    The rows a_i are stacked in A. Every oracle is derived here from three
+    hooks a family supplies. Each takes a (K, n) stack X of points and the
+    K rows of A they are paired with, ``rows``:
 
-    ``component_grads(x)`` returns the N x n matrix of component gradients
-    in a new array that the caller owns: it shares no memory with the
-    problem's data, and the diagnostics centre it in place.
+    - ``features_rows(X)``: the feature vectors w(X[k]), as rows;
+    - ``pullback_rows(X, rows, R0)``: ``(G, reuse)``. G[k] is the
+      transposed-Jacobian product R0[k] J_w(X[k])^T rows[k], written into
+      one new (K, n) array. ``reuse`` is any part of that product the ray
+      may take, or None;
+    - ``ray_coefficients_rows(rows, X, D, reuse)``: (C1, C2) such that the
+      residual of rows[k] along X[k] + a D[k] is R0[k] + a (C1[k] + a C2[k]).
+      ``reuse`` is what pullback_rows returned for the same rows and points.
+
+    A family also supplies ``component_grads(x)``: the N x n matrix of
+    component gradients, in a new array that the caller owns and may
+    overwrite; it must not be A or a view of it. The one-point oracles run
+    the hooks on the (1, n) view of x.
+
+    ``n`` is the length of x and defaults to the number of columns of A.
     """
 
-    def __init__(
-        self,
-        n: int,
-        components: Sequence[tuple[Callable, Callable]] | None = None,
-        known: KnownConstants | None = None,
-        N: int | None = None,
-    ):
-        if int(n) < 1:
-            raise ShapeError(f"dimension must be >= 1, got {n}")
-        self.n = int(n)
-        if components is not None:
-            self._components = list(components)
-            self._N = len(self._components)
-        elif N is not None:
-            self._components = None
-            self._N = int(N)
-        else:
-            raise InvalidSpecError("either components or N must be given")
-        if self._N < 1:
-            raise InvalidSpecError(f"component count must be >= 1, got {self._N}")
+    def __init__(self, A, b, known: KnownConstants | None = None, n: int | None = None):
+        A = np.asarray(A, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if A.ndim != 2:
+            raise ShapeError("A must be a 2-D array")
+        if b.shape != (A.shape[0],):
+            raise ShapeError("b must have one entry per row of A")
+        self.n = int(A.shape[1] if n is None else n)
+        if self.n < 1:
+            raise ShapeError(f"dimension must be >= 1, got {self.n}")
+        self.N = A.shape[0]
+        if self.N < 1:
+            raise InvalidSpecError(f"component count must be >= 1, got {self.N}")
+        self.A = A
+        self.b = b
         self.known = known
 
-    @property
-    def N(self) -> int:
-        return self._N
+    def _residuals(self, idx, X):
+        """Rows of A and their residuals: row idx[k] at X[k], or all N at X[0] if idx is None.
 
-    # Per-component primitives. Subclasses either rely on the callables or
-    # override these together with the paths below.
-    def component_value(self, i: int, x: Vector) -> float:
-        return float(self._components[i][0](x))
+        idx is an index array or a slice. np.vecdot gives a row the float of
+        row @ w, the expression the generators plant b_i with, so the
+        residual at the planted minimizer is exactly zero.
+        """
+        W = self.features_rows(X)
+        if idx is None:
+            return self.A, self.A @ W[0] - self.b
+        rows = self.A[idx]
+        return rows, np.vecdot(rows, W) - self.b[idx]
 
-    def component_grad(self, i: int, x: Vector) -> Vector:
-        return np.asarray(self._components[i][1](x), dtype=np.float64)
+    def component_value(self, i, x):
+        r = float(self._residuals(slice(i, i + 1), x[None])[1][0])
+        return 0.5 * r * r
 
-    def batch_eval_ray(self, i: int, x: Vector):
+    def batch_eval_rows(self, idx, X):
+        """batch_eval_ray at K points at once: row k is component idx[k] at X[k].
+
+        Returns (R0, G, ray_rows): the K residuals, so that f_k is
+        0.5 * R0[k] * R0[k]; the (K, n) gradients; and ray_rows(D), the
+        arrays (C1, C2) of the K rays along the rows of D, to be passed to
+        ray_phi row by row. One residual pass serves both: the rays take
+        the rows and what their pullback offers. Nothing is checked here.
+        """
+        rows, R0 = self._residuals(idx, X)
+        G, reuse = self.pullback_rows(X, rows, R0)
+        return R0, G, functools.partial(self._ray_rows, rows, X, reuse)
+
+    @np.errstate(over="ignore")
+    def _ray_rows(self, rows, X, reuse, D):
+        # A slope or curvature beyond the float range is an infinite
+        # coefficient, whose trials the search rejects; no warning needed.
+        return self.ray_coefficients_rows(rows, X, D, reuse)
+
+    def batch_eval_ray(self, i, x):
         """f_i(x), g_i(x) and ``ray``, where ray(d) is phi(a) = f_i(x + a d).
 
-        This default forms each trial point and calls component_value, so a
-        trial costs a full component evaluation. ResidualProblem overrides it
-        with a closed form whose trials cost a few float operations.
+        batch_eval_rows on the (1, n) view of x. phi is ray_phi of the
+        residual along d, so a trial costs a few float operations, and
+        phi(0) is f_i(x).
         """
+        R0, G, ray_rows = self.batch_eval_rows(slice(i, i + 1), x[None])
+        r0 = float(R0[0])
+        return 0.5 * r0 * r0, G[0], functools.partial(_one_ray, r0, ray_rows)
 
-        def ray(d):
-            return lambda a: self.component_value(i, x + a * d)
+    def full_value_grad(self, x):
+        # The gradient is the pullback of the mean weighted row; scaling it
+        # by R0 = 1.0 is exact.
+        X = x[None]
+        rows, r = self._residuals(None, X)
+        G = self.pullback_rows(X, ((rows.T @ r) / r.size)[None], _ONE)[0]
+        return 0.5 * float(r @ r) / r.size, G[0]
 
-        return self.component_value(i, x), self.component_grad(i, x), ray
-
-    def full_value_grad(self, x: Vector) -> tuple[float, Vector]:
-        f = 0.0
-        g = np.zeros(self.n)
-        for i in range(self.N):
-            f += self.component_value(i, x)
-            g += self.component_grad(i, x)
-        return f / self.N, g / self.N
-
-    def component_values(self, x: Vector) -> np.ndarray:
-        return np.array([self.component_value(i, x) for i in range(self.N)])
-
-    def component_grads(self, x: Vector) -> np.ndarray:
-        return np.stack([self.component_grad(i, x) for i in range(self.N)])
-
-    # The stacked oracle optimizer.run_many advances its rows with; a
-    # family without one has its seeds run one by one.
-    batch_eval_rows = None
+    def component_values(self, x):
+        r = self._residuals(None, x[None])[1]
+        return 0.5 * r * r
 
     def validate_known_constants(self, rtol: float = 1e-12, grad_tol: float = 1e-10):
         """Check that the planted minimizer actually attains f_star with zero gradient."""
@@ -199,124 +221,22 @@ class FiniteSumProblem:
             raise InvalidSpecError(f"gradient norm at x_star is {gn:g} > {grad_tol:g}")
 
 
-class ResidualProblem(FiniteSumProblem):
-    """Squared residuals f_i(x) = 0.5 (a_i . w(x) - b_i)^2 of features w(x).
+_ONE = np.ones(1)
 
-    The rows a_i are stacked in A. Every oracle is derived here from the
-    residuals; a family supplies four hooks:
 
-    - ``features(x)``: the feature vector w(x);
-    - ``pullback(x, s, scale=None)``: ``(g, reuse)``. g is the
-      transposed-Jacobian product J_w(x)^T s, each entry multiplied by the
-      float ``scale`` when one is given, written into one new array (or s
-      itself when w is the identity and there is no scale; s is never
-      written to). ``reuse`` is any part of that product the ray may take,
-      or None;
-    - ``ray_coefficients(row, x, d, reuse)``: (c1, c2) such that the
-      residual of row a_i along x + a d is r0 + a (c1 + a c2). ``reuse`` is
-      what ``pullback(x, a_i, r)`` returned when the gradient of f_i at x
-      was computed;
-    - ``component_grads(x)``: the N x n matrix of component gradients, in
-      a new array that the caller owns and may overwrite; it must not be
-      A or a view of it.
-
-    ``n`` is the length of x and defaults to the number of columns of A.
-
-    ``batch_eval_rows`` evaluates K components at K points at once. It takes
-    three more hooks, each the one above on a (K, n) stack of points, with
-    every row given the floats of the one-row hook: ``features_rows(X)``,
-    ``pullback_rows(X, rows, R0)`` and ``ray_coefficients_rows(rows, X, D,
-    reuse)``.
-    """
-
-    def __init__(self, A, b, known: KnownConstants | None = None, n: int | None = None):
-        A = np.asarray(A, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if A.ndim != 2:
-            raise ShapeError("A must be a 2-D array")
-        if b.shape != (A.shape[0],):
-            raise ShapeError("b must have one entry per row of A")
-        super().__init__(n=A.shape[1] if n is None else n, N=A.shape[0], known=known)
-        self.A = A
-        self.b = b
-
-    def _residuals(self, i, x):
-        """Row i and its float residual, or all N rows and residuals when None.
-
-        float(row @ w) matches the expression the generators plant b_i with,
-        so the residual at the planted minimizer is exactly zero.
-        """
-        w = self.features(x)
-        if i is None:
-            return self.A, self.A @ w - self.b
-        return self.A[i], float(self.A[i] @ w) - float(self.b[i])
-
-    def component_value(self, i, x):
-        r = self._residuals(i, x)[1]
-        return 0.5 * r * r
-
-    def component_grad(self, i, x):
-        row, r = self._residuals(i, x)
-        return self.pullback(x, row, r)[0]
-
-    def batch_eval_ray(self, i, x):
-        """f_i, g_i and a closed-form ``ray``: a trial is a few float operations.
-
-        One residual pass serves both: the ray takes the row and residual the
-        gradient was computed from, and what its pullback offers.
-        """
-        row, r0 = self._residuals(i, x)
-        g, reuse = self.pullback(x, row, r0)
-        return 0.5 * r0 * r0, g, functools.partial(self._ray, row, r0, reuse, x)
-
-    def _ray(self, row, r0, reuse, x, d):
-        # The residual is quadratic along the ray; r0 comes from the
-        # expression component_value uses, so phi(0) is its f_i(x).
-        c1, c2 = self.ray_coefficients(row, x, d, reuse)
-        return ray_phi(r0, float(c1), float(c2))
-
-    def batch_eval_rows(self, idx, X):
-        """batch_eval_ray on a stack: row k is component idx[k] at X[k].
-
-        Returns (R0, G, ray_rows): the K residuals, so that f_k is
-        0.5 * R0[k] * R0[k]; the (K, n) gradients; and ray_rows(D), the
-        arrays (C1, C2) of the K rays along the rows of D, to be passed to
-        ray_phi row by row. Each row has the floats of batch_eval_ray for
-        its component and point: np.vecdot and stacked np.matmul give a row
-        the bits of its one-row dot or product, and the elementwise
-        operations are those of the one-row hooks. Nothing is checked here.
-        """
-        rows = self.A.take(idx, axis=0)
-        R0 = np.vecdot(rows, self.features_rows(X)) - self.b.take(idx)
-        G, reuse = self.pullback_rows(X, rows, R0)
-        return R0, G, functools.partial(self.ray_coefficients_rows, rows, X, reuse=reuse)
-
-    def full_value_grad(self, x):
-        rows, r = self._residuals(None, x)
-        g = self.pullback(x, (rows.T @ r) / r.size)[0]
-        return 0.5 * float(r @ r) / r.size, g
-
-    def component_values(self, x):
-        r = self._residuals(None, x)[1]
-        return 0.5 * r * r
+def _one_ray(r0, ray_rows, d):
+    """phi along d for the one component of batch_eval_ray."""
+    C1, C2 = ray_rows(d[None])
+    return ray_phi(r0, float(C1[0]), float(C2[0]))
 
 
 class LeastSquaresProblem(ResidualProblem):
-    """Components f_i(x) = 0.5 (a_i . x - b_i)^2 with rows a_i stacked in A."""
+    """Squared residuals f_i(x) = 0.5 (a_i . x - b_i)^2 with rows a_i stacked in A."""
 
     # bench/tracer.py wraps batch_value and component_grads where each
     # concrete class defines them, so both are bound in this class body.
     # Nothing else reads batch_value.
     batch_value = ResidualProblem.component_value
-
-    def features(self, x):
-        return x
-
-    def pullback(self, x, s, scale=None):
-        return (s if scale is None else scale * s), None
-
-    def ray_coefficients(self, row, x, d, reuse):
-        return row @ d, 0.0
 
     def features_rows(self, X):
         return X
@@ -328,7 +248,7 @@ class LeastSquaresProblem(ResidualProblem):
         return np.vecdot(rows, D), np.zeros(len(D))
 
     def component_grads(self, x):
-        r = self._residuals(None, x)[1]
+        r = self._residuals(None, x[None])[1]
         return r[:, None] * self.A
 
 
@@ -357,40 +277,7 @@ class TwoFactorProblem(ResidualProblem):
     def unpack(self, x: Vector) -> tuple[Vector, np.ndarray]:
         return x[: self.n_u], x[self.n_u :].reshape(self.n_u, self.n_v)
 
-    def features(self, x):
-        u, V = self.unpack(x)
-        return u @ V
-
-    def pullback(self, x, s, scale=None):
-        # J_w(x)^T s = (V s, u s^T), written into g. The V block gets s in
-        # each row, then is multiplied by u in place: s_k u_j is the float
-        # u_j s_k of np.outer(u, s), with one ufunc iterator buffer where
-        # np.outer takes two, and faster. The ray reuses V s.
-        u, V = self.unpack(x)
-        Vs = V @ s
-        g = np.empty(self.n)
-        GV = g[self.n_u :].reshape(self.n_u, self.n_v)
-        GV[...] = s
-        GV *= u[:, None]
-        if scale is None:
-            g[: self.n_u] = Vs
-        else:
-            np.multiply(Vs, scale, out=g[: self.n_u])
-            GV *= scale
-        return g, Vs
-
-    def ray_coefficients(self, row, x, d, reuse):
-        # With P = V a_i and Q = dV a_i, (u + a du)(V + a dV) a_i - b_i
-        # = r0 + a (du . P + u . Q) + a^2 (du . Q). The pullback of the
-        # gradient hands over P as ``reuse``.
-        u = self.unpack(x)[0]
-        du, dV = self.unpack(d)
-        Q = dV @ row
-        return du @ reuse + u @ Q, du @ Q
-
-    # The row forms below repeat features, pullback and ray_coefficients on
-    # (K, n) stacks; a row's products are stacked np.matmul, its dots
-    # np.vecdot.
+    # A row's products are stacked np.matmul, its dots np.vecdot.
     def _unpack_rows(self, X):
         return X[:, : self.n_u], X[:, self.n_u :].reshape(len(X), self.n_u, self.n_v)
 
@@ -399,6 +286,10 @@ class TwoFactorProblem(ResidualProblem):
         return np.matmul(U[:, None, :], V)[:, 0]
 
     def pullback_rows(self, X, rows, R0):
+        # J_w(x)^T s = (V s, u s^T), written into G. The V block gets s in
+        # each row, then is multiplied by u in place: s_k u_j is the float
+        # u_j s_k of np.outer(u, s), with one ufunc iterator buffer where
+        # np.outer takes two, and faster. The ray reuses V s.
         U, V = self._unpack_rows(X)
         P = np.matmul(V, rows[:, :, None])[:, :, 0]
         G = np.empty((len(X), self.n))
@@ -410,6 +301,9 @@ class TwoFactorProblem(ResidualProblem):
         return G, P
 
     def ray_coefficients_rows(self, rows, X, D, reuse):
+        # With P = V a_i and Q = dV a_i, (u + a du)(V + a dV) a_i - b_i
+        # = r0 + a (du . P + u . Q) + a^2 (du . Q). The pullback of the
+        # gradient hands over P as ``reuse``.
         U = X[:, : self.n_u]
         DU, DV = self._unpack_rows(D)
         Q = np.matmul(DV, rows[:, :, None])[:, :, 0]
@@ -417,13 +311,13 @@ class TwoFactorProblem(ResidualProblem):
 
     def component_grads(self, x):
         u, V = self.unpack(x)
-        r = self._residuals(None, x)[1]
+        r = self._residuals(None, x[None])[1]
         Gu = r[:, None] * (self.A @ V.T)
         GV = np.einsum("i,u,iv->iuv", r, u, self.A).reshape(self.N, -1)
         return np.hstack([Gu, GV])
 
 
-def evaluate_batch(problem: FiniteSumProblem, i, x):
+def evaluate_batch(problem: ResidualProblem, i, x):
     """Value, gradient and search ray of the sampled component ``i``.
 
     Returns (f, g, ray) at ``x`` from ``problem.batch_eval_ray``; ray(d) is
@@ -438,10 +332,9 @@ def evaluate_batch(problem: FiniteSumProblem, i, x):
         raise InvalidBatchError(f"index {k} outside [0, {problem.N - 1}] for this problem")
     xv = as_vector(x, problem.n)
     f, g, ray = problem.batch_eval_ray(k, xv)
-    g = np.asarray(g, dtype=np.float64)
     if not math.isfinite(f) or not _all_finite(g):
         raise NumericDomainError(f"non-finite evaluation of component {k}")
-    return float(f), g, ray
+    return f, g, ray
 
 
 def ray_phi(r0: float, c1: float, c2: float):
@@ -454,14 +347,13 @@ def ray_phi(r0: float, c1: float, c2: float):
     return phi
 
 
-def full_oracle(problem: FiniteSumProblem, x) -> tuple[float, Vector]:
-    """Exact average over all N components; for tracing and diagnostics only."""
+def full_oracle(problem: ResidualProblem, x) -> tuple[float, Vector]:
+    """Exact average over all N component functions; for tracing and diagnostics only."""
     xv = as_vector(x, problem.n)
     f, g = problem.full_value_grad(xv)
-    g = np.asarray(g, dtype=np.float64)
     if not math.isfinite(f) or not _all_finite(g):
         raise NumericDomainError("non-finite full-sum evaluation")
-    return float(f), g
+    return f, g
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -472,7 +364,7 @@ def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.n
 def gen_interpolating_least_squares(
     N: int, n: int, seed: int, singular_values
 ) -> LeastSquaresProblem:
-    """Random least-squares family whose components share a planted minimizer.
+    """Random least-squares family whose component functions share a planted minimizer.
 
     ``singular_values`` lists the nonzero spectrum of the stacked row matrix A
     (at most min(N, n) entries, all positive). Labels are set to b_i = a_i . x*

@@ -19,7 +19,6 @@ from slsopt import (
     SgrParams,
     TheoremConstants,
     alpha_low,
-    armijo_holds,
     backtrack,
     compute_eta,
     estimate_c3,
@@ -32,6 +31,8 @@ from slsopt import (
     verify_lemma_bounds,
 )
 from slsopt import cli, fit_geometric_rate
+
+from conftest import armijo_holds
 
 N_STD, DIM_STD, SEED_STD = 100, 200, 2024
 SPECTRUM_STD = 2.0

@@ -69,9 +69,9 @@ class TestPin:
         seen = []
 
         class Spy(LeastSquaresProblem):
-            def features(self, x):
+            def features_rows(self, X):
                 seen.append(_blas.threads())
-                return x
+                return X
 
         inner = small_instance()
         result = run(small_config(Spy(inner.A, inner.b, inner.known)))

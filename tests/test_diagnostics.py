@@ -48,12 +48,14 @@ def constants_with(c1=1.0, c2=1.0, c3=1.0, rho=10.0 / 9.0, mu=1.0, L=1.0, L_max=
 
 class TestExactMoments:
     def test_two_component_enumeration(self):
+        # component gradients x and 4x at x = 1: mean (1 + 4) / 2, mean
+        # square (1 + 16) / 2, variance ((1 - 2.5)^2 + (4 - 2.5)^2) / 2
         m = exact_moments(make_toy2(), X1)
-        assert m.E_g[0] == 1.5
-        assert m.E_norm_g_sq == 2.5
-        assert m.var_g == 0.25
-        assert m.E_d[0] == -1.5
-        assert m.E_dTg == -2.5
+        assert m.E_g[0] == 2.5
+        assert m.E_norm_g_sq == 8.5
+        assert m.var_g == 2.25
+        assert m.E_d[0] == -2.5
+        assert m.E_dTg == -8.5
 
     def test_negative_gradient_has_cov_minus_var(self):
         m = exact_moments(make_toy2(), X1)
@@ -63,7 +65,7 @@ class TestExactMoments:
         G = make_toy2().component_grads(X1)
         m = _moments_from_samples(X1, G, np.full_like(G, 7.0))
         assert m.cov_dg == 0.0
-        assert m.E_dTg == pytest.approx(7.0 * 1.5, rel=1e-15)
+        assert m.E_dTg == pytest.approx(7.0 * 2.5, rel=1e-15)
 
     def test_covariance_identity_over_random_points(self):
         problems = [
@@ -134,7 +136,8 @@ class TestEstimateRho:
         assert estimate_rho(single, [np.array([2.0]), np.array([-1.0])]) == 1.0
 
     def test_two_component_value(self):
-        assert estimate_rho(make_toy2(), [X1]) == pytest.approx(10.0 / 9.0, rel=1e-14)
+        # E||g||^2 / ||E g||^2 = 8.5 / 2.5^2 at x = 1
+        assert estimate_rho(make_toy2(), [X1]) == pytest.approx(8.5 / 6.25, rel=1e-14)
 
     def test_bounded_along_ray_to_minimizer(self):
         p = gen_interpolating_least_squares(6, 8, seed=7, singular_values=[1.0, 3.0])

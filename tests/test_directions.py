@@ -13,11 +13,12 @@ from slsopt import (
     SgrParams,
     propose_direction,
     safeguarded_direction,
-    sgr_check,
     update_memory,
 )
 from slsopt.directions import MemoryRows
 from slsopt.errors import InvalidSpecError, ShapeError, UnsatisfiableSafeguardError
+
+from conftest import sgr_check
 
 
 class TestSgrCheck:

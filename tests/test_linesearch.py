@@ -9,12 +9,13 @@ from slsopt import (
     LineSearchParams,
     LineSearchResult,
     alpha_low,
-    armijo_holds,
     backtrack,
     jstar,
     next_alpha0,
 )
 from slsopt.errors import DomainError, LineSearchStallError, NonDescentError
+
+from conftest import armijo_holds
 
 
 def half_square(y):

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from slsopt import (
     KINDS,
     DirectionState,
-    FiniteSumProblem,
     KnownConstants,
     LeastSquaresProblem,
     LineSearchParams,
     ResidualProblem,
     RunConfig,
     SgrParams,
+    TwoFactorProblem,
     contraction_estimate,
     fit_geometric_rate,
     gen_interpolating_least_squares,
@@ -165,12 +165,9 @@ class TestRun:
         assert run(base_config(unit_quadratic(), x0=np.array([1.0]))).stall is None
 
     def test_stationary_batch_records_zero_step_and_continues(self):
-        # at x = 1 the first component is exactly minimized but f is not
-        components = [
-            (lambda x: 0.5 * (x[0] - 1.0) ** 2, lambda x: np.array([x[0] - 1.0])),
-            (lambda x: 0.5 * (x[0] + 1.0) ** 2, lambda x: np.array([x[0] + 1.0])),
-        ]
-        p = FiniteSumProblem(n=1, components=components)
+        # f_1 = (x - 1)^2 / 2 and f_2 = (x + 1)^2 / 2: at x = 1 the first
+        # component is exactly minimized but f is not
+        p = LeastSquaresProblem(A=np.array([[1.0], [1.0]]), b=np.array([1.0, -1.0]))
         hit = None
         for seed in range(40):
             # k = 0 is the only trace point, so an exact sample at k = 1 is
@@ -215,39 +212,50 @@ class TestRun:
                 base_config(p, **{field: float("nan")})
 
 
-class CountingProblem(FiniteSumProblem):
-    """Delegating wrapper that counts stochastic value calls.
+def counted_run(monkeypatch, config):
+    """run(config) on its least-squares problem, counting batch evaluations and trials.
 
-    It takes the generic search ray, which calls component_value once at x
-    and once per trial.
+    Returns (result, batch_values, searches): the value of each
+    batch_eval_ray call, and for each search the phi values it asked for, in
+    order. phi is wrapped where optimizer.backtrack receives it.
     """
+    batch_values, searches = [], []
+    problem = config.problem
 
-    def __init__(self, inner):
-        super().__init__(n=inner.n, N=inner.N, known=inner.known)
-        self.inner = inner
-        self.component_value_calls = 0
-        self.full_calls = 0
+    class Counted(LeastSquaresProblem):
+        def batch_eval_ray(self, i, x):
+            f, g, ray = super().batch_eval_ray(i, x)
+            batch_values.append(f)
+            return f, g, ray
 
-    def component_value(self, i, x):
-        self.component_value_calls += 1
-        return self.inner.component_value(i, x)
+    counted = Counted(problem.A, problem.b, problem.known)
+    real = optimizer.backtrack
 
-    def component_grad(self, i, x):
-        return self.inner.component_grad(i, x)
+    def recorded(phi, slope, params, alpha0, f_x):
+        trials = []
+        searches.append(trials)
 
-    def full_value_grad(self, x):
-        self.full_calls += 1
-        return self.inner.full_value_grad(x)
+        def counted_phi(a):
+            trials.append(phi(a))
+            return trials[-1]
+
+        return real(counted_phi, slope, params, alpha0, f_x)
+
+    monkeypatch.setattr(optimizer, "backtrack", recorded)
+    return run(dataclasses.replace(config, problem=counted)), batch_values, searches
 
 
 class TestEvaluationBudget:
-    def test_stochastic_cost_matches_backtrack_counts(self):
-        counted = CountingProblem(small_instance())
-        cfg = base_config(counted, max_iters=40, grad_tol=0.0, fgap_tol=0.0)
-        res = run(cfg)
+    def test_stochastic_cost_matches_backtrack_counts(self, monkeypatch):
+        # the paper's cost model: one batch evaluation and j + 1 trials per
+        # searching iteration
+        cfg = base_config(small_instance(), max_iters=40, grad_tol=0.0, fgap_tol=0.0)
+        res, batch_values, searches = counted_run(monkeypatch, cfg)
+        assert len(res.trajectory) == 40
         assert all(r.g_batch_norm > 0 for r in res.trajectory)
-        expected = sum(r.backtracks + 2 for r in res.trajectory)
-        assert counted.component_value_calls == expected
+        assert batch_values == [r.f_batch for r in res.trajectory]
+        assert [len(t) for t in searches] == [r.backtracks + 1 for r in res.trajectory]
+        assert sum(r.backtracks for r in res.trajectory) > 0
 
 
 class TestRayOracle:
@@ -279,9 +287,9 @@ class TestRayOracle:
         calls = []
         real = ResidualProblem._residuals
 
-        def spy(self, i, x):
-            calls.append(i)
-            return real(self, i, x)
+        def spy(self, idx, X):
+            calls.append(idx)
+            return real(self, idx, X)
 
         monkeypatch.setattr(ResidualProblem, "_residuals", spy)
         cfg = base_config(
@@ -303,32 +311,22 @@ class TestRayOracle:
 
 
 class TestMonotoneBatchDecrease:
-    def test_accepted_trials_satisfy_decrease_certificate(self):
-        inner = small_instance()
-        log = []
-
-        class Recording(CountingProblem):
-            def component_value(self, i, x):
-                v = super().component_value(i, x)
-                log.append(v)
-                return v
-
-        counted = Recording(inner)
-        gamma = 0.1
-        cfg = base_config(counted, max_iters=60, grad_tol=0.0, fgap_tol=0.0,
-                          linesearch=LineSearchParams(gamma=gamma, delta=0.5, alpha_max=10.0))
-        res = run(cfg)
-        # each iteration logs f_i(x), then its trials; the last trial is
-        # the accepted point
-        pos = 0
-        for r in res.trajectory:
-            assert log[pos] == r.f_batch
-            trial_count = r.backtracks + 1
-            accepted = log[pos + trial_count]
-            pos += 1 + trial_count
+    def test_accepted_trials_satisfy_decrease_certificate(self, monkeypatch):
+        gamma, delta = 0.1, 0.5
+        cfg = base_config(small_instance(), max_iters=60, grad_tol=0.0, fgap_tol=0.0,
+                          linesearch=LineSearchParams(gamma=gamma, delta=delta, alpha_max=10.0))
+        res, batch_values, searches = counted_run(monkeypatch, cfg)
+        assert len(batch_values) == len(searches) == len(res.trajectory) == 60
+        # each search's last trial is the accepted point, and every earlier
+        # trial failed the test
+        for r, f_b, trials in zip(res.trajectory, batch_values, searches):
+            assert f_b == r.f_batch
+            assert len(trials) == r.backtracks + 1
+            accepted = trials[-1]
             assert accepted <= r.f_batch + gamma * r.alpha * r.dTg
             assert accepted < r.f_batch
-        assert pos == len(log)
+            for j, trial in enumerate(trials[:-1]):
+                assert not trial <= r.f_batch + gamma * (r.alpha0 * delta**j) * r.dTg
 
 
 class TestContractionEstimate:
@@ -610,25 +608,27 @@ class TestRunMany:
     def test_overflowing_gradient_norm_stalls_alike(self):
         # g = 1e308 is finite but g.g overflows: the finiteness check passes
         # on the elementwise test, and the search meets only infinite values.
-        # The ray's slope a.d overflows too, and both paths warn about it
-        # alike; the warning is not the subject here (TestOverflowingSquares
-        # has an instance whose only overflows are squares).
+        # The ray's slope a.d overflows too, without a warning
+        # (TestOverflowingSquares::test_overflowing_slopes_stall_without_a_warning).
         p = LeastSquaresProblem(np.array([[1e154]]), np.array([0.0]))
         config = base_config(p, x0=np.array([1.0]))
-        with np.errstate(over="ignore"):
-            results = assert_lockstep_equals_run(config, [0, 1, 2])
+        results = assert_lockstep_equals_run(config, [0, 1, 2])
         assert [r.status for r in results] == ["stalled"] * 3
+
+    def test_signed_zero_slope_of_one_variable(self):
+        # x = 1 - (1/4) 4 lands on 0, so the second draw has g = [0.0] and
+        # d = -g = [-0.0], whose slope d . g is the product -0.0 in run
+        p = LeastSquaresProblem(np.array([[2.0]]), np.array([0.0]))
+        config = base_config(p, x0=np.array([1.0]), linesearch=LineSearchParams(alpha_max=1.0),
+                             grad_tol=0.0, fgap_tol=0.0, trace_full_oracle_every=100)
+        results = assert_lockstep_equals_run(config, [0, 1])
+        assert [math.copysign(1.0, r.trajectory[1].dTg) for r in results] == [-1.0, -1.0]
 
     def test_groups_of_every_size_up_to_eight(self):
         config = base_config(small_instance(), direction=DirectionState(kind="momentum"),
                              sgr=SgrParams(c1=10.0, c2=0.1), max_iters=60)
         for K in range(1, 9):
             assert_lockstep_equals_run(config, list(range(100, 100 + K)))
-
-    def test_callable_problem_runs_each_seed_alone(self, toy2):
-        config = base_config(toy2, max_iters=20)
-        assert toy2.batch_eval_rows is None
-        assert_lockstep_equals_run(config, [0, 1, 2])
 
     def test_no_seeds_give_no_results(self):
         assert optimizer.run_many(base_config(small_instance()), []) == []
@@ -774,3 +774,24 @@ class TestOverflowingSquares:
                 warnings.simplefilter("error")
                 results = assert_lockstep_equals_run(config, [0, 1, 2])
             assert [r.status for r in results] == [status] * 3
+
+    @pytest.mark.parametrize(
+        "problem, x0",
+        [
+            # a = 1e154 at x = 1: f = 5e307 and g = 1e308 are finite, but the
+            # slope a . d = -1e462 of the ray along d = -g is not
+            pytest.param(LeastSquaresProblem(np.array([[1e154]]), np.array([0.0])), np.array([1.0]), id="least_squares"),
+            # u = v = 1 and a = 1e154: w = 1, f = 5e307 and g = (1e308, 1e308),
+            # but dv a = -1e462 and the slope overflow
+            pytest.param(TwoFactorProblem(1, 1, np.array([[1e154]]), np.array([0.0])), np.array([1.0, 1.0]), id="two_factor"),
+        ],
+    )
+    def test_overflowing_slopes_stall_without_a_warning(self, problem, x0):
+        # every trial of the search is infinite, which rejects it: each seed
+        # stalls, in run and in run_many alike, and nothing warns
+        config = base_config(problem, x0=x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = assert_lockstep_equals_run(config, [0, 1, 2])
+        assert [r.status for r in results] == ["stalled"] * 3
+        assert all(r.stall.trials == config.linesearch.max_backtracks + 1 for r in results)

@@ -10,9 +10,8 @@ from hypothesis.extra.numpy import arrays
 from slsopt import (
     BatchSampler,
     DirectionState,
-    FiniteSumProblem,
     LeastSquaresProblem,
-    ResidualProblem,
+    TwoFactorProblem,
     evaluate_batch,
     exact_moments,
     full_oracle,
@@ -53,12 +52,11 @@ class TestEvaluateBatch:
             evaluate_batch(toy2, 0, np.array([1.0, 2.0]))
 
     def test_non_finite_evaluation(self):
-        bad = FiniteSumProblem(
-            n=1,
-            components=[(lambda x: float("inf"), lambda x: np.array([1.0]))],
-        )
-        with pytest.raises(NumericDomainError):
-            evaluate_batch(bad, 0, np.array([1.0]))
+        # the residual 1e200 * 1e200 overflows, so f_0 is infinite
+        bad = LeastSquaresProblem(A=np.array([[1e200]]), b=np.array([0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericDomainError):
+                evaluate_batch(bad, 0, np.array([1e200]))
 
 
 class TestEvaluateBatchChecks:
@@ -97,18 +95,37 @@ class TestEvaluateBatchChecks:
         with pytest.raises(ShapeError):
             full_oracle(toy2, np.array([1.0, 2.0]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_gradient(self, bad):
-        p = FiniteSumProblem(n=2, components=[(lambda x: 1.0, lambda x: np.array([0.0, bad]))])
-        with pytest.raises(NumericDomainError, match="evaluation of component 0"):
-            evaluate_batch(p, 0, np.zeros(2))
-        with pytest.raises(NumericDomainError):
-            full_oracle(p, np.zeros(2))
+    @pytest.mark.parametrize(
+        "p, x",
+        [
+            # inf: the residual 1e154 has a finite square, but r a_0 = 1e309
+            # overflows
+            pytest.param(
+                LeastSquaresProblem(A=np.array([[1e155, 0.0]]), b=np.array([0.0])),
+                np.array([0.1, 0.0]),
+                id="inf",
+            ),
+            # nan: w = u V = (1e8, 1e8) gives the residual 0 - (-1) = 1, but
+            # V a_0 = 2e308 - 2e308 is inf - inf
+            pytest.param(
+                TwoFactorProblem(1, 2, A=np.array([[2.0, -2.0]]), b=np.array([-1.0])),
+                np.array([1e-300, 1e308, 1e308]),
+                id="nan",
+            ),
+        ],
+    )
+    def test_non_finite_gradient(self, p, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericDomainError, match="evaluation of component 0"):
+                evaluate_batch(p, 0, x)
+            with pytest.raises(NumericDomainError):
+                full_oracle(p, x)
 
     def test_non_finite_full_value(self):
-        p = FiniteSumProblem(n=1, components=[(lambda x: float("nan"), lambda x: np.zeros(1))])
-        with pytest.raises(NumericDomainError):
-            full_oracle(p, np.zeros(1))
+        p = LeastSquaresProblem(A=np.array([[1e200]]), b=np.array([0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericDomainError):
+                full_oracle(p, np.array([1e200]))
 
     def test_singleton_ray_matches_the_mean_half_square(self):
         # the ray evaluates 0.5 r^2 of the residual r0 + a (c1 + a c2); it
@@ -127,9 +144,10 @@ class TestEvaluateBatchChecks:
 
 class TestFullOracle:
     def test_two_component_average(self, toy2):
+        # f1 = x^2/2 and f2 = 2 x^2 at x = 1: f = (0.5 + 2) / 2, g = (1 + 4) / 2
         f, g = full_oracle(toy2, np.array([1.0]))
-        assert f == 0.75
-        assert g[0] == 1.5
+        assert f == 1.25
+        assert g[0] == 2.5
 
     def test_zero_residual_at_planted_minimizer(self):
         p = gen_interpolating_least_squares(8, 16, seed=3, singular_values=[1.0, 1.5, 2.0])
@@ -158,7 +176,7 @@ class TestLeastSquaresGenerator:
         for seed in range(3):
             p = gen_interpolating_least_squares(5, 8, seed=seed, singular_values=[1.0, 2.0, 0.5])
             for i in range(p.N):
-                assert np.all(p.component_grad(i, p.known.x_star) == 0.0)
+                assert np.all(evaluate_batch(p, i, p.known.x_star)[1] == 0.0)
 
     def test_rank_deficient_pl_inequality(self):
         p = gen_interpolating_least_squares(5, 12, seed=11, singular_values=[1.0, 2.0, 3.0])
@@ -175,7 +193,7 @@ class TestLeastSquaresGenerator:
         for _ in range(50):
             x, y = rng.standard_normal((2, p.n))
             for i in range(p.N):
-                lhs = np.linalg.norm(p.component_grad(i, x) - p.component_grad(i, y))
+                lhs = np.linalg.norm(evaluate_batch(p, i, x)[1] - evaluate_batch(p, i, y)[1])
                 assert lhs <= p.known.L_max * np.linalg.norm(x - y) * (1.0 + 1e-12)
 
     def test_degenerate_spectrum_rejected(self):
@@ -197,7 +215,7 @@ class TestNonconvexGenerator:
         xs = p.known.x_star
         assert p.component_value(0, xs) == 0.0
         for i in range(p.N):
-            assert np.all(p.component_grad(i, xs) == 0.0)
+            assert np.all(evaluate_batch(p, i, xs)[1] == 0.0)
 
     def test_factor_scaling_invariance(self):
         p = gen_nonconvex_interpolating(5, 3, 4, seed=2)
@@ -287,14 +305,13 @@ class TestComponentGradsOwnership:
     @pytest.mark.parametrize(
         "make",
         [
-            pytest.param(make_toy2, id="toy"),
             pytest.param(lambda: gen_interpolating_least_squares(6, 9, seed=3, singular_values=[1.0, 2.0]), id="least_squares"),
             pytest.param(lambda: gen_nonconvex_interpolating(5, 2, 3, seed=3), id="two_factor"),
         ],
     )
     def test_caller_may_overwrite_the_result(self, make):
         p = make()
-        data = [p.A, p.b] if isinstance(p, ResidualProblem) else []
+        data = [p.A, p.b]
         before = [a.copy() for a in data]
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -349,6 +366,15 @@ def _ray_instance(family, seed):
 def _ray(p, i, x, d):
     """phi(a) = f_i(x + a d) as the sampled oracle builds it."""
     return p.batch_eval_ray(i, x)[2](d)
+
+
+def _closed_form_coefficients(p, row, x, d):
+    """(c1, c2) of the residual of row along x + a d, written out per family."""
+    if isinstance(p, LeastSquaresProblem):
+        return row @ d, 0.0
+    (u, V), (du, dV) = p.unpack(x), p.unpack(d)
+    Q = dV @ row
+    return du @ (V @ row) + u @ Q, du @ Q
 
 
 def _residual_envelope(p, i, x, d, a):
@@ -409,16 +435,12 @@ class TestBatchRay:
         # coefficients must be the floats of a fresh V a_i
         p = _ray_instance(family, seed % 7)
         rng = np.random.default_rng(seed)
-        x, d = rng.standard_normal(p.n), rng.standard_normal(p.n)
-        row, r = p._residuals(i, x)
-        reuse = p.pullback(x, row, r)[1]
-        if family == "least_squares":
-            want = (row @ d, 0.0)
-        else:
-            (u, V), (du, dV) = p.unpack(x), p.unpack(d)
-            Q = dV @ row
-            want = (du @ (V @ row) + u @ Q, du @ Q)
-        assert p.ray_coefficients(row, x, d, reuse) == want
+        X, D = rng.standard_normal((1, p.n)), rng.standard_normal((1, p.n))
+        rows, R0 = p._residuals([i], X)
+        reuse = p.pullback_rows(X, rows, R0)[1]
+        C1, C2 = p.ray_coefficients_rows(rows, X, D, reuse)
+        want = _closed_form_coefficients(p, p.A[i], X[0], D[0])
+        assert (float(C1[0]), float(C2[0])) == (float(want[0]), float(want[1]))
 
     def test_least_squares_singleton_is_exact_at_zero(self):
         p = gen_interpolating_least_squares(10, 20, seed=3, singular_values=np.full(10, 2.0))
@@ -437,19 +459,6 @@ class TestBatchRay:
             x = np.array([r0, 0.0])
             _, g, _ = evaluate_batch(p, 0, x)
             assert _ray(p, 0, x, -g)(0.5) == 0.0
-
-    @given(
-        seed=st.integers(0, 2**16),
-        i=st.integers(0, 1),
-        a=st.floats(0.0, 10.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_base_class_path_is_batch_value(self, seed, i, a):
-        # the generic ray evaluates the component at each trial point
-        p = make_toy2()
-        rng = np.random.default_rng(seed)
-        x, d = rng.standard_normal(1), rng.standard_normal(1)
-        assert _ray(p, i, x, d)(a) == p.component_value(i, x + a * d)
 
 
 class TestBatchEvalRows:
@@ -475,14 +484,10 @@ class TestBatchEvalRows:
             f, g, ray = p.batch_eval_ray(i, X[k].copy())
             assert 0.5 * R0[k] * R0[k] == f
             assert G[k].tobytes() == g.tobytes()
-            row, r = p._residuals(i, X[k])
-            c1, c2 = p.ray_coefficients(row, X[k], D[k], p.pullback(X[k], row, r)[1])
+            c1, c2 = _closed_form_coefficients(p, p.A[i], X[k], D[k])
             assert (float(C1[k]), float(C2[k])) == (float(c1), float(c2))
             a = float(rng.uniform(0.0, 2.0))
             assert ray_phi(float(R0[k]), float(C1[k]), float(C2[k]))(a) == ray(D[k].copy())(a)
-
-    def test_callable_problems_have_no_stacked_oracle(self):
-        assert make_toy2().batch_eval_rows is None
 
 
 class TestVectorValidation:
@@ -529,7 +534,6 @@ class TestOneBufferOracles:
             u, V = p.unpack(x)
             r = float(a_i @ (u @ V)) - float(p.b[i])
             want = r * np.concatenate([V @ a_i, np.outer(u, a_i).ravel()])
-        assert p.component_grad(i, x).tobytes() == want.tobytes()
         assert evaluate_batch(p, i, x)[1].tobytes() == want.tobytes()
 
     @given(
@@ -547,10 +551,10 @@ class TestOneBufferOracles:
         s = rng.standard_normal(n_v)
         u, V = p.unpack(x)
         want = np.concatenate([V @ s, np.outer(u, s).ravel()])
-        g, reuse = p.pullback(x, s)
-        assert g.tobytes() == want.tobytes()
-        assert reuse.tobytes() == (V @ s).tobytes()
-        assert p.pullback(x, s, scale)[0].tobytes() == (scale * want).tobytes()
+        G, reuse = p.pullback_rows(x[None], s[None], np.ones(1))
+        assert G[0].tobytes() == want.tobytes()
+        assert reuse[0].tobytes() == (V @ s).tobytes()
+        assert p.pullback_rows(x[None], s[None], np.array([scale]))[0][0].tobytes() == (scale * want).tobytes()
         # the full-batch gradient is the pullback of the mean weighted row
         r = p.A @ (u @ V) - p.b
         full = np.concatenate([V @ ((p.A.T @ r) / p.N), np.outer(u, (p.A.T @ r) / p.N).ravel()])
