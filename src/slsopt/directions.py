@@ -175,7 +175,9 @@ def _measure(d, g, params: SgrParams) -> tuple[frozenset, float, float, float]:
         raise ShapeError(f"d has shape {d.shape}, g has shape {g.shape}")
     # np.linalg.norm of a 1-D float array is sqrt(x.dot(x)); the same
     # expression here gives the same floats without the wrapper's overhead.
-    # For 1-D operands, d @ g and d.dot(g) run the same kernel.
+    # For 1-D operands, d @ g and d.dot(g) run the same kernel, except
+    # that d.dot(g) multiplies a one-entry operand as a scalar (see
+    # MemoryRows.safeguard).
     gg = float(g.dot(g))
     g_norm = math.sqrt(gg)
     d_norm = math.sqrt(float(d.dot(d)))

@@ -289,15 +289,16 @@ class TwoFactorProblem(ResidualProblem):
         # J_w(x)^T s = (V s, u s^T), written into G. The V block gets s in
         # each row, then is multiplied by u in place: s_k u_j is the float
         # u_j s_k of np.outer(u, s), with one ufunc iterator buffer where
-        # np.outer takes two, and faster. The ray reuses V s.
+        # np.outer takes two, and faster. Each row is then scaled by its
+        # R0[k] in one pass. The ray reuses V s.
         U, V = self._unpack_rows(X)
         P = np.matmul(V, rows[:, :, None])[:, :, 0]
         G = np.empty((len(X), self.n))
+        G[:, : self.n_u] = P
         GV = self._unpack_rows(G)[1]
         GV[...] = rows[:, None, :]
         GV *= U[:, :, None]
-        np.multiply(P, R0[:, None], out=G[:, : self.n_u])
-        GV *= R0[:, None, None]
+        G *= R0[:, None]
         return G, P
 
     def ray_coefficients_rows(self, rows, X, D, reuse):
