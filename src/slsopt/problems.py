@@ -16,6 +16,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import _blas
