@@ -10,6 +10,7 @@ after the file.
 from __future__ import annotations
 
 import configparser
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -156,8 +157,12 @@ def parse_config(text: str, overrides=()) -> ExperimentConfig:
 
 
 def read_config(path, overrides=()) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read(), overrides=overrides)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
+    return parse_config(text, overrides=overrides)
 
 
 def _fmt(v) -> str:
@@ -226,42 +231,79 @@ def _parse_policy(text: str) -> tuple[str, int]:
     )
 
 
+def _spectrum_count(parts: list[str], at: int, k_max: int) -> int:
+    """The count K in parts[at], or k_max if absent; checked before any array is made."""
+    k = int(parts[at]) if len(parts) > at else k_max
+    if k > k_max:
+        raise ConfigError(f"spectrum count {k} exceeds the rank cap min(N, n)={k_max}")
+    return k
+
+
 def parse_spectrum(text: str, N: int, n: int) -> np.ndarray:
     """Decode a spectrum spec into the singular values of the design matrix.
 
     Forms: "const:V[:K]", "linear:LO:HI[:K]", "geom:LO:HI[:K]", or an explicit
-    comma list "v1,v2,...". K defaults to min(N, n).
+    comma list "v1,v2,...". K defaults to min(N, n), and a K above it is a
+    ConfigError, raised before the values are allocated.
     """
     text = text.strip()
-    k_default = min(N, n)
+    k_max = min(N, n)
     try:
         if text.startswith("const:"):
             parts = text.split(":")
             value = float(parts[1])
-            k = int(parts[2]) if len(parts) > 2 else k_default
-            return np.full(k, value)
+            return np.full(_spectrum_count(parts, 2, k_max), value)
         if text.startswith("linear:") or text.startswith("geom:"):
             parts = text.split(":")
             lo, hi = float(parts[1]), float(parts[2])
-            k = int(parts[3]) if len(parts) > 3 else k_default
+            k = _spectrum_count(parts, 3, k_max)
             if text.startswith("linear:"):
                 return np.linspace(lo, hi, k)
             return np.geomspace(lo, hi, k)
         return np.array([float(t) for t in text.split(",")])
+    except ConfigError:
+        raise
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"cannot parse spectrum spec {text!r}") from exc
 
 
+# The instance build_problem built last, as (key, instance).
+_last_built: tuple | None = None
+
+
 def build_problem(cfg: ExperimentConfig) -> problems.ResidualProblem:
+    """The instance of cfg.problem, built once per spec per process.
+
+    The instance built last is kept under its key, which is exactly what
+    the generator receives: kind, N, n, seed and, for least squares, the
+    bytes of the parsed spectrum. While the key matches, that instance is
+    returned; the generators make its arrays read-only, so callers share it
+    safely. A different spec replaces it, and a failed build keeps nothing.
+    """
+    global _last_built
     p = cfg.problem
     try:
         if p.kind == "least_squares":
             spectrum = parse_spectrum(p.spectrum, p.N, p.n)
-            return problems.gen_interpolating_least_squares(p.N, p.n, p.seed, spectrum)
-        # nonconvex: n is used for both factor sizes
-        return problems.gen_nonconvex_interpolating(p.N, p.n, p.n, p.seed)
+            key = (p.kind, p.N, p.n, p.seed, spectrum.tobytes())
+            generate = functools.partial(
+                problems.gen_interpolating_least_squares, p.N, p.n, p.seed, spectrum
+            )
+        else:
+            # nonconvex: n is used for both factor sizes
+            key = (p.kind, p.N, p.n, p.seed)
+            generate = functools.partial(problems.gen_nonconvex_interpolating, p.N, p.n, p.n, p.seed)
+        if _last_built is not None and _last_built[0] == key:
+            if p.kind == "least_squares":
+                # the generator's warning, issued on every call as on a build
+                problems.warn_if_under_parametrized(p.N, p.n)
+            return _last_built[1]
+        _last_built = None  # not kept alive through the next build
+        problem = generate()
     except InvalidSpecError as exc:
         raise ConfigError(str(exc)) from exc
+    _last_built = key, problem
+    return problem
 
 
 def build_direction_state(cfg: ExperimentConfig) -> directions.DirectionState:

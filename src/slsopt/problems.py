@@ -42,6 +42,7 @@ __all__ = [
     "ray_phi",
     "gen_interpolating_least_squares",
     "gen_nonconvex_interpolating",
+    "warn_if_under_parametrized",
 ]
 
 
@@ -363,6 +364,25 @@ def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.n
     return q[:, :cols]
 
 
+def warn_if_under_parametrized(N: int, n: int, stacklevel: int = 1):
+    """Warn when a least-squares instance has fewer variables than components.
+
+    ``stacklevel`` counts from the caller, as in ``warnings.warn``.
+    """
+    if n < N:
+        warnings.warn(
+            "n < N: instance is under-parametrized; interpolation still holds "
+            "at the planted point but the regime is not the intended one",
+            stacklevel=stacklevel + 1,
+        )
+
+
+def _freeze(*arrays):
+    """Mark a generated instance's arrays read-only, so sharing it is safe."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 def gen_interpolating_least_squares(
     N: int, n: int, seed: int, singular_values
 ) -> LeastSquaresProblem:
@@ -385,12 +405,7 @@ def gen_interpolating_least_squares(
         raise InvalidSpecError(
             f"spectrum has {s.size} values but rank is capped at min(N, n)={min(N, n)}"
         )
-    if n < N:
-        warnings.warn(
-            "n < N: instance is under-parametrized; interpolation still holds "
-            "at the planted point but the regime is not the intended one",
-            stacklevel=2,
-        )
+    warn_if_under_parametrized(N, n, stacklevel=2)
     # One BLAS thread: the QR factorisations and the product below round
     # differently at another thread count, and a woken OpenBLAS worker
     # would go on spinning through the single-threaded run that follows.
@@ -404,6 +419,7 @@ def gen_interpolating_least_squares(
         # Plant labels with the same row-dot expression the oracles use, so
         # the per-component residuals at x_star are exactly 0.0.
         b = np.array([float(A[i] @ x_star) for i in range(N)])
+        _freeze(A, b, x_star)
         row_sq = np.einsum("ij,ij->i", A, A)
         known = KnownConstants(
             L=float(np.max(s) ** 2) / N,
@@ -439,6 +455,7 @@ def gen_nonconvex_interpolating(
         w_star = u_star @ V_star
         b = np.array([float(A[i] @ w_star) for i in range(N)])
         x_star = np.concatenate([u_star, V_star.ravel()])
+        _freeze(A, b, x_star)
         known = KnownConstants(f_star=0.0, x_star=x_star)
         problem = TwoFactorProblem(n_u, n_v, A, b, known)
         problem.validate_known_constants()

@@ -85,5 +85,9 @@ def write_trace(path, records):
 
 
 def read_trace(path) -> list[IterationRecord]:
-    with open(path) as fh:
-        return records_from_csv(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"trace {path} is not UTF-8 text: {exc}") from None
+    return records_from_csv(text)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -18,9 +20,13 @@ from slsopt import (
     estimate_rho,
     estimate_wgc,
     exact_moments,
+    gen_interpolating_least_squares,
+    gen_nonconvex_interpolating,
     optimizer,
+    problems,
     verify_lemma_bounds,
 )
+from slsopt import config as cfgmod
 from slsopt.config import (
     PROBLEM_KINDS,
     ExperimentConfig,
@@ -221,6 +227,13 @@ class TestSpectrumParser:
             parse_spectrum("const:", N=2, n=2)
         with pytest.raises(ConfigError):
             parse_spectrum("spline:1:2", N=2, n=2)
+
+    @pytest.mark.parametrize("form", ["const:2.0", "linear:1:2", "geom:1:2"])
+    def test_count_above_the_rank_cap_rejected_before_allocating(self, form):
+        # 10**15 doubles lie beyond a 47-bit address space, so an allocation
+        # attempt fails at once instead of touching memory.
+        with pytest.raises(ConfigError, match=r"spectrum count 1000000000000000 exceeds .*=5"):
+            parse_spectrum(f"{form}:{10**15}", N=5, n=8)
 
 
 class TestBuilders:
@@ -882,3 +895,106 @@ class TestRejectedInputs:
         )
         assert "seeds must be >= 0" in err
         assert not list(tmp_path.glob("t_seed*.csv"))
+
+    @pytest.mark.parametrize("spec", [f"const:2.0:{10**15}", f"linear:1:2:{10**15}"])
+    def test_spectrum_count_beyond_the_rank_cap(self, tmp_path, capsys, spec):
+        err = self._config_error(
+            capsys,
+            ["run", str(CONFIGS / "least_squares.ini"), "--override", f"problem.spectrum={spec}",
+             "--override", f"run.out_csv={tmp_path / 't.csv'}"],
+        )
+        assert f"spectrum count {10**15}" in err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"\xff\xfe[problem]\n")
+        err = self._config_error(capsys, ["run", str(path)])
+        assert f"config {path} is not UTF-8 text" in err
+
+    def test_trace_that_is_not_utf8(self, tmp_path, capsys):
+        trace = tmp_path / "bad.csv"
+        trace.write_bytes(CSV_HEADER.encode() + b"\n\xff\xfe\n")
+        err = self._config_error(
+            capsys, ["verify", str(CONFIGS / "least_squares.ini"), "--trace", str(trace)]
+        )
+        assert f"trace {trace} is not UTF-8 text" in err
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """No instance kept from an earlier test: the next build_problem builds."""
+    monkeypatch.setattr(cfgmod, "_last_built", None)
+
+
+def _instance_bytes(p):
+    return p.A.tobytes(), p.b.tobytes(), p.known.x_star.tobytes()
+
+
+@pytest.mark.usefixtures("empty_cache")
+class TestSharedInstance:
+    """build_problem keeps the instance it built last and returns it for the same spec."""
+
+    def test_same_spec_returns_the_same_object(self):
+        cfg = parse_config(LS)
+        assert build_problem(cfg) is build_problem(parse_config(LS, overrides=["run.seed=3"]))
+
+    @pytest.mark.parametrize(
+        "override",
+        ["problem.kind=nonconvex", "problem.N=30", "problem.n=50", "problem.seed=7", "problem.spectrum=const:3.0"],
+    )
+    def test_each_key_field_gives_a_new_instance(self, override):
+        first = build_problem(parse_config(LS))
+        cfg = parse_config(LS, overrides=[override])
+        second = build_problem(cfg)
+        assert second is not first
+        p = cfg.problem
+        if p.kind == "least_squares":
+            direct = gen_interpolating_least_squares(p.N, p.n, p.seed, parse_spectrum(p.spectrum, p.N, p.n))
+        else:
+            direct = gen_nonconvex_interpolating(p.N, p.n, p.n, p.seed)
+        assert _instance_bytes(second) == _instance_bytes(direct)
+
+    def test_equal_parsed_spectra_share_the_instance(self):
+        a = build_problem(parse_config(LS, overrides=["problem.spectrum=const:2.0"]))
+        assert build_problem(parse_config(LS, overrides=["problem.spectrum=const:2:40"])) is a
+
+    def test_failed_build_is_rebuilt_and_raises_again(self, monkeypatch):
+        calls = []
+        generate = problems.gen_interpolating_least_squares
+
+        def counted(*args):
+            calls.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(problems, "gen_interpolating_least_squares", counted)
+        cfg = parse_config(LS, overrides=["problem.spectrum=0.0,1.0"])
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="finite and > 0"):
+                build_problem(cfg)
+        assert len(calls) == 2
+
+    def test_other_spec_frees_the_kept_instance(self):
+        ref = weakref.ref(build_problem(parse_config(LS)))
+        build_problem(parse_config(LS, overrides=["problem.seed=1"]))
+        gc.collect()
+        assert ref() is None
+
+    def test_under_parametrized_warning_on_every_call(self):
+        cfg = parse_config(LS, overrides=["problem.N=60", "problem.n=40"])
+        kept = []
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="n < N"):
+                kept.append(build_problem(cfg))
+        assert kept[0] is kept[1]
+
+    def test_repeat_commands_write_the_same_bytes(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, LS)
+        outputs = []
+        for i in range(2):
+            samples, trace = tmp_path / f"samples{i}.csv", tmp_path / f"trace{i}.csv"
+            assert cli.cmd_diagnose(cfg_path, num_points=4, samples_csv=str(samples)) == 0
+            stdout = capsys.readouterr().out.replace(str(samples), "SAMPLES")
+            assert cli.cmd_run(cfg_path, overrides=[f"run.out_csv={trace}"]) == 0
+            capsys.readouterr()
+            outputs.append((stdout, samples.read_bytes(), trace.read_bytes()))
+        assert outputs[0] == outputs[1]

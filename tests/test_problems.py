@@ -327,6 +327,31 @@ class TestComponentGradsOwnership:
             assert all(np.array_equal(a, b) for a, b in zip(data, before))
 
 
+class TestReadOnlyInstances:
+    """A generated instance's arrays are read-only, so one instance can be shared."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: gen_interpolating_least_squares(6, 9, seed=3, singular_values=[1.0, 2.0]), id="least_squares"),
+            pytest.param(lambda: gen_nonconvex_interpolating(5, 2, 3, seed=3), id="two_factor"),
+        ],
+    )
+    def test_in_place_writes_raise(self, make):
+        p = make()
+        for a in (p.A, p.b, p.known.x_star):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+
+    def test_callers_arrays_keep_their_flags(self):
+        A, b = np.eye(2), np.ones(2)
+        p = LeastSquaresProblem(A, b)
+        assert p.A is A and p.b is b
+        assert A.flags.writeable and b.flags.writeable
+
+
 class TestBatchSampler:
     def test_deterministic_sequence(self):
         a = BatchSampler(10, seed=42)
