@@ -293,11 +293,12 @@ def build_problem(cfg: ExperimentConfig) -> problems.ResidualProblem:
             # nonconvex: n is used for both factor sizes
             key = (p.kind, p.N, p.n, p.seed)
             generate = functools.partial(problems.gen_nonconvex_interpolating, p.N, p.n, p.n, p.seed)
-        if _last_built is not None and _last_built[0] == key:
+        last = _last_built  # read once: another thread may replace it
+        if last is not None and last[0] == key:
             if p.kind == "least_squares":
                 # the generator's warning, issued on every call as on a build
                 problems.warn_if_under_parametrized(p.N, p.n)
-            return _last_built[1]
+            return last[1]
         _last_built = None  # not kept alive through the next build
         problem = generate()
     except InvalidSpecError as exc:

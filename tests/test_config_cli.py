@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import pathlib
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -986,6 +988,36 @@ class TestSharedInstance:
             with pytest.warns(UserWarning, match="n < N"):
                 kept.append(build_problem(cfg))
         assert kept[0] is kept[1]
+
+    def test_threads_alternating_specs_each_get_their_own_instance(self):
+        # More threads than cores, switching often, each alternating two
+        # specs: a torn read of the kept instance would hand one thread the
+        # other spec's instance, or raise.
+        cfgs = [parse_config(LS, overrides=["problem.N=3", "problem.n=4", f"problem.seed={s}"]) for s in (1, 2)]
+        want = [_instance_bytes(build_problem(c)) for c in cfgs]
+        wrong, errors = [], []
+
+        def work(t):
+            try:
+                for i in range(50):
+                    k = (i + t) % 2
+                    if _instance_bytes(build_problem(cfgs[k])) != want[k]:
+                        wrong.append((t, i))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == [] and wrong == []
 
     def test_repeat_commands_write_the_same_bytes(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, LS)
