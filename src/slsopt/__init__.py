@@ -22,7 +22,6 @@ from .diagnostics import (
     exact_moments,
     lemma_bounds_from_moments,
     pl_from_moments,
-    point_moments,
     rho_from_moments,
     verify_lemma_bounds,
     wgc_from_moments,

@@ -6,11 +6,13 @@ a fork/join per call, keeps idle workers spinning, and sums in an order that
 depends on the thread count. Inside ``single_thread()`` every BLAS call runs
 on the calling thread, so the result depends on the inputs alone.
 
-``optimizer.run``, ``optimizer.run_many``, each sweep task and both instance
-generators hold the pin. Building under it makes an instance a function of
-its spec, and it keeps the build from waking an OpenBLAS worker that would
-then spin through the run after it. ``diagnose``'s per-point passes keep the library's
-threads; their output is checked not to depend on the count.
+``optimizer.run``, ``optimizer.run_many``, each sweep task, both instance
+generators, ``diagnostics.exact_moments`` and ``diagnose``'s loop over its
+points hold the pin. Building under it makes an instance a function of its
+spec, and it keeps the build from waking an OpenBLAS worker that would then
+spin through the run after it. A moment pass is one matrix-vector product
+followed by numpy loops over blocks of rows, which a woken worker would
+spin beside.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ by construction.
 
 The direction at each point is the optimizer's own recipe: propose_direction
 on every component gradient, with the memory of a DirectionState that is
-read and never written; MemoryRows.broadcast builds the N rows at once.
+read and never written; MemoryRows.broadcast builds a block of rows at once.
 Without a state it is -g.
 """
 
@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
+from . import _blas
 from .directions import DirectionState, MemoryRows
 from .errors import DomainError, NumericDomainError, UndefinedEstimateError, UnsupportedProblemError
 from .problems import ResidualProblem, Vector, as_vector
@@ -33,7 +34,6 @@ __all__ = [
     "EtaReport",
     "LemmaBoundsReport",
     "exact_moments",
-    "point_moments",
     "estimate_c3",
     "estimate_rho",
     "estimate_wgc",
@@ -53,8 +53,8 @@ class MomentReport:
     """First and second moments of the sampled gradient and the direction.
 
     var_g and cov_dg come from centered accumulation (var_g clamped at 0);
-    E_dTg should reconstruct E_d . E_g + cov_dg up to roundoff. f, the
-    objective value at x, is set by point_moments only.
+    E_dTg should reconstruct E_d . E_g + cov_dg up to roundoff. f is the
+    objective value at x, the mean of the N component values.
     """
 
     x: Vector
@@ -64,60 +64,119 @@ class MomentReport:
     E_d: Vector
     E_dTg: float
     cov_dg: float
-    f: float | None = None
+    f: float
 
 
-def _moments_from_samples(x, G: np.ndarray, D: np.ndarray | None) -> MomentReport:
-    """Moments of the rows of G and D; D None stands for -G.
+# Bytes of one block of gradient (or direction) rows, about an L2 cache: a
+# block is still cached when its row dots and column sums read it.
+_BLOCK_BYTES = 256 * 1024
 
-    Takes ownership of G and D: both are centred in their own buffers, after
-    every uncentred moment has been read from them, so a point holds no
-    second N x n matrix. The floats are those of the out-of-place G - E_g.
+
+def _blocks(N: int, n: int) -> list[slice]:
+    """The blocks of rows of an (N, n) matrix that exact_moments forms.
+
+    Each holds _BLOCK_BYTES of rows, and at least two, since numpy's
+    ``einsum`` dots a single long row in another order than the same row of
+    a matrix: a last block of one row joins the block before it. numpy sums
+    the rows of a matrix in order when n >= 2, which _ColumnSum continues
+    block by block; a single column it sums pairwise, so that column is one
+    block.
     """
-    E_g = G.mean(axis=0)
-    E_norm_g_sq = float(np.einsum("ij,ij->i", G, G).mean())
-    if D is not None:
-        E_d = D.mean(axis=0)
-        E_dTg = float(np.einsum("ij,ij->i", D, G).mean())
-        np.subtract(D, E_d, out=D)
-    np.subtract(G, E_g, out=G)
-    var_g = float(np.einsum("ij,ij->i", G, G).mean())
-    if D is None:
+    k = N if n == 1 else max(2, _BLOCK_BYTES // (8 * n))
+    starts = list(range(0, N, k))
+    if len(starts) > 1 and N - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [N])]
+
+
+class _ColumnSum:
+    """np.add.reduce(M, axis=0) of a matrix M written block by block.
+
+    A block of k rows is written into ``rows(k)``, whose row above holds the
+    running sum, and ``add(k)`` reduces both: that continues numpy's in-order
+    sum of the rows of the whole M (n >= 2, see _blocks).
+    """
+
+    def __init__(self, k: int, n: int):
+        self.total = None
+        self._buf = np.empty((k + 1, n))
+
+    def rows(self, k: int) -> np.ndarray:
+        return self._buf[1 : k + 1]
+
+    def add(self, k: int):
+        if self.total is None:
+            self.total = np.add.reduce(self._buf[1 : k + 1], axis=0)
+        else:
+            self._buf[0] = self.total
+            np.add.reduce(self._buf[: k + 1], axis=0, out=self.total)
+
+
+def _row_dots(P, Q):
+    return np.einsum("ij,ij->i", P, Q)
+
+
+@_blas.single_thread()
+def exact_moments(problem: ResidualProblem, x, state: DirectionState | None = None) -> MomentReport:
+    """Moments and f as exact uniform averages over the N singleton batches.
+
+    One residual pass at x gives f and every component gradient. The rows of
+    the gradient matrix G, and of the direction matrix D where the recipe
+    with that memory is not -g, are formed in blocks (_blocks), in two
+    sweeps: the first dots each row and sums the blocks by column, the
+    second forms each block again, centres it in place and dots it again.
+    No N x n matrix is held, yet every float is that of the whole matrices:
+    G.mean(axis=0), the mean of the einsum row dots, the out-of-place
+    G - E_g. Row i of D is propose_direction(state, G[i], x). Runs on one
+    BLAS thread.
+    """
+    xv = as_vector(x, problem.n)
+    N, n = problem.N, problem.n
+    r, grads = problem.component_pass(xv)
+    f = float((0.5 * r * r).mean())
+    blocks = _blocks(N, n)
+    most = max(block.stop - block.start for block in blocks)
+    with_d = state is not None and not state.negates_gradient
+
+    def directions(G):
+        return MemoryRows.broadcast(state, len(G), n).propose(G, xv)
+
+    gg, dg = np.empty(N), np.empty(N)
+    sum_g = _ColumnSum(most, n)
+    sum_d = _ColumnSum(most, n) if with_d else None
+    for block in blocks:
+        k = block.stop - block.start
+        G = grads(block, sum_g.rows(k))
+        gg[block] = _row_dots(G, G)
+        if with_d:
+            D = sum_d.rows(k)
+            D[...] = directions(G)
+            dg[block] = _row_dots(D, G)
+            sum_d.add(k)
+        sum_g.add(k)
+    E_g = sum_g.total / N
+    E_norm_g_sq = float(gg.mean())
+    if with_d:
+        E_d = sum_d.total / N
+        E_dTg = float(dg.mean())
+    for block in blocks:
+        G = grads(block, sum_g.rows(block.stop - block.start))
+        if with_d:
+            D = directions(G)
+            np.subtract(D, E_d, out=D)
+        np.subtract(G, E_g, out=G)
+        gg[block] = _row_dots(G, G)
+        if with_d:
+            dg[block] = _row_dots(D, G)
+    var_g = float(gg.mean())
+    if with_d:
+        cov_dg = float(dg.mean())
+    else:
         # D = -G. Negating every term of a sum negates the rounded sum, so
         # these equal the moments of the explicit matrix -G (as values; a sum
         # that cancels to zero may differ in the sign of that zero).
         E_d, E_dTg, cov_dg = -E_g, -E_norm_g_sq, -var_g
-    else:
-        cov_dg = float(np.einsum("ij,ij->i", D, G).mean())
-    return MomentReport(x, E_g, E_norm_g_sq, max(var_g, 0.0), E_d, E_dTg, cov_dg)
-
-
-def exact_moments(problem: ResidualProblem, x, state: DirectionState | None = None) -> MomentReport:
-    """Moments as exact uniform averages over the N singleton batches.
-
-    Builds the N x n component-gradient matrix once, centres it in place and
-    drops it on return. Row i of the direction matrix is
-    propose_direction(state, G[i], x), built only when the recipe with that
-    memory is not -g.
-    """
-    xv = as_vector(x, problem.n)
-    G = problem.component_grads(xv)
-    D = None
-    if state is not None and not state.negates_gradient:
-        D = MemoryRows.broadcast(state, *G.shape).propose(G, xv)
-    return _moments_from_samples(xv, G, D)
-
-
-def point_moments(problem: ResidualProblem, x, state: DirectionState | None = None) -> MomentReport:
-    """Everything the estimators read at x, from one exact pass.
-
-    exact_moments plus the objective value f: component values and component
-    gradients are each evaluated once. The *_from_moments reducers take a
-    sequence of these records, so several estimates share one pass per point.
-    """
-    xv = as_vector(x, problem.n)
-    f = float(problem.component_values(xv).mean())
-    return replace(exact_moments(problem, xv, state), f=f)
+    return MomentReport(xv, E_g, E_norm_g_sq, max(var_g, 0.0), E_d, E_dTg, cov_dg, f)
 
 
 def _first_best(ratios: Iterable[float | None], better, undefined: str) -> tuple[float, int]:
@@ -167,7 +226,7 @@ def c3_from_moments(moments: Iterable[MomentReport]) -> tuple[float, int]:
 def wgc_from_moments(
     moments: Iterable[MomentReport], f_star: float, L: float, tol: float = 1e-12
 ) -> tuple[float, int]:
-    """Weak-growth ratio max E||g||^2 / (2 L (f - f_star)) over point_moments records."""
+    """Weak-growth ratio max E||g||^2 / (2 L (f - f_star)) over exact_moments records."""
     if L <= 0:
         raise DomainError(f"L must be > 0, got {L}")
 
@@ -179,7 +238,7 @@ def wgc_from_moments(
 
 
 def pl_from_moments(moments: Iterable[MomentReport], f_star: float, tol: float = 1e-12) -> tuple[float, int]:
-    """Gradient-domination constant min ||grad f||^2 / (2 (f - f_star)) over point_moments records."""
+    """Gradient-domination constant min ||grad f||^2 / (2 (f - f_star)) over exact_moments records."""
 
     def ratio(m):
         gap = m.f - f_star
@@ -213,7 +272,7 @@ def estimate_wgc(problem: ResidualProblem, x_samples, L: float, tol: float = 1e-
     if L <= 0:
         raise DomainError(f"L must be > 0, got {L}")
     f_star = _require_f_star(problem)
-    return wgc_from_moments((point_moments(problem, x) for x in x_samples), f_star, L, tol)[0]
+    return wgc_from_moments((exact_moments(problem, x) for x in x_samples), f_star, L, tol)[0]
 
 
 def estimate_pl(problem: ResidualProblem, x_samples, tol: float = 1e-12) -> float:
@@ -223,7 +282,7 @@ def estimate_pl(problem: ResidualProblem, x_samples, tol: float = 1e-12) -> floa
     optimum are excluded (0/0).
     """
     f_star = _require_f_star(problem)
-    return pl_from_moments((point_moments(problem, x) for x in x_samples), f_star, tol)[0]
+    return pl_from_moments((exact_moments(problem, x) for x in x_samples), f_star, tol)[0]
 
 
 @dataclass(frozen=True)

@@ -124,10 +124,12 @@ class ResidualProblem:
       residual of rows[k] along X[k] + a D[k] is R0[k] + a (C1[k] + a C2[k]).
       ``reuse`` is what pullback_rows returned for the same rows and points.
 
-    A family also supplies ``component_grads(x)``: the N x n matrix of
-    component gradients, in a new array that the caller owns and may
-    overwrite; it must not be A or a view of it. The one-point oracles run
-    the hooks on the (1, n) view of x.
+    A family also supplies ``component_pass(x)``: ``(r, grads)``, the N
+    residuals at x from one pass, and ``grads(rows, out)``, which writes the
+    gradients of the components in the slice ``rows`` into ``out``, a
+    (len, n) array that the caller owns, and returns it. Every block is
+    taken from that one pass. The one-point oracles run the hooks on the
+    (1, n) view of x.
 
     ``n`` is the length of x and defaults to the number of columns of A.
     """
@@ -204,9 +206,9 @@ class ResidualProblem:
         G = self.pullback_rows(X, ((rows.T @ r) / r.size)[None], _ONE)[0]
         return 0.5 * float(r @ r) / r.size, G[0]
 
-    def component_values(self, x):
-        r = self._residuals(None, x[None])[1]
-        return 0.5 * r * r
+    def residuals(self, x):
+        """The N residuals a_i . w(x) - b_i, from one pass over A."""
+        return self._residuals(None, x[None])[1]
 
     def validate_known_constants(self, rtol: float = 1e-12, grad_tol: float = 1e-10):
         """Check that the planted minimizer actually attains f_star with zero gradient."""
@@ -249,9 +251,12 @@ class LeastSquaresProblem(ResidualProblem):
     def ray_coefficients_rows(self, rows, X, D, reuse):
         return np.vecdot(rows, D), np.zeros(len(D))
 
-    def component_grads(self, x):
-        r = self._residuals(None, x[None])[1]
-        return r[:, None] * self.A
+    def component_pass(self, x):
+        r = self.residuals(x)
+        return r, functools.partial(self.component_grads, r)
+
+    def component_grads(self, r, rows, out):
+        return np.multiply(r[rows, None], self.A[rows], out=out)
 
 
 class TwoFactorProblem(ResidualProblem):
@@ -312,12 +317,18 @@ class TwoFactorProblem(ResidualProblem):
         Q = np.matmul(DV, rows[:, :, None])[:, :, 0]
         return np.vecdot(DU, reuse) + np.vecdot(U, Q), np.vecdot(DU, Q)
 
-    def component_grads(self, x):
+    def component_pass(self, x):
+        # A @ V.T is formed once for every block: a block of rows of A times
+        # V.T does not round like the same rows of the whole product.
         u, V = self.unpack(x)
-        r = self._residuals(None, x[None])[1]
-        Gu = r[:, None] * (self.A @ V.T)
-        GV = np.einsum("i,u,iv->iuv", r, u, self.A).reshape(self.N, -1)
-        return np.hstack([Gu, GV])
+        r = self.residuals(x)
+        return r, functools.partial(self.component_grads, u, r, self.A @ V.T)
+
+    def component_grads(self, u, r, AV, rows, out):
+        np.multiply(r[rows, None], AV[rows], out=out[:, : self.n_u])
+        GV = np.reshape(out[:, self.n_u :], (len(out), self.n_u, self.n_v), copy=False)
+        np.einsum("i,u,iv->iuv", r[rows], u, self.A[rows], out=GV)
+        return out
 
 
 def evaluate_batch(problem: ResidualProblem, i, x):

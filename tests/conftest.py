@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from slsopt import LeastSquaresProblem
+from slsopt import LeastSquaresProblem, TwoFactorProblem, as_vector
+from slsopt.diagnostics import MomentReport
+from slsopt.directions import MemoryRows
 from slsopt.errors import DomainError, ShapeError
 
 
@@ -62,3 +64,56 @@ def sgr_check(d, g, params) -> tuple[bool, frozenset]:
     if not dTg <= -params.c2 * gg:
         violated.add("descent_bound")
     return not violated, frozenset(violated)
+
+
+def component_grads(problem, x):
+    """The whole N x n matrix of component gradients at x, in a new array.
+
+    The reference for the blocks that problem.component_pass gives.
+    """
+    r = problem.residuals(x)
+    if isinstance(problem, TwoFactorProblem):
+        u, V = problem.unpack(x)
+        Gu = r[:, None] * (problem.A @ V.T)
+        GV = np.einsum("i,u,iv->iuv", r, u, problem.A).reshape(problem.N, -1)
+        return np.hstack([Gu, GV])
+    return r[:, None] * problem.A
+
+
+def moments_from_samples(x, G, D, f=math.nan) -> MomentReport:
+    """Moments of the rows of G and D, each a whole matrix; D None stands for -G.
+
+    The reference for exact_moments' two sweeps over blocks of rows. Takes
+    ownership of G and D: both are centred in their own buffers after every
+    uncentred moment has been read, which gives the floats of the
+    out-of-place G - E_g.
+    """
+    E_g = G.mean(axis=0)
+    E_norm_g_sq = float(np.einsum("ij,ij->i", G, G).mean())
+    if D is not None:
+        E_d = D.mean(axis=0)
+        E_dTg = float(np.einsum("ij,ij->i", D, G).mean())
+        np.subtract(D, E_d, out=D)
+    np.subtract(G, E_g, out=G)
+    var_g = float(np.einsum("ij,ij->i", G, G).mean())
+    if D is None:
+        E_d, E_dTg, cov_dg = -E_g, -E_norm_g_sq, -var_g
+    else:
+        cov_dg = float(np.einsum("ij,ij->i", D, G).mean())
+    return MomentReport(x, E_g, E_norm_g_sq, max(var_g, 0.0), E_d, E_dTg, cov_dg, f)
+
+
+def reference_moments(problem, x, state=None) -> MomentReport:
+    """exact_moments from the whole gradient and direction matrices.
+
+    Row i of the direction matrix is propose_direction(state, G[i], x),
+    built only when the recipe with that memory is not -g; f is the mean of
+    the component values 0.5 r_i^2.
+    """
+    xv = as_vector(x, problem.n)
+    G = component_grads(problem, xv)
+    D = None
+    if state is not None and not state.negates_gradient:
+        D = MemoryRows.broadcast(state, *G.shape).propose(G, xv)
+    r = problem.residuals(xv)
+    return moments_from_samples(xv, G, D, float((0.5 * r * r).mean()))

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from slsopt import (
     CG_VARIANTS,
     KINDS,
-    LeastSquaresProblem,
     TheoremConstants,
     cli,
     compute_eta,
@@ -453,29 +452,35 @@ class TestCmdDiagnose:
         rows = ["index,f,grad_norm,e_norm_g_sq,var_g,rho_ratio"]
         for i, x in enumerate(pts):
             m = exact_moments(p, x)
-            f = float(p.component_values(x).mean())
+            r = p.A @ x - p.b
+            f = float((0.5 * r * r).mean())
             gn = float(np.linalg.norm(m.E_g))
             rows.append(f"{i},{f!r},{gn!r},{m.E_norm_g_sq!r},{m.var_g!r},{m.E_norm_g_sq / (gn * gn)!r}")
         assert out.read_text() == "\n".join(rows) + "\n"
 
     @pytest.mark.parametrize("kind", ["sgd", "adagrad_diag"])
-    def test_one_gradient_matrix_per_point(self, tmp_path, monkeypatch, kind):
-        calls = {"component_grads": 0, "component_values": 0}
-        for name in calls:
-            original = getattr(LeastSquaresProblem, name)
-
-            def counted(self, x, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(self, x)
-
-            monkeypatch.setattr(LeastSquaresProblem, name, counted)
+    def test_one_residual_pass_per_point(self, tmp_path, monkeypatch, kind):
+        # f and every block of gradient (and direction) rows of a point come
+        # from one pass over all N residuals
         cfg_path = write_cfg(tmp_path, LS)
+        problem = build_problem(parse_config(LS))
+        monkeypatch.setattr(cli.cfgmod, "build_problem", lambda cfg: problem)
+        passes = []
+        residuals = problems.ResidualProblem._residuals
+
+        def counted(self, idx, X):
+            if idx is None:
+                passes.append(X.copy())
+            return residuals(self, idx, X)
+
+        monkeypatch.setattr(problems.ResidualProblem, "_residuals", counted)
         code = cli.cmd_diagnose(
             cfg_path, num_points=7, overrides=[f"direction.kind={kind}"],
             samples_csv=str(tmp_path / "s.csv"),
         )
         assert code == 0
-        assert calls == {"component_grads": 7, "component_values": 7}
+        rng = np.random.default_rng(parse_config(LS).run.seed)
+        assert [X.tobytes() for X in passes] == [rng.standard_normal((1, problem.n)).tobytes() for _ in range(7)]
 
 
 class TestCmdVerify:
@@ -573,6 +578,26 @@ class TestRoundingLevelResiduals:
         assert result.status == "converged_grad"
         [step] = result.trajectory
         assert (step.alpha, step.backtracks) == (1.0, 0)
+
+
+class TestOnPathPL:
+    """The gradient-domination inequality at the points a run visits."""
+
+    @pytest.mark.parametrize("name", ["least_squares.ini", "momentum.ini"])
+    def test_ratio_at_every_trace_point_is_at_least_mu(self, name):
+        # ||grad f||^2 / (2 (f - f*)) at each exact sample of the trace; with
+        # equal singular values the bound mu = 4/N is attained, so only
+        # rounding separates the two
+        cfg = read_config(str(CONFIGS / name))
+        problem = build_problem(cfg)
+        known = problem.known
+        result = optimizer.run(build_run_config(cfg, problem=problem))
+        points = [r for r in result.trajectory if r.f_full is not None]
+        assert len(points) > 100
+        for r in points:
+            gap = r.f_full - known.f_star
+            assert gap > 0.0, r.k
+            assert r.grad_full_norm ** 2 / (2.0 * gap) >= known.mu * (1.0 - 1e-12), r.k
 
 
 class TestCmdSweep:
@@ -802,7 +827,7 @@ class TestFailFast:
             return called
 
         monkeypatch.setattr(cli.optimizer, "run", spy("optimizer.run"))
-        monkeypatch.setattr(cli.diagnostics, "point_moments", spy("diagnostics.point_moments"))
+        monkeypatch.setattr(cli.diagnostics, "exact_moments", spy("diagnostics.exact_moments"))
         argv = {
             "run_csv": ["run", cfg_path, "--override", f"run.out_csv={missing}"],
             "run_svg": [

@@ -12,6 +12,7 @@ from slsopt import (
     KINDS,
     DirectionState,
     LeastSquaresProblem,
+    SgrParams,
     TheoremConstants,
     c3_from_moments,
     compute_eta,
@@ -19,23 +20,25 @@ from slsopt import (
     estimate_pl,
     estimate_rho,
     estimate_wgc,
+    evaluate_batch,
     exact_moments,
     full_oracle,
     gen_interpolating_least_squares,
     gen_nonconvex_interpolating,
     lemma_bounds_from_moments,
     pl_from_moments,
-    point_moments,
     propose_direction,
     rho_from_moments,
+    safeguarded_direction,
+    update_memory,
     verify_lemma_bounds,
     wgc_from_moments,
 )
 from slsopt import diagnostics
-from slsopt.diagnostics import _moments_from_samples
+from slsopt.directions import MemoryRows
 from slsopt.errors import DomainError, UndefinedEstimateError, UnsupportedProblemError
 
-from conftest import make_toy2
+from conftest import component_grads, make_toy2, moments_from_samples, reference_moments
 
 X1 = np.array([1.0])
 
@@ -62,8 +65,8 @@ class TestExactMoments:
         assert m.cov_dg == -m.var_g
 
     def test_constant_rule_has_zero_covariance(self):
-        G = make_toy2().component_grads(X1)
-        m = _moments_from_samples(X1, G, np.full_like(G, 7.0))
+        G = component_grads(make_toy2(), X1)
+        m = moments_from_samples(X1, G, np.full_like(G, 7.0))
         assert m.cov_dg == 0.0
         assert m.E_dTg == pytest.approx(7.0 * 2.5, rel=1e-15)
 
@@ -109,8 +112,8 @@ class TestEstimateC3:
         p = make_toy2()
         moments = []
         for x in pts:
-            G = p.component_grads(x)
-            moments.append(_moments_from_samples(x, G, np.full_like(G, 3.0)))
+            G = component_grads(p, x)
+            moments.append(moments_from_samples(x, G, np.full_like(G, 3.0)))
         assert c3_from_moments(moments) == (0.0, 0)
 
     def test_momentum_rule_finite_nonnegative(self):
@@ -221,10 +224,10 @@ class TestVerifyLemmaBounds:
     def test_adversarial_rule_violates_descent(self):
         toy = make_toy2()
         rho = estimate_rho(toy, [X1])
-        G = toy.component_grads(X1)
+        G = component_grads(toy, X1)
         D = -G
         D[0] += 100.0  # component 0 pushes uphill
-        rep = lemma_bounds_from_moments(_moments_from_samples(X1, G, D), constants_with(rho=rho))
+        rep = lemma_bounds_from_moments(moments_from_samples(X1, G, D), constants_with(rho=rho))
         assert not rep.descent_ok
 
     def test_inapplicable_constants_rejected(self):
@@ -273,7 +276,6 @@ class TestFrozenRule:
         before = (state.g_prev, state.d_prev, state.g_prev.copy(), state.d_prev.copy())
         for x in (np.array([1.0, 1.0]), np.array([0.0, 2.0])):
             exact_moments(p, x, state)
-            point_moments(p, x, state)
         assert state.g_prev is before[0] and state.d_prev is before[1]
         assert np.array_equal(state.g_prev, before[2])
         assert np.array_equal(state.d_prev, before[3])
@@ -283,8 +285,8 @@ class TestFrozenRule:
 def _out_of_place_moments(G, D):
     """The moments of the rows of G and D with centred copies; D None is -G.
 
-    The reference for _moments_from_samples, which centres in place: it
-    reads G and D and writes neither.
+    The reference for conftest.moments_from_samples, which centres in
+    place: it reads G and D and writes neither.
     """
     E_g = G.mean(axis=0)
     E_norm_g_sq = float(np.einsum("ij,ij->i", G, G).mean())
@@ -302,7 +304,7 @@ def _out_of_place_moments(G, D):
 
 def _per_row_moments(p, x, state):
     """The moments of the directions built one component gradient at a time."""
-    G = p.component_grads(x)
+    G = component_grads(p, x)
     D = -G if state is None else np.stack([propose_direction(state, g, x) for g in G])
     return _out_of_place_moments(G, D)
 
@@ -337,33 +339,44 @@ class _Rows:
 
     def __init__(self, G):
         self.G = G
-        self.n = G.shape[1]
+        self.N, self.n = G.shape
 
-    def component_grads(self, x):
-        return self.G.copy()
+    def component_pass(self, x):
+        def grads(rows, out):
+            out[...] = self.G[rows]
+            return out
+
+        return np.zeros(self.N), grads
 
 
 class TestDirectionMatrix:
     @given(case=_row_case(), beta=st.floats(-2.0, 2.0), beta_cap=st.floats(1e-3, 10.0))
     @settings(max_examples=300, deadline=None)
     def test_direction_matrix_equals_per_row_calls_byte_for_byte(self, case, beta, beta_cap):
-        # the matrix exact_moments averages, before it is centred; None
-        # stands for -G
+        # the rows exact_moments averages, before they are centred; with
+        # three-row blocks, a recipe that negates the gradient builds none
         G, x, memory = case
         kept = {name: v.copy() for name, v in memory.items()}
+        propose = MemoryRows.propose
         for state in _every_recipe(memory, beta, beta_cap):
             seen = []
 
-            def spy(x, G, D):
-                seen.append(None if D is None else D.copy())
-                return _moments_from_samples(x, G, D)
+            def spy(self, G, X):
+                D = propose(self, G, X)
+                seen.append(D.copy())
+                return D
 
-            with mock.patch.object(diagnostics, "_moments_from_samples", spy):
+            with mock.patch.object(diagnostics, "_BLOCK_BYTES", 3 * 8 * G.shape[1]), \
+                    mock.patch.object(MemoryRows, "propose", spy):
                 exact_moments(_Rows(G), x, state)
-            D = -G if seen[0] is None else seen[0]
             rows = np.stack([propose_direction(state, g, x) for g in G])
-            assert D.shape == G.shape
-            assert D.tobytes() == rows.tobytes(), (state.kind, state.cg_variant)
+            if state.negates_gradient:
+                assert seen == [] and rows.tobytes() == (-G).tobytes()
+                continue
+            # both sweeps build every block
+            D = np.concatenate(seen)
+            assert D.shape == (2 * len(G), G.shape[1])
+            assert D.tobytes() == np.concatenate([rows, rows]).tobytes(), (state.kind, state.cg_variant)
         for name, value in kept.items():
             # the memory is read, never written
             assert memory[name].tobytes() == value.tobytes()
@@ -422,6 +435,118 @@ class TestRowwiseRule:
             assert np.array_equal(m.E_d, plain.E_d) == (kind != "adagrad_diag")
 
 
+def _assert_same_report(got, want):
+    """Every field of two MomentReports, bit for bit."""
+    for name in ("x", *MOMENT_FIELDS, "f"):
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            assert a.hex() == b.hex(), name
+
+
+def _live_states(p, x, steps, rng):
+    """Every kind and cg variant, fresh and after ``steps`` steps of run's direction loop.
+
+    Each step draws a component at the current point, takes the safeguarded
+    direction at a fixed step length and updates the memory, as
+    optimizer.run does; the states end at other points than x.
+    """
+    sgr = SgrParams()
+    for kind in KINDS:
+        for variant in CG_VARIANTS if kind == "cg" else ("pr+",):
+            yield DirectionState(kind=kind, cg_variant=variant)
+            state = DirectionState(kind=kind, cg_variant=variant)
+            y = x + rng.standard_normal(p.n)
+            for _ in range(steps):
+                _, g, _ = evaluate_batch(p, int(rng.integers(p.N)), y)
+                d = safeguarded_direction(state, g, y, sgr).d
+                y_new = y + 0.05 * d
+                update_memory(state, y, g, d)
+                y = y_new
+            yield state
+
+
+def _problem(family, N, n, seed):
+    """A least-squares problem with n variables, some labels zero; or a two-factor one.
+
+    The two-factor one has n_u = n and n_v = 8: rows of A that long make a
+    block of rows of A @ V.T round otherwise than those rows of the whole
+    product.
+    """
+    rng = np.random.default_rng(seed)
+    if family == "two_factor":
+        return gen_nonconvex_interpolating(N, n, 8, seed)
+    b = rng.standard_normal(N)
+    b[rng.random(N) < 0.3] = 0.0
+    return LeastSquaresProblem(rng.standard_normal((N, n)), b)
+
+
+class TestBlockedMoments:
+    """exact_moments' blocks give the whole-matrix moments, to the bit."""
+
+    @staticmethod
+    def _check(p, rows, steps, seed):
+        rng = np.random.default_rng(seed)
+        # x = 0 puts the zero labels' residuals at exactly 0.0, so that
+        # gradient rows hold signed zeros; x_star zeroes every two-factor row
+        points = [rng.standard_normal(p.n), np.zeros(p.n)]
+        if p.known is not None:
+            points.append(p.known.x_star)
+        with mock.patch.object(diagnostics, "_BLOCK_BYTES", 8 * p.n * rows):
+            for x in points:
+                for state in [None, *_live_states(p, x, steps, rng)]:
+                    _assert_same_report(exact_moments(p, x, state), reference_moments(p, x, state))
+
+    @given(
+        family=st.sampled_from(["least_squares", "two_factor"]),
+        N=st.integers(1, 24),
+        n=st.integers(1, 6),
+        rows=st.integers(1, 25),
+        steps=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_equal_the_whole_matrices(self, family, N, n, rows, steps, seed):
+        # ``rows`` is what _BLOCK_BYTES asks for: one-row requests, N not a
+        # multiple of it and N below one block all occur
+        self._check(_problem(family, N, n, seed), rows, steps, seed)
+
+    @pytest.mark.parametrize(
+        "N, n, rows",
+        [(7, 1, 2), (40, 1, 3), (7, 2, 1), (7, 2, 3), (9, 2, 4), (3, 5, 8), (1, 4, 1), (2, 3, 1), (24, 3, 5)],
+    )
+    @pytest.mark.parametrize("family", ["least_squares", "two_factor"])
+    def test_edge_layouts(self, family, N, n, rows):
+        # n = 1 (one column, summed pairwise) and n = 2; one-row requests; a
+        # last block of one row; N below one block; N = 1
+        self._check(_problem(family, N, n, 5), rows, 3, 5)
+
+    @pytest.mark.parametrize("family, n", [("least_squares", 20_000), ("two_factor", 2_000)])
+    def test_long_rows(self, family, n):
+        # einsum dots a lone row this long in another order than a row of a
+        # matrix, so no block has one row; at the real block size these rows
+        # come two to a block, and the fifth joins the last block
+        p = _problem(family, 5, n, 9)
+        assert [b.stop - b.start for b in diagnostics._blocks(p.N, p.n)] == [2, 3]
+        x = np.random.default_rng(9).standard_normal(p.n)
+        _assert_same_report(exact_moments(p, x), reference_moments(p, x))
+
+    @given(N=st.integers(1, 200), n=st.integers(1, 50_000))
+    def test_block_layout(self, N, n):
+        blocks = diagnostics._blocks(N, n)
+        sizes = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == N
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        if n == 1:
+            assert sizes == [N]
+        else:
+            k = max(2, diagnostics._BLOCK_BYTES // (8 * n))
+            assert all(s == k for s in sizes[:-1])
+            assert sizes[-1] <= k + 1
+            assert N == 1 or min(sizes) >= 2
+
+
 class TestOnePassMoments:
     PROBLEMS = [
         make_toy2,
@@ -460,23 +585,22 @@ class TestOnePassMoments:
                     d_prev=-g_prev + 0.1 * rng.standard_normal(p.n),
                     accum=rng.random(p.n),
                 )
-            G = p.component_grads(x)
+            G = component_grads(p, x)
             D = None if state is None or state.negates_gradient else np.stack([propose_direction(state, g, x) for g in G])
             _assert_same_bits(exact_moments(p, x, state), _out_of_place_moments(G, D))
 
-    def test_point_moments_adds_the_objective_value(self):
+    def test_exact_moments_sets_the_objective_value(self):
         p = gen_interpolating_least_squares(6, 9, seed=1, singular_values=[1.0, 2.0])
         x = np.random.default_rng(3).standard_normal(p.n)
-        m = point_moments(p, x)
-        assert m.f == float(p.component_values(x).mean())
-        assert exact_moments(p, x).f is None
-        assert np.array_equal(m.E_g, exact_moments(p, x).E_g)
+        r = p.A @ x - p.b
+        assert exact_moments(p, x).f == float((0.5 * r * r).mean())
+        assert exact_moments(p, x, DirectionState(kind="adagrad_diag")).f == float((0.5 * r * r).mean())
 
     def test_reducers_match_estimators_and_name_the_point(self):
         p = gen_interpolating_least_squares(6, 10, seed=11, singular_values=[1.0, 2.0])
         rng = np.random.default_rng(11)
         pts = [rng.standard_normal(p.n) for _ in range(15)]
-        moments = [point_moments(p, x) for x in pts]
+        moments = [exact_moments(p, x) for x in pts]
         f_star, L = p.known.f_star, p.known.L
         cases = [
             (rho_from_moments(moments), estimate_rho(p, pts), lambda x: estimate_rho(p, [x]), max),
@@ -490,23 +614,40 @@ class TestOnePassMoments:
             assert point == per_point.index(value)
 
     @staticmethod
-    def _peak_matrices(kind):
-        p = gen_interpolating_least_squares(200, 300, seed=2, singular_values=[1.0, 2.0])
+    def _peak(kind):
+        """Peak bytes of one exact_moments call, and the problem it ran on."""
+        p = gen_interpolating_least_squares(1000, 1000, seed=2, singular_values=[1.0, 2.0])
         x = np.random.default_rng(2).standard_normal(p.n)
-        state = None if kind is None else DirectionState(kind=kind, x_prev=np.zeros(p.n))
-        point_moments(p, x, state)  # warm up lazily allocated numpy state
+        state = None
+        if kind is not None:
+            g_prev = np.ones(p.n)
+            state = DirectionState(kind=kind, x_prev=np.zeros(p.n), g_prev=g_prev, d_prev=-g_prev, accum=g_prev)
+        exact_moments(p, x, state)  # warm up lazily allocated numpy state
         tracemalloc.start()
         try:
-            point_moments(p, x, state)
+            exact_moments(p, x, state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak, p
+
+    @classmethod
+    def _peak_matrices(cls, kind):
+        peak, p = cls._peak(kind)
         return peak / (p.N * p.n * 8)
 
-    # Both matrices are centred in their own buffers. With a centred copy of
-    # each, these held 2 and 4 matrices.
+    # With the whole matrices, each centred in its own buffer, these held 1
+    # and 2 matrices; with a centred copy of each, 2 and 4.
     def test_holds_one_gradient_matrix(self):
         assert self._peak_matrices(None) < 1.5
 
     def test_holds_one_gradient_and_one_direction_matrix(self):
         assert self._peak_matrices("momentum") < 2.5
+
+    @pytest.mark.parametrize("kind", [None, *KINDS[1:]])
+    def test_holds_blocks_of_rows_not_matrices(self, kind):
+        # a block of gradient rows and its sum buffer; with a direction, the
+        # direction rows' buffer and the recipe's temporaries too. The
+        # matrices here are 8 MB, a block 256 KiB.
+        peak, _ = self._peak(kind)
+        assert peak < (2 if kind is None else 6) * diagnostics._BLOCK_BYTES

@@ -26,7 +26,7 @@ from slsopt.errors import (
 )
 from slsopt.problems import _all_finite, as_vector, ray_phi
 
-from conftest import central_diff_grad, make_toy2
+from conftest import central_diff_grad, component_grads, make_toy2
 
 
 class TestEvaluateBatch:
@@ -273,6 +273,12 @@ class TestUnbiasedness:
         assert f_mean == pytest.approx(full_oracle(p, xv)[0], rel=1e-12, abs=1e-15)
 
 
+def _component_pass_mean(p, x):
+    """The mean component value and gradient from component_pass, in one block."""
+    r, grads = p.component_pass(x)
+    return float((0.5 * r * r).mean()), grads(slice(0, p.N), np.empty((p.N, p.n))).mean(axis=0)
+
+
 class TestGradientChecks:
     @pytest.mark.parametrize(
         "p, oracle",
@@ -285,7 +291,7 @@ class TestGradientChecks:
             for path, oracle in (
                 ("", full_oracle),
                 ("-singleton_batch_eval", lambda p, x: evaluate_batch(p, 1, x)[:2]),
-                ("-component_grads_mean", lambda p, x: (p.component_values(x).mean(), p.component_grads(x).mean(axis=0))),
+                ("-component_grads_mean", lambda p, x: _component_pass_mean(p, x)),
             )
         ],
     )
@@ -300,7 +306,7 @@ class TestGradientChecks:
 
 
 class TestComponentGradsOwnership:
-    """component_grads returns a new array that the caller owns."""
+    """component_pass writes each block into an array that the caller owns."""
 
     @pytest.mark.parametrize(
         "make",
@@ -316,12 +322,18 @@ class TestComponentGradsOwnership:
         rng = np.random.default_rng(5)
         for _ in range(5):
             x = rng.standard_normal(p.n)
-            G = p.component_grads(x)
-            assert not any(np.shares_memory(G, a) for a in data)
-            want = G.copy()
+            r, grads = p.component_pass(x)
+            assert r.tobytes() == (p.A @ p.features_rows(x[None])[0] - p.b).tobytes()
+            out = np.full((3, p.n), np.nan)
+            G = grads(slice(1, 4), out)
+            assert G is out
+            assert not any(np.shares_memory(G, a) for a in data + [r])
+            # a block is its rows of the whole matrix
+            want = component_grads(p, x)[1:4]
+            assert G.tobytes() == want.tobytes()
             G[...] = np.nan
-            assert np.array_equal(p.component_grads(x), want)
-            # exact_moments centres the gradient and direction matrices in place
+            assert grads(slice(1, 4), out).tobytes() == want.tobytes()
+            # exact_moments centres the gradient and direction blocks in place
             exact_moments(p, x)
             exact_moments(p, x, DirectionState(kind="momentum", x_prev=np.zeros(p.n)))
             assert all(np.array_equal(a, b) for a, b in zip(data, before))
