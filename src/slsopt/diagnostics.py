@@ -159,6 +159,7 @@ def exact_moments(problem: ResidualProblem, x, state: DirectionState | None = No
     if with_d:
         E_d = sum_d.total / N
         E_dTg = float(dg.mean())
+    # The second sweep forms each block in the first sweep's buffer.
     for block in blocks:
         G = grads(block, sum_g.rows(block.stop - block.start))
         if with_d:
