@@ -139,10 +139,6 @@ def cmd_run(config_path, overrides=(), seed=None) -> int:
     return _STATUS_EXIT[result.status]
 
 
-def _sample_points(problem, rng, count):
-    return [rng.standard_normal(problem.n) for _ in range(count)]
-
-
 @_exit_on_error
 def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, samples_csv=None) -> int:
     """Estimate the regularity constants on sampled points and print them.
@@ -162,7 +158,7 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
     sgr = cfgmod.build_sgr_params(cfg)
 
     rng = np.random.default_rng(cfg.run.seed)
-    points = _sample_points(problem, rng, num_points)
+    points = [rng.standard_normal(problem.n) for _ in range(num_points)]
     known = problem.known
     with _blas.single_thread():
         moments = [diagnostics.exact_moments(problem, x, state) for x in points]
@@ -282,9 +278,9 @@ SWEEP_LOCKSTEP_MAX_N = 6000
 @_blas.single_thread()
 def _sweep_worker(args):
     # One task is one group: the sweep's RunConfig, built once, and the seeds
-    # it runs in lockstep (a group of one is run itself). Every trace is then
-    # written, and each final gap evaluated, on one BLAS thread: the groups
-    # are the parallelism (--jobs).
+    # it runs in lockstep; a group of one is what run does for its seed.
+    # Every trace is then written, and each final gap evaluated, on one BLAS
+    # thread: the groups are the parallelism (--jobs).
     run_config, seeds, paths = args
     results = optimizer.run_many(run_config, seeds)
     from .problems import full_oracle

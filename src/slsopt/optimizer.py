@@ -5,17 +5,20 @@ seed feeds a splittable generator whose children drive the starting point and
 the stream of sampled component indices. Exact full-sum values are logged
 only periodically so the per-iteration cost model stays stochastic.
 ``run_many`` advances the seeds of one config together as the rows of one
-array, each seed's result that of ``run`` byte for byte.
+array; ``run`` is its group of one seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _blas
+# No loop here calls evaluate_batch, safeguarded_direction or update_memory:
+# bench/tracer.py wraps them in this module, and the tests run on them.
 from .directions import DirectionState, MemoryRows, SgrParams, safeguarded_direction, update_memory
 from .errors import (
     CertificateError,
@@ -124,19 +127,14 @@ def _norm(v: Vector) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-
-def default_x0(n: int, rng: np.random.Generator) -> Vector:
-    return rng.standard_normal(n) / math.sqrt(n)
-
-
 def _start(config: RunConfig, seed: int) -> tuple[Vector, BatchSampler]:
-    """The starting point and the index sampler of the run with this seed."""
+    """The starting point (x0, else N(0, I/n)) and the index sampler of the run with this seed."""
     problem = config.problem
     init_ss, batch_ss = np.random.SeedSequence(seed).spawn(2)
     if config.x0 is not None:
         x = as_vector(config.x0, problem.n, "x0").copy()
     else:
-        x = default_x0(problem.n, np.random.default_rng(init_ss))
+        x = np.random.default_rng(init_ss).standard_normal(problem.n) / math.sqrt(problem.n)
     return x, BatchSampler(problem.N, seed=batch_ss)
 
 
@@ -154,18 +152,18 @@ class _Lane:
 
     The trace points' verdict, the initial trial step, the search with its
     stall and Armijo certificate, the zero-batch-gradient path and the
-    records. run advances one lane with the one-gradient kernels, run_many
-    K lanes with the stacked ones: ``sample`` at each trace point, then
-    ``step``. A lane that has ended holds its RunResult in ``result``.
+    records. run_many advances K lanes with the stacked kernels: ``sample``
+    at each trace point, then ``step``. ``name`` prefixes the errors the
+    lane meets. A lane that has ended holds its RunResult in ``result``.
     """
 
-    __slots__ = ("config", "f_star", "seed", "sampler", "records", "prev_result", "f_full", "grad_full_norm", "result")
+    __slots__ = ("config", "f_star", "name", "sampler", "records", "prev_result", "f_full", "grad_full_norm", "result")
 
-    def __init__(self, config: RunConfig, seed: int, sampler: BatchSampler):
+    def __init__(self, config: RunConfig, name: str, sampler: BatchSampler):
         self.config = config
         known = config.problem.known
         self.f_star = known.f_star if known is not None else None
-        self.seed = seed
+        self.name = name
         self.sampler = sampler
         self.records: list[IterationRecord] = []
         self.prev_result = None
@@ -236,7 +234,6 @@ class _Lane:
         return step
 
 
-@_blas.single_thread()
 def run(config: RunConfig) -> RunResult:
     """Iterate x <- x + alpha d until a tolerance, the cap, or a stall.
 
@@ -245,78 +242,50 @@ def run(config: RunConfig) -> RunResult:
     one step. Convergence is decided on the periodic exact-oracle samples
     (batch gradients vanish spuriously only where stopping is correct anyway);
     a vanishing batch gradient skips the step, forces an exact check, and
-    moves on to the next draw. The per-seed part of each iteration is
-    _Lane's; the arrays go through the one-gradient kernels.
+    moves on to the next draw.
 
-    The whole run holds numpy's OpenBLAS to one thread and restores the
-    previous count on return or raise. A run is sequential by construction;
-    parallelism across seeds belongs to ``sweep --jobs``. The trajectory is
-    therefore reproducible bit for bit given the config and seed, whatever
-    the core count or OPENBLAS_NUM_THREADS.
+    A run is the group of one seed of ``run_many``, so it holds numpy's
+    OpenBLAS to one thread: the trajectory is reproducible bit for bit given
+    the config and seed, whatever the core count or OPENBLAS_NUM_THREADS.
     """
-    problem = config.problem
-    x, sampler = _start(config, config.seed)
-    lane = _Lane(config, config.seed, sampler)
-    state = config.direction.fresh()
-    every = config.trace_full_oracle_every
-    for k in range(config.max_iters):
-        if k % every == 0 and lane.sample(x):
-            break
-        # The search runs on phi(a) = f_i(x + a d); see evaluate_batch.
-        f_b, g_b, ray = evaluate_batch(problem, sampler.draw(), x)
-        outcome = safeguarded_direction(state, g_b, x, config.sgr)
-        d = outcome.d
-        alpha = lane.step(k, x, f_b, outcome.g_norm, outcome.d_norm, outcome.dTg, outcome.restarted, ray(d))
-        if alpha is not None:
-            # x_new comes before update_memory frees the arrays it replaces:
-            # freed first, they let the allocator trim the heap top, and each
-            # wide iteration then faults those pages back in.
-            x_new = x + alpha * d
-            update_memory(state, x, g_b, d)
-            x = x_new
-        elif lane.result is not None:
-            break
-    else:
-        lane.finish(x, "max_iters")
-    return lane.result
+    return run_many(config, [config.seed])[0]
 
 
 @_blas.single_thread()
 def run_many(config: RunConfig, seeds) -> list[RunResult]:
-    """``run(replace(config, seed=s))`` for each seed s, advanced in lockstep.
+    """One run per seed s, with replace(config, seed=s), advanced in lockstep.
 
     The K seeds' iterates are the rows of one (K, n) stack: the sampled
     rows, the finiteness checks, the direction recipe (MemoryRows), the
     (c1, c2) safeguard, the ray coefficients and the step are each one
-    operation on the stack, giving each row the floats of run's one-row
-    kernel. Each seed is a _Lane, as in run, and leaves the stack when it
-    ends. So result i is run(replace(config, seed=seeds[i])) byte for byte,
-    and the error a seed meets is run's, after "seed=S: ". Fewer than two
-    seeds go through run. The call holds numpy's OpenBLAS to one thread,
-    like run.
+    operation on the stack. Each seed is a _Lane, and leaves the stack when
+    it ends. So result i is the same bytes in a group of any size, K = 1
+    (``run``) included. In a group of several seeds, the error a seed meets
+    is raised after "seed=S: ". The call holds OpenBLAS to one thread.
     """
     seeds = list(seeds)
+    if not seeds:
+        return []
     problem = config.problem
-    if len(seeds) < 2:
-        return [run(replace(config, seed=s)) for s in seeds]
-
     lanes, starts = [], []
     for seed in seeds:
         x, sampler = _start(config, seed)
-        lanes.append(_Lane(config, seed, sampler))
+        lanes.append(_Lane(config, f"seed={seed}: " if len(seeds) > 1 else "", sampler))
         starts.append(x)
     results = list(lanes)
     X = np.stack(starts)
     memory = MemoryRows(config.direction, len(lanes), problem.n)
+    # The (K, n) stacks of past iterations, oldest first; see _retire.
+    spent = deque()
 
     every = config.trace_full_oracle_every
     for k in range(config.max_iters):
         if k % every == 0:
-            for lane, x in zip(lanes, X):
+            for j, lane in enumerate(lanes):
                 try:
-                    lane.sample(x)
+                    lane.sample(X[j])
                 except SlsoptError as exc:
-                    raise _named(lane, exc) from exc
+                    raise _named(lane, exc)
             if any(lane.result is not None for lane in lanes):
                 X, lanes = _drop_finished(X, memory, lanes)
                 if not lanes:
@@ -332,12 +301,14 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
             raise _named(lanes[j], NumericDomainError("x contains non-finite entries"))
         idx = np.array([lane.sampler.draw() for lane in lanes])
         R0, G, ray_rows = problem.batch_eval_rows(idx, X)
+        _retire(spent)
         r0s = R0.tolist()
         fs = [0.5 * r0 * r0 for r0 in r0s]
         j = None if math.isfinite(sum(fs)) and _all_finite(G) else _first_non_finite(G, fs)
         if j is not None:
             raise _named(lanes[j], NumericDomainError(f"non-finite evaluation of component {idx[j]}"))
         D = memory.propose(G, X)
+        _retire(spent)
         violated, gns, dns, dTgs = memory.safeguard(D, G, config.sgr)
         c1s, c2s = (v.tolist() for v in ray_rows(D))
 
@@ -347,24 +318,25 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
             try:
                 alphas.append(lane.step(k, X[j], fs[j], gns[j], dns[j], dTgs[j], bool(violated[j]), phi))
             except SlsoptError as exc:
-                raise _named(lane, exc) from exc
+                raise _named(lane, exc)
 
-        # The step and the memory update of run, on the rows that searched;
+        # The step and the memory update, on the rows that searched;
         # a row on the zero-gradient path, or one that stalled, keeps its x
         # and its memory. alpha d + x is x + alpha d: IEEE addition is
         # commutative.
         if None not in alphas:
+            step = None
             X_new = np.array(alphas)[:, None] * D
             X_new += X
-            memory.update(None, X, G, D)
-            X = X_new
-            continue
-        step = np.array([alpha is not None for alpha in alphas])
-        X_new = X.copy()
-        X_new[step] += np.array([alpha for alpha in alphas if alpha is not None])[:, None] * D[step]
+        else:
+            step = np.array([alpha is not None for alpha in alphas])
+            X_new = X.copy()
+            X_new[step] += np.array([alpha for alpha in alphas if alpha is not None])[:, None] * D[step]
+        _retire(spent)
         memory.update(step, X, G, D)
+        spent += X, G, D
         X = X_new
-        if any(lane.result is not None for lane in lanes):
+        if step is not None and any(lane.result is not None for lane in lanes):
             X, lanes = _drop_finished(X, memory, lanes)
             if not lanes:
                 break
@@ -375,8 +347,21 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
 
 
 def _named(lane: _Lane, exc: SlsoptError) -> SlsoptError:
-    """exc as run_many raises it: "seed=S: " before the message run gives for S."""
-    return type(exc)(f"seed={lane.seed}: {exc}")
+    """exc as run_many raises it: after "seed=S: " in a group of several seeds."""
+    return type(exc)(f"{lane.name}{exc}") if lane.name else exc
+
+
+def _retire(spent: deque):
+    """Release the oldest stack in spent, keeping the last iteration's three.
+
+    Called just after each new stack (G, D, the next X) is made, so one
+    stack-sized block comes free at a time, for any recipe, and the next
+    allocation takes it. Freed two or three at once next to the heap top,
+    they let the allocator trim it, and a wide iteration then faults the
+    pages back in (38 minor faults per iteration, not 0.8, at n = 40,200).
+    """
+    if len(spent) > 3:
+        spent.popleft()
 
 
 def _drop_finished(X, memory, lanes):
@@ -441,20 +426,29 @@ def verify_trace_bounds(
 ) -> TraceViolation | None:
     """Re-assert the per-iteration guarantees on a finished trace.
 
-    Checks, for every record: the exact step expression alpha == alpha0 *
-    delta**backtracks, the step floor min(alpha0, delta * alpha_low), the
-    backtrack ceiling, and both direction bounds on the realized quantities.
-    Inequalities re-derived from stored floats get a tiny relative slack; the
-    step expression is checked exactly. Each bound is written as not (lhs <=
-    rhs), so a non-finite field fails it. Returns the first violation or None.
+    Checks, for every record: that sgr_pass and restarted disagree (a
+    restart is exactly a failed safeguard test). For every record that
+    searched: the initial step 0 < alpha0 <= alpha_max, a backtrack count
+    j >= 0, the exact step expression alpha == alpha0 * delta**j, the step
+    floor min(alpha0, delta * alpha_low), the backtrack ceiling, and both
+    direction bounds on the realized quantities. Inequalities re-derived
+    from stored floats get a tiny relative slack; the step expression is
+    checked exactly. Each bound is written as not (lhs <= rhs), so a
+    non-finite field fails it. Returns the first violation or None.
     """
     a_low = alpha_low(sgr.c1, sgr.c2, ls.gamma, L_max)
     j_cap = jstar(ls.alpha_max, a_low, ls.delta)
     for r in records:
+        if r.sgr_pass == r.restarted:
+            return TraceViolation(r.k, "restart_flag", f"sgr_pass and restarted both {r.sgr_pass}")
         if r.g_batch_norm == 0.0:
             if r.alpha != 0.0 or r.d_norm != 0.0:
                 return TraceViolation(r.k, "stationary_batch", "nonzero step or direction at zero batch gradient")
             continue
+        if not 0.0 < r.alpha0 <= ls.alpha_max:
+            return TraceViolation(r.k, "initial_step", f"alpha0={r.alpha0!r} outside (0, {ls.alpha_max!r}]")
+        if not r.backtracks >= 0:
+            return TraceViolation(r.k, "backtrack_count", f"j={r.backtracks} is negative")
         expected_alpha = r.alpha0 * ls.delta**r.backtracks
         if r.alpha != expected_alpha:
             return TraceViolation(

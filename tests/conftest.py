@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from slsopt import LeastSquaresProblem, TwoFactorProblem, as_vector
+from slsopt import LeastSquaresProblem, TwoFactorProblem, _blas, as_vector
 from slsopt.diagnostics import MomentReport
-from slsopt.directions import MemoryRows
+from slsopt.directions import MemoryRows, safeguarded_direction, update_memory
 from slsopt.errors import DomainError, ShapeError
+from slsopt.optimizer import RunConfig, RunResult, _Lane, _start
+from slsopt.problems import evaluate_batch
 
 
 def make_toy2():
@@ -117,3 +119,39 @@ def reference_moments(problem, x, state=None) -> MomentReport:
         D = MemoryRows.broadcast(state, *G.shape).propose(G, xv)
     r = problem.residuals(xv)
     return moments_from_samples(xv, G, D, float((0.5 * r * r).mean()))
+
+
+@_blas.single_thread()
+def reference_run(config: RunConfig) -> RunResult:
+    """optimizer.run on the one-gradient kernels, one array per vector.
+
+    The reference that optimizer.run_many must match byte for byte in a
+    group of any size: the same _Lane per seed, with evaluate_batch,
+    safeguarded_direction and update_memory in place of the stacked
+    kernels. Raises what run raises, with no seed prefix.
+    """
+    problem = config.problem
+    x, sampler = _start(config, config.seed)
+    lane = _Lane(config, "", sampler)
+    state = config.direction.fresh()
+    every = config.trace_full_oracle_every
+    for k in range(config.max_iters):
+        if k % every == 0 and lane.sample(x):
+            break
+        # The search runs on phi(a) = f_i(x + a d); see evaluate_batch.
+        f_b, g_b, ray = evaluate_batch(problem, sampler.draw(), x)
+        outcome = safeguarded_direction(state, g_b, x, config.sgr)
+        d = outcome.d
+        alpha = lane.step(k, x, f_b, outcome.g_norm, outcome.d_norm, outcome.dTg, outcome.restarted, ray(d))
+        if alpha is not None:
+            # x_new comes before update_memory frees the arrays it replaces:
+            # freed first, they let the allocator trim the heap top, and each
+            # wide iteration then faults those pages back in.
+            x_new = x + alpha * d
+            update_memory(state, x, g_b, d)
+            x = x_new
+        elif lane.result is not None:
+            break
+    else:
+        lane.finish(x, "max_iters")
+    return lane.result

@@ -530,6 +530,32 @@ class TestCmdVerify:
         assert f"violation at k={victim.k}: norm_bound" in captured.err
         assert "all per-iteration bounds hold" not in captured.out
 
+    @pytest.mark.parametrize(
+        "fields, bound",
+        [
+            ({"alpha0": 10.0, "alpha": 20.0, "backtracks": -1}, "backtrack_count"),
+            ({"alpha0": 50.0, "sgr_pass": True, "restarted": True}, "restart_flag"),
+            ({"alpha0": 50.0}, "initial_step"),
+        ],
+    )
+    def test_impossible_row_in_trace_exits_five(self, tmp_path, capsys, fields, bound):
+        # each row keeps alpha == alpha0 * delta**j, so only the new checks
+        # can reject it
+        cfg_path = str(CONFIGS / "least_squares.ini")
+        out = tmp_path / "v.csv"
+        assert cli.cmd_run(cfg_path, overrides=[f"run.out_csv={out}"]) == 0
+        records = read_trace(out)
+        victim = next(r for r in records if r.alpha > 0)
+        for name, value in fields.items():
+            setattr(victim, name, value)
+        victim.alpha = victim.alpha0 * 0.5**victim.backtracks
+        write_trace(out, records)
+        capsys.readouterr()
+        assert cli.cmd_verify(cfg_path, trace_path=str(out)) == 5
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"violation at k={victim.k}: {bound}: ")
+        assert "all per-iteration bounds hold" not in captured.out
+
     @pytest.mark.parametrize("column, bad", [(0, "x"), (9, "1.5")])
     def test_malformed_number_in_trace_exits_one_naming_line(self, tmp_path, capsys, column, bad):
         # k = x, or backtracks = 1.5, on the second data row (file line 3)
@@ -722,7 +748,7 @@ class TestCmdSweep:
         wide = cli.SWEEP_LOCKSTEP_MAX_N + 1
         assert cli._sweep_groups([0, 1, 2], 1, wide) == [[0], [1], [2]]
 
-    def test_group_of_one_is_run_and_larger_groups_are_lockstep(self, tmp_path, monkeypatch):
+    def test_every_group_is_lockstep(self, tmp_path, monkeypatch):
         calls = []
         for name in ("run", "run_many"):
             original = getattr(cli.optimizer, name)
@@ -734,11 +760,11 @@ class TestCmdSweep:
             monkeypatch.setattr(cli.optimizer, name, counted)
         cfg_path = write_cfg(tmp_path, LS)
         out = f"run.out_csv={tmp_path / 't.csv'}"
-        # every group goes through run_many, which runs a group of one as run
+        # every group goes through run_many, a group of one included
         assert cli.cmd_sweep(cfg_path, seeds="4", jobs=1, overrides=[out]) == 0
-        assert calls == ["run_many", "run"]
+        assert calls == ["run_many"]
         assert cli.cmd_sweep(cfg_path, seeds="0..2", jobs=1, overrides=[out]) == 0
-        assert calls == ["run_many", "run", "run_many"]
+        assert calls == ["run_many", "run_many"]
 
     def test_reversed_range_names_the_range(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, TOY)

@@ -42,6 +42,8 @@ from slsopt.optimizer import IterationRecord
 from slsopt.problems import _all_finite
 from slsopt.traceio import trace_to_csv
 
+from conftest import reference_run
+
 
 def unit_quadratic():
     """Single component f(x) = x^2 / 2 with minimizer at the origin."""
@@ -215,18 +217,19 @@ class TestRun:
 def counted_run(monkeypatch, config):
     """run(config) on its least-squares problem, counting batch evaluations and trials.
 
-    Returns (result, batch_values, searches): the value of each
-    batch_eval_ray call, and for each search the phi values it asked for, in
-    order. phi is wrapped where optimizer.backtrack receives it.
+    Returns (result, batch_values, searches): the value 0.5 r0^2 of each
+    row of each batch_eval_rows call, and for each search the phi values it
+    asked for, in order. phi is wrapped where optimizer.backtrack receives
+    it.
     """
     batch_values, searches = [], []
     problem = config.problem
 
     class Counted(LeastSquaresProblem):
-        def batch_eval_ray(self, i, x):
-            f, g, ray = super().batch_eval_ray(i, x)
-            batch_values.append(f)
-            return f, g, ray
+        def batch_eval_rows(self, idx, X):
+            R0, G, ray_rows = super().batch_eval_rows(idx, X)
+            batch_values.extend(0.5 * r0 * r0 for r0 in R0.tolist())
+            return R0, G, ray_rows
 
     counted = Counted(problem.A, problem.b, problem.known)
     real = optimizer.backtrack
@@ -260,21 +263,21 @@ class TestEvaluationBudget:
 
 class TestRayOracle:
     def test_searches_use_the_closed_form_ray(self):
-        calls = {"component_value": 0, "batch_eval_ray": 0}
+        calls = {"component_value": 0, "batch_eval_rows": 0}
 
         class Counted(LeastSquaresProblem):
             def component_value(self, i, x):
                 calls["component_value"] += 1
                 return super().component_value(i, x)
 
-            def batch_eval_ray(self, i, x):
-                calls["batch_eval_ray"] += 1
-                return super().batch_eval_ray(i, x)
+            def batch_eval_rows(self, idx, X):
+                calls["batch_eval_rows"] += 1
+                return super().batch_eval_rows(idx, X)
 
         inner = small_instance()
         counted = Counted(inner.A, inner.b, inner.known)
         res = run(base_config(counted, max_iters=40, grad_tol=0.0, fgap_tol=0.0))
-        assert calls == {"component_value": 0, "batch_eval_ray": len(res.trajectory)}
+        assert calls == {"component_value": 0, "batch_eval_rows": len(res.trajectory)}
 
     @pytest.mark.parametrize("family", ["least_squares", "two_factor"])
     def test_one_residual_pass_per_iteration(self, monkeypatch, family):
@@ -392,6 +395,36 @@ class TestVerifyTraceBounds:
         assert violation.k == victim.k
         assert violation.bound == "step_expression"
 
+    def _searching_row(self):
+        p = small_instance()
+        sgr = SgrParams(c1=1.0, c2=1.0)
+        ls = LineSearchParams(gamma=0.1, delta=0.5, alpha_max=10.0)
+        records = run(base_config(p, sgr=sgr, linesearch=ls, max_iters=100)).trajectory
+        victim = next(r for r in records if r.alpha > 0)
+        return records, victim, lambda: verify_trace_bounds(records, sgr, ls, p.known.L_max)
+
+    def test_negative_backtrack_count_detected(self):
+        # alpha = alpha0 * delta**-1 holds the step expression exactly
+        records, victim, check = self._searching_row()
+        victim.alpha0, victim.backtracks, victim.alpha = 10.0, -1, 20.0
+        violation = check()
+        assert (violation.k, violation.bound) == (victim.k, "backtrack_count")
+
+    @pytest.mark.parametrize("alpha0", [50.0, 0.0, -10.0, math.inf, math.nan])
+    def test_initial_step_outside_its_range_detected(self, alpha0):
+        records, victim, check = self._searching_row()
+        victim.alpha0 = alpha0
+        victim.alpha = alpha0 * 0.5**victim.backtracks
+        violation = check()
+        assert (violation.k, violation.bound) == (victim.k, "initial_step")
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_restart_flags_that_agree_detected(self, flag):
+        records, victim, check = self._searching_row()
+        victim.sgr_pass = victim.restarted = flag
+        violation = check()
+        assert (violation.k, violation.bound) == (victim.k, "restart_flag")
+
     @given(
         seed=st.integers(0, 2**16),
         N=st.integers(2, 10),
@@ -490,21 +523,23 @@ def assert_same_run(got, want):
 
 
 def assert_lockstep_equals_run(config, seeds):
-    """run_many(config, seeds)[i] is run with seeds[i]; returns the results.
+    """run_many(config, seeds)[i] is reference_run with seeds[i]; returns the results.
 
-    Where some seed's run raises NumericDomainError (a diverging run), the
-    group raises it too, naming one of those seeds.
+    Where some seed's reference run raises NumericDomainError (a diverging
+    run), the group raises it too, naming one of those seeds in a group of
+    several.
     """
     want, failing = [], set()
     for s in seeds:
         try:
-            want.append(run(dataclasses.replace(config, seed=s)))
+            want.append(reference_run(dataclasses.replace(config, seed=s)))
         except NumericDomainError:
             failing.add(s)
     if failing:
         with pytest.raises(NumericDomainError) as info:
             optimizer.run_many(config, seeds)
-        assert int(str(info.value).split(":")[0].removeprefix("seed=")) in failing
+        if len(seeds) > 1:
+            assert int(str(info.value).split(":")[0].removeprefix("seed=")) in failing
         return None
     got = optimizer.run_many(config, seeds)
     assert len(got) == len(seeds)
@@ -648,8 +683,8 @@ def _error_of(call) -> SlsoptError:
 
 
 def assert_named_run_error(config, seeds, seed) -> SlsoptError:
-    """run_many's error is the one run raises for seed, after "seed=S: "; returns it."""
-    want = _error_of(lambda: run(dataclasses.replace(config, seed=seed)))
+    """run_many's error is the one reference_run raises for seed, after "seed=S: "; returns it."""
+    want = _error_of(lambda: reference_run(dataclasses.replace(config, seed=seed)))
     got = _error_of(lambda: optimizer.run_many(config, seeds))
     assert type(got) is type(want)
     assert str(got) == f"seed={seed}: {want}"
@@ -670,7 +705,7 @@ def _fault_at(monkeypatch, config, seed, search, fault):
         return real(phi, slope, params, alpha0, f_x)
 
     monkeypatch.setattr(optimizer, "backtrack", recorded)
-    run(dataclasses.replace(config, seed=seed))
+    reference_run(dataclasses.replace(config, seed=seed))
     target = starts[search]
     assert starts.count(target) == 1
 
@@ -732,6 +767,67 @@ class TestRunManyChecks:
         assert stalled and len(stalled) < len(results)
         longest = max(len(r.trajectory) for r in results)
         assert all(len(r.trajectory) < longest for r in stalled)
+
+
+class TestLoneRunErrors:
+    """run, the group of one seed, raises reference_run's error, with no seed prefix.
+
+    cmd_run maps it to its exit code and one stderr line, as it always has.
+    """
+
+    CONFIG = (
+        "[problem]\nkind = least_squares\nN = 8\nn = 12\nseed = 5\nspectrum = const:2.0\n"
+        "[direction]\nc1 = 1.0\nc2 = 1.0\n"
+        "[linesearch]\ngamma = 0.1\ndelta = 0.5\nalpha_max = 10.0\n"
+    )
+
+    def _config_file(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(self.CONFIG + f"[run]\nout_csv = {tmp_path / 't.csv'}\n")
+        cfg = read_config(path)
+        return str(path), build_run_config(cfg, problem=cli.cfgmod.build_problem(cfg))
+
+    def assert_lone_error(self, path, config, capsys, code, prefix, message):
+        want = _error_of(lambda: reference_run(config))
+        got = _error_of(lambda: run(config))
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        assert str(got).startswith(message)
+        assert cli.main(["run", path]) == code
+        assert capsys.readouterr().err == f"{prefix}: {want}\n"
+
+    def test_certificate_error(self, tmp_path, monkeypatch, capsys):
+        path, config = self._config_file(tmp_path)
+
+        def above_the_bound(real, phi, slope, params, alpha0, f_x):
+            return dataclasses.replace(real(phi, slope, params, alpha0, f_x), accepted_f=f_x + 1.0)
+
+        _fault_at(monkeypatch, config, 0, 1, above_the_bound)
+        self.assert_lone_error(path, config, capsys, 5, "violation: armijo_certificate", "k=1: accepted f=")
+
+    def test_search_error(self, tmp_path, monkeypatch, capsys):
+        path, config = self._config_file(tmp_path)
+
+        def bad_alpha0(real, phi, slope, params, alpha0, f_x):
+            return real(phi, slope, params, -1.0, f_x)
+
+        _fault_at(monkeypatch, config, 0, 2, bad_alpha0)
+        self.assert_lone_error(path, config, capsys, 1, "error", "alpha0 must be in (0, alpha_max=10.0], got -1.0")
+
+    @pytest.mark.parametrize("finite_full_sum", [False, True])
+    def test_non_finite_evaluation(self, tmp_path, monkeypatch, capsys, finite_full_sum):
+        class FiniteFullSum(LeastSquaresProblem):
+            def full_value_grad(self, x):
+                return 1.0, np.ones(self.n)
+
+        # a = 1e200 at a start of order 1: every value overflows to inf
+        family = FiniteFullSum if finite_full_sum else LeastSquaresProblem
+        problem = family(np.array([[1e200]]), np.array([0.0]))
+        monkeypatch.setattr(cli.cfgmod, "build_problem", lambda cfg: problem)
+        path, config = self._config_file(tmp_path)
+        message = "non-finite evaluation of component 0" if finite_full_sum else "non-finite full-sum evaluation"
+        with np.errstate(over="ignore"):
+            self.assert_lone_error(path, config, capsys, 1, "error", message)
 
 
 class TestOverflowingSquares:
