@@ -139,6 +139,10 @@ def cmd_run(config_path, overrides=(), seed=None) -> int:
     return _STATUS_EXIT[result.status]
 
 
+def _sample_points(problem, rng, count):
+    return [rng.standard_normal(problem.n) for _ in range(count)]
+
+
 @_exit_on_error
 def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, samples_csv=None) -> int:
     """Estimate the regularity constants on sampled points and print them.
@@ -158,7 +162,7 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
     sgr = cfgmod.build_sgr_params(cfg)
 
     rng = np.random.default_rng(cfg.run.seed)
-    points = [rng.standard_normal(problem.n) for _ in range(num_points)]
+    points = _sample_points(problem, rng, num_points)
     known = problem.known
     with _blas.single_thread():
         moments = [diagnostics.exact_moments(problem, x, state) for x in points]
@@ -268,10 +272,11 @@ def cmd_verify(config_path, trace_path=None, overrides=(), seed=None) -> int:
 # The most seeds one lockstep group holds; a group keeps its seeds'
 # trajectories in memory until the last of them ends.
 SWEEP_GROUP = 8
-# The widest x a sweep runs in lockstep; wider sweeps run each seed alone.
-# Measured at K = 4 on 2 cores (momentum, CPU time per seed-iteration,
-# lockstep / run): least squares 0.81 at n = 200, 0.92 at 6000 and 1.17 at
-# 10,000; the two-factor model 0.84 at n = 10,100 and 1.17 at 40,200.
+# The widest x a sweep runs in groups of several seeds; wider sweeps run
+# groups of one. Measured on 2 cores (momentum, CPU time per seed-iteration,
+# a group of 4 / a group of 1): least squares 0.39 at n = 200, 0.91 at 6000
+# and 1.01 at 10,000; the two-factor model 0.73 at n = 10,100 and 1.25 at
+# 40,200.
 SWEEP_LOCKSTEP_MAX_N = 6000
 
 

@@ -273,8 +273,7 @@ def update_memory(state: DirectionState, x_old, g, d) -> None:
     previous direction, and grows the squared-gradient accumulator.
 
     Float arrays are stored by reference, not copied: the caller must not
-    mutate x_old, g or d afterwards. ``optimizer.run`` makes fresh arrays
-    every iteration and never writes into them.
+    mutate x_old, g or d afterwards.
     """
     g = np.asarray(g, float)
     state.x_prev = np.asarray(x_old, float)

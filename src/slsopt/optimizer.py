@@ -281,6 +281,8 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
     every = config.trace_full_oracle_every
     for k in range(config.max_iters):
         if k % every == 0:
+            # X[j], not a loop variable: a row view left bound after the loop
+            # would keep this stack alive until the next trace point.
             for j, lane in enumerate(lanes):
                 try:
                     lane.sample(X[j])
