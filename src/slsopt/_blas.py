@@ -8,11 +8,11 @@ on the calling thread, so the result depends on the inputs alone.
 
 ``optimizer.run_many`` (and so ``optimizer.run``, its group of one seed),
 each sweep task, both instance generators, ``diagnostics.exact_moments`` and
-``diagnose``'s loop over its points hold the pin. Building under it makes an instance a function of its
-spec, and it keeps the build from waking an OpenBLAS worker that would then
-spin through the run after it. A moment pass is one matrix-vector product
-followed by numpy loops over blocks of rows, which a woken worker would
-spin beside.
+``diagnose``'s loop over its points hold the pin. Building under it makes an
+instance a function of its spec, and it keeps the build from waking an
+OpenBLAS worker that would then spin through the run after it. A moment
+pass is one matrix-vector product followed by numpy loops over blocks of
+rows, which a woken worker would spin beside.
 """
 
 from __future__ import annotations

@@ -401,18 +401,18 @@ class TestVerifyTraceBounds:
         ls = LineSearchParams(gamma=0.1, delta=0.5, alpha_max=10.0)
         records = run(base_config(p, sgr=sgr, linesearch=ls, max_iters=100)).trajectory
         victim = next(r for r in records if r.alpha > 0)
-        return records, victim, lambda: verify_trace_bounds(records, sgr, ls, p.known.L_max)
+        return victim, lambda: verify_trace_bounds(records, sgr, ls, p.known.L_max)
 
     def test_negative_backtrack_count_detected(self):
         # alpha = alpha0 * delta**-1 holds the step expression exactly
-        records, victim, check = self._searching_row()
+        victim, check = self._searching_row()
         victim.alpha0, victim.backtracks, victim.alpha = 10.0, -1, 20.0
         violation = check()
         assert (violation.k, violation.bound) == (victim.k, "backtrack_count")
 
     @pytest.mark.parametrize("alpha0", [50.0, 0.0, -10.0, math.inf, math.nan])
     def test_initial_step_outside_its_range_detected(self, alpha0):
-        records, victim, check = self._searching_row()
+        victim, check = self._searching_row()
         victim.alpha0 = alpha0
         victim.alpha = alpha0 * 0.5**victim.backtracks
         violation = check()
@@ -420,7 +420,7 @@ class TestVerifyTraceBounds:
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_restart_flags_that_agree_detected(self, flag):
-        records, victim, check = self._searching_row()
+        victim, check = self._searching_row()
         victim.sgr_pass = victim.restarted = flag
         violation = check()
         assert (violation.k, violation.bound) == (victim.k, "restart_flag")
