@@ -20,6 +20,7 @@ from .diagnostics import (
     estimate_rho,
     estimate_wgc,
     exact_moments,
+    exact_moments_many,
     lemma_bounds_from_moments,
     pl_from_moments,
     rho_from_moments,

@@ -147,10 +147,10 @@ def _sample_points(problem, rng, count):
 def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, samples_csv=None) -> int:
     """Estimate the regularity constants on sampled points and print them.
 
-    Each point is visited once: exact_moments reduces its N component
-    gradients, one residual pass and two sweeps over blocks of rows, to a
-    moment record; every estimate, slack and samples-CSV row then reads the
-    records. The points are visited on one BLAS thread.
+    One exact_moments_many call reduces the N component gradients of every
+    point to a moment record, with one residual pass per point and two
+    sweeps over blocks of rows shared by all points, on one BLAS thread;
+    every estimate, slack and samples-CSV row then reads the records.
     """
     if num_points < 1:
         raise ConfigError(f"--points must be >= 1, got {num_points}")
@@ -164,8 +164,7 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
     rng = np.random.default_rng(cfg.run.seed)
     points = _sample_points(problem, rng, num_points)
     known = problem.known
-    with _blas.single_thread():
-        moments = [diagnostics.exact_moments(problem, x, state) for x in points]
+    moments = diagnostics.exact_moments_many(problem, points, state)
 
     rho_hat, rho_point = diagnostics.rho_from_moments(moments)
     try:

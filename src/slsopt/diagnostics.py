@@ -34,6 +34,7 @@ __all__ = [
     "EtaReport",
     "LemmaBoundsReport",
     "exact_moments",
+    "exact_moments_many",
     "estimate_c3",
     "estimate_rho",
     "estimate_wgc",
@@ -73,7 +74,7 @@ _BLOCK_BYTES = 256 * 1024
 
 
 def _blocks(N: int, n: int) -> list[slice]:
-    """The blocks of rows of an (N, n) matrix that exact_moments forms.
+    """The blocks of rows of an (N, n) matrix that exact_moments_many forms.
 
     Each holds _BLOCK_BYTES of rows, and at least two, since numpy's
     ``einsum`` dots a single long row in another order than the same row of
@@ -92,92 +93,112 @@ def _blocks(N: int, n: int) -> list[slice]:
 class _ColumnSum:
     """np.add.reduce(M, axis=0) of a matrix M written block by block.
 
-    A block of k rows is written into ``rows(k)``, whose row above holds the
-    running sum, and ``add(k)`` reduces both: that continues numpy's in-order
-    sum of the rows of the whole M (n >= 2, see _blocks).
+    Each block of k rows is written into rows 1..k of a block buffer, and
+    ``add(buf, k)`` reduces them with the running total copied into row 0
+    above them: that continues numpy's in-order sum of the rows of the whole
+    M (n >= 2, see _blocks). Only the total is kept, so the sums of several
+    matrices can share one buffer.
     """
 
-    def __init__(self, k: int, n: int):
+    def __init__(self):
         self.total = None
-        self._buf = np.empty((k + 1, n))
 
-    def rows(self, k: int) -> np.ndarray:
-        return self._buf[1 : k + 1]
-
-    def add(self, k: int):
+    def add(self, buf: np.ndarray, k: int):
         if self.total is None:
-            self.total = np.add.reduce(self._buf[1 : k + 1], axis=0)
+            self.total = np.add.reduce(buf[1 : k + 1], axis=0)
         else:
-            self._buf[0] = self.total
-            np.add.reduce(self._buf[: k + 1], axis=0, out=self.total)
+            buf[0] = self.total
+            np.add.reduce(buf[: k + 1], axis=0, out=self.total)
 
 
 def _row_dots(P, Q):
     return np.einsum("ij,ij->i", P, Q)
 
 
-@_blas.single_thread()
 def exact_moments(problem: ResidualProblem, x, state: DirectionState | None = None) -> MomentReport:
-    """Moments and f as exact uniform averages over the N singleton batches.
+    """Moments and f at x: exact_moments_many's group of one point."""
+    return exact_moments_many(problem, [x], state)[0]
 
-    One residual pass at x gives f and every component gradient. The rows of
-    the gradient matrix G, and of the direction matrix D where the recipe
-    with that memory is not -g, are formed in blocks (_blocks), in two
-    sweeps: the first dots each row and sums the blocks by column, the
-    second forms each block again, centres it in place and dots it again.
-    No N x n matrix is held, yet every float is that of the whole matrices:
-    G.mean(axis=0), the mean of the einsum row dots, the out-of-place
-    G - E_g. Row i of D is propose_direction(state, G[i], x). Runs on one
-    BLAS thread.
+
+@_blas.single_thread()
+def exact_moments_many(
+    problem: ResidualProblem, points, state: DirectionState | None = None
+) -> list[MomentReport]:
+    """Moments and f at each point, as exact uniform averages over the N singleton batches.
+
+    One residual pass per point gives its f and every component gradient.
+    The rows of each point's gradient matrix G, and of its direction matrix
+    D where the recipe with that memory is not -g, are then formed in blocks
+    (_blocks), in two sweeps shared by all points. Each sweep visits each
+    block of rows once and, while that block of A is cached, forms it for
+    every point in turn: the first sweep dots each row and adds the block
+    to the point's column sums, the second forms the block again, centres
+    it in place and dots it again. No N x n matrix is held, only one block
+    buffer for all points and each point's running sums, yet every float
+    is that of the point's whole matrices: G.mean(axis=0), the mean of the
+    einsum row dots, the out-of-place G - E_g. Row i of D is
+    propose_direction(state, G[i], x). Runs on one BLAS thread.
     """
-    xv = as_vector(x, problem.n)
     N, n = problem.N, problem.n
-    r, grads = problem.component_pass(xv)
-    f = float((0.5 * r * r).mean())
+    xs = [as_vector(x, n) for x in points]
+    fs, grads = [], []
+    for xv in xs:
+        r, point_grads = problem.component_pass(xv)
+        fs.append(float((0.5 * r * r).mean()))
+        grads.append(point_grads)
     blocks = _blocks(N, n)
     most = max(block.stop - block.start for block in blocks)
     with_d = state is not None and not state.negates_gradient
 
-    def directions(G):
+    def directions(G, xv):
         return MemoryRows.broadcast(state, len(G), n).propose(G, xv)
 
-    gg, dg = np.empty(N), np.empty(N)
-    sum_g = _ColumnSum(most, n)
-    sum_d = _ColumnSum(most, n) if with_d else None
+    # Row p of gg and dg holds point p's row dots.
+    gg, dg = np.empty((len(xs), N)), np.empty((len(xs), N))
+    buf_g = np.empty((most + 1, n))
+    buf_d = np.empty((most + 1, n)) if with_d else None
+    sums_g = [_ColumnSum() for _ in xs]
+    sums_d = [_ColumnSum() for _ in xs]
     for block in blocks:
         k = block.stop - block.start
-        G = grads(block, sum_g.rows(k))
-        gg[block] = _row_dots(G, G)
-        if with_d:
-            D = sum_d.rows(k)
-            D[...] = directions(G)
-            dg[block] = _row_dots(D, G)
-            sum_d.add(k)
-        sum_g.add(k)
-    E_g = sum_g.total / N
-    E_norm_g_sq = float(gg.mean())
+        for p, xv in enumerate(xs):
+            G = grads[p](block, buf_g[1 : k + 1])
+            gg[p, block] = _row_dots(G, G)
+            if with_d:
+                D = buf_d[1 : k + 1]
+                D[...] = directions(G, xv)
+                dg[p, block] = _row_dots(D, G)
+                sums_d[p].add(buf_d, k)
+            sums_g[p].add(buf_g, k)
+    E_g = [sums.total / N for sums in sums_g]
+    E_norm_g_sq = [float(row.mean()) for row in gg]
     if with_d:
-        E_d = sum_d.total / N
-        E_dTg = float(dg.mean())
+        E_d = [sums.total / N for sums in sums_d]
+        E_dTg = [float(row.mean()) for row in dg]
     # The second sweep forms each block in the first sweep's buffer.
     for block in blocks:
-        G = grads(block, sum_g.rows(block.stop - block.start))
+        k = block.stop - block.start
+        for p, xv in enumerate(xs):
+            G = grads[p](block, buf_g[1 : k + 1])
+            if with_d:
+                D = directions(G, xv)
+                np.subtract(D, E_d[p], out=D)
+            np.subtract(G, E_g[p], out=G)
+            gg[p, block] = _row_dots(G, G)
+            if with_d:
+                dg[p, block] = _row_dots(D, G)
+    reports = []
+    for p, xv in enumerate(xs):
+        var_g = float(gg[p].mean())
         if with_d:
-            D = directions(G)
-            np.subtract(D, E_d, out=D)
-        np.subtract(G, E_g, out=G)
-        gg[block] = _row_dots(G, G)
-        if with_d:
-            dg[block] = _row_dots(D, G)
-    var_g = float(gg.mean())
-    if with_d:
-        cov_dg = float(dg.mean())
-    else:
-        # D = -G. Negating every term of a sum negates the rounded sum, so
-        # these equal the moments of the explicit matrix -G (as values; a sum
-        # that cancels to zero may differ in the sign of that zero).
-        E_d, E_dTg, cov_dg = -E_g, -E_norm_g_sq, -var_g
-    return MomentReport(xv, E_g, E_norm_g_sq, max(var_g, 0.0), E_d, E_dTg, cov_dg, f)
+            moments = E_d[p], E_dTg[p], float(dg[p].mean())
+        else:
+            # D = -G. Negating every term of a sum negates the rounded sum, so
+            # these equal the moments of the explicit matrix -G (as values; a
+            # sum that cancels to zero may differ in the sign of that zero).
+            moments = -E_g[p], -E_norm_g_sq[p], -var_g
+        reports.append(MomentReport(xv, E_g[p], E_norm_g_sq[p], max(var_g, 0.0), *moments, fs[p]))
+    return reports
 
 
 def _first_best(ratios: Iterable[float | None], better, undefined: str) -> tuple[float, int]:
@@ -254,12 +275,12 @@ def estimate_c3(problem: ResidualProblem, x_samples, state: DirectionState | Non
     Returns max over samples of max(0, -cov_dg) / var_g, skipping points with
     zero gradient variance; errors out if every sample is degenerate.
     """
-    return c3_from_moments(exact_moments(problem, x, state) for x in x_samples)[0]
+    return c3_from_moments(exact_moments_many(problem, x_samples, state))[0]
 
 
 def estimate_rho(problem: ResidualProblem, x_samples, tol: float = 1e-10) -> float:
     """Sampled strong-growth ratio max E||g||^2 / ||grad f||^2; always >= 1."""
-    return rho_from_moments((exact_moments(problem, x) for x in x_samples), tol)[0]
+    return rho_from_moments(exact_moments_many(problem, x_samples), tol)[0]
 
 
 def _require_f_star(problem):
@@ -273,7 +294,7 @@ def estimate_wgc(problem: ResidualProblem, x_samples, L: float, tol: float = 1e-
     if L <= 0:
         raise DomainError(f"L must be > 0, got {L}")
     f_star = _require_f_star(problem)
-    return wgc_from_moments((exact_moments(problem, x) for x in x_samples), f_star, L, tol)[0]
+    return wgc_from_moments(exact_moments_many(problem, x_samples), f_star, L, tol)[0]
 
 
 def estimate_pl(problem: ResidualProblem, x_samples, tol: float = 1e-12) -> float:
@@ -283,7 +304,7 @@ def estimate_pl(problem: ResidualProblem, x_samples, tol: float = 1e-12) -> floa
     optimum are excluded (0/0).
     """
     f_star = _require_f_star(problem)
-    return pl_from_moments((exact_moments(problem, x) for x in x_samples), f_star, tol)[0]
+    return pl_from_moments(exact_moments_many(problem, x_samples), f_star, tol)[0]
 
 
 @dataclass(frozen=True)

@@ -371,16 +371,22 @@ class MemoryRows:
             D[fresh] = -G[fresh]
         return D
 
+    @staticmethod
     @np.errstate(over="ignore")  # as _measure
-    def safeguard(self, D, G, params: SgrParams):
+    def gradient_squares(G) -> list[float]:
+        """The g . g of each row of G, one np.vecdot, as safeguard takes them."""
+        return np.vecdot(G, G).tolist()
+
+    @np.errstate(over="ignore")  # as _measure
+    def safeguard(self, D, G, ggs, params: SgrParams):
         """safeguarded_direction's test and restart on every row of D.
 
-        Each of the three dots per row is one np.vecdot, and each row then
-        takes _measure's bound test. Returns the lists (violated, g_norm,
-        d_norm, dTg). A row that violates a bound gets -g written into its
-        row of D, its norm and slope re-measured, and its history cleared.
+        ``ggs`` is gradient_squares(G). The other two dots per row are one
+        np.vecdot each, and each row then takes _measure's bound test.
+        Returns the lists (violated, g_norm, d_norm, dTg). A row that
+        violates a bound gets -g written into its row of D, its norm and
+        slope re-measured, and its history cleared.
         """
-        ggs = np.vecdot(G, G).tolist()
         g_norm = [math.sqrt(gg) for gg in ggs]
         d_norm = [math.sqrt(dd) for dd in np.vecdot(D, D).tolist()]
         # ndarray.dot takes a one-entry operand as a scalar, so _measure's

@@ -295,9 +295,11 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
 
         # evaluate_batch's checks, one row each: a finite iterate, then a
         # finite value and gradient of the sampled component. As in
-        # problems._all_finite, one finite dot of the whole stack with
-        # itself clears every row at once; the values' sum is taken in
-        # float arithmetic, which overflows without a warning.
+        # problems._all_finite, a finite dot clears every row at once: the
+        # dot of the stack X with itself, and the sum of the rows' g . g,
+        # which the safeguard then reads. Only a non-finite one needs the
+        # elementwise test, so the verdict is always that test's. Python
+        # float sums overflow to inf without a warning.
         j = None if _all_finite(X) else _first_non_finite(X)
         if j is not None:
             raise _named(lanes[j], NumericDomainError("x contains non-finite entries"))
@@ -306,12 +308,13 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
         _retire(spent)
         r0s = R0.tolist()
         fs = [0.5 * r0 * r0 for r0 in r0s]
-        j = None if math.isfinite(sum(fs)) and _all_finite(G) else _first_non_finite(G, fs)
+        ggs = memory.gradient_squares(G)
+        j = None if math.isfinite(sum(fs)) and math.isfinite(sum(ggs)) else _first_non_finite(G, fs)
         if j is not None:
             raise _named(lanes[j], NumericDomainError(f"non-finite evaluation of component {idx[j]}"))
         D = memory.propose(G, X)
         _retire(spent)
-        violated, gns, dns, dTgs = memory.safeguard(D, G, config.sgr)
+        violated, gns, dns, dTgs = memory.safeguard(D, G, ggs, config.sgr)
         c1s, c2s = (v.tolist() for v in ray_rows(D))
 
         alphas = []

@@ -70,6 +70,24 @@ def _all_finite(v) -> bool:
     return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
 
 
+def _multiply_unbuffered(a, b, out):
+    """np.multiply(a, b, out=out) with numpy's ufunc buffer at 16 entries.
+
+    Where one operand is broadcast along rows shorter than the buffer (8192
+    entries by default), numpy's iterator copies operands through its
+    buffers to run one inner loop across several rows, which costs more
+    than the products. A buffer no longer than a row runs one loop per row
+    instead. Each product is one rounding either way, so the floats are
+    the same, signed zeros, infinities and NaNs included. The previous
+    size is restored also when the multiply raises.
+    """
+    saved = np.setbufsize(16)
+    try:
+        return np.multiply(a, b, out=out)
+    finally:
+        np.setbufsize(saved)
+
+
 @dataclass(frozen=True, eq=False)
 class KnownConstants:
     """Analytic constants of a generated instance; None where unknown.
@@ -256,7 +274,7 @@ class LeastSquaresProblem(ResidualProblem):
         return r, functools.partial(self.component_grads, r)
 
     def component_grads(self, r, rows, out):
-        return np.multiply(r[rows, None], self.A[rows], out=out)
+        return _multiply_unbuffered(r[rows, None], self.A[rows], out)
 
 
 class TwoFactorProblem(ResidualProblem):
@@ -293,18 +311,15 @@ class TwoFactorProblem(ResidualProblem):
         return np.matmul(U[:, None, :], V)[:, 0]
 
     def pullback_rows(self, X, rows, R0):
-        # J_w(x)^T s = (V s, u s^T), written into G. The V block gets s in
-        # each row, then is multiplied by u in place: s_k u_j is the float
-        # u_j s_k of np.outer(u, s), with one ufunc iterator buffer where
-        # np.outer takes two, and faster. Each row is then scaled by its
-        # R0[k] in one pass. The ray reuses V s.
+        # J_w(x)^T s = (V s, u s^T), written into G. The V block is the
+        # float u_j s_k of np.outer(u, s), one product per entry, written
+        # in place. Each row is then scaled by its R0[k] in one pass. The
+        # ray reuses V s.
         U, V = self._unpack_rows(X)
         P = np.matmul(V, rows[:, :, None])[:, :, 0]
         G = np.empty((len(X), self.n))
         G[:, : self.n_u] = P
-        GV = self._unpack_rows(G)[1]
-        GV[...] = rows[:, None, :]
-        GV *= U[:, :, None]
+        _multiply_unbuffered(U[:, :, None], rows[:, None, :], self._unpack_rows(G)[1])
         G *= R0[:, None]
         return G, P
 
@@ -325,7 +340,7 @@ class TwoFactorProblem(ResidualProblem):
         return r, functools.partial(self.component_grads, u, r, self.A @ V.T)
 
     def component_grads(self, u, r, AV, rows, out):
-        np.multiply(r[rows, None], AV[rows], out=out[:, : self.n_u])
+        _multiply_unbuffered(r[rows, None], AV[rows], out[:, : self.n_u])
         GV = np.reshape(out[:, self.n_u :], (len(out), self.n_u, self.n_v), copy=False)
         np.einsum("i,u,iv->iuv", r[rows], u, self.A[rows], out=GV)
         return out

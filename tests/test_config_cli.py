@@ -853,7 +853,7 @@ class TestFailFast:
             return called
 
         monkeypatch.setattr(cli.optimizer, "run", spy("optimizer.run"))
-        monkeypatch.setattr(cli.diagnostics, "exact_moments", spy("diagnostics.exact_moments"))
+        monkeypatch.setattr(cli.diagnostics, "exact_moments_many", spy("diagnostics.exact_moments_many"))
         argv = {
             "run_csv": ["run", cfg_path, "--override", f"run.out_csv={missing}"],
             "run_svg": [

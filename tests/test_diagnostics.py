@@ -22,6 +22,7 @@ from slsopt import (
     estimate_wgc,
     evaluate_batch,
     exact_moments,
+    exact_moments_many,
     full_oracle,
     gen_interpolating_least_squares,
     gen_nonconvex_interpolating,
@@ -512,6 +513,32 @@ class TestBlockedMoments:
         # multiple of it and N below one block all occur
         self._check(_problem(family, N, n, seed), rows, steps, seed)
 
+    @given(
+        family=st.sampled_from(["least_squares", "two_factor"]),
+        N=st.integers(1, 24),
+        n=st.integers(1, 6),
+        rows=st.integers(1, 25),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+        steps=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_many_points_are_each_point_alone(self, family, N, n, rows, picks, steps, seed):
+        # one point, repeated points, x = 0 (signed zeros in the rows of the
+        # zero labels) and x_star (every two-factor row zero), in any order
+        p = _problem(family, N, n, seed)
+        rng = np.random.default_rng(seed)
+        pool = [rng.standard_normal(p.n), rng.standard_normal(p.n), np.zeros(p.n)]
+        if p.known is not None:
+            pool.append(p.known.x_star)
+        points = [pool[i % len(pool)] for i in picks]
+        with mock.patch.object(diagnostics, "_BLOCK_BYTES", 8 * p.n * rows):
+            for state in [None, *_live_states(p, points[0], steps, rng)]:
+                reports = exact_moments_many(p, points, state)
+                assert len(reports) == len(points)
+                for x, m in zip(points, reports):
+                    _assert_same_report(m, reference_moments(p, x, state))
+
     @pytest.mark.parametrize(
         "N, n, rows",
         [(7, 1, 2), (40, 1, 3), (7, 2, 1), (7, 2, 3), (9, 2, 4), (3, 5, 8), (1, 4, 1), (2, 3, 1), (24, 3, 5)],
@@ -614,18 +641,19 @@ class TestOnePassMoments:
             assert point == per_point.index(value)
 
     @staticmethod
-    def _peak(kind):
-        """Peak bytes of one exact_moments call, and the problem it ran on."""
+    def _peak(kind, P=1):
+        """Peak bytes of one exact_moments_many call at P points, and the problem it ran on."""
         p = gen_interpolating_least_squares(1000, 1000, seed=2, singular_values=[1.0, 2.0])
-        x = np.random.default_rng(2).standard_normal(p.n)
+        rng = np.random.default_rng(2)
+        points = [rng.standard_normal(p.n) for _ in range(P)]
         state = None
         if kind is not None:
             g_prev = np.ones(p.n)
             state = DirectionState(kind=kind, x_prev=np.zeros(p.n), g_prev=g_prev, d_prev=-g_prev, accum=g_prev)
-        exact_moments(p, x, state)  # warm up lazily allocated numpy state
+        exact_moments_many(p, points, state)  # warm up lazily allocated numpy state
         tracemalloc.start()
         try:
-            exact_moments(p, x, state)
+            exact_moments_many(p, points, state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -651,3 +679,12 @@ class TestOnePassMoments:
         # matrices here are 8 MB, a block 256 KiB.
         peak, _ = self._peak(kind)
         assert peak < (2 if kind is None else 6) * diagnostics._BLOCK_BYTES
+
+    @pytest.mark.parametrize("kind", [None, *KINDS[1:]])
+    def test_points_add_vectors_not_matrices(self, kind):
+        # all points share the block buffers; each keeps its residuals, its
+        # row dots and its length-n sums: O(N + n) a point. Eight points
+        # stay far below the one 8 MB matrix of a whole-matrix pass.
+        P = 8
+        peak, p = self._peak(kind, P)
+        assert peak < (2 if kind is None else 6) * diagnostics._BLOCK_BYTES + P * 6 * 8 * (p.N + p.n)

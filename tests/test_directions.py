@@ -506,7 +506,7 @@ class TestMemoryRows:
         for k, state in enumerate(states):
             assert D[k].tobytes() == propose_direction(state, G[k], X[k]).tobytes()
 
-        violated, g_norm, d_norm, dTg = memory_rows.safeguard(D, G, params)
+        violated, g_norm, d_norm, dTg = memory_rows.safeguard(D, G, MemoryRows.gradient_squares(G), params)
         for k, state in enumerate(states):
             out = safeguarded_direction(state, G[k], X[k], params)
             assert D[k].tobytes() == out.d.tobytes()

@@ -849,7 +849,7 @@ class TestOverflowingSquares:
             assert optimizer._norm(g) == math.inf
             out = safeguarded_direction(state, g, np.zeros(2), SgrParams(c1=10.0, c2=0.1))
             D = memory.propose(g[None, :], np.zeros((1, 2)))
-            violated, g_norm, d_norm, dTg = memory.safeguard(D, g[None, :], SgrParams(c1=10.0, c2=0.1))
+            violated, g_norm, d_norm, dTg = memory.safeguard(D, g[None, :], memory.gradient_squares(g[None, :]), SgrParams(c1=10.0, c2=0.1))
         assert out.violated == {"descent_bound"}
         assert (out.g_norm, out.d_norm, out.dTg) == (math.inf, math.inf, -math.inf)
         assert (violated[0], g_norm[0], d_norm[0], dTg[0]) == (out.violated, out.g_norm, out.d_norm, out.dTg)

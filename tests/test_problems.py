@@ -24,7 +24,7 @@ from slsopt.errors import (
     NumericDomainError,
     ShapeError,
 )
-from slsopt.problems import _all_finite, as_vector, ray_phi
+from slsopt.problems import _all_finite, _multiply_unbuffered, as_vector, ray_phi
 
 from conftest import central_diff_grad, component_grads, make_toy2
 
@@ -618,3 +618,54 @@ class TestOneBufferOracles:
             assert not math.isfinite(v.dot(v))
             assert _all_finite(v)
             assert as_vector(v) is v
+
+
+class TestUnbufferedMultiply:
+    """_multiply_unbuffered is np.multiply to the bit and leaves the buffer size as it was."""
+
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, 1e308])
+
+    @given(
+        K=st.integers(1, 5),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+        outer=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_products_are_np_multiply(self, K, n, seed, outer):
+        # rows shorter and longer than the 16-entry buffer; signed zeros,
+        # infinities, NaNs and overflowing products among the operands
+        rng = np.random.default_rng(seed)
+
+        def operand(shape):
+            v = rng.standard_normal(shape)
+            mask = rng.random(shape) < 0.3
+            v[mask] = rng.choice(self.SPECIAL, size=int(mask.sum()))
+            return v
+
+        if outer:
+            # the two-factor pullback's u s^T blocks
+            a, b = operand((K, n))[:, :, None], operand((K, n))[:, None, :]
+            out = np.empty((K, n, n))
+        else:
+            # a block of component gradients r_i a_i
+            a, b = operand(K)[:, None], operand((K, n))
+            out = np.empty((K, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.multiply(a, b)
+            got = _multiply_unbuffered(a, b, out)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+
+    def test_buffer_size_is_restored(self):
+        before = np.getbufsize()
+        _multiply_unbuffered(np.ones((3, 1)), np.ones((3, 4)), np.empty((3, 4)))
+        assert np.getbufsize() == before
+        with pytest.raises(ValueError):
+            _multiply_unbuffered(np.ones((3, 1)), np.ones((2, 4)), np.empty((3, 4)))
+        assert np.getbufsize() == before
+        with np.errstate():
+            np.setbufsize(4096)
+            with pytest.raises(ValueError):
+                _multiply_unbuffered(np.ones((3, 1)), np.ones((3, 4)), np.empty((2, 4)))
+            assert np.getbufsize() == 4096
