@@ -853,6 +853,7 @@ class TestFailFast:
             return called
 
         monkeypatch.setattr(cli.optimizer, "run", spy("optimizer.run"))
+        monkeypatch.setattr(cli.optimizer, "run_many", spy("optimizer.run_many"))
         monkeypatch.setattr(cli.diagnostics, "exact_moments_many", spy("diagnostics.exact_moments_many"))
         argv = {
             "run_csv": ["run", cfg_path, "--override", f"run.out_csv={missing}"],

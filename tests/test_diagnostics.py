@@ -676,15 +676,9 @@ class TestOnePassMoments:
     def test_holds_blocks_of_rows_not_matrices(self, kind):
         # a block of gradient rows and its sum buffer; with a direction, the
         # direction rows' buffer and the recipe's temporaries too. The
-        # matrices here are 8 MB, a block 256 KiB.
-        peak, _ = self._peak(kind)
-        assert peak < (2 if kind is None else 6) * diagnostics._BLOCK_BYTES
-
-    @pytest.mark.parametrize("kind", [None, *KINDS[1:]])
-    def test_points_add_vectors_not_matrices(self, kind):
-        # all points share the block buffers; each keeps its residuals, its
-        # row dots and its length-n sums: O(N + n) a point. Eight points
-        # stay far below the one 8 MB matrix of a whole-matrix pass.
-        P = 8
-        peak, p = self._peak(kind, P)
-        assert peak < (2 if kind is None else 6) * diagnostics._BLOCK_BYTES + P * 6 * 8 * (p.N + p.n)
+        # matrices here are 8 MB, a block 256 KiB. All points share the
+        # blocks; each further point keeps its residuals, its row dots and
+        # its length-n sums, O(N + n).
+        for P in (1, 8):
+            peak, p = self._peak(kind, P)
+            assert peak < (2 if kind is None else 6) * diagnostics._BLOCK_BYTES + (P - 1) * 6 * 8 * (p.N + p.n)
