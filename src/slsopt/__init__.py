@@ -33,7 +33,6 @@ from .directions import (
     DirectionOutcome,
     DirectionState,
     SgrParams,
-    propose_direction,
     safeguarded_direction,
     update_memory,
 )

@@ -19,6 +19,7 @@ import numpy as np
 from . import _blas
 from . import config as cfgmod
 from . import diagnostics, optimizer, traceio
+from .directions import MemoryRows
 from .errors import (
     CertificateError,
     ConfigError,
@@ -150,21 +151,22 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
     One exact_moments_many call reduces the N component gradients of every
     point to a moment record, with one residual pass per point and two
     sweeps over blocks of rows shared by all points, on one BLAS thread;
-    every estimate, slack and samples-CSV row then reads the records.
+    every estimate, slack and samples-CSV row then reads the records. The
+    directions come from a fresh memory of one row, as at a run's start.
     """
     if num_points < 1:
         raise ConfigError(f"--points must be >= 1, got {num_points}")
     cfg = _load(config_path, overrides, seed)
     _require_output_dirs(samples_csv)
     problem = cfgmod.build_problem(cfg)
-    state = cfgmod.build_direction_state(cfg)
+    memory = MemoryRows(cfgmod.build_direction_state(cfg), 1, problem.n)
     ls = cfgmod.build_linesearch_params(cfg)
     sgr = cfgmod.build_sgr_params(cfg)
 
     rng = np.random.default_rng(cfg.run.seed)
     points = _sample_points(problem, rng, num_points)
     known = problem.known
-    moments = diagnostics.exact_moments_many(problem, points, state)
+    moments = diagnostics.exact_moments_many(problem, points, memory)
 
     rho_hat, rho_point = diagnostics.rho_from_moments(moments)
     try:

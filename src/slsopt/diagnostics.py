@@ -8,10 +8,10 @@ instead of assumptions. var / cov are accumulated in centered form; the
 uncentered identities then hold as genuine floating-point checks rather than
 by construction.
 
-The direction at each point is the optimizer's own recipe: propose_direction
-on every component gradient, with the memory of a DirectionState that is
-read and never written; MemoryRows.broadcast builds a block of rows at once.
-Without a state it is -g.
+The direction at each point is the optimizer's own recipe on every component
+gradient, with the memory that optimizer.run_many writes: row 0 of a
+MemoryRows, broadcast over a block of gradient rows, read and never written.
+A fresh memory is ``MemoryRows(spec, 1, n)``. Without a memory it is -g.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _blas
-from .directions import DirectionState, MemoryRows
+from .directions import MemoryRows
 from .errors import DomainError, NumericDomainError, UndefinedEstimateError, UnsupportedProblemError
 from .problems import ResidualProblem, Vector, as_vector
 
@@ -115,29 +115,29 @@ def _row_dots(P, Q):
     return np.einsum("ij,ij->i", P, Q)
 
 
-def exact_moments(problem: ResidualProblem, x, state: DirectionState | None = None) -> MomentReport:
+def exact_moments(problem: ResidualProblem, x, memory: MemoryRows | None = None) -> MomentReport:
     """Moments and f at x: exact_moments_many's group of one point."""
-    return exact_moments_many(problem, [x], state)[0]
+    return exact_moments_many(problem, [x], memory)[0]
 
 
 @_blas.single_thread()
 def exact_moments_many(
-    problem: ResidualProblem, points, state: DirectionState | None = None
+    problem: ResidualProblem, points, memory: MemoryRows | None = None
 ) -> list[MomentReport]:
     """Moments and f at each point, as exact uniform averages over the N singleton batches.
 
     One residual pass per point gives its f and every component gradient.
     The rows of each point's gradient matrix G, and of its direction matrix
-    D where the recipe with that memory is not -g, are then formed in blocks
-    (_blocks), in two sweeps shared by all points. Each sweep visits each
-    block of rows once and, while that block of A is cached, forms it for
-    every point in turn: the first sweep dots each row and adds the block
-    to the point's column sums, the second forms the block again, centres
-    it in place and dots it again. No N x n matrix is held, only one block
+    D where the recipe with row 0 of ``memory`` is not -g, are then formed
+    in blocks (_blocks), in two sweeps shared by all points. Each sweep
+    visits each block of rows once and, while that block of A is cached,
+    forms it for every point in turn: the first sweep dots each row and
+    adds the block to the point's column sums, the second forms the block
+    again, centres it in place and dots it again. No N x n matrix is held, only one block
     buffer for all points and each point's running sums, yet every float
     is that of the point's whole matrices: G.mean(axis=0), the mean of the
-    einsum row dots, the out-of-place G - E_g. Row i of D is
-    propose_direction(state, G[i], x). Runs on one BLAS thread.
+    einsum row dots, the out-of-place G - E_g. Row i of D is the direction
+    that row 0 of ``memory`` gives G[i] at x. Runs on one BLAS thread.
     """
     N, n = problem.N, problem.n
     xs = [as_vector(x, n) for x in points]
@@ -148,10 +148,10 @@ def exact_moments_many(
         grads.append(point_grads)
     blocks = _blocks(N, n)
     most = max(block.stop - block.start for block in blocks)
-    with_d = state is not None and not state.negates_gradient
+    with_d = memory is not None and memory.uses_memory(0)
 
     def directions(G, xv):
-        return MemoryRows.broadcast(state, len(G), n).propose(G, xv)
+        return memory.broadcast(0, len(G)).propose(G, xv)
 
     # Row p of gg and dg holds point p's row dots.
     gg, dg = np.empty((len(xs), N)), np.empty((len(xs), N))
@@ -269,13 +269,13 @@ def pl_from_moments(moments: Iterable[MomentReport], f_star: float, tol: float =
     return _first_best(map(ratio, moments), operator.lt, "no sample had a positive optimality gap")
 
 
-def estimate_c3(problem: ResidualProblem, x_samples, state: DirectionState | None = None) -> float:
+def estimate_c3(problem: ResidualProblem, x_samples, memory: MemoryRows | None = None) -> float:
     """Smallest anti-correlation coefficient covering all sampled points.
 
     Returns max over samples of max(0, -cov_dg) / var_g, skipping points with
     zero gradient variance; errors out if every sample is degenerate.
     """
-    return c3_from_moments(exact_moments_many(problem, x_samples, state))[0]
+    return c3_from_moments(exact_moments_many(problem, x_samples, memory))[0]
 
 
 def estimate_rho(problem: ResidualProblem, x_samples, tol: float = 1e-10) -> float:
@@ -363,8 +363,17 @@ def compute_eta(constants: TheoremConstants) -> EtaReport:
 
     eta = (L_max c1^2 / (2 c2)) (1/gamma + 1/(delta (1 - gamma))) - 2 sigma mu
 
-    and flag whether 0 < eta < 1/alpha_max, which certifies the geometric
-    decay of the expected optimality gap at rate eta * alpha_max.
+    and flag whether 0 < eta < 1/alpha_max, which is meant to certify the
+    geometric decay of the expected optimality gap at rate eta * alpha_max.
+
+    The flag is not sound (ROADMAP item 1). On the orthonormal instance
+    gen_interpolating_least_squares(4, 4, seed=6, singular_values=np.ones(4))
+    with c1 = c2 = 1, gamma = 0.5, delta = 0.99, rho = 4, c3 = 1, mu = 0.25
+    and L_max = 1, eta = 1.885101 flags every alpha_max < 0.5305, yet for
+    alpha_max = a <= 1 every step is a and the exact expected one-step
+    ratio is 1 - a (2 - a) / 4, above eta * a for every a < 0.4395 (0.995
+    against 0.0189 at a = 0.01). tests/test_diagnostics.py pins this as a
+    strict xfail.
     """
     c = constants
     eta = (c.L_max * c.c1 * c.c1 / (2.0 * c.c2)) * (
@@ -414,11 +423,11 @@ def verify_lemma_bounds(
     problem: ResidualProblem,
     x,
     constants: TheoremConstants,
-    state: DirectionState | None = None,
+    memory: MemoryRows | None = None,
 ) -> LemmaBoundsReport:
     """Check the expected-direction bounds at x with exact enumeration moments.
 
-    The direction is the recipe of state with its memory (-g without one).
+    The direction is the recipe with row 0 of ``memory`` (-g without one).
 
         ||E[d]|| <= c1 sqrt(rho) ||grad f||
         E[d] . grad f <= -sigma ||grad f||^2
@@ -426,4 +435,4 @@ def verify_lemma_bounds(
     Requires sigma > 0; slacks are rhs - lhs, nonnegative when the bound holds.
     """
     _require_lemma_applicable(constants)
-    return lemma_bounds_from_moments(exact_moments(problem, x, state), constants)
+    return lemma_bounds_from_moments(exact_moments(problem, x, memory), constants)

@@ -9,16 +9,21 @@ realized bounds
 
 and replaced by -g (with direction history cleared) when either fails, so the
 direction actually taken always ties to the sampled gradient.
+
+A DirectionState is a recipe: its kind and constants. The memory a recipe
+reads lives only in MemoryRows, one row per run of a lockstep group of
+optimizer.run_many; diagnostics.exact_moments_many broadcasts one row over
+the N component gradients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, ShapeError, UnsatisfiableSafeguardError
+from .errors import InvalidSpecError, UnsatisfiableSafeguardError
 from .problems import Vector
 
 __all__ = [
@@ -27,7 +32,6 @@ __all__ = [
     "SgrParams",
     "DirectionState",
     "DirectionOutcome",
-    "propose_direction",
     "safeguarded_direction",
     "update_memory",
     "MemoryRows",
@@ -70,13 +74,12 @@ class SgrParams:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DirectionState:
-    """Per-run mutable memory of a direction recipe; single-owner.
+    """A direction recipe: its kind and constants, and no memory.
 
-    x_prev / g_prev / d_prev hold the previous accepted iterate, its sampled
-    gradient, and the direction actually taken; accum is the running sum of
-    squared gradients for the diagonal preconditioner.
+    The memory of a run, the previous iterate, gradient and direction and
+    the squared-gradient accumulator, is a row of a MemoryRows.
     """
 
     kind: str = "sgd"
@@ -84,10 +87,6 @@ class DirectionState:
     cg_variant: str = "pr+"
     beta_cap: float = 10.0
     epsilon: float = 1e-8
-    x_prev: Vector | None = None
-    g_prev: Vector | None = None
-    d_prev: Vector | None = None
-    accum: Vector | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -100,29 +99,6 @@ class DirectionState:
             raise InvalidSpecError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not (self.beta_cap > 0 and math.isfinite(self.beta_cap)):
             raise InvalidSpecError(f"beta_cap must be finite and > 0, got {self.beta_cap}")
-
-    def fresh(self) -> "DirectionState":
-        """Copy with all memory cleared, for starting a new run."""
-        return replace(self, x_prev=None, g_prev=None, d_prev=None, accum=None)
-
-    @property
-    def negates_gradient(self) -> bool:
-        """Whether the recipe with this memory is d = -g.
-
-        So are sgd, and momentum and cg before their first update.
-        """
-        kind = self.kind
-        if kind == "momentum":
-            return self.x_prev is None
-        if kind == "cg":
-            return self.d_prev is None or self.g_prev is None
-        return kind == "sgd"
-
-    def reset_history(self):
-        """Drop momentum / conjugate history; the preconditioner accumulator stays."""
-        self.x_prev = None
-        self.g_prev = None
-        self.d_prev = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,31 +138,8 @@ def _violated(rows, params: SgrParams) -> list[frozenset]:
     return [_VIOLATED[not dn <= c1 * gn, not dg <= -c2 * gg] for gn, dn, dg, gg in rows]
 
 
-# The dots of _measure, _restart and MemoryRows.safeguard run under
-# errstate(over="ignore"): a finite vector whose products overflow measures
-# inf, which the bounds read, so the overflow needs no warning.
-@np.errstate(over="ignore")
-def _measure(d, g, params: SgrParams) -> tuple[frozenset, float, float, float]:
-    """Both admissibility bounds, plus the ||g||, ||d|| and d . g they read."""
-    # np.asarray(v, float) is dtype=np.float64, and cheaper when v already is.
-    d = np.asarray(d, float)
-    g = np.asarray(g, float)
-    if d.shape != g.shape:
-        raise ShapeError(f"d has shape {d.shape}, g has shape {g.shape}")
-    # np.linalg.norm of a 1-D float array is sqrt(x.dot(x)); the same
-    # expression here gives the same floats without the wrapper's overhead.
-    # For 1-D operands, d @ g and d.dot(g) run the same kernel, except
-    # that d.dot(g) multiplies a one-entry operand as a scalar (see
-    # MemoryRows.safeguard).
-    gg = float(g.dot(g))
-    g_norm = math.sqrt(gg)
-    d_norm = math.sqrt(float(d.dot(d)))
-    dTg = float(d.dot(g))
-    return _violated([(g_norm, d_norm, dTg, gg)], params)[0], g_norm, d_norm, dTg
-
-
 def _restart(d, g) -> tuple[float, float]:
-    """Write -g into d; return the new ||d|| and d . g, as _measure takes them.
+    """Write -g into d; return the new ||d|| and d . g.
 
     Callers hold errstate(over="ignore").
     """
@@ -194,114 +147,39 @@ def _restart(d, g) -> tuple[float, float]:
     return math.sqrt(float(d.dot(d))), float(d.dot(g))
 
 
-def propose_direction(state: DirectionState, g, x) -> Vector:
-    """Raw (pre-safeguard) direction for the configured recipe.
+def safeguarded_direction(memory: "MemoryRows", g, x, params: SgrParams) -> DirectionOutcome:
+    """MemoryRows.propose and safeguard on one gradient g at x, for a memory of one row.
 
-    sgd: -g. momentum: -g + beta (x - x_prev). cg: -g + beta_k d_prev with
-    beta_k from the Fletcher-Reeves or nonnegative Polak-Ribiere formula,
-    clipped at beta_cap. adagrad_diag: -g / sqrt(accum + epsilon) elementwise.
-    With empty memory momentum and cg fall back to -g (see negates_gradient).
-
-    g is one sampled gradient (n,); the memory is read, never written. Each
-    recipe builds its direction in one new array, in place. The operations
-    are those of the formulas above, reordered only where IEEE arithmetic is
-    exact about it: b - a == -a + b, and -(a / b) == -a / b. MemoryRows gives
-    a stack of gradients, each row with its own memory, the same floats.
-    """
-    g = np.asarray(g, float)
-    kind = state.kind
-    if kind == "adagrad_diag":  # no history; an empty accumulator is zeros
-        if state.accum is None:
-            d = np.full(len(g), state.epsilon)
-        else:
-            d = np.add(state.accum, state.epsilon)
-        np.sqrt(d, out=d)
-        np.divide(g, d, out=d)
-        np.negative(d, out=d)
-        return d
-    if state.negates_gradient:
-        return -g
-    if kind == "momentum":
-        x, x_prev = np.asarray(x, float), state.x_prev
-        # x_prev is a stored iterate, 1-D; this is x.shape != x_prev.shape
-        if x.ndim != 1 or len(x) != len(x_prev):
-            raise ShapeError("direction memory does not match the iterate shape")
-        d = np.subtract(x, x_prev)
-        d *= state.beta
-        d -= g
-        return d
-    # cg. For 1-D operands g.dot(v) and g @ v run the same kernel.
-    denom = float(state.g_prev.dot(state.g_prev))
-    d = np.empty_like(g)
-    if denom == 0.0:
-        beta_k = 0.0
-    else:
-        pr = state.cg_variant == "pr+"
-        # pr+ dots g with g - g_prev, held in d until the direction overwrites it
-        r = np.subtract(g, state.g_prev, out=d) if pr else g
-        beta_k = float(g.dot(r)) / denom
-        beta_k = min(max(0.0, beta_k) if pr else beta_k, state.beta_cap)
-    np.multiply(state.d_prev, beta_k, out=d)
-    d -= g
-    return d
-
-
-def safeguarded_direction(state: DirectionState, g, x, params: SgrParams) -> DirectionOutcome:
-    """Propose a direction and enforce the bounds, restarting to -g on failure.
-
-    On restart the momentum / conjugate history is cleared and -g is written
-    into the rejected proposal's own buffer. Raises at once if
-    the configured (c1, c2) make the fallback itself inadmissible, since no
-    run could proceed under such a configuration.
+    Raises at once if the configured (c1, c2) make the fallback -g itself
+    inadmissible, since no run could proceed under such a configuration.
     """
     params.require_fallback_admissible()
-    d = propose_direction(state, g, x)
-    violated, g_norm, d_norm, dTg = _measure(d, g, params)
-    if not violated:
-        return DirectionOutcome(d=d, sgr_pass=True, violated=violated, g_norm=g_norm, d_norm=d_norm, dTg=dTg)
-    state.reset_history()
-    with np.errstate(over="ignore"):
-        d_norm, dTg = _restart(d, g)
-    return DirectionOutcome(d=d, sgr_pass=False, violated=violated, g_norm=g_norm, d_norm=d_norm, dTg=dTg)
+    G = np.asarray(g, float)[None]
+    D = memory.propose(G, np.asarray(x, float)[None])
+    violated, g_norm, d_norm, dTg = memory.safeguard(D, G, memory.gradient_squares(G), params)
+    return DirectionOutcome(D[0], not violated[0], violated[0], g_norm[0], d_norm[0], dTg[0])
 
 
-def update_memory(state: DirectionState, x_old, g, d) -> None:
-    """Record the accepted step so the next proposal sees this iteration's data.
-
-    Stores x_old as the previous point (the momentum term at the next iterate
-    x_new is beta * (x_new - x_old)), g as the previous sampled gradient, d as the
-    previous direction, and grows the squared-gradient accumulator.
-
-    Float arrays are stored by reference, not copied: the caller must not
-    mutate x_old, g or d afterwards.
-    """
-    g = np.asarray(g, float)
-    state.x_prev = np.asarray(x_old, float)
-    state.g_prev = g
-    state.d_prev = np.asarray(d, float)
-    if state.kind == "adagrad_diag":
-        # accum + g*g, formed in the g*g buffer; with no accum yet, 0 + g*g
-        # is g*g exactly.
-        accum = np.multiply(g, g)
-        if state.accum is not None:
-            accum += state.accum
-        state.accum = accum
+def update_memory(memory: "MemoryRows", x_old, g, d) -> None:
+    """MemoryRows.update of a memory of one row with one accepted step, stored by reference."""
+    memory.update(None, *(np.asarray(v, float)[None] for v in (x_old, g, d)))
 
 
 class MemoryRows:
-    """The memories of K rows of one recipe, for stacks of gradients.
+    """The direction memories of K rows of one recipe, for stacks of gradients.
 
-    Row k holds what a DirectionState would: ``x_prev``, ``g_prev`` and
-    ``d_prev`` are (K, n) stacks, read where ``has_history`` is True (where
-    the state's fields are set), and ``accum`` is zeros where the state's is
-    None, since 0 + eps is eps and g*g + 0 is g*g. Each method gives every
-    row the floats the one-gradient function gives that row's state:
-    ``propose`` those of propose_direction, ``safeguard`` those of
-    safeguarded_direction, ``update`` those of update_memory.
+    The package's one direction memory. Row k is one run's: ``x_prev``,
+    ``g_prev`` and ``d_prev`` are (K, n) stacks of the previous accepted
+    iterate, its sampled gradient and the direction taken, read where
+    ``has_history`` is True; ``accum`` is the running sum of squared
+    gradients, zeros before the first step, since 0 + eps is eps and
+    g*g + 0 is g*g. A recipe holds only the stacks it reads (FIELDS). Each
+    method treats every row alone, so a row's floats do not depend on the
+    other rows or on K.
 
     ``MemoryRows(spec, K, n)`` holds K fresh memories, one per run of a
-    lockstep group; ``MemoryRows.broadcast(state, K, n)`` holds K read-only
-    views of one state's memory, for the N-row matrices of the diagnostics.
+    lockstep group; ``memory.broadcast(k, K)`` holds K read-only views of
+    row k, for the N-row matrices of the diagnostics.
     """
 
     # The memory fields each recipe reads.
@@ -314,25 +192,40 @@ class MemoryRows:
         for name in self.FIELDS[spec.kind]:
             setattr(self, name, np.zeros((K, n)))
 
-    @classmethod
-    def broadcast(cls, state: DirectionState, K: int, n: int) -> "MemoryRows":
-        """K rows that each hold state's memory, as np.broadcast_to views of it.
+    def broadcast(self, k: int, K: int) -> "MemoryRows":
+        """K rows that each hold row k's memory, as np.broadcast_to views of it.
 
-        ``propose(G, x)`` is then np.stack of propose_direction(state, g, x)
-        over the rows g of G. The views are read-only, so nothing writes the
-        state.
+        ``propose(G, x)`` then gives every row of G the direction that row
+        k's memory gives it. The views are read-only, so nothing writes
+        this memory through them.
         """
-        rows = cls(state, 0, n)
-        rows.has_history = np.full(K, not state.negates_gradient)
-        for name in cls.FIELDS[state.kind]:
-            value = getattr(state, name)
-            setattr(rows, name, np.broadcast_to(0.0 if value is None else value, (K, n)))
+        rows = MemoryRows(self.spec, 0, 0)
+        rows.has_history = np.full(K, self.has_history[k])
+        for name in self.FIELDS[self.spec.kind]:
+            row = getattr(self, name)[k]
+            setattr(rows, name, np.broadcast_to(row, (K, len(row))))
         return rows
 
-    def propose(self, G, X):
-        """propose_direction for every row, each from its own memory.
+    def uses_memory(self, k: int) -> bool:
+        """Whether row k's direction reads its memory, so is not -g.
 
-        X is the rows' iterates, a (K, n) stack or one (n,) iterate they share.
+        adagrad_diag's always does, momentum's and cg's with history, sgd's never.
+        """
+        kind = self.spec.kind
+        return kind == "adagrad_diag" or kind != "sgd" and bool(self.has_history[k])
+
+    def propose(self, G, X):
+        """The raw (pre-safeguard) direction of every row, each from its own memory.
+
+        sgd: -g. momentum: -g + beta (x - x_prev). cg: -g + beta_k d_prev
+        with beta_k from the Fletcher-Reeves or nonnegative Polak-Ribiere
+        formula, clipped at beta_cap. adagrad_diag: -g / sqrt(accum +
+        epsilon) elementwise. A momentum or cg row without history gives -g.
+        The operations are those of the formulas, reordered only where IEEE
+        arithmetic is exact about it: b - a == -a + b, and -(a / b) ==
+        -a / b. G is the rows' gradients and X their iterates, a (K, n)
+        stack or one (n,) iterate they share. The memory is read, never
+        written.
         """
         spec = self.spec
         if spec.kind == "adagrad_diag":
@@ -354,10 +247,9 @@ class MemoryRows:
             pr = spec.cg_variant == "pr+"
             # pr+ dots G with G - g_prev, held in D until the direction overwrites it
             R = np.subtract(G, self.g_prev) if pr else G
-            # Per row as in propose_direction: beta_k = 0 where the stored
-            # gradient is zero, pr+ maps NaN and -0.0 to +0.0, fr keeps a
-            # NaN, and an overflow is inf, all with no warning, as in float
-            # division.
+            # Per row, as Python float division gives beta_k: 0 where the
+            # stored gradient is zero, pr+ maps NaN and -0.0 to +0.0, fr
+            # keeps a NaN, and an overflow is inf, all with no warning.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 beta = np.vecdot(G, R) / denom
             beta[denom == 0.0] = 0.0
@@ -371,27 +263,31 @@ class MemoryRows:
             D[fresh] = -G[fresh]
         return D
 
+    # The dots of gradient_squares, safeguard and _restart run under
+    # errstate(over="ignore"): a finite vector whose products overflow
+    # measures inf, which the bounds read, so the overflow needs no warning.
     @staticmethod
-    @np.errstate(over="ignore")  # as _measure
+    @np.errstate(over="ignore")
     def gradient_squares(G) -> list[float]:
         """The g . g of each row of G, one np.vecdot, as safeguard takes them."""
         return np.vecdot(G, G).tolist()
 
-    @np.errstate(over="ignore")  # as _measure
+    @np.errstate(over="ignore")
     def safeguard(self, D, G, ggs, params: SgrParams):
-        """safeguarded_direction's test and restart on every row of D.
+        """The (c1, c2) test of every row of D, and the restart of each row that fails it.
 
         ``ggs`` is gradient_squares(G). The other two dots per row are one
-        np.vecdot each, and each row then takes _measure's bound test.
-        Returns the lists (violated, g_norm, d_norm, dTg). A row that
-        violates a bound gets -g written into its row of D, its norm and
-        slope re-measured, and its history cleared.
+        np.vecdot each. Returns the lists (violated, g_norm, d_norm, dTg):
+        the bounds each row breaks, and ||g||, ||d|| and d . g of the
+        direction it takes. A row that violates a bound gets -g written
+        into its row of D, its norm and slope re-measured, and its history
+        cleared.
         """
         g_norm = [math.sqrt(gg) for gg in ggs]
         d_norm = [math.sqrt(dd) for dd in np.vecdot(D, D).tolist()]
-        # ndarray.dot takes a one-entry operand as a scalar, so _measure's
-        # d . g of one variable is the product itself, -0.0 included, where
-        # np.vecdot adds the product to +0.0.
+        # With one variable, d . g is the product itself, -0.0 included, as
+        # ndarray.dot gives it for a one-entry operand; np.vecdot adds the
+        # product to +0.0.
         dTg = (D[:, 0] * G[:, 0] if D.shape[1] == 1 else np.vecdot(D, G)).tolist()
         violated = _violated(zip(g_norm, d_norm, dTg, ggs), params)
         for k in [k for k, v in enumerate(violated) if v]:
@@ -400,7 +296,11 @@ class MemoryRows:
         return violated, g_norm, d_norm, dTg
 
     def update(self, step, X, G, D):
-        """update_memory on the rows where ``step`` is True (None: on all).
+        """Record each accepted step on the rows where ``step`` is True (None: on all).
+
+        Each stepping row keeps what its recipe reads: X as the previous
+        iterate, G as the previous sampled gradient, D as the previous
+        direction, and its accumulator plus G*G.
 
         With every row stepping the stacks are stored by reference; the
         caller must not write into X, G or D afterwards.

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
-# No loop here calls evaluate_batch, safeguarded_direction or update_memory:
-# bench/tracer.py wraps them in this module, and the tests run on them.
+# No loop here calls evaluate_batch, safeguarded_direction or update_memory.
+# They are bound in this module only because bench/tracer.py wraps them here.
 from .directions import DirectionState, MemoryRows, SgrParams, safeguarded_direction, update_memory
 from .errors import (
     CertificateError,

@@ -187,7 +187,7 @@ class ResidualProblem:
         return 0.5 * r * r
 
     def batch_eval_rows(self, idx, X):
-        """batch_eval_ray at K points at once: row k is component idx[k] at X[k].
+        """The sampled oracle at K points at once: row k is component idx[k] at X[k].
 
         Returns (R0, G, ray_rows): the K residuals, so that f_k is
         0.5 * R0[k] * R0[k]; the (K, n) gradients; and ray_rows(D), the
@@ -204,17 +204,6 @@ class ResidualProblem:
         # A slope or curvature beyond the float range is an infinite
         # coefficient, whose trials the search rejects; no warning needed.
         return self.ray_coefficients_rows(rows, X, D, reuse)
-
-    def batch_eval_ray(self, i, x):
-        """f_i(x), g_i(x) and ``ray``, where ray(d) is phi(a) = f_i(x + a d).
-
-        batch_eval_rows on the (1, n) view of x. phi is ray_phi of the
-        residual along d, so a trial costs a few float operations, and
-        phi(0) is f_i(x).
-        """
-        R0, G, ray_rows = self.batch_eval_rows(slice(i, i + 1), x[None])
-        r0 = float(R0[0])
-        return 0.5 * r0 * r0, G[0], functools.partial(_one_ray, r0, ray_rows)
 
     def full_value_grad(self, x):
         # The gradient is the pullback of the mean weighted row; scaling it
@@ -244,12 +233,6 @@ class ResidualProblem:
 
 
 _ONE = np.ones(1)
-
-
-def _one_ray(r0, ray_rows, d):
-    """phi along d for the one component of batch_eval_ray."""
-    C1, C2 = ray_rows(d[None])
-    return ray_phi(r0, float(C1[0]), float(C2[0]))
 
 
 class LeastSquaresProblem(ResidualProblem):
@@ -349,9 +332,11 @@ class TwoFactorProblem(ResidualProblem):
 def evaluate_batch(problem: ResidualProblem, i, x):
     """Value, gradient and search ray of the sampled component ``i``.
 
-    Returns (f, g, ray) at ``x`` from ``problem.batch_eval_ray``; ray(d) is
-    the search function phi(a) = f_i(x + a d). ``i`` must be an integer
-    (operator.index accepts it) in [0, N).
+    Returns (f, g, ray) at ``x`` from ``problem.batch_eval_rows`` on the
+    (1, n) view of x; ray(d) is the search function phi(a) = f_i(x + a d),
+    ray_phi of the residual along d, so a trial costs a few float
+    operations, and phi(0) is f. ``i`` must be an integer (operator.index
+    accepts it) in [0, N).
     """
     try:
         k = operator.index(i)
@@ -360,9 +345,16 @@ def evaluate_batch(problem: ResidualProblem, i, x):
     if not 0 <= k < problem.N:
         raise InvalidBatchError(f"index {k} outside [0, {problem.N - 1}] for this problem")
     xv = as_vector(x, problem.n)
-    f, g, ray = problem.batch_eval_ray(k, xv)
+    R0, G, ray_rows = problem.batch_eval_rows(slice(k, k + 1), xv[None])
+    r0 = float(R0[0])
+    f, g = 0.5 * r0 * r0, G[0]
     if not math.isfinite(f) or not _all_finite(g):
         raise NumericDomainError(f"non-finite evaluation of component {k}")
+
+    def ray(d):
+        C1, C2 = ray_rows(d[None])
+        return ray_phi(r0, float(C1[0]), float(C2[0]))
+
     return f, g, ray
 
 

@@ -5,10 +5,11 @@ import pytest
 
 from slsopt import LeastSquaresProblem, TwoFactorProblem, _blas, as_vector
 from slsopt.diagnostics import MomentReport
-from slsopt.directions import MemoryRows, safeguarded_direction, update_memory
 from slsopt.errors import DomainError, ShapeError
 from slsopt.optimizer import RunConfig, RunResult, _Lane, _start
 from slsopt.problems import evaluate_batch
+
+from one_gradient import Memory, safeguarded_direction, update_memory
 
 
 def make_toy2():
@@ -105,18 +106,18 @@ def moments_from_samples(x, G, D, f=math.nan) -> MomentReport:
     return MomentReport(x, E_g, E_norm_g_sq, max(var_g, 0.0), E_d, E_dTg, cov_dg, f)
 
 
-def reference_moments(problem, x, state=None) -> MomentReport:
+def reference_moments(problem, x, memory=None) -> MomentReport:
     """exact_moments from the whole gradient and direction matrices.
 
-    Row i of the direction matrix is propose_direction(state, G[i], x),
-    built only when the recipe with that memory is not -g; f is the mean of
-    the component values 0.5 r_i^2.
+    Row i of the direction matrix is the direction that row 0 of memory
+    gives G[i] at x, built only when that row's recipe is not -g; f is the
+    mean of the component values 0.5 r_i^2.
     """
     xv = as_vector(x, problem.n)
     G = component_grads(problem, xv)
     D = None
-    if state is not None and not state.negates_gradient:
-        D = MemoryRows.broadcast(state, *G.shape).propose(G, xv)
+    if memory is not None and memory.uses_memory(0):
+        D = memory.broadcast(0, len(G)).propose(G, xv)
     r = problem.residuals(xv)
     return moments_from_samples(xv, G, D, float((0.5 * r * r).mean()))
 
@@ -126,14 +127,15 @@ def reference_run(config: RunConfig) -> RunResult:
     """optimizer.run on the one-gradient kernels, one array per vector.
 
     The reference that optimizer.run_many must match byte for byte in a
-    group of any size: the same _Lane per seed, with evaluate_batch,
-    safeguarded_direction and update_memory in place of the stacked
-    kernels. Raises what run raises, with no seed prefix.
+    group of any size: the same _Lane per seed, with evaluate_batch and
+    one_gradient's safeguarded_direction and update_memory on a Memory in
+    place of the stacked kernels. Raises what run raises, with no seed
+    prefix.
     """
     problem = config.problem
     x, sampler = _start(config, config.seed)
     lane = _Lane(config, "", sampler)
-    state = config.direction.fresh()
+    state = Memory(config.direction)
     every = config.trace_full_oracle_every
     for k in range(config.max_iters):
         if k % every == 0 and lane.sample(x):

@@ -33,6 +33,7 @@ from slsopt import (
 from slsopt import cli, fit_geometric_rate
 
 from conftest import armijo_holds
+from one_gradient import one_row
 
 N_STD, DIM_STD, SEED_STD = 100, 200, 2024
 SPECTRUM_STD = 2.0
@@ -288,10 +289,10 @@ def test_criterion_07_moment_identities():
     rng = np.random.default_rng(700)
     bad_identity = bad_var = bad_rho = 0
     for p in instances:
-        state = DirectionState(kind="momentum", beta=0.9)
+        spec = DirectionState(kind="momentum", beta=0.9)
         for _ in range(100):
             x = rng.standard_normal(p.n)
-            state.x_prev = x - 0.3 * rng.standard_normal(p.n)
+            state = one_row(spec, p.n, x_prev=x - 0.3 * rng.standard_normal(p.n))
             for direction in (None, state):
                 m = exact_moments(p, x, direction)
                 lhs = m.E_dTg

@@ -22,6 +22,8 @@ from slsopt import (
     safeguarded_direction,
 )
 
+from one_gradient import one_row
+
 
 @pytest.fixture(scope="module")
 def wide():
@@ -62,19 +64,17 @@ class TestOracleAllocations:
 
 
 class TestDirectionAllocations:
-    # The direction is the one vector kept. Before each recipe was built in
-    # its own buffer, momentum and cg read 2.0 and adagrad_diag 3.0.
+    # The direction is the one vector kept, here from a MemoryRows of one
+    # row. Before each recipe was built in its own buffer, momentum and cg
+    # read 2.0 and adagrad_diag 3.0.
     @pytest.mark.parametrize(
         "kind, variant",
         [("sgd", "pr+"), ("momentum", "pr+"), ("cg", "pr+"), ("cg", "fr"), ("adagrad_diag", "pr+")],
     )
     def test_safeguarded_direction(self, wide, kind, variant):
         p, x, g = wide
-        state = DirectionState(kind=kind, cg_variant=variant)
-        state.x_prev = x - 1e-3 * g
-        state.g_prev = 1.1 * g
-        state.d_prev = -state.g_prev
-        state.accum = np.ones(p.n)
+        state = one_row(DirectionState(kind=kind, cg_variant=variant), p.n,
+                        x_prev=x - 1e-3 * g, g_prev=1.1 * g, d_prev=-1.1 * g, accum=np.ones(p.n))
         peak, out = _peak_vectors(lambda: safeguarded_direction(state, g, x, SgrParams()), p.n)
         assert not out.restarted
         assert 1.0 <= peak <= 1.1
@@ -87,11 +87,14 @@ class TestDirectionAllocations:
     )
     def test_restarting_proposal(self, wide, kind, variant):
         p, x, g = wide
-        state = DirectionState(kind=kind, cg_variant=variant)
-        state.x_prev = x - 1e3 * g  # momentum: 900 g - g
-        state.g_prev = 0.5 * g  # cg: beta_k 4 (fr) or 2 (pr+), so d = beta_k g - g
-        state.d_prev = g.copy()
-        state.accum = np.zeros(p.n)  # adagrad_diag: -g / 1e-4
+        state = one_row(
+            DirectionState(kind=kind, cg_variant=variant),
+            p.n,
+            x_prev=x - 1e3 * g,  # momentum: 900 g - g
+            g_prev=0.5 * g,  # cg: beta_k 4 (fr) or 2 (pr+), so d = beta_k g - g
+            d_prev=g.copy(),
+            accum=np.zeros(p.n),  # adagrad_diag: -g / 1e-4
+        )
         peak, out = _peak_vectors(lambda: safeguarded_direction(state, g, x, SgrParams()), p.n)
         assert out.restarted
         assert np.array_equal(out.d, -g)

@@ -41,6 +41,7 @@ from slsopt.config import (
     read_config,
     serialize_config,
 )
+from slsopt.directions import MemoryRows
 from slsopt.errors import ConfigError
 from slsopt.traceio import CSV_HEADER, read_trace, write_trace
 
@@ -414,7 +415,7 @@ class TestCmdDiagnose:
 
         cfg = parse_config(LS, overrides=ov + [f"run.seed={seed}"])
         p = build_problem(cfg)
-        state = build_direction_state(cfg)
+        state = MemoryRows(build_direction_state(cfg), 1, p.n)
         ls, sgr = build_linesearch_params(cfg), build_sgr_params(cfg)
         rng = np.random.default_rng(seed)
         pts = [rng.standard_normal(p.n) for _ in range(k)]

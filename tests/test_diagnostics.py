@@ -28,7 +28,6 @@ from slsopt import (
     gen_nonconvex_interpolating,
     lemma_bounds_from_moments,
     pl_from_moments,
-    propose_direction,
     rho_from_moments,
     safeguarded_direction,
     update_memory,
@@ -40,6 +39,7 @@ from slsopt.directions import MemoryRows
 from slsopt.errors import DomainError, UndefinedEstimateError, UnsupportedProblemError
 
 from conftest import component_grads, make_toy2, moments_from_samples, reference_moments
+from one_gradient import one_row, propose_direction, row_memory
 
 X1 = np.array([1.0])
 
@@ -77,12 +77,12 @@ class TestExactMoments:
             gen_interpolating_least_squares(6, 9, seed=1, singular_values=[1.0, 2.0]),
             gen_nonconvex_interpolating(5, 2, 3, seed=1),
         ]
-        state = DirectionState(kind="momentum", beta=0.9)
+        spec = DirectionState(kind="momentum", beta=0.9)
         rng = np.random.default_rng(2)
         for p in problems:
             for _ in range(30):
                 x = rng.standard_normal(p.n)
-                state.x_prev = x - rng.standard_normal(p.n)
+                state = one_row(spec, p.n, x_prev=x - rng.standard_normal(p.n))
                 for direction in (None, state):
                     m = exact_moments(p, x, direction)
                     lhs = m.E_dTg
@@ -120,11 +120,11 @@ class TestEstimateC3:
     def test_momentum_rule_finite_nonnegative(self):
         p = gen_interpolating_least_squares(10, 15, seed=5, singular_values=np.full(10, 1.5))
         rng = np.random.default_rng(5)
-        state = DirectionState(kind="momentum", beta=0.9)
+        spec = DirectionState(kind="momentum", beta=0.9)
         values = []
         for _ in range(100):
             x = rng.standard_normal(p.n)
-            state.x_prev = x - 0.1 * rng.standard_normal(p.n)
+            state = one_row(spec, p.n, x_prev=x - 0.1 * rng.standard_normal(p.n))
             values.append(estimate_c3(p, [x], state))
         assert all(np.isfinite(v) and v >= 0 for v in values)
 
@@ -266,21 +266,19 @@ class TestComputeEta:
         with pytest.raises(DomainError):
             constants_with(rho=0.5)
 
-
-class TestFrozenRule:
-    def test_rule_is_pure_in_state(self):
-        # the moments read the memory and never write it
-        p = gen_interpolating_least_squares(2, 2, seed=1, singular_values=[1.0, 2.0])
-        state = DirectionState(kind="cg", cg_variant="fr")
-        state.g_prev = np.array([1.0, 0.0])
-        state.d_prev = np.array([0.5, 0.5])
-        before = (state.g_prev, state.d_prev, state.g_prev.copy(), state.d_prev.copy())
-        for x in (np.array([1.0, 1.0]), np.array([0.0, 2.0])):
-            exact_moments(p, x, state)
-        assert state.g_prev is before[0] and state.d_prev is before[1]
-        assert np.array_equal(state.g_prev, before[2])
-        assert np.array_equal(state.d_prev, before[3])
-        assert state.x_prev is None and state.accum is None
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_certified_rate_is_at_least_the_exact_one_step_ratio(self):
+        # criterion 6's orthonormal instance: every row has unit norm, so for
+        # alpha_max = a <= 1 Armijo accepts a on every batch, and the exact
+        # expected one-step ratio is 1 - a (2 - a) / 4 at every x. No valid
+        # rate lies below it; the flag certifies eta * a = 1.885 a.
+        p = gen_interpolating_least_squares(4, 4, seed=6, singular_values=np.ones(4))
+        assert (p.known.mu, p.known.L_max) == pytest.approx((0.25, 1.0), rel=1e-12)
+        for a in (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.5):
+            rep = compute_eta(constants_with(c3=1.0, rho=4.0, mu=0.25, L=p.known.L, L_max=1.0,
+                                             gamma=0.5, delta=0.99, alpha_max=a))
+            if rep.certified:
+                assert rep.rate >= 1.0 - a * (2.0 - a) / 4.0, a
 
 
 def _out_of_place_moments(G, D):
@@ -303,10 +301,13 @@ def _out_of_place_moments(G, D):
     return E_g, E_norm_g_sq, max(var_g, 0.0), E_d, E_dTg, cov_dg
 
 
-def _per_row_moments(p, x, state):
-    """The moments of the directions built one component gradient at a time."""
+def _per_row_moments(p, x, memory):
+    """The moments of the directions built one component gradient at a time.
+
+    Each is the one-gradient reference recipe on row 0 of memory.
+    """
     G = component_grads(p, x)
-    D = -G if state is None else np.stack([propose_direction(state, g, x) for g in G])
+    D = -G if memory is None else np.stack([propose_direction(row_memory(memory, 0), g, x) for g in G])
     return _out_of_place_moments(G, D)
 
 
@@ -327,12 +328,13 @@ def _row_case(draw):
 
 
 def _every_recipe(memory, beta, beta_cap):
-    """Every kind and cg variant, each fresh and with memory."""
+    """Every kind and cg variant, each in a memory of one row, fresh and holding ``memory``."""
+    n = len(memory["x_prev"])
     for kind in KINDS:
         for variant in CG_VARIANTS if kind == "cg" else ("pr+",):
-            fresh = DirectionState(kind=kind, cg_variant=variant, beta=beta, beta_cap=beta_cap)
-            yield fresh
-            yield DirectionState(kind=kind, cg_variant=variant, beta=beta, beta_cap=beta_cap, **memory)
+            spec = DirectionState(kind=kind, cg_variant=variant, beta=beta, beta_cap=beta_cap)
+            yield MemoryRows(spec, 1, n)
+            yield one_row(spec, n, **memory)
 
 
 class _Rows:
@@ -357,9 +359,10 @@ class TestDirectionMatrix:
         # the rows exact_moments averages, before they are centred; with
         # three-row blocks, a recipe that negates the gradient builds none
         G, x, memory = case
-        kept = {name: v.copy() for name, v in memory.items()}
         propose = MemoryRows.propose
         for state in _every_recipe(memory, beta, beta_cap):
+            fields = ["has_history", *MemoryRows.FIELDS[state.spec.kind]]
+            kept = {name: getattr(state, name).copy() for name in fields}
             seen = []
 
             def spy(self, G, X):
@@ -370,17 +373,17 @@ class TestDirectionMatrix:
             with mock.patch.object(diagnostics, "_BLOCK_BYTES", 3 * 8 * G.shape[1]), \
                     mock.patch.object(MemoryRows, "propose", spy):
                 exact_moments(_Rows(G), x, state)
-            rows = np.stack([propose_direction(state, g, x) for g in G])
-            if state.negates_gradient:
+            for name, value in kept.items():
+                # the memory is read, never written
+                assert getattr(state, name).tobytes() == value.tobytes()
+            rows = np.stack([propose_direction(row_memory(state, 0), g, x) for g in G])
+            if not state.uses_memory(0):
                 assert seen == [] and rows.tobytes() == (-G).tobytes()
                 continue
             # both sweeps build every block
             D = np.concatenate(seen)
             assert D.shape == (2 * len(G), G.shape[1])
-            assert D.tobytes() == np.concatenate([rows, rows]).tobytes(), (state.kind, state.cg_variant)
-        for name, value in kept.items():
-            # the memory is read, never written
-            assert memory[name].tobytes() == value.tobytes()
+            assert D.tobytes() == np.concatenate([rows, rows]).tobytes(), state.spec
 
 
 MOMENT_FIELDS = ("E_g", "E_norm_g_sq", "var_g", "E_d", "E_dTg", "cov_dg")
@@ -421,10 +424,8 @@ class TestRowwiseRule:
         memory = dict(x_prev=x_prev, g_prev=g_prev, d_prev=d_prev, accum=accum)
         for kind in KINDS:
             for variant in CG_VARIANTS:
-                for state in (
-                    DirectionState(kind=kind, cg_variant=variant, beta=beta),
-                    DirectionState(kind=kind, cg_variant=variant, beta=beta, **memory),
-                ):
+                spec = DirectionState(kind=kind, cg_variant=variant, beta=beta)
+                for state in (MemoryRows(spec, 1, p.n), one_row(spec, p.n, **memory)):
                     _assert_same_moments(exact_moments(p, x, state), _per_row_moments(p, x, state))
 
     def test_fresh_states_negate_the_gradient_except_adagrad(self):
@@ -432,7 +433,7 @@ class TestRowwiseRule:
         x = np.array([0.5, -1.0, 2.0])
         plain = exact_moments(p, x)
         for kind in KINDS:
-            m = exact_moments(p, x, DirectionState(kind=kind))
+            m = exact_moments(p, x, MemoryRows(DirectionState(kind=kind), 1, p.n))
             assert np.array_equal(m.E_d, plain.E_d) == (kind != "adagrad_diag")
 
 
@@ -447,17 +448,18 @@ def _assert_same_report(got, want):
 
 
 def _live_states(p, x, steps, rng):
-    """Every kind and cg variant, fresh and after ``steps`` steps of run's direction loop.
+    """Every kind and cg variant in a memory of one row, fresh and after ``steps`` steps.
 
     Each step draws a component at the current point, takes the safeguarded
-    direction at a fixed step length and updates the memory, as
-    optimizer.run does; the states end at other points than x.
+    direction at a fixed step length and updates the memory, as a run's
+    row does; the memories end at other points than x.
     """
     sgr = SgrParams()
     for kind in KINDS:
         for variant in CG_VARIANTS if kind == "cg" else ("pr+",):
-            yield DirectionState(kind=kind, cg_variant=variant)
-            state = DirectionState(kind=kind, cg_variant=variant)
+            spec = DirectionState(kind=kind, cg_variant=variant)
+            yield MemoryRows(spec, 1, p.n)
+            state = MemoryRows(spec, 1, p.n)
             y = x + rng.standard_normal(p.n)
             for _ in range(steps):
                 _, g, _ = evaluate_batch(p, int(rng.integers(p.N)), y)
@@ -589,7 +591,7 @@ class TestOnePassMoments:
         rng = np.random.default_rng(21)
         for _ in range(20):
             x = rng.standard_normal(p.n)
-            state = DirectionState(kind="momentum", beta=0.9, x_prev=x - rng.standard_normal(p.n))
+            state = one_row(DirectionState(kind="momentum", beta=0.9), p.n, x_prev=x - rng.standard_normal(p.n))
             for direction in (None, state):
                 _assert_same_moments(exact_moments(p, x, direction), _per_row_moments(p, x, direction))
 
@@ -605,15 +607,18 @@ class TestOnePassMoments:
             state = None
             if kind is not None:
                 g_prev = rng.standard_normal(p.n)
-                state = DirectionState(
-                    kind=kind,
+                state = one_row(
+                    DirectionState(kind=kind),
+                    p.n,
                     x_prev=x - rng.standard_normal(p.n),
                     g_prev=g_prev,
                     d_prev=-g_prev + 0.1 * rng.standard_normal(p.n),
                     accum=rng.random(p.n),
                 )
             G = component_grads(p, x)
-            D = None if state is None or state.negates_gradient else np.stack([propose_direction(state, g, x) for g in G])
+            D = None
+            if state is not None and state.uses_memory(0):
+                D = np.stack([propose_direction(row_memory(state, 0), g, x) for g in G])
             _assert_same_bits(exact_moments(p, x, state), _out_of_place_moments(G, D))
 
     def test_exact_moments_sets_the_objective_value(self):
@@ -621,7 +626,7 @@ class TestOnePassMoments:
         x = np.random.default_rng(3).standard_normal(p.n)
         r = p.A @ x - p.b
         assert exact_moments(p, x).f == float((0.5 * r * r).mean())
-        assert exact_moments(p, x, DirectionState(kind="adagrad_diag")).f == float((0.5 * r * r).mean())
+        assert exact_moments(p, x, MemoryRows(DirectionState(kind="adagrad_diag"), 1, p.n)).f == float((0.5 * r * r).mean())
 
     def test_reducers_match_estimators_and_name_the_point(self):
         p = gen_interpolating_least_squares(6, 10, seed=11, singular_values=[1.0, 2.0])
@@ -649,7 +654,7 @@ class TestOnePassMoments:
         state = None
         if kind is not None:
             g_prev = np.ones(p.n)
-            state = DirectionState(kind=kind, x_prev=np.zeros(p.n), g_prev=g_prev, d_prev=-g_prev, accum=g_prev)
+            state = one_row(DirectionState(kind=kind), p.n, x_prev=np.zeros(p.n), g_prev=g_prev, d_prev=-g_prev, accum=g_prev)
         exact_moments_many(p, points, state)  # warm up lazily allocated numpy state
         tracemalloc.start()
         try:

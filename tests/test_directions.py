@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,19 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from slsopt import (
-    CG_VARIANTS,
-    KINDS,
-    DirectionState,
-    SgrParams,
-    propose_direction,
-    safeguarded_direction,
-    update_memory,
-)
+import slsopt
+from slsopt import CG_VARIANTS, KINDS, DirectionState, SgrParams
 from slsopt.directions import MemoryRows
 from slsopt.errors import InvalidSpecError, ShapeError, UnsatisfiableSafeguardError
 
 from conftest import sgr_check
+from one_gradient import (
+    Memory,
+    memory_rows,
+    propose_direction,
+    row_memory,
+    safeguarded_direction,
+    update_memory,
+)
 
 
 class TestSgrCheck:
@@ -65,24 +67,24 @@ class TestSgrCheck:
 
 class TestProposeDirection:
     def test_sgd_negates(self):
-        state = DirectionState(kind="sgd")
+        state = Memory(DirectionState(kind="sgd"))
         g = np.array([3.0, -4.0])
         assert np.array_equal(propose_direction(state, g, np.zeros(2)), np.array([-3.0, 4.0]))
 
     def test_momentum_formula(self):
-        state = DirectionState(kind="momentum", beta=0.5)
+        state = Memory(DirectionState(kind="momentum", beta=0.5))
         state.x_prev = np.array([0.0, -1.0])
         x = np.array([0.0, 0.0])  # x - x_prev = (0, 1)
         d = propose_direction(state, np.array([1.0, 0.0]), x)
         assert np.array_equal(d, np.array([-1.0, 0.5]))
 
     def test_momentum_first_iteration_is_negative_gradient(self):
-        state = DirectionState(kind="momentum", beta=0.9)
+        state = Memory(DirectionState(kind="momentum", beta=0.9))
         g = np.array([1.0, 2.0])
         assert np.array_equal(propose_direction(state, g, np.zeros(2)), -g)
 
     def test_fletcher_reeves_ratio(self):
-        state = DirectionState(kind="cg", cg_variant="fr")
+        state = Memory(DirectionState(kind="cg", cg_variant="fr"))
         state.g_prev = np.array([2.0, 0.0])  # norm 2
         state.d_prev = np.array([1.0, 0.0])
         g = np.array([0.0, 1.0])  # norm 1 -> beta = 1/4
@@ -90,14 +92,14 @@ class TestProposeDirection:
         assert np.array_equal(d, -g + 0.25 * state.d_prev)
 
     def test_pr_plus_clips_negative_to_zero(self):
-        state = DirectionState(kind="cg", cg_variant="pr+")
+        state = Memory(DirectionState(kind="cg", cg_variant="pr+"))
         state.g_prev = np.array([1.0, 0.0])
         state.d_prev = np.array([5.0, 5.0])
         g = np.array([0.5, 0.0])  # g.(g - g_prev) = -0.25 < 0
         assert np.array_equal(propose_direction(state, g, np.zeros(2)), -g)
 
     def test_cg_beta_capped(self):
-        state = DirectionState(kind="cg", cg_variant="fr", beta_cap=2.0)
+        state = Memory(DirectionState(kind="cg", cg_variant="fr", beta_cap=2.0))
         state.g_prev = np.array([1e-3, 0.0])
         state.d_prev = np.array([1.0, 0.0])
         g = np.array([1.0, 0.0])  # raw FR beta = 1e6
@@ -105,20 +107,20 @@ class TestProposeDirection:
         assert np.array_equal(d, -g + 2.0 * state.d_prev)
 
     def test_cg_zero_previous_gradient_gives_plain_step(self):
-        state = DirectionState(kind="cg")
+        state = Memory(DirectionState(kind="cg"))
         state.g_prev = np.zeros(2)
         state.d_prev = np.array([1.0, 1.0])
         g = np.array([1.0, 0.0])
         assert np.array_equal(propose_direction(state, g, np.zeros(2)), -g)
 
     def test_adagrad_first_iteration_scaling(self):
-        state = DirectionState(kind="adagrad_diag", epsilon=1e-4)
+        state = Memory(DirectionState(kind="adagrad_diag", epsilon=1e-4))
         g = np.array([1.0, -2.0])
         d = propose_direction(state, g, np.zeros(2))
         np.testing.assert_allclose(d, -g / 1e-2, rtol=1e-15)
 
     def test_zero_gradient_keeps_memory_term_only(self):
-        state = DirectionState(kind="momentum", beta=0.5)
+        state = Memory(DirectionState(kind="momentum", beta=0.5))
         state.x_prev = np.array([1.0, 0.0])
         d = propose_direction(state, np.zeros(2), np.array([3.0, 0.0]))
         assert np.array_equal(d, np.array([1.0, 0.0]))
@@ -126,7 +128,7 @@ class TestProposeDirection:
 
 class TestSafeguardedDirection:
     def test_sgd_pass_through(self):
-        state = DirectionState(kind="sgd")
+        state = Memory(DirectionState(kind="sgd"))
         params = SgrParams(c1=1.0, c2=1.0)
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -137,7 +139,7 @@ class TestSafeguardedDirection:
 
     def test_momentum_restart_on_norm_violation(self):
         # ||raw|| = sqrt(101) > c1 ||g|| = 2
-        state = DirectionState(kind="momentum", beta=1.0)
+        state = Memory(DirectionState(kind="momentum", beta=1.0))
         state.x_prev = np.zeros(2)
         state.g_prev = np.array([1.0, 0.0])
         state.d_prev = np.array([-1.0, 0.0])
@@ -153,13 +155,13 @@ class TestSafeguardedDirection:
         assert state.x_prev is None and state.g_prev is None and state.d_prev is None
 
     def test_zero_gradient_outcome_is_zero(self):
-        state = DirectionState(kind="sgd")
+        state = Memory(DirectionState(kind="sgd"))
         out = safeguarded_direction(state, np.zeros(3), np.zeros(3), SgrParams(c1=1.0, c2=1.0))
         assert out.sgr_pass and not out.restarted
         assert np.all(out.d == 0.0)
 
     def test_nan_raw_direction_restarts_to_negative_gradient(self):
-        state = DirectionState(kind="momentum", beta=0.9)
+        state = Memory(DirectionState(kind="momentum", beta=0.9))
         state.x_prev = np.array([np.nan, 0.0])
         g = np.array([1.0, 2.0])
         out = safeguarded_direction(state, g, np.zeros(2), SgrParams())
@@ -173,8 +175,14 @@ class TestSafeguardedDirection:
         with pytest.raises(InvalidSpecError, match=field):
             DirectionState(kind="momentum", **{field: value})
 
+    def test_the_recipe_holds_no_memory(self):
+        spec = DirectionState(kind="cg", beta=0.5, cg_variant="fr", beta_cap=2.0, epsilon=1e-6)
+        assert [f.name for f in dataclasses.fields(spec)] == ["kind", "beta", "cg_variant", "beta_cap", "epsilon"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.beta = 0.1
+
     def test_unsatisfiable_configuration(self):
-        state = DirectionState(kind="sgd")
+        state = Memory(DirectionState(kind="sgd"))
         with pytest.raises(UnsatisfiableSafeguardError):
             safeguarded_direction(state, np.ones(2), np.zeros(2), SgrParams(c1=0.5, c2=0.1))
         with pytest.raises(UnsatisfiableSafeguardError):
@@ -188,7 +196,7 @@ class TestSafeguardedDirection:
     @settings(max_examples=200, deadline=None)
     def test_post_safeguard_admissibility(self, g, dx, beta):
         # the emitted direction always satisfies both bounds when g != 0
-        state = DirectionState(kind="momentum", beta=beta)
+        state = Memory(DirectionState(kind="momentum", beta=beta))
         state.x_prev = np.zeros(4)
         state.g_prev = g.copy()
         state.d_prev = -g
@@ -209,7 +217,7 @@ class TestSafeguardedDirection:
     def test_outcome_scalars_are_the_trace_expressions(self, g, dx, beta, c2):
         # g_norm, d_norm and dTg are the floats the trace records, bit for
         # bit, whether the raw direction passes or is replaced by -g
-        state = DirectionState(kind="momentum", beta=beta)
+        state = Memory(DirectionState(kind="momentum", beta=beta))
         state.x_prev = np.zeros(5)
         out = safeguarded_direction(state, g, dx, SgrParams(c1=1.5, c2=c2))
         assert out.g_norm == float(np.linalg.norm(g))
@@ -219,7 +227,7 @@ class TestSafeguardedDirection:
 
 def _state_for(kind, beta, a, b):
     """A state of the given kind whose raw direction depends on a and b."""
-    state = DirectionState(kind=kind, beta=beta, beta_cap=10.0)
+    state = Memory(DirectionState(kind=kind, beta=beta, beta_cap=10.0))
     if kind == "momentum":
         state.x_prev = b
     elif kind == "cg":
@@ -270,7 +278,7 @@ class TestUpdateMemoryStoresItsInputs:
         rng = np.random.default_rng(11)
         x_old, g, d = (rng.standard_normal(7) for _ in range(3))
         given_values = [v.copy() for v in (x_old, g, d)]
-        state = DirectionState(kind=kind)
+        state = Memory(DirectionState(kind=kind))
         update_memory(state, x_old, g, d)
         stored = (state.x_prev, state.g_prev, state.d_prev)
         for kept, arg, value in zip(stored, (x_old, g, d), given_values):
@@ -312,7 +320,7 @@ class TestBoundedEigenvalueSufficiency:
 
 class TestUpdateMemory:
     def test_first_update_populates_memory(self):
-        state = DirectionState(kind="momentum", beta=0.5)
+        state = Memory(DirectionState(kind="momentum", beta=0.5))
         x_old = np.array([1.0, 1.0])
         x_new = np.array([0.5, 1.0])
         g = np.array([1.0, 0.0])
@@ -324,7 +332,7 @@ class TestUpdateMemory:
         assert np.array_equal(d, np.array([-0.25, -1.0]))
 
     def test_adagrad_accumulates_squares(self):
-        state = DirectionState(kind="adagrad_diag")
+        state = Memory(DirectionState(kind="adagrad_diag"))
         g = np.array([1.0, 2.0])
         update_memory(state, np.zeros(2), g, -g)
         assert np.array_equal(state.accum, np.array([1.0, 4.0]))
@@ -332,7 +340,7 @@ class TestUpdateMemory:
         assert np.array_equal(state.accum, np.array([2.0, 8.0]))
 
     def test_cg_memory_after_restart_stores_fallback(self):
-        state = DirectionState(kind="cg", cg_variant="pr+", beta_cap=10.0)
+        state = Memory(DirectionState(kind="cg", cg_variant="pr+", beta_cap=10.0))
         state.g_prev = np.array([1e-8, 0.0])
         state.d_prev = np.array([1e6, 1e6])
         g = np.array([1.0, 0.0])
@@ -341,13 +349,24 @@ class TestUpdateMemory:
         update_memory(state, np.zeros(2), g, out.d)
         assert np.array_equal(state.d_prev, -g)
 
-    def test_fresh_clears_memory_only(self):
-        state = DirectionState(kind="momentum", beta=0.7)
-        state.x_prev = np.ones(2)
-        fresh = state.fresh()
-        assert fresh.beta == 0.7
-        assert fresh.x_prev is None
-        assert state.x_prev is not None  # original untouched
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_package_calls_are_one_row_of_memory_rows(self, kind):
+        # slsopt.safeguarded_direction and update_memory on a MemoryRows of
+        # one row give the one-gradient reference's floats, restarts included
+        spec = DirectionState(kind=kind, beta=1.5, beta_cap=10.0)
+        rng = np.random.default_rng(5)
+        memory, state = MemoryRows(spec, 1, 3), Memory(spec)
+        x = rng.standard_normal(3)
+        for _ in range(6):
+            g = rng.standard_normal(3)
+            out = slsopt.safeguarded_direction(memory, g, x, SgrParams(c1=1.5, c2=0.5))
+            want = safeguarded_direction(state, g, x, SgrParams(c1=1.5, c2=0.5))
+            assert out.d.tobytes() == want.d.tobytes()
+            assert (out.violated, out.g_norm, out.d_norm, out.dTg) == (want.violated, want.g_norm, want.d_norm, want.dTg)
+            x_new = x + 0.1 * out.d
+            slsopt.update_memory(memory, x, g, out.d)
+            update_memory(state, x, g, want.d)
+            x = x_new
 
 
 # Finite entries that cannot overflow the recipes below; subnormals and
@@ -369,7 +388,7 @@ class TestOneBufferDirections:
     @settings(max_examples=200, deadline=None)
     def test_momentum(self, vecs, beta):
         g, x, x_prev = vecs
-        state = DirectionState(kind="momentum", beta=beta)
+        state = Memory(DirectionState(kind="momentum", beta=beta))
         state.x_prev = x_prev
         want = -g + beta * (x - x_prev)
         assert propose_direction(state, g, x).tobytes() == want.tobytes()
@@ -382,7 +401,7 @@ class TestOneBufferDirections:
     @settings(max_examples=200, deadline=None)
     def test_cg(self, vecs, variant, beta_cap):
         g, g_prev, d_prev = vecs
-        state = DirectionState(kind="cg", cg_variant=variant, beta_cap=beta_cap)
+        state = Memory(DirectionState(kind="cg", cg_variant=variant, beta_cap=beta_cap))
         state.g_prev, state.d_prev = g_prev, d_prev
         denom = float(g_prev @ g_prev)
         if denom == 0.0:
@@ -403,7 +422,7 @@ class TestOneBufferDirections:
     def test_adagrad(self, vecs, epsilon, empty):
         g, acc = vecs
         g = g - acc  # both signs and signed zeros
-        state = DirectionState(kind="adagrad_diag", epsilon=epsilon)
+        state = Memory(DirectionState(kind="adagrad_diag", epsilon=epsilon))
         if empty:
             acc = np.zeros_like(g)
         else:
@@ -423,23 +442,23 @@ class TestDirectionRows:
     def test_overflowing_and_nan_beta_keep_the_scalar_meaning(self, variant):
         # beta_k = 1e300 / 1e-20 overflows to inf and is capped; a NaN row
         # stays NaN under fr and is clipped to 0 under pr+; no warning either way
-        state = DirectionState(kind="cg", cg_variant=variant, beta_cap=2.0)
+        state = Memory(DirectionState(kind="cg", cg_variant=variant, beta_cap=2.0))
         state.g_prev = np.array([1e-10, 0.0])
         state.d_prev = np.array([1.0, -1.0])
         G = np.array([[1e150, 0.0], [np.nan, 1.0], [0.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            D = MemoryRows.broadcast(state, *G.shape).propose(G, np.zeros(2))
+            D = memory_rows([state], 2).broadcast(0, len(G)).propose(G, np.zeros(2))
             rows = np.stack([propose_direction(state, g, np.zeros(2)) for g in G])
         assert D.tobytes() == rows.tobytes()
         assert np.array_equal(D[0], 2.0 * state.d_prev - G[0])
 
-    def test_negates_gradient_until_the_first_update(self):
-        memory = dict(x_prev=np.ones(2), g_prev=np.ones(2), d_prev=-np.ones(2), accum=np.ones(2))
+    def test_uses_memory_from_the_first_update(self):
         for kind in KINDS:
-            assert DirectionState(kind=kind).negates_gradient == (kind != "adagrad_diag")
-            assert DirectionState(kind=kind, **memory).negates_gradient == (kind == "sgd")
-        assert DirectionState(kind="cg", g_prev=np.ones(2)).negates_gradient
+            memory = MemoryRows(DirectionState(kind=kind), 2, 2)
+            assert [memory.uses_memory(k) for k in (0, 1)] == [kind == "adagrad_diag"] * 2
+            memory.update(np.array([False, True]), np.ones((2, 2)), np.ones((2, 2)), -np.ones((2, 2)))
+            assert [memory.uses_memory(k) for k in (0, 1)] == [kind == "adagrad_diag", kind != "sgd"]
 
 
 @st.composite
@@ -463,27 +482,22 @@ def _lockstep_rows(draw):
 
 
 def _memories(spec, rows):
-    """A MemoryRows and the K DirectionStates it stands for."""
-    n = len(rows[0][1])
-    memory_rows = MemoryRows(spec, len(rows), n)
+    """A MemoryRows and the K one-gradient Memory objects it stands for."""
     states = []
-    for k, (memory, _, _) in enumerate(rows):
-        state = spec.fresh()
+    for memory, _, _ in rows:
+        state = Memory(spec)
         if memory is not None:
             # update_memory sets the three history fields together, and accum
             # only for adagrad_diag
             state.x_prev, state.g_prev, state.d_prev = memory["x_prev"], memory["g_prev"], memory["d_prev"]
             if spec.kind == "adagrad_diag":
                 state.accum = memory["accum"]
-            for name in MemoryRows.FIELDS[spec.kind]:
-                getattr(memory_rows, name)[k] = memory[name]
-            memory_rows.has_history[k] = True
         states.append(state)
-    return memory_rows, states
+    return memory_rows(states, len(rows[0][1])), states
 
 
 class TestMemoryRows:
-    """Each row of a MemoryRows behaves as its own run's DirectionState."""
+    """Each row of a MemoryRows behaves as its own run's one-gradient Memory."""
 
     @given(
         rows=_lockstep_rows(),
@@ -511,8 +525,7 @@ class TestMemoryRows:
             out = safeguarded_direction(state, G[k], X[k], params)
             assert D[k].tobytes() == out.d.tobytes()
             assert (violated[k], g_norm[k], d_norm[k], dTg[k]) == (out.violated, out.g_norm, out.d_norm, out.dTg)
-            if kind in ("momentum", "cg"):
-                assert memory_rows.has_history[k] == (not state.negates_gradient)
+            assert memory_rows.uses_memory(k) == (not state.negates_gradient)
 
         stepped = np.array(step[: len(rows)])
         before = {name: getattr(memory_rows, name).copy() for name in MemoryRows.FIELDS[kind]}
@@ -540,8 +553,7 @@ class TestMemoryRows:
             warnings.simplefilter("error")
             D = memory_rows.propose(G, np.zeros((3, 2)))
         for k in range(3):
-            state = DirectionState(kind="cg", cg_variant=variant, beta_cap=2.0,
-                                   g_prev=memory_rows.g_prev[k], d_prev=memory_rows.d_prev[k])
+            state = Memory(spec, g_prev=memory_rows.g_prev[k], d_prev=memory_rows.d_prev[k])
             assert D[k].tobytes() == propose_direction(state, G[k], np.zeros(2)).tobytes()
 
     def test_keep_drops_rows(self):
@@ -552,3 +564,57 @@ class TestMemoryRows:
         assert memory_rows.g_prev.tolist() == [[0.0, 1.0], [4.0, 5.0]]
         assert memory_rows.d_prev.shape == (2, 2)
         assert memory_rows.has_history.tolist() == [True, True]
+
+
+@st.composite
+def _live_memory(draw):
+    """A MemoryRows of K in [1, 4] rows after random propose, safeguard and update steps.
+
+    (c1, c2) = (1, 1) admits only -g, so every other proposal restarts its
+    row; (1.5, 0.5) restarts some; the step masks leave some rows behind.
+    Returns the memory, gradient rows at its rows' cg corners and an iterate.
+    """
+    spec = DirectionState(
+        kind=draw(st.sampled_from(KINDS)),
+        cg_variant=draw(st.sampled_from(CG_VARIANTS)),
+        beta=draw(st.floats(-2.0, 2.0)),
+        beta_cap=draw(st.floats(1e-3, 10.0)),
+    )
+    K, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    elements = st.floats(-1e3, 1e3)  # signed zeros and subnormals included
+    memory = MemoryRows(spec, K, n)
+    for _ in range(draw(st.integers(0, 5))):
+        G = draw(arrays(np.float64, (K, n), elements=elements))
+        X = draw(arrays(np.float64, (K, n), elements=elements))
+        params = SgrParams(*draw(st.sampled_from([(1.0, 1.0), (1.5, 0.5), (10.0, 0.1)])))
+        D = memory.propose(G, X)
+        memory.safeguard(D, G, memory.gradient_squares(G), params)
+        step = np.array(draw(st.lists(st.booleans(), min_size=K, max_size=K)))
+        memory.update(None if step.all() else step, X, G, D)
+    G = list(draw(arrays(np.float64, (draw(st.integers(0, 3)), n), elements=elements)))
+    for k in range(K):
+        g_prev = memory.g_prev[k] if spec.kind == "cg" else np.ones(n)
+        G += draw(st.lists(st.sampled_from([np.zeros(n), g_prev, 0.5 * g_prev, 1e3 * g_prev]), max_size=2))
+    if not G:
+        G.append(np.zeros(n))
+    return memory, np.stack(G), draw(arrays(np.float64, n, elements=elements))
+
+
+class TestBroadcastLiveRow:
+    @given(case=_live_memory())
+    @settings(max_examples=200, deadline=None)
+    def test_broadcast_row_is_the_reference_recipe_on_that_row(self, case):
+        # any row of a memory that has run, restarted and skipped steps
+        memory, G, x = case
+        fields = ["has_history", *MemoryRows.FIELDS[memory.spec.kind]]
+        for k in range(len(memory.has_history)):
+            before = {name: getattr(memory, name) for name in fields}
+            values = {name: v.copy() for name, v in before.items()}
+            D = memory.broadcast(k, len(G)).propose(G, x)
+            state = row_memory(memory, k)
+            want = np.stack([propose_direction(state, g, x) for g in G])
+            assert D.tobytes() == want.tobytes()
+            for name in fields:
+                # the memory is read, never written or replaced
+                assert getattr(memory, name) is before[name]
+                assert getattr(memory, name).tobytes() == values[name].tobytes()

@@ -27,7 +27,7 @@ from slsopt import (
 )
 from slsopt import cli, optimizer
 from slsopt.config import build_problem, build_run_config, read_config
-from slsopt.directions import MemoryRows, safeguarded_direction
+from slsopt.directions import MemoryRows
 from slsopt.errors import (
     CertificateError,
     ConfigError,
@@ -43,6 +43,7 @@ from slsopt.problems import _all_finite
 from slsopt.traceio import trace_to_csv
 
 from conftest import reference_run
+from one_gradient import Memory, safeguarded_direction
 
 
 def unit_quadratic():
@@ -839,7 +840,7 @@ class TestOverflowingSquares:
         # fails, and the restart measures -g, whose square overflows too
         g = np.array([1e308, 0.0])
         spec = DirectionState(kind="momentum", beta=1.5)
-        state = dataclasses.replace(spec, x_prev=np.array([-1e308, 0.0]), g_prev=g, d_prev=g)
+        state = Memory(spec, x_prev=np.array([-1e308, 0.0]), g_prev=g, d_prev=g)
         memory = MemoryRows(spec, 1, 2)
         memory.x_prev[0] = state.x_prev
         memory.has_history[0] = True

@@ -27,6 +27,7 @@ from slsopt.errors import (
 from slsopt.problems import _all_finite, _multiply_unbuffered, as_vector, ray_phi
 
 from conftest import central_diff_grad, component_grads, make_toy2
+from one_gradient import one_row
 
 
 class TestEvaluateBatch:
@@ -335,7 +336,7 @@ class TestComponentGradsOwnership:
             assert grads(slice(1, 4), out).tobytes() == want.tobytes()
             # exact_moments centres the gradient and direction blocks in place
             exact_moments(p, x)
-            exact_moments(p, x, DirectionState(kind="momentum", x_prev=np.zeros(p.n)))
+            exact_moments(p, x, one_row(DirectionState(kind="momentum"), p.n, x_prev=np.zeros(p.n)))
             assert all(np.array_equal(a, b) for a, b in zip(data, before))
 
 
@@ -402,7 +403,7 @@ def _ray_instance(family, seed):
 
 def _ray(p, i, x, d):
     """phi(a) = f_i(x + a d) as the sampled oracle builds it."""
-    return p.batch_eval_ray(i, x)[2](d)
+    return evaluate_batch(p, i, x)[2](d)
 
 
 def _closed_form_coefficients(p, row, x, d):
@@ -499,7 +500,7 @@ class TestBatchRay:
 
 
 class TestBatchEvalRows:
-    """The stacked oracle gives each row the floats of batch_eval_ray."""
+    """The stacked oracle gives each row the floats of evaluate_batch."""
 
     @given(
         family=st.sampled_from(["least_squares", "two_factor"]),
@@ -518,7 +519,7 @@ class TestBatchEvalRows:
         C1, C2 = ray_rows(D)
         assert G.shape == (K, p.n)
         for k, i in enumerate(idx.tolist()):
-            f, g, ray = p.batch_eval_ray(i, X[k].copy())
+            f, g, ray = evaluate_batch(p, i, X[k].copy())
             assert 0.5 * R0[k] * R0[k] == f
             assert G[k].tobytes() == g.tobytes()
             c1, c2 = _closed_form_coefficients(p, p.A[i], X[k], D[k])
