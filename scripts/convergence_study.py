@@ -22,7 +22,7 @@ from slsopt import (
     SgrParams,
     fit_geometric_rate,
     gen_interpolating_least_squares,
-    run,
+    run_many,
 )
 from slsopt.plotting import convergence_svg
 
@@ -67,21 +67,18 @@ def main():
 
     series = []
     for kind, settings in KIND_SETTINGS.items():
-        outcomes = []
-        for seed in range(args.seeds):
-            cfg = RunConfig(
-                problem=problem,
-                direction=DirectionState(kind=kind, beta=settings["beta"],
-                                         beta_cap=settings["beta_cap"]),
-                linesearch=LineSearchParams(gamma=0.1, delta=0.5, alpha_max=10.0),
-                sgr=settings["sgr"],
-                max_iters=args.max_iters,
-                grad_tol=0.0,
-                fgap_tol=args.fgap_tol,
-                seed=seed,
-                trace_full_oracle_every=10,
-            )
-            outcomes.append(run(cfg))
+        cfg = RunConfig(
+            problem=problem,
+            direction=DirectionState(kind=kind, beta=settings["beta"],
+                                     beta_cap=settings["beta_cap"]),
+            linesearch=LineSearchParams(gamma=0.1, delta=0.5, alpha_max=10.0),
+            sgr=settings["sgr"],
+            max_iters=args.max_iters,
+            grad_tol=0.0,
+            fgap_tol=args.fgap_tol,
+            trace_full_oracle_every=10,
+        )
+        outcomes = run_many(cfg, range(args.seeds))
         conv = sum(1 for r in outcomes if r.status.startswith("converged"))
         iters = int(np.median([len(r.trajectory) for r in outcomes]))
         rows = [r for res in outcomes for r in res.trajectory]

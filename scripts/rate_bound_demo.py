@@ -25,8 +25,9 @@ from slsopt import (
     compute_eta,
     estimate_c3,
     estimate_rho,
+    exact_moments,
     gen_interpolating_least_squares,
-    run,
+    run_many,
 )
 from slsopt.plotting import convergence_svg
 
@@ -47,8 +48,9 @@ def main():
     )
     rng = np.random.default_rng(1)
     points = [rng.standard_normal(problem.n) for _ in range(50)]
-    rho_hat = estimate_rho(problem, points)
-    c3_hat = estimate_c3(problem, points)
+    moments = exact_moments(problem, points)
+    rho_hat, _ = estimate_rho(moments)
+    c3_hat, _ = estimate_c3(moments)
 
     ls = LineSearchParams(gamma=args.gamma, delta=args.delta, alpha_max=args.alpha_max)
     constants = TheoremConstants(
@@ -64,14 +66,14 @@ def main():
         return
 
     x0 = np.random.default_rng(999).standard_normal(problem.n) / 2.0
+    cfg = RunConfig(
+        problem=problem, direction=DirectionState(kind="sgd"), linesearch=ls,
+        sgr=SgrParams(c1=1.0, c2=1.0), max_iters=args.iters, grad_tol=0.0,
+        fgap_tol=0.0, trace_full_oracle_every=1, x0=x0,
+    )
     gap_by_k = {}
-    for seed in range(args.seeds):
-        cfg = RunConfig(
-            problem=problem, direction=DirectionState(kind="sgd"), linesearch=ls,
-            sgr=SgrParams(c1=1.0, c2=1.0), max_iters=args.iters, grad_tol=0.0,
-            fgap_tol=0.0, seed=seed, trace_full_oracle_every=1, x0=x0,
-        )
-        for r in run(cfg).trajectory:
+    for result in run_many(cfg, range(args.seeds)):
+        for r in result.trajectory:
             if r.f_full is not None:
                 gap_by_k.setdefault(r.k, []).append(r.f_full)
 

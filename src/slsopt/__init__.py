@@ -13,19 +13,13 @@ from .diagnostics import (
     LemmaBoundsReport,
     MomentReport,
     TheoremConstants,
-    c3_from_moments,
     compute_eta,
     estimate_c3,
     estimate_pl,
     estimate_rho,
     estimate_wgc,
     exact_moments,
-    exact_moments_many,
-    lemma_bounds_from_moments,
-    pl_from_moments,
-    rho_from_moments,
     verify_lemma_bounds,
-    wgc_from_moments,
 )
 from .directions import (
     CG_VARIANTS,

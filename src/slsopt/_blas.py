@@ -7,9 +7,8 @@ depends on the thread count. Inside ``single_thread()`` every BLAS call runs
 on the calling thread, so the result depends on the inputs alone.
 
 ``optimizer.run_many`` (and so ``optimizer.run``, its group of one seed),
-each sweep task, both instance generators and
-``diagnostics.exact_moments_many`` (and so ``exact_moments`` and
-``diagnose``) hold the pin. Building under it makes an instance a function
+each sweep task, both instance generators and ``diagnostics.exact_moments``
+(and so ``diagnose``) hold the pin. Building under it makes an instance a function
 of its spec, and it keeps the build from waking an OpenBLAS worker that
 would then spin through the run after it. A moment pass is one residual
 pass per point, a matrix-vector product, and then two sweeps over blocks

@@ -148,11 +148,12 @@ def _sample_points(problem, rng, count):
 def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, samples_csv=None) -> int:
     """Estimate the regularity constants on sampled points and print them.
 
-    One exact_moments_many call reduces the N component gradients of every
-    point to a moment record, with one residual pass per point and two
+    One diagnostics.exact_moments call reduces the N component gradients of
+    every point to a moment record, with one residual pass per point and two
     sweeps over blocks of rows shared by all points, on one BLAS thread;
-    every estimate, slack and samples-CSV row then reads the records. The
-    directions come from a fresh memory of one row, as at a run's start.
+    every estimate_*, verify_lemma_bounds and samples-CSV row then reads the
+    records. The directions come from a fresh memory of one row, as at a
+    run's start.
     """
     if num_points < 1:
         raise ConfigError(f"--points must be >= 1, got {num_points}")
@@ -166,11 +167,11 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
     rng = np.random.default_rng(cfg.run.seed)
     points = _sample_points(problem, rng, num_points)
     known = problem.known
-    moments = diagnostics.exact_moments_many(problem, points, memory)
+    moments = diagnostics.exact_moments(problem, points, memory)
 
-    rho_hat, rho_point = diagnostics.rho_from_moments(moments)
+    rho_hat, rho_point = diagnostics.estimate_rho(moments)
     try:
-        c3_hat, c3_point = diagnostics.c3_from_moments(moments)
+        c3_hat, c3_point = diagnostics.estimate_c3(moments)
     except UndefinedEstimateError:
         # zero gradient variance everywhere makes the covariance bound
         # vacuous; any nonnegative constant works, so report the infimum
@@ -185,8 +186,8 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
             "growth and gradient-domination estimates need known f_star and L; "
             "this instance records neither smoothness constant"
         )
-    wgc_hat, _ = diagnostics.wgc_from_moments(moments, known.f_star, known.L)
-    mu_hat, _ = diagnostics.pl_from_moments(moments, known.f_star)
+    wgc_hat, _ = diagnostics.estimate_wgc(moments, known.f_star, known.L)
+    mu_hat, _ = diagnostics.estimate_pl(moments, known.f_star)
     print(f"mu_hat = {mu_hat!r}")
     print(f"wgc_hat = {wgc_hat!r}")
 
@@ -211,7 +212,7 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
     print(f"rate_certified = {'true' if report.certified else 'false'}")
 
     if constants.lemma_applicable:
-        reps = [diagnostics.lemma_bounds_from_moments(m, constants) for m in moments]
+        reps = [diagnostics.verify_lemma_bounds(m, constants) for m in moments]
         print(f"lemma_norm_min_slack = {min(r.norm_slack for r in reps)!r}")
         print(f"lemma_descent_min_slack = {min(r.descent_slack for r in reps)!r}")
     else:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _blas
 from .directions import MemoryRows
-from .errors import DomainError, NumericDomainError, UndefinedEstimateError, UnsupportedProblemError
+from .errors import DomainError, NumericDomainError, UndefinedEstimateError
 from .problems import ResidualProblem, Vector, as_vector
 
 __all__ = [
@@ -34,17 +34,11 @@ __all__ = [
     "EtaReport",
     "LemmaBoundsReport",
     "exact_moments",
-    "exact_moments_many",
     "estimate_c3",
     "estimate_rho",
     "estimate_wgc",
     "estimate_pl",
     "verify_lemma_bounds",
-    "rho_from_moments",
-    "c3_from_moments",
-    "wgc_from_moments",
-    "pl_from_moments",
-    "lemma_bounds_from_moments",
     "compute_eta",
 ]
 
@@ -74,7 +68,7 @@ _BLOCK_BYTES = 256 * 1024
 
 
 def _blocks(N: int, n: int) -> list[slice]:
-    """The blocks of rows of an (N, n) matrix that exact_moments_many forms.
+    """The blocks of rows of an (N, n) matrix that exact_moments forms.
 
     Each holds _BLOCK_BYTES of rows, and at least two, since numpy's
     ``einsum`` dots a single long row in another order than the same row of
@@ -115,15 +109,8 @@ def _row_dots(P, Q):
     return np.einsum("ij,ij->i", P, Q)
 
 
-def exact_moments(problem: ResidualProblem, x, memory: MemoryRows | None = None) -> MomentReport:
-    """Moments and f at x: exact_moments_many's group of one point."""
-    return exact_moments_many(problem, [x], memory)[0]
-
-
 @_blas.single_thread()
-def exact_moments_many(
-    problem: ResidualProblem, points, memory: MemoryRows | None = None
-) -> list[MomentReport]:
+def exact_moments(problem: ResidualProblem, points, memory: MemoryRows | None = None) -> list[MomentReport]:
     """Moments and f at each point, as exact uniform averages over the N singleton batches.
 
     One residual pass per point gives its f and every component gradient.
@@ -212,7 +199,7 @@ def _first_best(ratios: Iterable[float | None], better, undefined: str) -> tuple
     return best, point
 
 
-def rho_from_moments(moments: Iterable[MomentReport], tol: float = 1e-10) -> tuple[float, int]:
+def estimate_rho(moments: Iterable[MomentReport], tol: float = 1e-10) -> tuple[float, int]:
     """Strong-growth ratio max E||g||^2 / ||grad f||^2 and the first point attaining it.
 
     Points whose full gradient norm is at most tol are skipped; the ratio is
@@ -233,7 +220,7 @@ def rho_from_moments(moments: Iterable[MomentReport], tol: float = 1e-10) -> tup
     return max(best, 1.0), point
 
 
-def c3_from_moments(moments: Iterable[MomentReport]) -> tuple[float, int]:
+def estimate_c3(moments: Iterable[MomentReport]) -> tuple[float, int]:
     """Covariance coefficient max max(0, -cov_dg) / var_g and the first point attaining it.
 
     Points with zero gradient variance are skipped.
@@ -245,10 +232,13 @@ def c3_from_moments(moments: Iterable[MomentReport]) -> tuple[float, int]:
     return _first_best(map(ratio, moments), operator.gt, "gradient variance vanished at every sample")
 
 
-def wgc_from_moments(
+def estimate_wgc(
     moments: Iterable[MomentReport], f_star: float, L: float, tol: float = 1e-12
 ) -> tuple[float, int]:
-    """Weak-growth ratio max E||g||^2 / (2 L (f - f_star)) over exact_moments records."""
+    """Weak-growth ratio max E||g||^2 / (2 L (f - f_star)) and the first point attaining it.
+
+    Points whose gap f - f_star is at most tol are skipped.
+    """
     if L <= 0:
         raise DomainError(f"L must be > 0, got {L}")
 
@@ -259,52 +249,17 @@ def wgc_from_moments(
     return _first_best(map(ratio, moments), operator.gt, "no sample had a positive optimality gap")
 
 
-def pl_from_moments(moments: Iterable[MomentReport], f_star: float, tol: float = 1e-12) -> tuple[float, int]:
-    """Gradient-domination constant min ||grad f||^2 / (2 (f - f_star)) over exact_moments records."""
+def estimate_pl(moments: Iterable[MomentReport], f_star: float, tol: float = 1e-12) -> tuple[float, int]:
+    """Gradient-domination constant min ||grad f||^2 / (2 (f - f_star)) and the first point attaining it.
+
+    Points whose gap is at most tol are skipped (0/0 at the optimum).
+    """
 
     def ratio(m):
         gap = m.f - f_star
         return None if gap <= tol else float(m.E_g @ m.E_g) / (2.0 * gap)
 
     return _first_best(map(ratio, moments), operator.lt, "no sample had a positive optimality gap")
-
-
-def estimate_c3(problem: ResidualProblem, x_samples, memory: MemoryRows | None = None) -> float:
-    """Smallest anti-correlation coefficient covering all sampled points.
-
-    Returns max over samples of max(0, -cov_dg) / var_g, skipping points with
-    zero gradient variance; errors out if every sample is degenerate.
-    """
-    return c3_from_moments(exact_moments_many(problem, x_samples, memory))[0]
-
-
-def estimate_rho(problem: ResidualProblem, x_samples, tol: float = 1e-10) -> float:
-    """Sampled strong-growth ratio max E||g||^2 / ||grad f||^2; always >= 1."""
-    return rho_from_moments(exact_moments_many(problem, x_samples), tol)[0]
-
-
-def _require_f_star(problem):
-    if problem.known is None or problem.known.f_star is None:
-        raise UnsupportedProblemError("this estimate needs a problem with known f_star")
-    return problem.known.f_star
-
-
-def estimate_wgc(problem: ResidualProblem, x_samples, L: float, tol: float = 1e-12) -> float:
-    """Sampled weak-growth ratio max E||g||^2 / (2 L (f - f_star))."""
-    if L <= 0:
-        raise DomainError(f"L must be > 0, got {L}")
-    f_star = _require_f_star(problem)
-    return wgc_from_moments(exact_moments_many(problem, x_samples), f_star, L, tol)[0]
-
-
-def estimate_pl(problem: ResidualProblem, x_samples, tol: float = 1e-12) -> float:
-    """Largest gradient-domination constant valid on the sample set.
-
-    Returns min over samples of ||grad f||^2 / (2 (f - f_star)); points at the
-    optimum are excluded (0/0).
-    """
-    f_star = _require_f_star(problem)
-    return pl_from_moments(exact_moments_many(problem, x_samples), f_star, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -394,22 +349,26 @@ class LemmaBoundsReport:
     descent_slack: float
 
 
-def _require_lemma_applicable(constants: TheoremConstants):
+def verify_lemma_bounds(moment: MomentReport, constants: TheoremConstants) -> LemmaBoundsReport:
+    """Check the expected-direction bounds on one exact_moments record.
+
+    The direction is the one the record was taken with (-g without a memory).
+
+        ||E[d]|| <= c1 sqrt(rho) ||grad f||
+        E[d] . grad f <= -sigma ||grad f||^2
+
+    Requires sigma > 0; slacks are rhs - lhs, nonnegative when the bound holds.
+    """
     if not constants.lemma_applicable:
         raise DomainError(
             "constants violate the hypothesis c2 > c3 (1 - 1/rho): "
             f"c2={constants.c2}, c3={constants.c3}, rho={constants.rho}"
         )
-
-
-def lemma_bounds_from_moments(m: MomentReport, constants: TheoremConstants) -> LemmaBoundsReport:
-    """The expected-direction bounds of verify_lemma_bounds, from one moment record."""
-    _require_lemma_applicable(constants)
-    grad = m.E_g
+    grad = moment.E_g
     gnorm = float(np.linalg.norm(grad))
-    norm_lhs = float(np.linalg.norm(m.E_d))
+    norm_lhs = float(np.linalg.norm(moment.E_d))
     norm_rhs = constants.c1 * math.sqrt(constants.rho) * gnorm
-    descent_lhs = float(m.E_d @ grad)
+    descent_lhs = float(moment.E_d @ grad)
     descent_rhs = -constants.sigma * (gnorm * gnorm)
     return LemmaBoundsReport(
         norm_ok=norm_lhs <= norm_rhs,
@@ -417,22 +376,3 @@ def lemma_bounds_from_moments(m: MomentReport, constants: TheoremConstants) -> L
         norm_slack=norm_rhs - norm_lhs,
         descent_slack=descent_rhs - descent_lhs,
     )
-
-
-def verify_lemma_bounds(
-    problem: ResidualProblem,
-    x,
-    constants: TheoremConstants,
-    memory: MemoryRows | None = None,
-) -> LemmaBoundsReport:
-    """Check the expected-direction bounds at x with exact enumeration moments.
-
-    The direction is the recipe with row 0 of ``memory`` (-g without one).
-
-        ||E[d]|| <= c1 sqrt(rho) ||grad f||
-        E[d] . grad f <= -sigma ||grad f||^2
-
-    Requires sigma > 0; slacks are rhs - lhs, nonnegative when the bound holds.
-    """
-    _require_lemma_applicable(constants)
-    return lemma_bounds_from_moments(exact_moments(problem, x, memory), constants)

@@ -12,8 +12,8 @@ direction actually taken always ties to the sampled gradient.
 
 A DirectionState is a recipe: its kind and constants. The memory a recipe
 reads lives only in MemoryRows, one row per run of a lockstep group of
-optimizer.run_many; diagnostics.exact_moments_many broadcasts one row over
-the N component gradients.
+optimizer.run_many; diagnostics.exact_moments broadcasts one row over the N
+component gradients.
 """
 
 from __future__ import annotations

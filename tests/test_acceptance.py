@@ -239,8 +239,9 @@ def test_criterion_06_rate_coefficient_and_certified_bound():
     p = gen_interpolating_least_squares(4, 4, seed=6, singular_values=np.ones(4))
     rng = np.random.default_rng(1)
     points = [rng.standard_normal(p.n) for _ in range(50)]
-    rho_hat = estimate_rho(p, points)
-    c3_hat = estimate_c3(p, points)
+    moments = exact_moments(p, points)
+    rho_hat, _ = estimate_rho(moments)
+    c3_hat, _ = estimate_c3(moments)
     ls = LineSearchParams(gamma=0.5, delta=0.99, alpha_max=0.5)
     constants = TheoremConstants(
         c1=1.0, c2=1.0, c3=c3_hat, rho=rho_hat, mu=p.known.mu, L=p.known.L,
@@ -294,7 +295,7 @@ def test_criterion_07_moment_identities():
             x = rng.standard_normal(p.n)
             state = one_row(spec, p.n, x_prev=x - 0.3 * rng.standard_normal(p.n))
             for direction in (None, state):
-                m = exact_moments(p, x, direction)
+                m = exact_moments(p, [x], direction)[0]
                 lhs = m.E_dTg
                 rhs = float(m.E_d @ m.E_g) + m.cov_dg
                 if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs), abs(rhs)):
@@ -313,15 +314,16 @@ def test_criterion_07_moment_identities():
 def test_criterion_08_expected_direction_bounds(std_instance):
     rng = np.random.default_rng(800)
     points = [rng.standard_normal(std_instance.n) for _ in range(100)]
-    rho_hat = estimate_rho(std_instance, points)
+    moments = exact_moments(std_instance, points)
+    rho_hat, _ = estimate_rho(moments)
     constants = TheoremConstants(
         c1=1.0, c2=1.0, c3=1.0, rho=rho_hat, mu=std_instance.known.mu,
         L=std_instance.known.L, L_max=std_instance.known.L_max,
         gamma=0.1, delta=0.5, alpha_max=10.0,
     )
     worst_norm = worst_descent = np.inf
-    for x in points:
-        rep = verify_lemma_bounds(std_instance, x, constants)
+    for m in moments:
+        rep = verify_lemma_bounds(m, constants)
         worst_norm = min(worst_norm, rep.norm_slack)
         worst_descent = min(worst_descent, rep.descent_slack)
     ok = worst_norm >= -1e-10 and worst_descent >= -1e-10

@@ -373,12 +373,17 @@ class TestCmdDiagnose:
         assert float(rho_line.split(" = ")[1]) == 1.0
 
     def test_nonconvex_exits_four(self, tmp_path, capsys):
+        # the two-factor model records neither f_star nor L: rho_hat and
+        # c3_hat are printed, then the growth and PL estimates are refused
         cfg_path = write_cfg(tmp_path, TOY)
         code = cli.cmd_diagnose(
             cfg_path, num_points=5, overrides=["problem.kind=nonconvex", "problem.n=2", "problem.N=3"]
         )
         assert code == 4
-        assert "undefined" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert [line.split(" = ")[0] for line in out.splitlines()] == ["rho_hat", "c3_hat"]
+        assert err.startswith("estimator undefined for this instance: ")
+        assert "need known f_star and L" in err
 
     def test_samples_csv(self, tmp_path):
         cfg_path = write_cfg(tmp_path, LS)
@@ -420,11 +425,13 @@ class TestCmdDiagnose:
         rng = np.random.default_rng(seed)
         pts = [rng.standard_normal(p.n) for _ in range(k)]
 
-        rho_each = [estimate_rho(p, [x]) for x in pts]
-        c3_each = [estimate_c3(p, [x], state) for x in pts]
-        rho, c3 = estimate_rho(p, pts), max(c3_each)
-        mu = estimate_pl(p, pts)
-        wgc = estimate_wgc(p, pts, p.known.L)
+        singles = [exact_moments(p, [x], state)[0] for x in pts]
+        plain = exact_moments(p, pts)
+        rho_each = [estimate_rho([m])[0] for m in singles]
+        c3_each = [estimate_c3([m])[0] for m in singles]
+        rho, c3 = estimate_rho(plain)[0], max(c3_each)
+        mu, _ = estimate_pl(plain, p.known.f_star)
+        wgc, _ = estimate_wgc(plain, p.known.f_star, p.known.L)
         constants = TheoremConstants(
             c1=sgr.c1, c2=sgr.c2, c3=c3, rho=rho, mu=p.known.mu, L=p.known.L,
             L_max=p.known.L_max, gamma=ls.gamma, delta=ls.delta, alpha_max=ls.alpha_max,
@@ -437,7 +444,7 @@ class TestCmdDiagnose:
             ("rate_certified", str(eta.certified).lower()),
         ]
         if constants.lemma_applicable:
-            reps = [verify_lemma_bounds(p, x, constants, state) for x in pts]
+            reps = [verify_lemma_bounds(m, constants) for m in singles]
             expected += [
                 ("lemma_norm_min_slack", min(r.norm_slack for r in reps)),
                 ("lemma_descent_min_slack", min(r.descent_slack for r in reps)),
@@ -451,8 +458,7 @@ class TestCmdDiagnose:
             assert (float(text) if isinstance(value, float) else text) == value, key
 
         rows = ["index,f,grad_norm,e_norm_g_sq,var_g,rho_ratio"]
-        for i, x in enumerate(pts):
-            m = exact_moments(p, x)
+        for i, (x, m) in enumerate(zip(pts, singles)):
             r = p.A @ x - p.b
             f = float((0.5 * r * r).mean())
             gn = float(np.linalg.norm(m.E_g))
@@ -855,7 +861,7 @@ class TestFailFast:
 
         monkeypatch.setattr(cli.optimizer, "run", spy("optimizer.run"))
         monkeypatch.setattr(cli.optimizer, "run_many", spy("optimizer.run_many"))
-        monkeypatch.setattr(cli.diagnostics, "exact_moments_many", spy("diagnostics.exact_moments_many"))
+        monkeypatch.setattr(cli.diagnostics, "exact_moments", spy("diagnostics.exact_moments"))
         argv = {
             "run_csv": ["run", cfg_path, "--override", f"run.out_csv={missing}"],
             "run_svg": [

@@ -14,7 +14,6 @@ from slsopt import (
     LeastSquaresProblem,
     SgrParams,
     TheoremConstants,
-    c3_from_moments,
     compute_eta,
     estimate_c3,
     estimate_pl,
@@ -22,21 +21,16 @@ from slsopt import (
     estimate_wgc,
     evaluate_batch,
     exact_moments,
-    exact_moments_many,
     full_oracle,
     gen_interpolating_least_squares,
     gen_nonconvex_interpolating,
-    lemma_bounds_from_moments,
-    pl_from_moments,
-    rho_from_moments,
     safeguarded_direction,
     update_memory,
     verify_lemma_bounds,
-    wgc_from_moments,
 )
 from slsopt import diagnostics
 from slsopt.directions import MemoryRows
-from slsopt.errors import DomainError, UndefinedEstimateError, UnsupportedProblemError
+from slsopt.errors import DomainError, UndefinedEstimateError
 
 from conftest import component_grads, make_toy2, moments_from_samples, reference_moments
 from one_gradient import one_row, propose_direction, row_memory
@@ -54,7 +48,7 @@ class TestExactMoments:
     def test_two_component_enumeration(self):
         # component gradients x and 4x at x = 1: mean (1 + 4) / 2, mean
         # square (1 + 16) / 2, variance ((1 - 2.5)^2 + (4 - 2.5)^2) / 2
-        m = exact_moments(make_toy2(), X1)
+        m = exact_moments(make_toy2(), [X1])[0]
         assert m.E_g[0] == 2.5
         assert m.E_norm_g_sq == 8.5
         assert m.var_g == 2.25
@@ -62,7 +56,7 @@ class TestExactMoments:
         assert m.E_dTg == -8.5
 
     def test_negative_gradient_has_cov_minus_var(self):
-        m = exact_moments(make_toy2(), X1)
+        m = exact_moments(make_toy2(), [X1])[0]
         assert m.cov_dg == -m.var_g
 
     def test_constant_rule_has_zero_covariance(self):
@@ -84,7 +78,7 @@ class TestExactMoments:
                 x = rng.standard_normal(p.n)
                 state = one_row(spec, p.n, x_prev=x - rng.standard_normal(p.n))
                 for direction in (None, state):
-                    m = exact_moments(p, x, direction)
+                    m = exact_moments(p, [x], direction)[0]
                     lhs = m.E_dTg
                     rhs = float(m.E_d @ m.E_g) + m.cov_dg
                     scale = max(1.0, abs(lhs), abs(rhs))
@@ -96,8 +90,7 @@ class TestExactMoments:
     def test_jensen_consistency(self):
         p = gen_interpolating_least_squares(5, 7, seed=3, singular_values=[0.5, 2.0])
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            m = exact_moments(p, rng.standard_normal(p.n))
+        for m in exact_moments(p, [rng.standard_normal(p.n) for _ in range(50)]):
             assert float(m.E_g @ m.E_g) <= m.E_norm_g_sq + 1e-12
 
 
@@ -105,7 +98,7 @@ class TestEstimateC3:
     def test_negative_gradient_rule_gives_one(self, ):
         rng = np.random.default_rng(4)
         pts = [rng.standard_normal(1) for _ in range(10)]
-        assert estimate_c3(make_toy2(), pts) == 1.0
+        assert estimate_c3(exact_moments(make_toy2(), pts)) == (1.0, 0)
 
     def test_constant_rule_gives_zero(self):
         rng = np.random.default_rng(4)
@@ -115,7 +108,7 @@ class TestEstimateC3:
         for x in pts:
             G = component_grads(p, x)
             moments.append(moments_from_samples(x, G, np.full_like(G, 3.0)))
-        assert c3_from_moments(moments) == (0.0, 0)
+        assert estimate_c3(moments) == (0.0, 0)
 
     def test_momentum_rule_finite_nonnegative(self):
         p = gen_interpolating_least_squares(10, 15, seed=5, singular_values=np.full(10, 1.5))
@@ -125,39 +118,37 @@ class TestEstimateC3:
         for _ in range(100):
             x = rng.standard_normal(p.n)
             state = one_row(spec, p.n, x_prev=x - 0.1 * rng.standard_normal(p.n))
-            values.append(estimate_c3(p, [x], state))
+            values.append(estimate_c3(exact_moments(p, [x], state))[0])
         assert all(np.isfinite(v) and v >= 0 for v in values)
 
     def test_undefined_when_variance_vanishes(self):
         single = LeastSquaresProblem(A=np.array([[1.0]]), b=np.array([0.0]))
         with pytest.raises(UndefinedEstimateError):
-            estimate_c3(single, [np.array([2.0])])
+            estimate_c3(exact_moments(single, [np.array([2.0])]))
 
 
 class TestEstimateRho:
     def test_single_component_is_exactly_one(self):
         single = LeastSquaresProblem(A=np.array([[1.0]]), b=np.array([0.0]))
-        assert estimate_rho(single, [np.array([2.0]), np.array([-1.0])]) == 1.0
+        assert estimate_rho(exact_moments(single, [np.array([2.0]), np.array([-1.0])])) == (1.0, 0)
 
     def test_two_component_value(self):
         # E||g||^2 / ||E g||^2 = 8.5 / 2.5^2 at x = 1
-        assert estimate_rho(make_toy2(), [X1]) == pytest.approx(8.5 / 6.25, rel=1e-14)
+        assert estimate_rho(exact_moments(make_toy2(), [X1]))[0] == pytest.approx(8.5 / 6.25, rel=1e-14)
 
     def test_bounded_along_ray_to_minimizer(self):
         p = gen_interpolating_least_squares(6, 8, seed=7, singular_values=[1.0, 3.0])
         rng = np.random.default_rng(7)
         v = rng.standard_normal(p.n)
-        ratios = []
-        for t in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            x = p.known.x_star + t * v
-            ratios.append(estimate_rho(p, [x]))
+        points = [p.known.x_star + t * v for t in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
+        ratios = [estimate_rho([m])[0] for m in exact_moments(p, points)]
         # scale invariance of the ratio along the ray keeps it bounded
         assert max(ratios) / min(ratios) < 1.0 + 1e-6
 
     def test_undefined_at_minimizer_only(self):
         p = gen_interpolating_least_squares(4, 6, seed=8, singular_values=[1.0])
         with pytest.raises(UndefinedEstimateError):
-            estimate_rho(p, [p.known.x_star])
+            estimate_rho(exact_moments(p, [p.known.x_star]))
 
 
 class TestEstimateWgcPl:
@@ -169,20 +160,21 @@ class TestEstimateWgcPl:
             known=KnownConstants(L=1.0, L_max=1.0, mu=1.0, f_star=0.0, x_star=np.zeros(1)),
         )
         pts = [np.array([v]) for v in (0.5, -2.0, 3.0)]
-        assert estimate_wgc(single, pts, L=1.0) == pytest.approx(1.0, rel=1e-14)
-        assert estimate_pl(single, pts) == pytest.approx(1.0, rel=1e-14)
+        moments = exact_moments(single, pts)
+        assert estimate_wgc(moments, 0.0, L=1.0)[0] == pytest.approx(1.0, rel=1e-14)
+        assert estimate_pl(moments, 0.0)[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_least_squares_pl_at_least_known_mu(self):
         p = gen_interpolating_least_squares(6, 10, seed=9, singular_values=[1.0, 2.0, 3.0])
         rng = np.random.default_rng(9)
         pts = [rng.standard_normal(p.n) for _ in range(100)]
-        assert estimate_pl(p, pts) >= p.known.mu - 1e-9
+        assert estimate_pl(exact_moments(p, pts), p.known.f_star)[0] >= p.known.mu - 1e-9
 
     def test_wgc_finite_on_interpolating_instance(self):
         p = gen_interpolating_least_squares(6, 10, seed=10, singular_values=[1.0, 2.0])
         rng = np.random.default_rng(10)
         pts = [rng.standard_normal(p.n) for _ in range(50)]
-        w = estimate_wgc(p, pts, L=p.known.L)
+        w, _ = estimate_wgc(exact_moments(p, pts), p.known.f_star, L=p.known.L)
         assert np.isfinite(w) and w > 0
 
     def test_growth_chain_consistency_per_sample(self):
@@ -191,51 +183,43 @@ class TestEstimateWgcPl:
         rng = np.random.default_rng(11)
         pts = [rng.standard_normal(p.n) for _ in range(50)]
         L = p.known.L
-        wgc = estimate_wgc(p, pts, L=L)
-        pl = estimate_pl(p, pts)
-        for x in pts:
-            m = exact_moments(p, x)
+        moments = exact_moments(p, pts)
+        wgc, _ = estimate_wgc(moments, p.known.f_star, L=L)
+        pl, _ = estimate_pl(moments, p.known.f_star)
+        for x, m in zip(pts, moments):
             f, grad = full_oracle(p, x)
             assert m.E_norm_g_sq <= (wgc * L / pl) * float(grad @ grad) * (1.0 + 1e-9)
-
-    def test_unsupported_without_f_star(self):
-        p = LeastSquaresProblem(A=np.array([[1.0, 0.0]]), b=np.array([1.0]))
-        with pytest.raises(UnsupportedProblemError):
-            estimate_wgc(p, [np.zeros(2)], L=1.0)
-        with pytest.raises(UnsupportedProblemError):
-            estimate_pl(p, [np.zeros(2)])
 
 
 class TestVerifyLemmaBounds:
     def test_negative_gradient_direction_satisfies_both(self):
-        toy = make_toy2()
-        rho = estimate_rho(toy, [X1])
-        c = constants_with(rho=rho)
-        rep = verify_lemma_bounds(toy, X1, c)
+        m = exact_moments(make_toy2(), [X1])[0]
+        rho, _ = estimate_rho([m])
+        rep = verify_lemma_bounds(m, constants_with(rho=rho))
         assert rep.norm_ok and rep.descent_ok
         assert rep.norm_slack >= -1e-10 and rep.descent_slack >= -1e-10
 
     def test_single_component_reduces_to_direction_bound(self):
         single = LeastSquaresProblem(A=np.array([[2.0]]), b=np.array([0.0]))
         c = constants_with(rho=1.0, c3=5.0)  # 1 - 1/rho = 0 makes c3 irrelevant
-        rep = verify_lemma_bounds(single, np.array([1.5]), c)
+        rep = verify_lemma_bounds(exact_moments(single, [np.array([1.5])])[0], c)
         assert rep.norm_ok and rep.descent_ok
         assert rep.descent_slack == pytest.approx(0.0, abs=1e-12)
 
     def test_adversarial_rule_violates_descent(self):
         toy = make_toy2()
-        rho = estimate_rho(toy, [X1])
+        rho, _ = estimate_rho(exact_moments(toy, [X1]))
         G = component_grads(toy, X1)
         D = -G
         D[0] += 100.0  # component 0 pushes uphill
-        rep = lemma_bounds_from_moments(moments_from_samples(X1, G, D), constants_with(rho=rho))
+        rep = verify_lemma_bounds(moments_from_samples(X1, G, D), constants_with(rho=rho))
         assert not rep.descent_ok
 
     def test_inapplicable_constants_rejected(self):
         toy = make_toy2()
         bad = constants_with(c2=0.05, c3=1.0, rho=2.0)  # c3 (1 - 1/rho) = 0.5 > c2
         with pytest.raises(DomainError, match="c2 > c3"):
-            verify_lemma_bounds(toy, X1, bad)
+            verify_lemma_bounds(exact_moments(toy, [X1])[0], bad)
 
 
 class TestComputeEta:
@@ -372,7 +356,7 @@ class TestDirectionMatrix:
 
             with mock.patch.object(diagnostics, "_BLOCK_BYTES", 3 * 8 * G.shape[1]), \
                     mock.patch.object(MemoryRows, "propose", spy):
-                exact_moments(_Rows(G), x, state)
+                exact_moments(_Rows(G), [x], state)
             for name, value in kept.items():
                 # the memory is read, never written
                 assert getattr(state, name).tobytes() == value.tobytes()
@@ -426,14 +410,14 @@ class TestRowwiseRule:
             for variant in CG_VARIANTS:
                 spec = DirectionState(kind=kind, cg_variant=variant, beta=beta)
                 for state in (MemoryRows(spec, 1, p.n), one_row(spec, p.n, **memory)):
-                    _assert_same_moments(exact_moments(p, x, state), _per_row_moments(p, x, state))
+                    _assert_same_moments(exact_moments(p, [x], state)[0], _per_row_moments(p, x, state))
 
     def test_fresh_states_negate_the_gradient_except_adagrad(self):
         p = gen_interpolating_least_squares(2, 3, seed=1, singular_values=[1.0, 2.0])
         x = np.array([0.5, -1.0, 2.0])
-        plain = exact_moments(p, x)
+        plain = exact_moments(p, [x])[0]
         for kind in KINDS:
-            m = exact_moments(p, x, MemoryRows(DirectionState(kind=kind), 1, p.n))
+            m = exact_moments(p, [x], MemoryRows(DirectionState(kind=kind), 1, p.n))[0]
             assert np.array_equal(m.E_d, plain.E_d) == (kind != "adagrad_diag")
 
 
@@ -499,7 +483,7 @@ class TestBlockedMoments:
         with mock.patch.object(diagnostics, "_BLOCK_BYTES", 8 * p.n * rows):
             for x in points:
                 for state in [None, *_live_states(p, x, steps, rng)]:
-                    _assert_same_report(exact_moments(p, x, state), reference_moments(p, x, state))
+                    _assert_same_report(exact_moments(p, [x], state)[0], reference_moments(p, x, state))
 
     @given(
         family=st.sampled_from(["least_squares", "two_factor"]),
@@ -536,7 +520,7 @@ class TestBlockedMoments:
         points = [pool[i % len(pool)] for i in picks]
         with mock.patch.object(diagnostics, "_BLOCK_BYTES", 8 * p.n * rows):
             for state in [None, *_live_states(p, points[0], steps, rng)]:
-                reports = exact_moments_many(p, points, state)
+                reports = exact_moments(p, points, state)
                 assert len(reports) == len(points)
                 for x, m in zip(points, reports):
                     _assert_same_report(m, reference_moments(p, x, state))
@@ -559,7 +543,7 @@ class TestBlockedMoments:
         p = _problem(family, 5, n, 9)
         assert [b.stop - b.start for b in diagnostics._blocks(p.N, p.n)] == [2, 3]
         x = np.random.default_rng(9).standard_normal(p.n)
-        _assert_same_report(exact_moments(p, x), reference_moments(p, x))
+        _assert_same_report(exact_moments(p, [x])[0], reference_moments(p, x))
 
     @given(N=st.integers(1, 200), n=st.integers(1, 50_000))
     def test_block_layout(self, N, n):
@@ -593,7 +577,7 @@ class TestOnePassMoments:
             x = rng.standard_normal(p.n)
             state = one_row(DirectionState(kind="momentum", beta=0.9), p.n, x_prev=x - rng.standard_normal(p.n))
             for direction in (None, state):
-                _assert_same_moments(exact_moments(p, x, direction), _per_row_moments(p, x, direction))
+                _assert_same_moments(exact_moments(p, [x], direction)[0], _per_row_moments(p, x, direction))
 
     @pytest.mark.parametrize("make", PROBLEMS[1:], ids=["least_squares", "two_factor"])
     @pytest.mark.parametrize("kind", [None, "momentum", "cg", "adagrad_diag"])
@@ -619,35 +603,38 @@ class TestOnePassMoments:
             D = None
             if state is not None and state.uses_memory(0):
                 D = np.stack([propose_direction(row_memory(state, 0), g, x) for g in G])
-            _assert_same_bits(exact_moments(p, x, state), _out_of_place_moments(G, D))
+            _assert_same_bits(exact_moments(p, [x], state)[0], _out_of_place_moments(G, D))
 
     def test_exact_moments_sets_the_objective_value(self):
         p = gen_interpolating_least_squares(6, 9, seed=1, singular_values=[1.0, 2.0])
         x = np.random.default_rng(3).standard_normal(p.n)
         r = p.A @ x - p.b
-        assert exact_moments(p, x).f == float((0.5 * r * r).mean())
-        assert exact_moments(p, x, MemoryRows(DirectionState(kind="adagrad_diag"), 1, p.n)).f == float((0.5 * r * r).mean())
+        assert exact_moments(p, [x])[0].f == float((0.5 * r * r).mean())
+        assert exact_moments(p, [x], MemoryRows(DirectionState(kind="adagrad_diag"), 1, p.n))[0].f == float((0.5 * r * r).mean())
 
-    def test_reducers_match_estimators_and_name_the_point(self):
+    def test_estimators_name_the_first_point_attaining_the_value(self):
+        # each estimate over the records of one call, against the records of
+        # one-point calls; c3 with an adagrad_diag memory, since it is 1 for -g
         p = gen_interpolating_least_squares(6, 10, seed=11, singular_values=[1.0, 2.0])
         rng = np.random.default_rng(11)
         pts = [rng.standard_normal(p.n) for _ in range(15)]
-        moments = [exact_moments(p, x) for x in pts]
+        memory = one_row(DirectionState(kind="adagrad_diag"), p.n, accum=rng.random(p.n))
         f_star, L = p.known.f_star, p.known.L
         cases = [
-            (rho_from_moments(moments), estimate_rho(p, pts), lambda x: estimate_rho(p, [x]), max),
-            (wgc_from_moments(moments, f_star, L), estimate_wgc(p, pts, L), lambda x: estimate_wgc(p, [x], L), max),
-            (pl_from_moments(moments, f_star), estimate_pl(p, pts), lambda x: estimate_pl(p, [x]), min),
+            (None, estimate_rho, max),
+            (None, lambda ms: estimate_wgc(ms, f_star, L), max),
+            (None, lambda ms: estimate_pl(ms, f_star), min),
+            (memory, estimate_c3, max),
         ]
-        for (value, point), public, single, pick in cases:
-            assert value == public
-            per_point = [single(x) for x in pts]
+        for direction, estimate, pick in cases:
+            value, point = estimate(exact_moments(p, pts, direction))
+            per_point = [estimate(exact_moments(p, [x], direction))[0] for x in pts]
             assert per_point[point] == value == pick(per_point)
             assert point == per_point.index(value)
 
     @staticmethod
     def _peak(kind, P=1):
-        """Peak bytes of one exact_moments_many call at P points, and the problem it ran on."""
+        """Peak bytes of one exact_moments call at P points, and the problem it ran on."""
         p = gen_interpolating_least_squares(1000, 1000, seed=2, singular_values=[1.0, 2.0])
         rng = np.random.default_rng(2)
         points = [rng.standard_normal(p.n) for _ in range(P)]
@@ -655,10 +642,10 @@ class TestOnePassMoments:
         if kind is not None:
             g_prev = np.ones(p.n)
             state = one_row(DirectionState(kind=kind), p.n, x_prev=np.zeros(p.n), g_prev=g_prev, d_prev=-g_prev, accum=g_prev)
-        exact_moments_many(p, points, state)  # warm up lazily allocated numpy state
+        exact_moments(p, points, state)  # warm up lazily allocated numpy state
         tracemalloc.start()
         try:
-            exact_moments_many(p, points, state)
+            exact_moments(p, points, state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -335,8 +335,8 @@ class TestComponentGradsOwnership:
             G[...] = np.nan
             assert grads(slice(1, 4), out).tobytes() == want.tobytes()
             # exact_moments centres the gradient and direction blocks in place
-            exact_moments(p, x)
-            exact_moments(p, x, one_row(DirectionState(kind="momentum"), p.n, x_prev=np.zeros(p.n)))
+            exact_moments(p, [x])
+            exact_moments(p, [x], one_row(DirectionState(kind="momentum"), p.n, x_prev=np.zeros(p.n)))
             assert all(np.array_equal(a, b) for a, b in zip(data, before))
 
 
