@@ -73,8 +73,10 @@ def _load(config_path, overrides, seed):
 
 
 def _require_output_dirs(*paths):
-    """Reject an output path whose directory does not exist, before any work."""
+    """Reject an output path that is a directory or whose directory is missing, before any work."""
     for path in paths:
+        if path and os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path}: directory {os.path.dirname(path)} does not exist")
 
@@ -160,9 +162,8 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
     cfg = _load(config_path, overrides, seed)
     _require_output_dirs(samples_csv)
     problem = cfgmod.build_problem(cfg)
-    memory = MemoryRows(cfgmod.build_direction_state(cfg), 1, problem.n)
-    ls = cfgmod.build_linesearch_params(cfg)
-    sgr = cfgmod.build_sgr_params(cfg)
+    memory = MemoryRows(cfg.direction, 1, problem.n)
+    ls, sgr = cfg.linesearch, cfg.sgr
 
     rng = np.random.default_rng(cfg.run.seed)
     points = _sample_points(problem, rng, num_points)
@@ -240,8 +241,7 @@ def cmd_verify(config_path, trace_path=None, overrides=(), seed=None) -> int:
     """Replay a run (or read a trace) and re-assert every per-iteration bound."""
     cfg = _load(config_path, overrides, seed)
     problem = cfgmod.build_problem(cfg)
-    sgr = cfgmod.build_sgr_params(cfg)
-    ls = cfgmod.build_linesearch_params(cfg)
+    sgr, ls = cfg.sgr, cfg.linesearch
 
     known = problem.known
     if known is None or known.L_max is None:

@@ -1,6 +1,9 @@
 """Experiment configuration: a flat, sectioned, key = value text format.
 
-Sections are [problem], [direction], [linesearch], [run]. Unknown sections or
+Sections are [problem], [direction], [linesearch], [run]. Each is parsed
+straight into the objects that declare its keys, [direction] into a
+DirectionState and SgrParams and [linesearch] into LineSearchParams, and each
+object checks itself when built. Unknown sections (among them [DEFAULT]) or
 keys are rejected; every key has a documented default; serialization writes
 all keys in a canonical order with full-precision floats, so parse(serialize)
 is the identity. Overrides take "section.key=value" strings and are applied
@@ -20,8 +23,6 @@ from .errors import ConfigError, DomainError, InvalidSpecError
 
 __all__ = [
     "ProblemConfig",
-    "DirectionConfig",
-    "LineSearchConfig",
     "RunSectionConfig",
     "ExperimentConfig",
     "parse_config",
@@ -38,7 +39,7 @@ __all__ = [
 PROBLEM_KINDS = ("least_squares", "nonconvex")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemConfig:
     kind: str = "least_squares"
     N: int = 100
@@ -46,28 +47,18 @@ class ProblemConfig:
     seed: int = 0
     spectrum: str = "const:1.0"
 
-
-@dataclass
-class DirectionConfig:
-    kind: str = "sgd"
-    beta: float = 0.9
-    cg_variant: str = "pr+"
-    beta_cap: float = 10.0
-    epsilon: float = 1e-8
-    c1: float = 10.0
-    c2: float = 0.1
-
-
-@dataclass
-class LineSearchConfig:
-    gamma: float = 0.1
-    delta: float = 0.5
-    alpha_max: float = 10.0
-    alpha0_policy: str = "constant"
-    max_backtracks: int = 60
+    def __post_init__(self):
+        if self.kind not in PROBLEM_KINDS:
+            raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}, got {self.kind!r}")
+        if self.N < 1:
+            raise ConfigError(f"problem.N must be >= 1, got {self.N}")
+        if self.n < 1:
+            raise ConfigError(f"problem.n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ConfigError(f"problem.seed must be >= 0, got {self.seed}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSectionConfig:
     max_iters: int = 1000
     grad_tol: float = 1e-10
@@ -77,24 +68,45 @@ class RunSectionConfig:
     out_csv: str = "trace.csv"
     out_svg: str = ""
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be >= 0, got {self.seed}")
+        # RunConfig's own limit check, made here before any instance is built
+        try:
+            optimizer.check_run_limits(self.max_iters, self.grad_tol, self.fgap_tol, self.trace_every)
+        except ConfigError as exc:
+            raise ConfigError(f"run: {exc}") from exc
 
-@dataclass
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config: each section as the objects its keys are parsed into."""
+
     problem: ProblemConfig
-    direction: DirectionConfig
-    linesearch: LineSearchConfig
+    direction: directions.DirectionState
+    sgr: directions.SgrParams
+    linesearch: linesearch.LineSearchParams
     run: RunSectionConfig
 
     @classmethod
     def default(cls) -> "ExperimentConfig":
-        return cls(ProblemConfig(), DirectionConfig(), LineSearchConfig(), RunSectionConfig())
+        return cls(**{attr: c() for classes in _SECTIONS.values() for attr, c in classes.items()})
 
 
+# Each section and the ExperimentConfig fields its keys are parsed into, in
+# serialization order: a key belongs to the class that declares it, with that
+# class's default.
 _SECTIONS = {
-    "problem": ProblemConfig,
-    "direction": DirectionConfig,
-    "linesearch": LineSearchConfig,
-    "run": RunSectionConfig,
+    "problem": {"problem": ProblemConfig},
+    "direction": {"direction": directions.DirectionState, "sgr": directions.SgrParams},
+    "linesearch": {"linesearch": linesearch.LineSearchParams},
+    "run": {"run": RunSectionConfig},
+}
+
+# section -> key -> (its ExperimentConfig field, the type of its default)
+_KEYS = {
+    section: {f.name: (attr, type(f.default)) for attr, cls in classes.items() for f in fields(cls)}
+    for section, classes in _SECTIONS.items()
 }
 
 
@@ -111,8 +123,10 @@ def _coerce(section: str, key: str, raw: str, target_type):
 
 
 def _raw_sections(text: str) -> dict[str, dict[str, str]]:
+    # default_section="" names no section a header can hold, so [DEFAULT] is
+    # an ordinary section, rejected as unknown, and folds into no other.
     parser = configparser.ConfigParser(
-        delimiters=("=",), comment_prefixes=("#", ";"), strict=True, interpolation=None
+        delimiters=("=",), comment_prefixes=("#", ";"), strict=True, interpolation=None, default_section=""
     )
     parser.optionxform = str  # keys are case-sensitive (N vs n)
     try:
@@ -123,23 +137,29 @@ def _raw_sections(text: str) -> dict[str, dict[str, str]]:
 
 
 def _config_from_raw(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
+    """Each section's objects, built from its keys in section order.
+
+    Every key is read before any object is built; each object checks itself,
+    and a domain error becomes a ConfigError naming the section.
+    """
     for section in raw:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-    built = {}
-    for section, cls in _SECTIONS.items():
-        spec = {f.name: f.type for f in fields(cls)}
-        defaults = cls()
-        values = {}
-        for key, raw_value in raw.get(section, {}).items():
-            if key not in spec:
+    values = {attr: {} for classes in _SECTIONS.values() for attr in classes}
+    for section, items in raw.items():
+        for key, raw_value in items.items():
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
-            target = type(getattr(defaults, key))
-            values[key] = _coerce(section, key, raw_value, target)
-        built[section] = cls(**values)
-    cfg = ExperimentConfig(**built)
-    validate_config(cfg)
-    return cfg
+            attr, target = _KEYS[section][key]
+            values[attr][key] = _coerce(section, key, raw_value, target)
+    built = {}
+    for section, classes in _SECTIONS.items():
+        for attr, cls in classes.items():
+            try:
+                built[attr] = cls(**values[attr])
+            except (InvalidSpecError, DomainError) as exc:
+                raise ConfigError(f"{section}: {exc}") from exc
+    return ExperimentConfig(**built)
 
 
 def parse_config(text: str, overrides=()) -> ExperimentConfig:
@@ -174,61 +194,12 @@ def _fmt(v) -> str:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form: every key, fixed order, full-precision floats."""
     lines = []
-    for section, cls in _SECTIONS.items():
+    for section, keys in _KEYS.items():
         lines.append(f"[{section}]")
-        obj = getattr(cfg, section)
-        for f in fields(cls):
-            lines.append(f"{f.name} = {_fmt(getattr(obj, f.name))}")
+        for key, (attr, _) in keys.items():
+            lines.append(f"{key} = {_fmt(getattr(getattr(cfg, attr), key))}")
         lines.append("")
     return "\n".join(lines)
-
-
-def validate_config(cfg: ExperimentConfig):
-    """Reject a config that no run could use.
-
-    The direction and line-search sections are checked by building their
-    domain objects, and the run section by the limit check RunConfig makes
-    when it is built; each error becomes a ConfigError naming its section.
-    """
-    p, r = cfg.problem, cfg.run
-    if p.kind not in PROBLEM_KINDS:
-        raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}, got {p.kind!r}")
-    if p.N < 1:
-        raise ConfigError(f"problem.N must be >= 1, got {p.N}")
-    if p.n < 1:
-        raise ConfigError(f"problem.n must be >= 1, got {p.n}")
-    for key, seed in (("problem.seed", p.seed), ("run.seed", r.seed)):
-        if seed < 0:
-            raise ConfigError(f"{key} must be >= 0, got {seed}")
-    for section, build in (
-        ("direction", build_direction_state),
-        ("direction", build_sgr_params),
-        ("linesearch", build_linesearch_params),
-    ):
-        try:
-            build(cfg)
-        except (InvalidSpecError, DomainError) as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
-    try:
-        optimizer.check_run_limits(r.max_iters, r.grad_tol, r.fgap_tol, r.trace_every)
-    except ConfigError as exc:
-        raise ConfigError(f"run: {exc}") from exc
-
-
-def _parse_policy(text: str) -> tuple[str, int]:
-    if text == "constant":
-        return "constant", 1
-    if text == "warm_increase":
-        return "warm_increase", 1
-    if text.startswith("warm_increase:"):
-        try:
-            p = int(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad warm_increase power in {text!r}") from exc
-        return "warm_increase", p
-    raise ConfigError(
-        f"linesearch.alpha0_policy must be 'constant' or 'warm_increase[:p]', got {text!r}"
-    )
 
 
 def _spectrum_count(parts: list[str], at: int, k_max: int) -> int:
@@ -307,41 +278,26 @@ def build_problem(cfg: ExperimentConfig) -> problems.ResidualProblem:
     return problem
 
 
+# The section objects by the names bench/workloads.py and bench/setup_probe.py call.
 def build_direction_state(cfg: ExperimentConfig) -> directions.DirectionState:
-    d = cfg.direction
-    return directions.DirectionState(
-        kind=d.kind,
-        beta=d.beta,
-        cg_variant=d.cg_variant,
-        beta_cap=d.beta_cap,
-        epsilon=d.epsilon,
-    )
+    return cfg.direction
 
 
 def build_sgr_params(cfg: ExperimentConfig) -> directions.SgrParams:
-    return directions.SgrParams(c1=cfg.direction.c1, c2=cfg.direction.c2)
+    return cfg.sgr
 
 
 def build_linesearch_params(cfg: ExperimentConfig) -> linesearch.LineSearchParams:
-    ls = cfg.linesearch
-    policy, power = _parse_policy(ls.alpha0_policy)
-    return linesearch.LineSearchParams(
-        gamma=ls.gamma,
-        delta=ls.delta,
-        alpha_max=ls.alpha_max,
-        alpha0_policy=policy,
-        warm_power=power,
-        max_backtracks=ls.max_backtracks,
-    )
+    return cfg.linesearch
 
 
 def build_run_config(cfg: ExperimentConfig, problem) -> optimizer.RunConfig:
     r = cfg.run
     return optimizer.RunConfig(
         problem=problem,
-        direction=build_direction_state(cfg),
-        linesearch=build_linesearch_params(cfg),
-        sgr=build_sgr_params(cfg),
+        direction=cfg.direction,
+        linesearch=cfg.linesearch,
+        sgr=cfg.sgr,
         max_iters=r.max_iters,
         grad_tol=r.grad_tol,
         fgap_tol=r.fgap_tol,

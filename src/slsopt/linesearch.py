@@ -42,7 +42,7 @@ class LineSearchParams:
     gamma is the sufficient-decrease coefficient, delta the backtrack factor,
     alpha_max the cap on the initial trial step. alpha0_policy "constant"
     always starts at alpha_max; "warm_increase" starts from the previous
-    accepted step grown by delta**-warm_power, clamped to alpha_max.
+    accepted step grown by 1/delta, clamped to alpha_max.
     max_backtracks is a hard safety cap; exhausting it is an error, never a
     silent zero step.
     """
@@ -51,7 +51,6 @@ class LineSearchParams:
     delta: float = 0.5
     alpha_max: float = 10.0
     alpha0_policy: str = "constant"
-    warm_power: int = 1
     max_backtracks: int = 60
 
     def __post_init__(self):
@@ -64,8 +63,6 @@ class LineSearchParams:
             raise DomainError(f"alpha_max must be finite and > 0, got {self.alpha_max}")
         if self.alpha0_policy not in ALPHA0_POLICIES:
             raise DomainError(f"unknown alpha0 policy {self.alpha0_policy!r}")
-        if self.warm_power < 1:
-            raise DomainError(f"warm_power must be >= 1, got {self.warm_power}")
         if self.max_backtracks < 1:
             raise DomainError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
 
@@ -175,5 +172,5 @@ def next_alpha0(params: LineSearchParams, prev_result: LineSearchResult | None) 
     """Initial trial step for the next search; always in (0, alpha_max]."""
     if params.alpha0_policy == "constant" or prev_result is None:
         return params.alpha_max
-    grown = prev_result.alpha / params.delta**params.warm_power
+    grown = prev_result.alpha / params.delta
     return min(params.alpha_max, grown)

@@ -173,8 +173,8 @@ class ResidualProblem:
         """Rows of A and their residuals: row idx[k] at X[k], or all N at X[0] if idx is None.
 
         idx is an index array or a slice. np.vecdot gives a row the float of
-        row @ w, the expression the generators plant b_i with, so the
-        residual at the planted minimizer is exactly zero.
+        row @ w; the generators plant b_i with it too, so the residual at the
+        planted minimizer is exactly zero.
         """
         W = self.features_rows(X)
         if idx is None:
@@ -434,9 +434,9 @@ def gen_interpolating_least_squares(
         V = _orthonormal_columns(rng, n, k)
         A = (U * s) @ V.T
         x_star = rng.standard_normal(n)
-        # Plant labels with the same row-dot expression the oracles use, so
-        # the per-component residuals at x_star are exactly 0.0.
-        b = np.array([float(A[i] @ x_star) for i in range(N)])
+        # Plant labels with the row dot the oracles use, so the
+        # per-component residuals at x_star are exactly 0.0.
+        b = np.vecdot(A, x_star)
         _freeze(A, b, x_star)
         row_sq = np.einsum("ij,ij->i", A, A)
         known = KnownConstants(
@@ -471,7 +471,7 @@ def gen_nonconvex_interpolating(
         V_star = rng.standard_normal((n_u, n_v))
         A = rng.standard_normal((N, n_v))
         w_star = u_star @ V_star
-        b = np.array([float(A[i] @ w_star) for i in range(N)])
+        b = np.vecdot(A, w_star)
         x_star = np.concatenate([u_star, V_star.ravel()])
         _freeze(A, b, x_star)
         known = KnownConstants(f_star=0.0, x_star=x_star)

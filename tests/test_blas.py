@@ -303,3 +303,16 @@ class TestKernelIdentities:
                 assert uV[k].tobytes() == (U[k] @ V[k]).tobytes()
                 assert Va[k].tobytes() == (V[k] @ a[k]).tobytes()
                 assert V_shared[k].tobytes() == (V[k] @ shared).tobytes()
+
+    @pytest.mark.parametrize("K", [1, 4, 50])
+    @pytest.mark.parametrize("n", sorted(FACTORS))
+    def test_vecdot_with_one_vector_gives_each_row_its_own_bits(self, n, K):
+        # the generators plant b = np.vecdot(A, x*); each label must be its
+        # row's own dot, as the oracles' stacked np.vecdot gives it, so that
+        # the planted residuals are exactly 0.0
+        rng = np.random.default_rng(n * 100 + K + 1)
+        A, x = rng.standard_normal((K, n)), rng.standard_normal(n)
+        with _blas.single_thread():
+            dots = np.vecdot(A, x)
+            for k in range(K):
+                assert dots[k].tobytes() == (A[k] @ x).tobytes()

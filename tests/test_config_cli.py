@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import pathlib
 import sys
 import threading
@@ -41,8 +42,9 @@ from slsopt.config import (
     read_config,
     serialize_config,
 )
-from slsopt.directions import MemoryRows
-from slsopt.errors import ConfigError
+from slsopt.directions import DirectionState, MemoryRows, SgrParams
+from slsopt.errors import ConfigError, DomainError, InvalidSpecError
+from slsopt.linesearch import ALPHA0_POLICIES, LineSearchParams
 from slsopt.traceio import CSV_HEADER, read_trace, write_trace
 
 TOY = """
@@ -115,8 +117,7 @@ VALID_SETTINGS = {
     "linesearch.gamma": _unit,
     "linesearch.delta": _unit,
     "linesearch.alpha_max": _positive,
-    "linesearch.alpha0_policy": st.sampled_from(["constant", "warm_increase"])
-    | st.integers(1, 64).map(lambda p: f"warm_increase:{p}"),
+    "linesearch.alpha0_policy": st.sampled_from(ALPHA0_POLICIES),
     "linesearch.max_backtracks": st.integers(1, 10**6),
     "run.max_iters": st.integers(1, 10**9),
     "run.grad_tol": st.floats(min_value=0.0, allow_infinity=False),
@@ -126,6 +127,32 @@ VALID_SETTINGS = {
     "run.out_csv": _path,
     "run.out_svg": _path,
 }
+
+
+_word = st.text("abcxyz_:+-019", max_size=12)
+_non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+_not_positive = st.floats(max_value=0.0, allow_infinity=False) | _non_finite
+_not_unit = st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.just(math.nan)
+
+# One strategy of invalid values per [direction] and [linesearch] key, each
+# invalid with every other key at its default (c1 = 10, c2 = 0.1).
+INVALID_SETTINGS = {
+    "direction.kind": _word.filter(lambda t: t not in KINDS),
+    "direction.beta": _non_finite,
+    "direction.cg_variant": _word.filter(lambda t: t not in CG_VARIANTS),
+    "direction.beta_cap": _not_positive,
+    "direction.epsilon": _not_positive,
+    "direction.c1": st.floats(max_value=0.1, exclude_max=True) | _non_finite,
+    "direction.c2": st.floats(max_value=0.0) | st.floats(min_value=10.0, exclude_min=True) | st.just(math.nan),
+    "linesearch.gamma": _not_unit,
+    "linesearch.delta": _not_unit,
+    "linesearch.alpha_max": _not_positive,
+    "linesearch.alpha0_policy": st.just("warm_increase:2") | _word.filter(lambda t: t not in ALPHA0_POLICIES),
+    "linesearch.max_backtracks": st.integers(max_value=0),
+}
+
+# The section of each ExperimentConfig field, where it is not the field's name.
+SECTION_OF = {"sgr": "direction"}
 
 
 def _consistent(values):
@@ -194,17 +221,59 @@ class TestConfigFormat:
     def test_overrides_round_trip(self, values):
         values = _consistent(values)
         cfg = parse_config("", overrides=[f"{k}={_text(v)}" for k, v in values.items()])
-        expected = ExperimentConfig.default()
-        every_key = {
-            f"{f.name}.{g.name}" for f in dataclasses.fields(expected)
-            for g in dataclasses.fields(getattr(expected, f.name))
-        }
-        assert set(values) == every_key
-        for dotted, value in values.items():
-            section, key = dotted.split(".")
-            setattr(getattr(expected, section), key, value)
-        assert cfg == expected
+        default, unset, changed = ExperimentConfig.default(), dict(values), {}
+        for f in dataclasses.fields(default):
+            obj, section = getattr(default, f.name), SECTION_OF.get(f.name, f.name)
+            changed[f.name] = dataclasses.replace(
+                obj, **{g.name: unset.pop(f"{section}.{g.name}") for g in dataclasses.fields(obj)}
+            )
+        assert unset == {}  # VALID_SETTINGS names every key once
+        assert cfg == ExperimentConfig(**changed)
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @given(values=st.fixed_dictionaries(
+        {k: v for k, v in VALID_SETTINGS.items() if k.startswith(("direction.", "linesearch."))}
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_direction_and_linesearch_parse_into_their_domain_objects(self, values):
+        values = _consistent(values)
+        cfg = parse_config("", overrides=[f"{k}={_text(v)}" for k, v in values.items()])
+        v = {k.split(".")[1]: value for k, value in values.items()}
+        assert cfg.direction == DirectionState(
+            kind=v["kind"], beta=v["beta"], cg_variant=v["cg_variant"], beta_cap=v["beta_cap"], epsilon=v["epsilon"]
+        )
+        assert cfg.sgr == SgrParams(c1=v["c1"], c2=v["c2"])
+        assert cfg.linesearch == LineSearchParams(
+            gamma=v["gamma"], delta=v["delta"], alpha_max=v["alpha_max"],
+            alpha0_policy=v["alpha0_policy"], max_backtracks=v["max_backtracks"],
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_invalid_domain_value_is_the_domain_error_under_its_section(self, data):
+        dotted = data.draw(st.sampled_from(sorted(INVALID_SETTINGS)))
+        value = data.draw(INVALID_SETTINGS[dotted])
+        section, key = dotted.split(".")
+        cls = {"direction": DirectionState, "linesearch": LineSearchParams}[section]
+        if key in ("c1", "c2"):
+            cls = SgrParams
+        with pytest.raises((InvalidSpecError, DomainError)) as direct:
+            cls(**{key: value})
+        with pytest.raises(ConfigError) as parsed:
+            parse_config("", overrides=[f"{dotted}={_text(value)}"])
+        assert str(parsed.value) == f"{section}: {direct.value}"
+
+    def test_warm_increase_power_rejected(self):
+        with pytest.raises(ConfigError, match=r"^linesearch: unknown alpha0 policy 'warm_increase:2'$"):
+            parse_config(TOY, overrides=["linesearch.alpha0_policy=warm_increase:2"])
+
+    # configparser would fold a [DEFAULT] section's keys into every section
+    @pytest.mark.parametrize(
+        "text", ["[DEFAULT]\nseed = 3\n" + TOY, "[DEFAULT]\n", "[DEFAULT]\nmax_iters = 7\n" + TOY]
+    )
+    def test_default_section_rejected(self, text):
+        with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+            parse_config(text)
 
 
 class TestSpectrumParser:
@@ -846,10 +915,9 @@ class TestFailFast:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith("config error: linesearch: alpha_max")
 
-    @pytest.mark.parametrize("where", ["run_csv", "run_svg", "sweep", "diagnose"])
-    def test_missing_output_directory_exits_before_the_work(self, tmp_path, capsys, monkeypatch, where):
-        cfg_path = write_cfg(tmp_path, LS)
-        missing = tmp_path / "no_such_dir" / "out.csv"
+    @staticmethod
+    def _forbid_work(monkeypatch):
+        """Make every run and moment pass fail the test; return the list of those called."""
         work = []
 
         def spy(name):
@@ -862,20 +930,42 @@ class TestFailFast:
         monkeypatch.setattr(cli.optimizer, "run", spy("optimizer.run"))
         monkeypatch.setattr(cli.optimizer, "run_many", spy("optimizer.run_many"))
         monkeypatch.setattr(cli.diagnostics, "exact_moments", spy("diagnostics.exact_moments"))
-        argv = {
-            "run_csv": ["run", cfg_path, "--override", f"run.out_csv={missing}"],
+        return work
+
+    @staticmethod
+    def _argv(where, cfg_path, tmp_path, out):
+        """The command line that writes out as the output named by where."""
+        return {
+            "run_csv": ["run", cfg_path, "--override", f"run.out_csv={out}"],
             "run_svg": [
                 "run", cfg_path,
                 "--override", f"run.out_csv={tmp_path / 'ok.csv'}",
-                "--override", f"run.out_svg={missing}",
+                "--override", f"run.out_svg={out}",
             ],
-            "sweep": ["sweep", cfg_path, "--seeds", "0..2", "--jobs", "1", "--override", f"run.out_csv={missing}"],
-            "diagnose": ["diagnose", cfg_path, "--points", "3", "--samples-csv", str(missing)],
+            "sweep": ["sweep", cfg_path, "--seeds", "0..2", "--jobs", "1", "--override", f"run.out_csv={out}"],
+            "diagnose": ["diagnose", cfg_path, "--points", "3", "--samples-csv", str(out)],
         }[where]
-        assert cli.main(argv) == 1
+
+    @pytest.mark.parametrize("where", ["run_csv", "run_svg", "sweep", "diagnose"])
+    def test_missing_output_directory_exits_before_the_work(self, tmp_path, capsys, monkeypatch, where):
+        cfg_path = write_cfg(tmp_path, LS)
+        work = self._forbid_work(monkeypatch)
+        assert cli.main(self._argv(where, cfg_path, tmp_path, tmp_path / "no_such_dir" / "out.csv")) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "no_such_dir" in err
+        assert work == []
+
+    @pytest.mark.parametrize("where", ["run_csv", "run_svg", "sweep", "diagnose"])
+    def test_output_path_that_is_a_directory_exits_before_the_work(self, tmp_path, capsys, monkeypatch, where):
+        cfg_path = write_cfg(tmp_path, LS)
+        # a sweep writes out_seed<s>.csv; its first seed's path is the directory
+        directory = tmp_path / ("out_seed0.csv" if where == "sweep" else "out.csv")
+        directory.mkdir()
+        work = self._forbid_work(monkeypatch)
+        assert cli.main(self._argv(where, cfg_path, tmp_path, tmp_path / "out.csv")) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write {directory}: it is a directory\n"
         assert work == []
 
 

@@ -258,12 +258,12 @@ class TestNextAlpha0:
         assert next_alpha0(params, prev) == 3.0
 
     def test_warm_increase_one_factor(self):
-        params = LineSearchParams(alpha_max=1.0, delta=0.5, alpha0_policy="warm_increase", warm_power=1)
+        params = LineSearchParams(alpha_max=1.0, delta=0.5, alpha0_policy="warm_increase")
         prev = LineSearchResult(alpha=0.25, backtracks=0, f_trial_count=1, accepted_f=0.0, alpha0=0.25)
         assert next_alpha0(params, prev) == 0.5
 
     def test_warm_increase_clamped(self):
-        params = LineSearchParams(alpha_max=1.0, delta=0.5, alpha0_policy="warm_increase", warm_power=1)
+        params = LineSearchParams(alpha_max=1.0, delta=0.5, alpha0_policy="warm_increase")
         prev = LineSearchResult(alpha=0.8, backtracks=0, f_trial_count=1, accepted_f=0.0, alpha0=0.8)
         assert next_alpha0(params, prev) == 1.0
 
@@ -282,7 +282,6 @@ class TestParamsValidation:
             {"alpha_max": 0.0},
             {"alpha0_policy": "bogus"},
             {"max_backtracks": 0},
-            {"warm_power": 0},
         ],
     )
     def test_invalid_params(self, kwargs):

@@ -190,8 +190,7 @@ class TestRun:
 
     def test_warm_increase_policy_grows_initial_trials(self):
         p = small_instance()
-        ls = LineSearchParams(gamma=0.1, delta=0.5, alpha_max=10.0,
-                              alpha0_policy="warm_increase", warm_power=1)
+        ls = LineSearchParams(gamma=0.1, delta=0.5, alpha_max=10.0, alpha0_policy="warm_increase")
         res = run(base_config(p, linesearch=ls, max_iters=100, grad_tol=0.0, fgap_tol=0.0))
         assert res.trajectory[0].alpha0 == 10.0  # first search starts at the cap
         for prev, rec in zip(res.trajectory, res.trajectory[1:]):
