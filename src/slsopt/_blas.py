@@ -14,6 +14,10 @@ would then spin through the run after it. A moment pass is one residual
 pass per point, a matrix-vector product, and then two sweeps over blocks
 of rows shared by all points, numpy loops that a woken worker would spin
 beside.
+
+``build()`` names the library and the core it picked its kernels for, which
+decide a build's floats together with its spec; the instance store keys its
+entries by it.
 """
 
 from __future__ import annotations
@@ -27,25 +31,58 @@ import threading
 
 import numpy as np
 
-__all__ = ["openblas", "threads", "single_thread"]
+__all__ = ["openblas", "build", "threads", "single_thread"]
+
+
+_SIGNATURES = {
+    "get_num_threads": ([], ctypes.c_int),
+    "set_num_threads": ([ctypes.c_int], None),
+    "get_config": ([], ctypes.c_char_p),
+    "get_corename": ([], ctypes.c_char_p),
+}
 
 
 @functools.cache
-def openblas():
-    """(get_num_threads, set_num_threads) of the OpenBLAS numpy loaded, or None."""
+def _library():
+    """The OpenBLAS numpy loaded, as {name: ctypes function}, or None.
+
+    The names are get_num_threads, set_num_threads, get_config and
+    get_corename, without the library's symbol prefix and suffix. The last
+    two are None where the library lacks them.
+    """
     base = os.path.dirname(np.__file__)
     dirs = (os.path.join(base, os.pardir, "numpy.libs"), os.path.join(base, ".dylibs"))
     for path in sorted(p for d in dirs for p in glob.glob(os.path.join(d, "*openblas*"))):
         lib = ctypes.CDLL(path)
         for prefix in ("scipy_openblas_", "openblas_"):
             for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
+                fns = {name: getattr(lib, f"{prefix}{name}{suffix}", None) for name in _SIGNATURES}
+                if fns["get_num_threads"] is not None and fns["set_num_threads"] is not None:
+                    for name, fn in fns.items():
+                        if fn is not None:
+                            fn.argtypes, fn.restype = _SIGNATURES[name]
+                    return fns
     return None
+
+
+def openblas():
+    """(get_num_threads, set_num_threads) of the OpenBLAS numpy loaded, or None."""
+    fns = _library()
+    return None if fns is None else (fns["get_num_threads"], fns["set_num_threads"])
+
+
+@functools.cache
+def build() -> str | None:
+    """OpenBLAS's config string and the name of the core it runs on, or None.
+
+    The wheel's OpenBLAS is built DYNAMIC_ARCH: it picks its kernels for the
+    core at load time, so the same library may round differently on another
+    machine. None where no OpenBLAS was found or it lacks either function.
+    """
+    fns = _library()
+    if fns is None or fns["get_config"] is None or fns["get_corename"] is None:
+        return None
+    return f"{fns['get_config']().decode()}; core {fns['get_corename']().decode()}"
 
 
 def threads() -> int | None:

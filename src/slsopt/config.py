@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import directions, linesearch, optimizer, problems
+from . import _store, directions, linesearch, optimizer, problems
 from .errors import ConfigError, DomainError, InvalidSpecError
 
 __all__ = [
@@ -243,13 +243,22 @@ _last_built: tuple | None = None
 
 
 def build_problem(cfg: ExperimentConfig) -> problems.ResidualProblem:
-    """The instance of cfg.problem, built once per spec per process.
+    """The instance of cfg.problem, built once per spec and kept on disk.
 
     The instance built last is kept under its key, which is exactly what
     the generator receives: kind, N, n, seed and, for least squares, the
     bytes of the parsed spectrum. While the key matches, that instance is
     returned; the generators make its arrays read-only, so callers share it
     safely. A different spec replaces it, and a failed build keeps nothing.
+
+    Behind the kept instance is the instance store (``_store``): a spec a
+    process has not kept is read from ``$XDG_CACHE_HOME/slsopt`` (or
+    ``~/.cache/slsopt``) when an earlier process built it with the same
+    numpy, OpenBLAS, core and generator code, and is built and published
+    there otherwise. A read is checked and gives the same floats, known
+    constants and read-only flags as a build. An under-parametrized
+    least-squares spec warns on every call, by the one warning of
+    ``problems.warn_if_under_parametrized``, on every path.
     """
     global _last_built
     p = cfg.problem
@@ -260,18 +269,22 @@ def build_problem(cfg: ExperimentConfig) -> problems.ResidualProblem:
             generate = functools.partial(
                 problems.gen_interpolating_least_squares, p.N, p.n, p.seed, spectrum
             )
+            assemble = functools.partial(problems.planted_least_squares, singular_values=spectrum)
+            x_size = p.n
         else:
             # nonconvex: n is used for both factor sizes
             key = (p.kind, p.N, p.n, p.seed)
             generate = functools.partial(problems.gen_nonconvex_interpolating, p.N, p.n, p.n, p.seed)
+            assemble = functools.partial(problems.planted_two_factor, p.n, p.n)
+            x_size = p.n + p.n * p.n
         last = _last_built  # read once: another thread may replace it
         if last is not None and last[0] == key:
             if p.kind == "least_squares":
-                # the generator's warning, issued on every call as on a build
+                # the warning a build or a store read issues
                 problems.warn_if_under_parametrized(p.N, p.n)
             return last[1]
         _last_built = None  # not kept alive through the next build
-        problem = generate()
+        problem = _store.fetch(key, ((p.N, p.n), (p.N,), (x_size,)), generate, assemble)
     except InvalidSpecError as exc:
         raise ConfigError(str(exc)) from exc
     _last_built = key, problem

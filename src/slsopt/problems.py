@@ -42,6 +42,8 @@ __all__ = [
     "ray_phi",
     "gen_interpolating_least_squares",
     "gen_nonconvex_interpolating",
+    "planted_least_squares",
+    "planted_two_factor",
     "warn_if_under_parametrized",
 ]
 
@@ -382,16 +384,18 @@ def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.n
     return q[:, :cols]
 
 
-def warn_if_under_parametrized(N: int, n: int, stacklevel: int = 1):
+def warn_if_under_parametrized(N: int, n: int):
     """Warn when a least-squares instance has fewer variables than components.
 
-    ``stacklevel`` counts from the caller, as in ``warnings.warn``.
+    Every path to such an instance warns from this one line, so the warning
+    reads the same whether the instance was generated, read from the
+    instance store or kept in the process.
     """
     if n < N:
         warnings.warn(
             "n < N: instance is under-parametrized; interpolation still holds "
             "at the planted point but the regime is not the intended one",
-            stacklevel=stacklevel + 1,
+            stacklevel=1,
         )
 
 
@@ -423,7 +427,6 @@ def gen_interpolating_least_squares(
         raise InvalidSpecError(
             f"spectrum has {s.size} values but rank is capped at min(N, n)={min(N, n)}"
         )
-    warn_if_under_parametrized(N, n, stacklevel=2)
     # One BLAS thread: the QR factorisations and the product below round
     # differently at another thread count, and a woken OpenBLAS worker
     # would go on spinning through the single-threaded run that follows.
@@ -437,6 +440,21 @@ def gen_interpolating_least_squares(
         # Plant labels with the row dot the oracles use, so the
         # per-component residuals at x_star are exactly 0.0.
         b = np.vecdot(A, x_star)
+        return planted_least_squares(A, b, x_star, s)
+
+
+def planted_least_squares(A, b, x_star, singular_values) -> LeastSquaresProblem:
+    """The least-squares instance of generated arrays, with its known constants.
+
+    ``singular_values`` is the spectrum A was generated with. Freezes the
+    arrays, warns if the instance is under-parametrized and checks the
+    planted minimizer, under the one-thread pin. gen_interpolating_least_squares
+    ends here, and so does an instance read from the instance store.
+    """
+    s = singular_values
+    N, n = A.shape
+    warn_if_under_parametrized(N, n)
+    with _blas.single_thread():
         _freeze(A, b, x_star)
         row_sq = np.einsum("ij,ij->i", A, A)
         known = KnownConstants(
@@ -473,6 +491,17 @@ def gen_nonconvex_interpolating(
         w_star = u_star @ V_star
         b = np.vecdot(A, w_star)
         x_star = np.concatenate([u_star, V_star.ravel()])
+        return planted_two_factor(n_u, n_v, A, b, x_star)
+
+
+def planted_two_factor(n_u: int, n_v: int, A, b, x_star) -> TwoFactorProblem:
+    """The two-factor instance of generated arrays, with its known constants.
+
+    Freezes the arrays and checks the planted minimizer, under the
+    one-thread pin. gen_nonconvex_interpolating ends here, and so does an
+    instance read from the instance store.
+    """
+    with _blas.single_thread():
         _freeze(A, b, x_star)
         known = KnownConstants(f_star=0.0, x_star=x_star)
         problem = TwoFactorProblem(n_u, n_v, A, b, known)

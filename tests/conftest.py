@@ -12,6 +12,17 @@ from slsopt.problems import evaluate_batch
 from one_gradient import Memory, safeguarded_direction, update_memory
 
 
+@pytest.fixture(autouse=True)
+def instance_store(tmp_path, monkeypatch):
+    """Each test's instance store: its own empty directory, never ~/.cache.
+
+    config.build_problem reads and publishes instances there, so no test
+    sees an entry another test or an earlier session wrote.
+    """
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg_cache"))
+    return tmp_path / "xdg_cache" / "slsopt"
+
+
 def make_toy2():
     """Two scalar components f1 = x^2/2 and f2 = (2x)^2/2 = 2x^2, with distinct curvature."""
     return LeastSquaresProblem(A=np.array([[1.0], [2.0]]), b=np.zeros(2))

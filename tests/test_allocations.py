@@ -15,12 +15,15 @@ import pytest
 
 from slsopt import (
     DirectionState,
+    KnownConstants,
+    LeastSquaresProblem,
     SgrParams,
     evaluate_batch,
     full_oracle,
     gen_nonconvex_interpolating,
     safeguarded_direction,
 )
+from slsopt import _store
 
 from one_gradient import one_row
 
@@ -99,3 +102,25 @@ class TestDirectionAllocations:
         assert out.restarted
         assert np.array_equal(out.d, -g)
         assert peak <= 1.1
+
+
+class TestStoreAllocations:
+    # np.save writes each array from its buffer and hashlib digests it in
+    # place, so publishing the 16 MB A of the 1000 x 2000 spec of
+    # bench/configs/diagnose_wide.ini stages no copy of it.
+    def test_publishing_copies_no_array(self):
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((1000, 2000))
+        x_star = rng.standard_normal(2000)
+        b = A @ x_star
+        problem = LeastSquaresProblem(A, b, KnownConstants(x_star=x_star))
+        shapes = (A.shape, b.shape, x_star.shape)
+        peak, out = _peak_vectors(lambda: _store.fetch(("peak",), shapes, lambda: problem, None), A.size)
+        assert out is problem
+        assert peak < 0.5
+
+        def unexpected():
+            raise AssertionError("a stored entry was built again")
+
+        read = _store.fetch(("peak",), shapes, unexpected, lambda *arrays: arrays)
+        assert [a.tobytes() for a in read] == [a.tobytes() for a in (A, b, x_star)]

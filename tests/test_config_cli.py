@@ -1,9 +1,11 @@
 import dataclasses
+import functools
 import gc
 import math
 import pathlib
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -28,6 +30,7 @@ from slsopt import (
     problems,
     verify_lemma_bounds,
 )
+from slsopt import _blas, _store
 from slsopt import config as cfgmod
 from slsopt.config import (
     PROBLEM_KINDS,
@@ -1141,7 +1144,10 @@ class TestSharedInstance:
     def test_threads_alternating_specs_each_get_their_own_instance(self):
         # More threads than cores, switching often, each alternating two
         # specs: a torn read of the kept instance would hand one thread the
-        # other spec's instance, or raise.
+        # other spec's instance, or raise. Each switch reads the store, so
+        # threads also load and publish entries at once: np.load's header
+        # parse can raise SystemError in two threads at once, so the store
+        # loads under a lock.
         cfgs = [parse_config(LS, overrides=["problem.N=3", "problem.n=4", f"problem.seed={s}"]) for s in (1, 2)]
         want = [_instance_bytes(build_problem(c)) for c in cfgs]
         wrong, errors = [], []
@@ -1179,3 +1185,126 @@ class TestSharedInstance:
             capsys.readouterr()
             outputs.append((stdout, samples.read_bytes(), trace.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+# An under-parametrized least-squares spec, which warns, and a two-factor spec.
+STORE_SPECS = {
+    "least_squares": ["problem.N=60", "problem.n=40"],
+    "nonconvex": ["problem.kind=nonconvex", "problem.N=12", "problem.n=5"],
+}
+
+
+def _spy_generators(monkeypatch):
+    """Count calls of both generators; returns the list of their names, one per call."""
+    calls = []
+    for name in ("gen_interpolating_least_squares", "gen_nonconvex_interpolating"):
+
+        def counted(*args, _real=getattr(problems, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(problems, name, counted)
+    return calls
+
+
+def _build_recording(cfg, fresh=True):
+    """build_problem(cfg), with nothing kept in the process if fresh, and the warnings it issued."""
+    if fresh:
+        cfgmod._last_built = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        problem = build_problem(cfg)
+    return problem, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def _known_hex(p):
+    k = p.known
+    return [None if v is None else v.hex() for v in (k.L, k.L_max, k.mu, k.f_star)]
+
+
+def _entries(store):
+    return sorted(p.name for p in store.iterdir()) if store.exists() else []
+
+
+@pytest.mark.usefixtures("empty_cache")
+class TestInstanceStore:
+    """A spec no instance is kept for in the process is read from the instance store."""
+
+    @pytest.mark.parametrize("kind", sorted(STORE_SPECS))
+    def test_warm_build_is_the_cold_build(self, kind, instance_store, monkeypatch):
+        cfg = parse_config(LS, overrides=STORE_SPECS[kind])
+        cold, cold_warnings = _build_recording(cfg)
+        assert len(_entries(instance_store)) == 1
+        calls = _spy_generators(monkeypatch)
+        warm, warm_warnings = _build_recording(cfg)
+        kept, kept_warnings = _build_recording(cfg, fresh=False)
+        assert calls == []
+        assert kept is warm and warm is not cold and type(warm) is type(cold)
+        assert _instance_bytes(warm) == _instance_bytes(cold)
+        assert _known_hex(warm) == _known_hex(cold)
+        flags = [a.flags.writeable for p in (cold, warm) for a in (p.A, p.b, p.known.x_star)]
+        assert flags == [False] * 6
+        # one warning site: generated, stored and kept read the same
+        assert len(cold_warnings) == (kind == "least_squares")
+        assert warm_warnings == cold_warnings and kept_warnings == cold_warnings
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_damaged_entry_is_rebuilt_and_replaced(self, damage, instance_store, monkeypatch, capsys):
+        cfg = parse_config(LS)
+        cold, _ = _build_recording(cfg)
+        (entry,) = _entries(instance_store)
+        path = instance_store / entry / "A.npy"
+        intact = path.read_bytes()
+        if damage == "truncate":
+            path.write_bytes(intact[: len(intact) // 2])
+        else:
+            flipped = bytearray(intact)
+            # the last bit of A's last float: the instance still validates,
+            # so only the payload digest sees it
+            flipped[-8] ^= 0x01
+            path.write_bytes(bytes(flipped))
+        calls = _spy_generators(monkeypatch)
+        rebuilt, _ = _build_recording(cfg)
+        assert calls == ["gen_interpolating_least_squares"]
+        assert _instance_bytes(rebuilt) == _instance_bytes(cold)
+        assert _entries(instance_store) == [entry] and path.read_bytes() == intact
+        _build_recording(cfg)
+        assert len(calls) == 1
+        assert capsys.readouterr() == ("", "")
+
+    def test_store_root_that_is_a_file_builds(self, instance_store, monkeypatch, capsys):
+        instance_store.parent.mkdir(parents=True)
+        instance_store.write_text("not a directory")
+        calls = _spy_generators(monkeypatch)
+        cfg = parse_config(LS)
+        built = [_build_recording(cfg) for _ in range(2)]
+        assert len(calls) == 2
+        direct = gen_interpolating_least_squares(40, 60, 2024, np.full(40, 2.0))
+        for problem, caught in built:
+            assert _instance_bytes(problem) == _instance_bytes(direct) and caught == []
+        assert instance_store.read_text() == "not a directory"
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize(
+        "change",
+        ["problem.kind=nonconvex", "problem.N=30", "problem.n=50", "problem.seed=7",
+         "problem.spectrum=const:3.0", "numpy version", "source digest", "core name"],
+    )
+    def test_each_key_field_misses(self, change, instance_store, monkeypatch):
+        _build_recording(parse_config(LS))
+        overrides = [change] if change.startswith("problem.") else []
+        if change == "numpy version":
+            monkeypatch.setattr(np, "__version__", "0.0.0")
+        elif change == "source digest":
+            monkeypatch.setattr(_store, "_source_digest", lambda: "0" * 64)
+        elif change == "core name":
+            if _blas.build() is None:
+                pytest.skip("numpy is not linked to a bundled OpenBLAS that names its core")
+            fns = {**_blas._library(), "get_corename": lambda: b"OtherCore"}
+            monkeypatch.setattr(_blas, "_library", lambda: fns)
+            monkeypatch.setattr(_blas, "build", functools.cache(_blas.build.__wrapped__))
+            assert _blas.build().endswith("; core OtherCore")
+        calls = _spy_generators(monkeypatch)
+        _build_recording(parse_config(LS, overrides=overrides))
+        assert len(calls) == 1
+        assert len(_entries(instance_store)) == 2
