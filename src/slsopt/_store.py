@@ -6,17 +6,19 @@ QR factorizations. The store lives in ``$XDG_CACHE_HOME/slsopt``, or
 ``~/.cache/slsopt`` where that variable is unset; deleting that directory
 clears it.
 
-An entry is a directory named by a SHA-256 over the spec the generator
-receives and everything else that decides the build's floats: numpy's
+The store holds one generation: a directory named by a SHA-256 over
+everything besides the spec that decides a build's floats, namely numpy's
 version, OpenBLAS's config string and the core its kernels were picked for
-(``_blas.build()``), and the bytes of problems.py and _blas.py. It holds
-``A.npy``, ``b.npy``, ``x_star.npy`` and the SHA-256 of their payload. A
-miss publishes the built arrays into a temporary directory that is then
-renamed into place, so no reader sees a partial entry. A hit checks shapes,
-dtypes and the payload digest before the family assembles the instance, so
-a torn or damaged entry is removed and built again. The store is a cache:
-any failure to read or write it means building as before, with nothing
-printed.
+(``_blas.build()``), and the bytes of problems.py and _blas.py. An entry in
+it is a directory named by a SHA-256 over the spec the generator receives,
+holding ``A.npy``, ``b.npy``, ``x_star.npy`` and the SHA-256 of their
+payload. A miss publishes the built arrays into a temporary directory that
+is then renamed into place, so no reader sees a partial entry, and then
+removes every other generation, which no process with this code reads, and
+any temporary directory a killed writer left. A hit checks shapes, dtypes
+and the payload digest before the family assembles the instance, so a torn
+or damaged entry is removed and built again. The store is a cache: any
+failure to read or write it means building as before, with nothing printed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import os
 import shutil
 import tempfile
 import threading
+import time
 
 import numpy as np
 
@@ -36,6 +39,10 @@ __all__ = ["fetch"]
 
 _NAMES = ("A", "b", "x_star")
 _DIGEST = "sha256"
+_TMP = ".tmp-"
+# A temporary directory untouched for this long belongs to a writer that
+# died: publishing the largest instance takes well under a second.
+_TMP_LIFETIME_S = 3600.0
 
 # np.load parses each header with ast.literal_eval, and CPython 3.11 builds
 # AST objects with a process-wide depth counter: two threads parsing at once
@@ -62,12 +69,13 @@ def _source_digest() -> str | None:
     return h.hexdigest()
 
 
-def _entry_name(key) -> str | None:
+def _entry(key) -> str | None:
     """The entry of spec ``key``; None where what decides its floats cannot be named."""
     blas, sources = _blas.build(), _source_digest()
     if blas is None or sources is None:
         return None
-    return hashlib.sha256(repr((key, np.__version__, blas, sources)).encode()).hexdigest()
+    generation = hashlib.sha256(repr((np.__version__, blas, sources)).encode()).hexdigest()
+    return os.path.join(_root(), generation, hashlib.sha256(repr(key).encode()).hexdigest())
 
 
 def _payload_digest(arrays) -> str:
@@ -93,20 +101,46 @@ def _read(entry, shapes):
 
 def _publish(entry, arrays):
     """Write ``arrays`` as ``entry``: all of it or, on any OSError, none of it."""
-    parent = os.path.dirname(entry)
+    generation = os.path.dirname(entry)
     try:
-        os.makedirs(parent, exist_ok=True)
+        os.makedirs(generation, exist_ok=True)
         # np.save writes a contiguous array straight from its buffer. The
         # rename fails where another writer got there first; its entry holds
         # the same floats. Nothing is synced: a torn write fails the digest.
-        with tempfile.TemporaryDirectory(prefix=".tmp-", dir=parent, ignore_cleanup_errors=True) as tmp:
+        with tempfile.TemporaryDirectory(prefix=_TMP, dir=generation, ignore_cleanup_errors=True) as tmp:
             for name, a in zip(_NAMES, arrays):
                 np.save(os.path.join(tmp, f"{name}.npy"), a, allow_pickle=False)
             with open(os.path.join(tmp, _DIGEST), "w", encoding="ascii") as fh:
                 fh.write(_payload_digest(arrays))
             os.rename(tmp, entry)
     except OSError:
-        pass
+        return
+    _prune(generation)
+
+
+def _prune(generation):
+    """Remove the store's other generations and this one's abandoned temporary directories.
+
+    A process of other code that is still reading or writing there loses
+    only that read or write: a read of a removed entry fails and builds, and
+    a write into a removed directory fails or leaves an entry that fails its
+    checks.
+    """
+    stale = time.time() - _TMP_LIFETIME_S
+    root, current = os.path.split(generation)
+    try:
+        with os.scandir(root) as it:
+            others = [d.path for d in it if d.name != current and d.is_dir(follow_symlinks=False)]
+        with os.scandir(generation) as it:
+            others += [
+                d.path
+                for d in it
+                if d.name.startswith(_TMP) and d.is_dir(follow_symlinks=False) and d.stat().st_mtime < stale
+            ]
+    except OSError:
+        return
+    for path in others:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 def fetch(key, shapes, generate, assemble) -> problems.ResidualProblem:
@@ -118,10 +152,9 @@ def fetch(key, shapes, generate, assemble) -> problems.ResidualProblem:
     propagate, and it is not published; a failure of the store itself only
     means that ``generate()`` builds the instance.
     """
-    name = _entry_name(key)
-    if name is None:
+    entry = _entry(key)
+    if entry is None:
         return generate()
-    entry = os.path.join(_root(), name)
     try:
         return assemble(*_read(entry, shapes))
     except (OSError, ValueError, EOFError):

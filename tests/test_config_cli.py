@@ -2,9 +2,11 @@ import dataclasses
 import functools
 import gc
 import math
+import os
 import pathlib
 import sys
 import threading
+import time
 import warnings
 import weakref
 
@@ -1223,7 +1225,8 @@ def _known_hex(p):
 
 
 def _entries(store):
-    return sorted(p.name for p in store.iterdir()) if store.exists() else []
+    """Each entry as "generation/spec", relative to the store's root."""
+    return sorted(str(p.relative_to(store)) for p in store.glob("*/*"))
 
 
 @pytest.mark.usefixtures("empty_cache")
@@ -1292,6 +1295,7 @@ class TestInstanceStore:
     )
     def test_each_key_field_misses(self, change, instance_store, monkeypatch):
         _build_recording(parse_config(LS))
+        (first,) = _entries(instance_store)
         overrides = [change] if change.startswith("problem.") else []
         if change == "numpy version":
             monkeypatch.setattr(np, "__version__", "0.0.0")
@@ -1307,4 +1311,27 @@ class TestInstanceStore:
         calls = _spy_generators(monkeypatch)
         _build_recording(parse_config(LS, overrides=overrides))
         assert len(calls) == 1
-        assert len(_entries(instance_store)) == 2
+        entries = _entries(instance_store)
+        if overrides:
+            # another spec of the same generation: both entries stay
+            assert len(entries) == 2 and first in entries
+            assert len({e.split("/")[0] for e in entries}) == 1
+        else:
+            # a new generation: publishing removed the one no process reads
+            assert len(entries) == 1 and entries[0].split("/")[0] != first.split("/")[0]
+
+    def test_publishing_removes_abandoned_temporary_directories(self, instance_store):
+        _build_recording(parse_config(LS))
+        (first,) = _entries(instance_store)
+        generation = instance_store / first.split("/")[0]
+        abandoned, in_progress = generation / ".tmp-abandoned", generation / ".tmp-in-progress"
+        for d in (abandoned, in_progress):
+            d.mkdir()
+            (d / "A.npy").write_bytes(b"partial")
+        hour_ago = time.time() - 3601.0
+        os.utime(abandoned, (hour_ago, hour_ago))
+        _build_recording(parse_config(LS))  # a hit removes nothing
+        assert abandoned.exists()
+        _build_recording(parse_config(LS, overrides=["problem.seed=7"]))
+        assert not abandoned.exists() and in_progress.exists()
+        assert len(_entries(instance_store)) == 3  # two entries and the writer's directory
