@@ -19,6 +19,7 @@ from slsopt import (
     DirectionState,
     LineSearchParams,
     RunConfig,
+    RunSettings,
     SgrParams,
     fit_geometric_rate,
     gen_interpolating_least_squares,
@@ -73,10 +74,7 @@ def main():
                                      beta_cap=settings["beta_cap"]),
             linesearch=LineSearchParams(gamma=0.1, delta=0.5, alpha_max=10.0),
             sgr=settings["sgr"],
-            max_iters=args.max_iters,
-            grad_tol=0.0,
-            fgap_tol=args.fgap_tol,
-            trace_full_oracle_every=10,
+            run=RunSettings(max_iters=args.max_iters, grad_tol=0.0, fgap_tol=args.fgap_tol, trace_every=10),
         )
         outcomes = run_many(cfg, range(args.seeds))
         conv = sum(1 for r in outcomes if r.status.startswith("converged"))

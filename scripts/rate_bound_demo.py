@@ -20,6 +20,7 @@ from slsopt import (
     DirectionState,
     LineSearchParams,
     RunConfig,
+    RunSettings,
     SgrParams,
     TheoremConstants,
     compute_eta,
@@ -53,10 +54,10 @@ def main():
     c3_hat, _ = estimate_c3(moments)
 
     ls = LineSearchParams(gamma=args.gamma, delta=args.delta, alpha_max=args.alpha_max)
+    sgr = SgrParams(c1=1.0, c2=1.0)
     constants = TheoremConstants(
-        c1=1.0, c2=1.0, c3=c3_hat, rho=rho_hat, mu=problem.known.mu,
+        sgr=sgr, ls=ls, c3=c3_hat, rho=rho_hat, mu=problem.known.mu,
         L=problem.known.L, L_max=problem.known.L_max,
-        gamma=ls.gamma, delta=ls.delta, alpha_max=ls.alpha_max,
     )
     report = compute_eta(constants)
     print(f"rho_hat={rho_hat:.6f} c3_hat={c3_hat:.6f} mu={problem.known.mu:.4f}")
@@ -67,9 +68,8 @@ def main():
 
     x0 = np.random.default_rng(999).standard_normal(problem.n) / 2.0
     cfg = RunConfig(
-        problem=problem, direction=DirectionState(kind="sgd"), linesearch=ls,
-        sgr=SgrParams(c1=1.0, c2=1.0), max_iters=args.iters, grad_tol=0.0,
-        fgap_tol=0.0, trace_full_oracle_every=1, x0=x0,
+        problem=problem, direction=DirectionState(kind="sgd"), linesearch=ls, sgr=sgr,
+        run=RunSettings(max_iters=args.iters, grad_tol=0.0, fgap_tol=0.0, trace_every=1), x0=x0,
     )
     gap_by_k = {}
     for result in run_many(cfg, range(args.seeds)):

@@ -42,6 +42,7 @@ from .optimizer import (
     IterationRecord,
     RunConfig,
     RunResult,
+    RunSettings,
     contraction_estimate,
     fit_geometric_rate,
     run,

@@ -99,11 +99,11 @@ _STATUS_EXIT = {
 def cmd_run(config_path, overrides=(), seed=None) -> int:
     """Execute one run, write the CSV trace (and optional SVG), print a summary."""
     cfg = _load(config_path, overrides, seed)
-    _require_output_dirs(cfg.run.out_csv, cfg.run.out_svg)
+    _require_output_dirs(cfg.paths.out_csv, cfg.paths.out_svg)
     problem = cfgmod.build_problem(cfg)
     result = optimizer.run(cfgmod.build_run_config(cfg, problem=problem))
 
-    out_csv = cfg.run.out_csv
+    out_csv = cfg.paths.out_csv
     if out_csv:
         traceio.write_trace(out_csv, result.trajectory)
         print(f"trace: {out_csv} ({len(result.trajectory)} rows)")
@@ -124,7 +124,7 @@ def cmd_run(config_path, overrides=(), seed=None) -> int:
         except InsufficientDataError:
             print("contraction_rate: n/a (fewer than 10 exact samples)")
 
-    if cfg.run.out_svg and f_star is not None:
+    if cfg.paths.out_svg and f_star is not None:
         pts = [
             (r.k, r.f_full - f_star)
             for r in result.trajectory
@@ -135,9 +135,9 @@ def cmd_run(config_path, overrides=(), seed=None) -> int:
                 [("gap", [p[0] for p in pts], [p[1] for p in pts])],
                 title="optimality gap",
             )
-            with open(cfg.run.out_svg, "w", newline="\n") as fh:
+            with open(cfg.paths.out_svg, "w", newline="\n") as fh:
                 fh.write(svg)
-            print(f"plot: {cfg.run.out_svg}")
+            print(f"plot: {cfg.paths.out_svg}")
 
     return _STATUS_EXIT[result.status]
 
@@ -163,7 +163,6 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
     _require_output_dirs(samples_csv)
     problem = cfgmod.build_problem(cfg)
     memory = MemoryRows(cfg.direction, 1, problem.n)
-    ls, sgr = cfg.linesearch, cfg.sgr
 
     rng = np.random.default_rng(cfg.run.seed)
     points = _sample_points(problem, rng, num_points)
@@ -192,24 +191,15 @@ def cmd_diagnose(config_path, num_points: int = 100, overrides=(), seed=None, sa
     print(f"mu_hat = {mu_hat!r}")
     print(f"wgc_hat = {wgc_hat!r}")
 
-    mu = known.mu if known is not None and known.mu is not None else mu_hat
+    mu = known.mu if known.mu is not None else mu_hat
     constants = diagnostics.TheoremConstants(
-        c1=sgr.c1,
-        c2=sgr.c2,
-        c3=c3_hat,
-        rho=rho_hat,
-        mu=mu,
-        L=known.L,
-        L_max=known.L_max,
-        gamma=ls.gamma,
-        delta=ls.delta,
-        alpha_max=ls.alpha_max,
+        sgr=cfg.sgr, ls=cfg.linesearch, c3=c3_hat, rho=rho_hat, mu=mu, L=known.L, L_max=known.L_max
     )
     report = diagnostics.compute_eta(constants)
     print(f"sigma = {constants.sigma!r}")
     print(f"eta = {report.eta!r}")
     print(f"eta_alpha_max = {report.rate!r}")
-    print(f"theorem_hypothesis_ok = {'true' if report.hypothesis_ok else 'false'}")
+    print(f"theorem_hypothesis_ok = {'true' if constants.lemma_applicable else 'false'}")
     print(f"rate_certified = {'true' if report.certified else 'false'}")
 
     if constants.lemma_applicable:
@@ -256,7 +246,7 @@ def cmd_verify(config_path, trace_path=None, overrides=(), seed=None) -> int:
         if result.status == "stalled":
             print("status: stalled (verification not reached)", file=sys.stderr)
             print(_stall_line(result.stall), file=sys.stderr)
-            return EXIT_STALL
+            return _STATUS_EXIT[result.status]
         records = result.trajectory
         print(f"status: {result.status}; checking {len(records)} rows")
 
@@ -358,7 +348,7 @@ def cmd_sweep(config_path, seeds: str, jobs: int | None = None, overrides=()) ->
     workers = _sweep_workers(jobs, len(seed_list), os.cpu_count())
     cfg = _load(config_path, overrides, None)
 
-    base, ext = os.path.splitext(cfg.run.out_csv or "trace.csv")
+    base, ext = os.path.splitext(cfg.paths.out_csv or "trace.csv")
     paths = [f"{base}_seed{s}{ext}" for s in seed_list]
     _require_output_dirs(*paths)
     run_config = cfgmod.build_run_config(cfg, problem=cfgmod.build_problem(cfg))

@@ -2,12 +2,12 @@
 
 Sections are [problem], [direction], [linesearch], [run]. Each is parsed
 straight into the objects that declare its keys, [direction] into a
-DirectionState and SgrParams and [linesearch] into LineSearchParams, and each
-object checks itself when built. Unknown sections (among them [DEFAULT]) or
-keys are rejected; every key has a documented default; serialization writes
-all keys in a canonical order with full-precision floats, so parse(serialize)
-is the identity. Overrides take "section.key=value" strings and are applied
-after the file.
+DirectionState and SgrParams, [linesearch] into LineSearchParams and [run]
+into optimizer.RunSettings and RunPaths, and each object checks itself when
+built. Unknown sections (among them [DEFAULT]) or keys are rejected; every
+key has a documented default; serialization writes all keys in a canonical
+order with full-precision floats, so parse(serialize) is the identity.
+Overrides take "section.key=value" strings and are applied after the file.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import ConfigError, DomainError, InvalidSpecError
 
 __all__ = [
     "ProblemConfig",
-    "RunSectionConfig",
+    "RunPaths",
     "ExperimentConfig",
     "parse_config",
     "read_config",
@@ -59,23 +59,11 @@ class ProblemConfig:
 
 
 @dataclass(frozen=True)
-class RunSectionConfig:
-    max_iters: int = 1000
-    grad_tol: float = 1e-10
-    fgap_tol: float = 1e-8
-    seed: int = 0
-    trace_every: int = 10
+class RunPaths:
+    """The output paths of [run]: the trace CSV and the optional gap plot."""
+
     out_csv: str = "trace.csv"
     out_svg: str = ""
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"run.seed must be >= 0, got {self.seed}")
-        # RunConfig's own limit check, made here before any instance is built
-        try:
-            optimizer.check_run_limits(self.max_iters, self.grad_tol, self.fgap_tol, self.trace_every)
-        except ConfigError as exc:
-            raise ConfigError(f"run: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -86,7 +74,8 @@ class ExperimentConfig:
     direction: directions.DirectionState
     sgr: directions.SgrParams
     linesearch: linesearch.LineSearchParams
-    run: RunSectionConfig
+    run: optimizer.RunSettings
+    paths: RunPaths
 
     @classmethod
     def default(cls) -> "ExperimentConfig":
@@ -100,7 +89,7 @@ _SECTIONS = {
     "problem": {"problem": ProblemConfig},
     "direction": {"direction": directions.DirectionState, "sgr": directions.SgrParams},
     "linesearch": {"linesearch": linesearch.LineSearchParams},
-    "run": {"run": RunSectionConfig},
+    "run": {"run": optimizer.RunSettings, "paths": RunPaths},
 }
 
 # section -> key -> (its ExperimentConfig field, the type of its default)
@@ -305,15 +294,7 @@ def build_linesearch_params(cfg: ExperimentConfig) -> linesearch.LineSearchParam
 
 
 def build_run_config(cfg: ExperimentConfig, problem) -> optimizer.RunConfig:
-    r = cfg.run
+    """The RunConfig of cfg's section objects, passed through, on problem."""
     return optimizer.RunConfig(
-        problem=problem,
-        direction=cfg.direction,
-        linesearch=cfg.linesearch,
-        sgr=cfg.sgr,
-        max_iters=r.max_iters,
-        grad_tol=r.grad_tol,
-        fgap_tol=r.fgap_tol,
-        seed=r.seed,
-        trace_full_oracle_every=r.trace_every,
+        problem=problem, direction=cfg.direction, linesearch=cfg.linesearch, sgr=cfg.sgr, run=cfg.run
     )

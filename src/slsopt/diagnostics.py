@@ -24,8 +24,9 @@ from typing import Iterable
 import numpy as np
 
 from . import _blas
-from .directions import MemoryRows
+from .directions import MemoryRows, SgrParams
 from .errors import DomainError, NumericDomainError, UndefinedEstimateError
+from .linesearch import LineSearchParams
 from .problems import ResidualProblem, Vector, as_vector
 
 __all__ = [
@@ -266,41 +267,37 @@ def estimate_pl(moments: Iterable[MomentReport], f_star: float, tol: float = 1e-
 class TheoremConstants:
     """Constants feeding the certified linear-rate bound.
 
-    sigma = c2 - c3 (1 - 1/rho) is the effective expected-descent coefficient;
-    the bound applies only when sigma > 0 (lemma_applicable).
+    The direction constants (c1, c2) are those of ``sgr`` and the line-search
+    constants (gamma, delta, alpha_max) those of ``ls``, each checked when
+    that object was built; c3, rho, mu, L and L_max are checked here.
+    sigma = c2 - c3 (1 - 1/rho) is the effective expected-descent
+    coefficient; the bound applies only when sigma > 0 (lemma_applicable).
     """
 
-    c1: float
-    c2: float
+    sgr: SgrParams
+    ls: LineSearchParams
     c3: float
     rho: float
     mu: float
     L: float
     L_max: float
-    gamma: float
-    delta: float
-    alpha_max: float
 
     def __post_init__(self):
         if self.rho < 1.0:
             raise DomainError(f"rho must be >= 1, got {self.rho}")
-        for name in ("c1", "c2", "mu", "L", "L_max", "alpha_max"):
+        for name in ("mu", "L", "L_max"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be > 0")
         if self.c3 < 0:
             raise DomainError(f"c3 must be >= 0, got {self.c3}")
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError(f"gamma must be in (0, 1), got {self.gamma}")
-        if not 0.0 < self.delta < 1.0:
-            raise DomainError(f"delta must be in (0, 1), got {self.delta}")
 
     @property
     def sigma(self) -> float:
-        return self.c2 - self.c3 * (1.0 - 1.0 / self.rho)
+        return self.sgr.c2 - self.c3 * (1.0 - 1.0 / self.rho)
 
     @property
     def lemma_applicable(self) -> bool:
-        return self.c2 > self.c3 * (1.0 - 1.0 / self.rho)
+        return self.sgr.c2 > self.c3 * (1.0 - 1.0 / self.rho)
 
 
 @dataclass(frozen=True)
@@ -309,8 +306,7 @@ class EtaReport:
 
     eta: float
     rate: float  # eta * alpha_max
-    hypothesis_ok: bool  # c2 > c3 (1 - 1/rho)
-    certified: bool  # hypothesis_ok and 0 < eta < 1/alpha_max
+    certified: bool  # lemma_applicable and 0 < eta < 1/alpha_max
 
 
 def compute_eta(constants: TheoremConstants) -> EtaReport:
@@ -330,15 +326,12 @@ def compute_eta(constants: TheoremConstants) -> EtaReport:
     against 0.0189 at a = 0.01). tests/test_diagnostics.py pins this as a
     strict xfail.
     """
-    c = constants
-    eta = (c.L_max * c.c1 * c.c1 / (2.0 * c.c2)) * (
-        1.0 / c.gamma + 1.0 / (c.delta * (1.0 - c.gamma))
+    c, sgr, ls = constants, constants.sgr, constants.ls
+    eta = (c.L_max * sgr.c1 * sgr.c1 / (2.0 * sgr.c2)) * (
+        1.0 / ls.gamma + 1.0 / (ls.delta * (1.0 - ls.gamma))
     ) - 2.0 * c.sigma * c.mu
-    hypothesis_ok = c.lemma_applicable
-    certified = hypothesis_ok and 0.0 < eta < 1.0 / c.alpha_max
-    return EtaReport(
-        eta=eta, rate=eta * c.alpha_max, hypothesis_ok=hypothesis_ok, certified=certified
-    )
+    certified = c.lemma_applicable and 0.0 < eta < 1.0 / ls.alpha_max
+    return EtaReport(eta=eta, rate=eta * ls.alpha_max, certified=certified)
 
 
 @dataclass(frozen=True)
@@ -362,12 +355,12 @@ def verify_lemma_bounds(moment: MomentReport, constants: TheoremConstants) -> Le
     if not constants.lemma_applicable:
         raise DomainError(
             "constants violate the hypothesis c2 > c3 (1 - 1/rho): "
-            f"c2={constants.c2}, c3={constants.c3}, rho={constants.rho}"
+            f"c2={constants.sgr.c2}, c3={constants.c3}, rho={constants.rho}"
         )
     grad = moment.E_g
     gnorm = float(np.linalg.norm(grad))
     norm_lhs = float(np.linalg.norm(moment.E_d))
-    norm_rhs = constants.c1 * math.sqrt(constants.rho) * gnorm
+    norm_rhs = constants.sgr.c1 * math.sqrt(constants.rho) * gnorm
     descent_lhs = float(moment.E_d @ grad)
     descent_rhs = -constants.sigma * (gnorm * gnorm)
     return LemmaBoundsReport(

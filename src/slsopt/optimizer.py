@@ -22,7 +22,7 @@ from . import _blas
 from .directions import DirectionState, MemoryRows, SgrParams, safeguarded_direction, update_memory
 from .errors import (
     CertificateError,
-    ConfigError,
+    DomainError,
     InsufficientDataError,
     LineSearchStallError,
     NumericDomainError,
@@ -41,6 +41,7 @@ from .problems import (
 )
 
 __all__ = [
+    "RunSettings",
     "RunConfig",
     "IterationRecord",
     "RunResult",
@@ -55,38 +56,50 @@ __all__ = [
 STATUSES = ("converged_grad", "converged_fgap", "max_iters", "stalled")
 
 
-def check_run_limits(max_iters, grad_tol, fgap_tol, trace_every):
-    """Raise ConfigError unless each limit is >= its bound; NaN fails."""
-    for name, value, bound in (
-        ("max_iters", max_iters, 1),
-        ("grad_tol", grad_tol, 0.0),
-        ("fgap_tol", fgap_tol, 0.0),
-        ("trace_every", trace_every, 1),
-    ):
-        if not value >= bound:
-            raise ConfigError(f"{name} must be >= {bound}, got {value}")
+@dataclass(frozen=True)
+class RunSettings:
+    """The limits of a run, the config section [run] without its output paths.
+
+    Checked when built: seed >= 0, max_iters >= 1, both tolerances >= 0 and
+    trace_every >= 1, the iterations between exact full-oracle samples. A
+    failing value, NaN included, raises DomainError.
+    """
+
+    max_iters: int = 1000
+    grad_tol: float = 1e-10
+    fgap_tol: float = 1e-8
+    seed: int = 0
+    trace_every: int = 10
+
+    def __post_init__(self):
+        for name, bound in (
+            ("seed", 0),
+            ("max_iters", 1),
+            ("grad_tol", 0.0),
+            ("fgap_tol", 0.0),
+            ("trace_every", 1),
+        ):
+            value = getattr(self, name)
+            if not value >= bound:
+                raise DomainError(f"{name} must be >= {bound}, got {value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything one optimization run depends on; checked when built.
+    """Everything one optimization run depends on: the section objects, and x0.
 
-    trace_full_oracle_every is the config key run.trace_every.
+    Each section object checks itself when built; RunConfig adds that the
+    restart direction -g passes the (c1, c2) bounds.
     """
 
     problem: ResidualProblem
     direction: DirectionState
     linesearch: LineSearchParams
     sgr: SgrParams
-    max_iters: int = 1000
-    grad_tol: float = 1e-10
-    fgap_tol: float = 1e-8
-    seed: int = 0
-    trace_full_oracle_every: int = 10
+    run: RunSettings = RunSettings()
     x0: Vector | None = None
 
     def __post_init__(self):
-        check_run_limits(self.max_iters, self.grad_tol, self.fgap_tol, self.trace_full_oracle_every)
         self.sgr.require_fallback_admissible()
 
 
@@ -140,9 +153,9 @@ def _start(config: RunConfig, seed: int) -> tuple[Vector, BatchSampler]:
 
 def _verdict(config: RunConfig, f_star, f_full, grad_norm) -> str | None:
     """The converged status an exact sample shows, or None."""
-    if grad_norm <= config.grad_tol:
+    if grad_norm <= config.run.grad_tol:
         return "converged_grad"
-    if f_star is not None and f_full - f_star <= config.fgap_tol:
+    if f_star is not None and f_full - f_star <= config.run.fgap_tol:
         return "converged_fgap"
     return None
 
@@ -248,12 +261,12 @@ def run(config: RunConfig) -> RunResult:
     OpenBLAS to one thread: the trajectory is reproducible bit for bit given
     the config and seed, whatever the core count or OPENBLAS_NUM_THREADS.
     """
-    return run_many(config, [config.seed])[0]
+    return run_many(config, [config.run.seed])[0]
 
 
 @_blas.single_thread()
 def run_many(config: RunConfig, seeds) -> list[RunResult]:
-    """One run per seed s, with replace(config, seed=s), advanced in lockstep.
+    """One run per seed s, config's run with its seed set to s, advanced in lockstep.
 
     The K seeds' iterates are the rows of one (K, n) stack: the sampled
     rows, the finiteness checks, the direction recipe (MemoryRows), the
@@ -278,8 +291,8 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
     # The (K, n) stacks of past iterations, oldest first; see _retire.
     spent = deque()
 
-    every = config.trace_full_oracle_every
-    for k in range(config.max_iters):
+    every = config.run.trace_every
+    for k in range(config.run.max_iters):
         if k % every == 0:
             # X[j], not a loop variable: a row view left bound after the loop
             # would keep this stack alive until the next trace point.

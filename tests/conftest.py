@@ -144,11 +144,11 @@ def reference_run(config: RunConfig) -> RunResult:
     prefix.
     """
     problem = config.problem
-    x, sampler = _start(config, config.seed)
+    x, sampler = _start(config, config.run.seed)
     lane = _Lane(config, "", sampler)
     state = Memory(config.direction)
-    every = config.trace_full_oracle_every
-    for k in range(config.max_iters):
+    every = config.run.trace_every
+    for k in range(config.run.max_iters):
         if k % every == 0 and lane.sample(x):
             break
         # The search runs on phi(a) = f_i(x + a d); see evaluate_batch.

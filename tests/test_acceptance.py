@@ -16,6 +16,7 @@ from slsopt import (
     DirectionState,
     LineSearchParams,
     RunConfig,
+    RunSettings,
     SgrParams,
     TheoremConstants,
     alpha_low,
@@ -170,11 +171,7 @@ def _sweep(problem, kind, seeds, max_iters, sgr, beta=0.9, beta_cap=0.3):
             direction=DirectionState(kind=kind, beta=beta, beta_cap=beta_cap),
             linesearch=std_linesearch(),
             sgr=sgr,
-            max_iters=max_iters,
-            grad_tol=0.0,
-            fgap_tol=1e-8,
-            seed=seed,
-            trace_full_oracle_every=10,
+            run=RunSettings(max_iters=max_iters, grad_tol=0.0, fgap_tol=1e-8, seed=seed, trace_every=10),
         )
         outcomes.append(run(cfg))
     return outcomes
@@ -229,8 +226,8 @@ def test_criterion_05_safeguarded_directions_converge(std_instance):
 
 def test_criterion_06_rate_coefficient_and_certified_bound():
     # hand-substituted values
-    base = dict(c1=1.0, c2=1.0, c3=0.0, rho=1.0, L=1.0, L_max=1.0,
-                gamma=0.5, delta=0.5, alpha_max=1.0)
+    base = dict(sgr=SgrParams(c1=1.0, c2=1.0), ls=LineSearchParams(gamma=0.5, delta=0.5, alpha_max=1.0),
+                c3=0.0, rho=1.0, L=1.0, L_max=1.0)
     eta_one = compute_eta(TheoremConstants(mu=1.0, **base)).eta
     eta_fifth = compute_eta(TheoremConstants(mu=1.4, **base)).eta
     hand_ok = abs(eta_one - 1.0) <= 1e-12 and abs(eta_fifth - 0.2) <= 1e-12
@@ -244,8 +241,8 @@ def test_criterion_06_rate_coefficient_and_certified_bound():
     c3_hat, _ = estimate_c3(moments)
     ls = LineSearchParams(gamma=0.5, delta=0.99, alpha_max=0.5)
     constants = TheoremConstants(
-        c1=1.0, c2=1.0, c3=c3_hat, rho=rho_hat, mu=p.known.mu, L=p.known.L,
-        L_max=p.known.L_max, gamma=ls.gamma, delta=ls.delta, alpha_max=ls.alpha_max,
+        sgr=SgrParams(c1=1.0, c2=1.0), ls=ls, c3=c3_hat, rho=rho_hat, mu=p.known.mu, L=p.known.L,
+        L_max=p.known.L_max,
     )
     eta_report = compute_eta(constants)
 
@@ -259,8 +256,8 @@ def test_criterion_06_rate_coefficient_and_certified_bound():
     for seed in range(20):
         cfg = RunConfig(
             problem=p, direction=DirectionState(kind="sgd"), linesearch=ls,
-            sgr=SgrParams(c1=1.0, c2=1.0), max_iters=120, grad_tol=0.0,
-            fgap_tol=0.0, seed=seed, trace_full_oracle_every=1, x0=x0,
+            sgr=SgrParams(c1=1.0, c2=1.0),
+            run=RunSettings(max_iters=120, grad_tol=0.0, fgap_tol=0.0, seed=seed, trace_every=1), x0=x0,
         )
         for r in run(cfg).trajectory:
             if r.f_full is not None:
@@ -317,9 +314,9 @@ def test_criterion_08_expected_direction_bounds(std_instance):
     moments = exact_moments(std_instance, points)
     rho_hat, _ = estimate_rho(moments)
     constants = TheoremConstants(
-        c1=1.0, c2=1.0, c3=1.0, rho=rho_hat, mu=std_instance.known.mu,
+        sgr=SgrParams(c1=1.0, c2=1.0), ls=LineSearchParams(gamma=0.1, delta=0.5, alpha_max=10.0),
+        c3=1.0, rho=rho_hat, mu=std_instance.known.mu,
         L=std_instance.known.L, L_max=std_instance.known.L_max,
-        gamma=0.1, delta=0.5, alpha_max=10.0,
     )
     worst_norm = worst_descent = np.inf
     for m in moments:

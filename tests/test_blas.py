@@ -15,6 +15,7 @@ from slsopt import (
     LeastSquaresProblem,
     LineSearchParams,
     RunConfig,
+    RunSettings,
     SgrParams,
     _blas,
     cli,
@@ -37,9 +38,7 @@ def small_config(problem, **kw):
         direction=DirectionState(kind="sgd"),
         linesearch=LineSearchParams(gamma=0.1, delta=0.5, alpha_max=10.0),
         sgr=SgrParams(c1=1.0, c2=1.0),
-        max_iters=30,
-        grad_tol=0.0,
-        fgap_tol=0.0,
+        run=RunSettings(max_iters=30, grad_tol=0.0, fgap_tol=0.0),
     )
     fields.update(kw)
     return RunConfig(**fields)

@@ -37,6 +37,7 @@ from slsopt import config as cfgmod
 from slsopt.config import (
     PROBLEM_KINDS,
     ExperimentConfig,
+    RunPaths,
     build_direction_state,
     build_linesearch_params,
     build_problem,
@@ -50,6 +51,7 @@ from slsopt.config import (
 from slsopt.directions import DirectionState, MemoryRows, SgrParams
 from slsopt.errors import ConfigError, DomainError, InvalidSpecError
 from slsopt.linesearch import ALPHA0_POLICIES, LineSearchParams
+from slsopt.optimizer import RunSettings
 from slsopt.traceio import CSV_HEADER, read_trace, write_trace
 
 TOY = """
@@ -138,9 +140,11 @@ _word = st.text("abcxyz_:+-019", max_size=12)
 _non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
 _not_positive = st.floats(max_value=0.0, allow_infinity=False) | _non_finite
 _not_unit = st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.just(math.nan)
+_negative = st.floats(max_value=-5e-324) | st.just(math.nan)
 
-# One strategy of invalid values per [direction] and [linesearch] key, each
-# invalid with every other key at its default (c1 = 10, c2 = 0.1).
+# One strategy of invalid values per [direction] and [linesearch] key and per
+# [run] limit, each invalid with every other key at its default (c1 = 10,
+# c2 = 0.1).
 INVALID_SETTINGS = {
     "direction.kind": _word.filter(lambda t: t not in KINDS),
     "direction.beta": _non_finite,
@@ -154,10 +158,15 @@ INVALID_SETTINGS = {
     "linesearch.alpha_max": _not_positive,
     "linesearch.alpha0_policy": st.just("warm_increase:2") | _word.filter(lambda t: t not in ALPHA0_POLICIES),
     "linesearch.max_backtracks": st.integers(max_value=0),
+    "run.max_iters": st.integers(max_value=0),
+    "run.grad_tol": _negative,
+    "run.fgap_tol": _negative,
+    "run.seed": st.integers(max_value=-1),
+    "run.trace_every": st.integers(max_value=0),
 }
 
 # The section of each ExperimentConfig field, where it is not the field's name.
-SECTION_OF = {"sgr": "direction"}
+SECTION_OF = {"sgr": "direction", "paths": "run"}
 
 
 def _consistent(values):
@@ -181,7 +190,7 @@ class TestConfigFormat:
         cfg = parse_config(TOY)
         assert cfg.problem.N == 1
         assert cfg.run.seed == 0
-        assert cfg.run.out_csv == "trace.csv"
+        assert cfg.paths.out_csv == "trace.csv"
         assert cfg.direction.beta == 0.9
 
     def test_round_trip_is_lossless(self):
@@ -237,7 +246,7 @@ class TestConfigFormat:
         assert parse_config(serialize_config(cfg)) == cfg
 
     @given(values=st.fixed_dictionaries(
-        {k: v for k, v in VALID_SETTINGS.items() if k.startswith(("direction.", "linesearch."))}
+        {k: v for k, v in VALID_SETTINGS.items() if k.startswith(("direction.", "linesearch.", "run."))}
     ))
     @settings(max_examples=200, deadline=None)
     def test_direction_and_linesearch_parse_into_their_domain_objects(self, values):
@@ -252,6 +261,11 @@ class TestConfigFormat:
             gamma=v["gamma"], delta=v["delta"], alpha_max=v["alpha_max"],
             alpha0_policy=v["alpha0_policy"], max_backtracks=v["max_backtracks"],
         )
+        assert cfg.run == RunSettings(
+            max_iters=v["max_iters"], grad_tol=v["grad_tol"], fgap_tol=v["fgap_tol"], seed=v["seed"],
+            trace_every=v["trace_every"],
+        )
+        assert cfg.paths == RunPaths(out_csv=v["out_csv"], out_svg=v["out_svg"])
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -259,7 +273,7 @@ class TestConfigFormat:
         dotted = data.draw(st.sampled_from(sorted(INVALID_SETTINGS)))
         value = data.draw(INVALID_SETTINGS[dotted])
         section, key = dotted.split(".")
-        cls = {"direction": DirectionState, "linesearch": LineSearchParams}[section]
+        cls = {"direction": DirectionState, "linesearch": LineSearchParams, "run": RunSettings}[section]
         if key in ("c1", "c2"):
             cls = SgrParams
         with pytest.raises((InvalidSpecError, DomainError)) as direct:
@@ -324,7 +338,8 @@ class TestBuilders:
     def test_build_run_config_carries_sections(self):
         cfg = parse_config(LS, overrides=["run.seed=5"])
         rc = build_run_config(cfg, problem=build_problem(cfg))
-        assert rc.seed == 5
+        assert rc.run is cfg.run
+        assert rc.run.seed == 5
         assert rc.linesearch.gamma == 0.1
         assert rc.sgr.c1 == 1.0
 
@@ -507,14 +522,13 @@ class TestCmdDiagnose:
         mu, _ = estimate_pl(plain, p.known.f_star)
         wgc, _ = estimate_wgc(plain, p.known.f_star, p.known.L)
         constants = TheoremConstants(
-            c1=sgr.c1, c2=sgr.c2, c3=c3, rho=rho, mu=p.known.mu, L=p.known.L,
-            L_max=p.known.L_max, gamma=ls.gamma, delta=ls.delta, alpha_max=ls.alpha_max,
+            sgr=sgr, ls=ls, c3=c3, rho=rho, mu=p.known.mu, L=p.known.L, L_max=p.known.L_max,
         )
         eta = compute_eta(constants)
         expected = [
             ("rho_hat", rho), ("c3_hat", c3), ("mu_hat", mu), ("wgc_hat", wgc),
             ("sigma", constants.sigma), ("eta", eta.eta), ("eta_alpha_max", eta.rate),
-            ("theorem_hypothesis_ok", str(eta.hypothesis_ok).lower()),
+            ("theorem_hypothesis_ok", str(constants.lemma_applicable).lower()),
             ("rate_certified", str(eta.certified).lower()),
         ]
         if constants.lemma_applicable:
@@ -1006,7 +1020,7 @@ class TestRejectedInputs:
 
     def test_negative_run_seed(self, capsys):
         err = self._config_error(capsys, ["run", str(CONFIGS / "toy.ini"), "--seed", "-1"])
-        assert "run.seed must be >= 0" in err
+        assert err == "config error: run: seed must be >= 0, got -1\n"
 
     def test_negative_problem_seed(self, capsys):
         err = self._config_error(

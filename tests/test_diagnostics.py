@@ -12,6 +12,7 @@ from slsopt import (
     KINDS,
     DirectionState,
     LeastSquaresProblem,
+    LineSearchParams,
     SgrParams,
     TheoremConstants,
     compute_eta,
@@ -40,8 +41,9 @@ X1 = np.array([1.0])
 
 def constants_with(c1=1.0, c2=1.0, c3=1.0, rho=10.0 / 9.0, mu=1.0, L=1.0, L_max=1.0,
                    gamma=0.5, delta=0.5, alpha_max=1.0):
-    return TheoremConstants(c1=c1, c2=c2, c3=c3, rho=rho, mu=mu, L=L, L_max=L_max,
-                            gamma=gamma, delta=delta, alpha_max=alpha_max)
+    return TheoremConstants(sgr=SgrParams(c1=c1, c2=c2),
+                            ls=LineSearchParams(gamma=gamma, delta=delta, alpha_max=alpha_max),
+                            c3=c3, rho=rho, mu=mu, L=L, L_max=L_max)
 
 
 class TestExactMoments:
@@ -227,7 +229,7 @@ class TestComputeEta:
         c = constants_with(c3=0.0, rho=1.0, mu=1.0)
         rep = compute_eta(c)
         assert rep.eta == 1.0
-        assert rep.hypothesis_ok
+        assert c.lemma_applicable
 
     def test_hand_value_point_two(self):
         c = constants_with(c3=0.0, rho=1.0, mu=1.4)
@@ -237,7 +239,7 @@ class TestComputeEta:
     def test_hypothesis_gate(self):
         c = constants_with(c2=0.4, c3=1.0, rho=2.0)  # c3 (1 - 1/rho) = 0.5 >= c2
         rep = compute_eta(c)
-        assert not rep.hypothesis_ok
+        assert not c.lemma_applicable
         assert not rep.certified
 
     def test_certified_flag_window(self):

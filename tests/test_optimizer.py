@@ -16,6 +16,7 @@ from slsopt import (
     LineSearchParams,
     ResidualProblem,
     RunConfig,
+    RunSettings,
     SgrParams,
     TwoFactorProblem,
     contraction_estimate,
@@ -30,7 +31,7 @@ from slsopt.config import build_problem, build_run_config, read_config
 from slsopt.directions import MemoryRows
 from slsopt.errors import (
     CertificateError,
-    ConfigError,
+    DomainError,
     InsufficientDataError,
     LineSearchStallError,
     NumericDomainError,
@@ -55,17 +56,26 @@ def small_instance(seed=5):
     return gen_interpolating_least_squares(8, 12, seed=seed, singular_values=np.full(8, 2.0))
 
 
+RUN_SETTINGS = {f.name for f in dataclasses.fields(RunSettings)}
+
+
 def base_config(problem, **kw):
+    """A RunConfig on problem; a keyword names a field of RunConfig or of its RunSettings."""
+    settings = dict(max_iters=200, seed=0)
+    settings.update((key, kw.pop(key)) for key in RUN_SETTINGS & kw.keys())
     defaults = dict(
         problem=problem,
         direction=DirectionState(kind="sgd"),
         linesearch=LineSearchParams(gamma=0.1, delta=0.5, alpha_max=10.0),
         sgr=SgrParams(c1=1.0, c2=1.0),
-        max_iters=200,
-        seed=0,
     )
     defaults.update(kw)
-    return RunConfig(**defaults)
+    return RunConfig(run=RunSettings(**settings), **defaults)
+
+
+def with_seed(config, seed):
+    """config with its run's seed set to seed."""
+    return dataclasses.replace(config, run=dataclasses.replace(config.run, seed=seed))
 
 
 class TestRun:
@@ -74,7 +84,7 @@ class TestRun:
             unit_quadratic(),
             linesearch=LineSearchParams(gamma=0.5, delta=0.5, alpha_max=1.0),
             x0=np.array([1.0]),
-            trace_full_oracle_every=1,
+            trace_every=1,
         )
         res = run(cfg)
         assert res.status == "converged_grad"
@@ -132,7 +142,7 @@ class TestRun:
 
     def test_full_oracle_logged_periodically(self):
         p = small_instance()
-        res = run(base_config(p, max_iters=55, trace_full_oracle_every=10,
+        res = run(base_config(p, max_iters=55, trace_every=10,
                               grad_tol=0.0, fgap_tol=0.0))
         for r in res.trajectory:
             if r.k % 10 == 0:
@@ -176,7 +186,7 @@ class TestRun:
             # k = 0 is the only trace point, so an exact sample at k = 1 is
             # the zero-gradient path's own
             cfg = base_config(p, x0=np.array([1.0]), max_iters=5, seed=seed,
-                              grad_tol=0.0, fgap_tol=0.0, trace_full_oracle_every=100)
+                              grad_tol=0.0, fgap_tol=0.0, trace_every=100)
             res = run(cfg)
             if all(r.g_batch_norm == 0.0 for r in res.trajectory[:2]):
                 hit = res
@@ -200,17 +210,17 @@ class TestRun:
 
     def test_config_validation(self):
         p = unit_quadratic()
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             run(base_config(p, max_iters=0))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             run(base_config(p, grad_tol=-1.0))
-        with pytest.raises(ConfigError):
-            run(base_config(p, trace_full_oracle_every=0))
+        with pytest.raises(DomainError):
+            run(base_config(p, trace_every=0))
         with pytest.raises(UnsatisfiableSafeguardError):
             run(base_config(p, sgr=SgrParams(c1=0.5, c2=0.2)))
         # each limit is checked when the config is built, and NaN fails it
-        for field in ("max_iters", "grad_tol", "fgap_tol", "trace_full_oracle_every"):
-            with pytest.raises(ConfigError, match="must be >= "):
+        for field in ("max_iters", "grad_tol", "fgap_tol", "trace_every"):
+            with pytest.raises(DomainError, match="must be >= "):
                 base_config(p, **{field: float("nan")})
 
 
@@ -532,7 +542,7 @@ def assert_lockstep_equals_run(config, seeds):
     want, failing = [], set()
     for s in seeds:
         try:
-            want.append(reference_run(dataclasses.replace(config, seed=s)))
+            want.append(reference_run(with_seed(config, s)))
         except NumericDomainError:
             failing.add(s)
     if failing:
@@ -574,7 +584,7 @@ def mixed_endings_config(kind):
             gamma=0.5, delta=0.5, alpha_max=1.0, alpha0_policy="warm_increase", max_backtracks=5
         ),
         max_iters=12,
-        trace_full_oracle_every=5,
+        trace_every=5,
     )
 
 
@@ -608,7 +618,7 @@ def _lockstep_config(draw):
         max_iters=draw(st.integers(1, 80)),
         grad_tol=draw(st.sampled_from([0.0, 1e-10])),
         fgap_tol=1e-8,
-        trace_full_oracle_every=draw(st.integers(1, 12)),
+        trace_every=draw(st.integers(1, 12)),
     )
 
 
@@ -655,7 +665,7 @@ class TestRunMany:
         # d = -g = [-0.0], whose slope d . g is the product -0.0 in run
         p = LeastSquaresProblem(np.array([[2.0]]), np.array([0.0]))
         config = base_config(p, x0=np.array([1.0]), linesearch=LineSearchParams(alpha_max=1.0),
-                             grad_tol=0.0, fgap_tol=0.0, trace_full_oracle_every=100)
+                             grad_tol=0.0, fgap_tol=0.0, trace_every=100)
         results = assert_lockstep_equals_run(config, [0, 1])
         assert [math.copysign(1.0, r.trajectory[1].dTg) for r in results] == [-1.0, -1.0]
 
@@ -684,7 +694,7 @@ def _error_of(call) -> SlsoptError:
 
 def assert_named_run_error(config, seeds, seed) -> SlsoptError:
     """run_many's error is the one reference_run raises for seed, after "seed=S: "; returns it."""
-    want = _error_of(lambda: reference_run(dataclasses.replace(config, seed=seed)))
+    want = _error_of(lambda: reference_run(with_seed(config, seed)))
     got = _error_of(lambda: optimizer.run_many(config, seeds))
     assert type(got) is type(want)
     assert str(got) == f"seed={seed}: {want}"
@@ -705,7 +715,7 @@ def _fault_at(monkeypatch, config, seed, search, fault):
         return real(phi, slope, params, alpha0, f_x)
 
     monkeypatch.setattr(optimizer, "backtrack", recorded)
-    reference_run(dataclasses.replace(config, seed=seed))
+    reference_run(with_seed(config, seed))
     target = starts[search]
     assert starts.count(target) == 1
 
