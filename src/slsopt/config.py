@@ -41,6 +41,13 @@ PROBLEM_KINDS = ("least_squares", "nonconvex")
 
 @dataclass(frozen=True)
 class ProblemConfig:
+    """The instance spec of [problem]: generator family, sizes, seed and spectrum.
+
+    Checked when built: kind in PROBLEM_KINDS, N >= 1, n >= 1 and
+    seed >= 0; a failing value raises InvalidSpecError. The spectrum is
+    checked by build_problem, against N and n.
+    """
+
     kind: str = "least_squares"
     N: int = 100
     n: int = 200
@@ -49,13 +56,11 @@ class ProblemConfig:
 
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
-            raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}, got {self.kind!r}")
-        if self.N < 1:
-            raise ConfigError(f"problem.N must be >= 1, got {self.N}")
-        if self.n < 1:
-            raise ConfigError(f"problem.n must be >= 1, got {self.n}")
-        if self.seed < 0:
-            raise ConfigError(f"problem.seed must be >= 0, got {self.seed}")
+            raise InvalidSpecError(f"kind must be one of {PROBLEM_KINDS}, got {self.kind!r}")
+        for name, bound in (("N", 1), ("n", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not value >= bound:
+                raise InvalidSpecError(f"{name} must be >= {bound}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from . import _blas
 from .directions import MemoryRows, SgrParams
 from .errors import DomainError, NumericDomainError, UndefinedEstimateError
 from .linesearch import LineSearchParams
-from .problems import ResidualProblem, Vector, as_vector
+from .problems import ResidualProblem, Vector, as_vector, unbuffered
 
 __all__ = [
     "MomentReport",
@@ -63,20 +63,26 @@ class MomentReport:
     f: float
 
 
-# Bytes of one block of gradient (or direction) rows, about an L2 cache: a
-# block is still cached when its row dots and column sums read it.
-_BLOCK_BYTES = 256 * 1024
+# Bytes of one block of gradient (or direction) rows. Every block costs
+# each point a few numpy calls, and a block and the rows of A it is formed
+# from must stay in a 2 MiB L2 cache while its row dots and column sums
+# read it. On 1000 x 2000 least squares (numpy 2.4, sweeps inside
+# unbuffered()), blocks of 256 to 512 KiB cost a point the same CPU time
+# within noise, with sgd and with adagrad_diag's direction rows; 768 KiB
+# cost adagrad_diag 8% more and 1 MiB cost both 8-11% more. 512 KiB makes
+# half the calls of 256 KiB.
+_BLOCK_BYTES = 512 * 1024
 
 
 def _blocks(N: int, n: int) -> list[slice]:
     """The blocks of rows of an (N, n) matrix that exact_moments forms.
 
-    Each holds _BLOCK_BYTES of rows, and at least two, since numpy's
-    ``einsum`` dots a single long row in another order than the same row of
-    a matrix: a last block of one row joins the block before it. numpy sums
-    the rows of a matrix in order when n >= 2, which _ColumnSum continues
-    block by block; a single column it sums pairwise, so that column is one
-    block.
+    Each holds _BLOCK_BYTES of rows (32 rows at n = 2000), and at least
+    two, since numpy's ``einsum`` dots a single long row in another order
+    than the same row of a matrix: a last block of one row joins the block
+    before it. numpy sums the rows of a matrix in order when n >= 2, which
+    _ColumnSum continues block by block; a single column it sums pairwise,
+    so that column is one block.
     """
     k = N if n == 1 else max(2, _BLOCK_BYTES // (8 * n))
     starts = list(range(0, N, k))
@@ -126,6 +132,12 @@ def exact_moments(problem: ResidualProblem, points, memory: MemoryRows | None = 
     is that of the point's whole matrices: G.mean(axis=0), the mean of the
     einsum row dots, the out-of-place G - E_g. Row i of D is the direction
     that row 0 of ``memory`` gives G[i] at x. Runs on one BLAS thread.
+
+    Each sweep runs inside one problems.unbuffered() window, so the
+    broadcast multiplies of every block pay for no buffer copies and the
+    buffer size is set twice per sweep, not per block; the caller's size
+    is restored after, also when a hook raises. The means between and
+    after the sweeps are taken outside the window.
     """
     N, n = problem.N, problem.n
     xs = [as_vector(x, n) for x in points]
@@ -147,34 +159,36 @@ def exact_moments(problem: ResidualProblem, points, memory: MemoryRows | None = 
     buf_d = np.empty((most + 1, n)) if with_d else None
     sums_g = [_ColumnSum() for _ in xs]
     sums_d = [_ColumnSum() for _ in xs]
-    for block in blocks:
-        k = block.stop - block.start
-        for p, xv in enumerate(xs):
-            G = grads[p](block, buf_g[1 : k + 1])
-            gg[p, block] = _row_dots(G, G)
-            if with_d:
-                D = buf_d[1 : k + 1]
-                D[...] = directions(G, xv)
-                dg[p, block] = _row_dots(D, G)
-                sums_d[p].add(buf_d, k)
-            sums_g[p].add(buf_g, k)
+    with unbuffered():
+        for block in blocks:
+            k = block.stop - block.start
+            for p, xv in enumerate(xs):
+                G = grads[p](block, buf_g[1 : k + 1])
+                gg[p, block] = _row_dots(G, G)
+                if with_d:
+                    D = buf_d[1 : k + 1]
+                    D[...] = directions(G, xv)
+                    dg[p, block] = _row_dots(D, G)
+                    sums_d[p].add(buf_d, k)
+                sums_g[p].add(buf_g, k)
     E_g = [sums.total / N for sums in sums_g]
     E_norm_g_sq = [float(row.mean()) for row in gg]
     if with_d:
         E_d = [sums.total / N for sums in sums_d]
         E_dTg = [float(row.mean()) for row in dg]
     # The second sweep forms each block in the first sweep's buffer.
-    for block in blocks:
-        k = block.stop - block.start
-        for p, xv in enumerate(xs):
-            G = grads[p](block, buf_g[1 : k + 1])
-            if with_d:
-                D = directions(G, xv)
-                np.subtract(D, E_d[p], out=D)
-            np.subtract(G, E_g[p], out=G)
-            gg[p, block] = _row_dots(G, G)
-            if with_d:
-                dg[p, block] = _row_dots(D, G)
+    with unbuffered():
+        for block in blocks:
+            k = block.stop - block.start
+            for p, xv in enumerate(xs):
+                G = grads[p](block, buf_g[1 : k + 1])
+                if with_d:
+                    D = directions(G, xv)
+                    np.subtract(D, E_d[p], out=D)
+                np.subtract(G, E_g[p], out=G)
+                gg[p, block] = _row_dots(G, G)
+                if with_d:
+                    dg[p, block] = _row_dots(D, G)
     reports = []
     for p, xv in enumerate(xs):
         var_g = float(gg[p].mean())
@@ -283,12 +297,13 @@ class TheoremConstants:
     L_max: float
 
     def __post_init__(self):
-        if self.rho < 1.0:
+        # Written so that NaN fails every check.
+        if not self.rho >= 1.0:
             raise DomainError(f"rho must be >= 1, got {self.rho}")
         for name in ("mu", "L", "L_max"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be > 0")
-        if self.c3 < 0:
+        if not self.c3 >= 0:
             raise DomainError(f"c3 must be >= 0, got {self.c3}")
 
     @property

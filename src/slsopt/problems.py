@@ -40,6 +40,7 @@ __all__ = [
     "evaluate_batch",
     "full_oracle",
     "ray_phi",
+    "unbuffered",
     "gen_interpolating_least_squares",
     "gen_nonconvex_interpolating",
     "planted_least_squares",
@@ -72,22 +73,28 @@ def _all_finite(v) -> bool:
     return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
 
 
-def _multiply_unbuffered(a, b, out):
-    """np.multiply(a, b, out=out) with numpy's ufunc buffer at 16 entries.
+class unbuffered:
+    """Context manager: the body runs with numpy's ufunc buffer at 16 entries.
 
-    Where one operand is broadcast along rows shorter than the buffer (8192
-    entries by default), numpy's iterator copies operands through its
-    buffers to run one inner loop across several rows, which costs more
-    than the products. A buffer no longer than a row runs one loop per row
-    instead. Each product is one rounding either way, so the floats are
-    the same, signed zeros, infinities and NaNs included. The previous
-    size is restored also when the multiply raises.
+    Where one operand of a multiply is broadcast along rows shorter than
+    the buffer (8192 entries by default), numpy's iterator copies operands
+    through its buffers to run one inner loop across several rows, which
+    costs more than the products. A buffer no longer than a row runs one
+    loop per row instead. Each product is one rounding either way, so the
+    floats are the same, signed zeros, infinities and NaNs included;
+    einsum's iterator has a buffer size of its own. The previous size is
+    restored on exit, also when the body raises. Entering costs two
+    setbufsize calls, so a caller that forms many blocks enters once
+    around them all. A class, not a generator: the two-factor pullback
+    enters once per iteration, and contextlib's wrapper would add a
+    microsecond there.
     """
-    saved = np.setbufsize(16)
-    try:
-        return np.multiply(a, b, out=out)
-    finally:
-        np.setbufsize(saved)
+
+    def __enter__(self):
+        self._saved = np.setbufsize(16)
+
+    def __exit__(self, *exc_info):
+        np.setbufsize(self._saved)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,8 +155,10 @@ class ResidualProblem:
     residuals at x from one pass, and ``grads(rows, out)``, which writes the
     gradients of the components in the slice ``rows`` into ``out``, a
     (len, n) array that the caller owns, and returns it. Every block is
-    taken from that one pass. The one-point oracles run the hooks on the
-    (1, n) view of x.
+    taken from that one pass. Its rows are scaled by a broadcast multiply,
+    which is fast inside ``unbuffered()``; a caller that forms many blocks
+    (exact_moments) enters it once around them all. The one-point oracles
+    run the hooks on the (1, n) view of x.
 
     ``n`` is the length of x and defaults to the number of columns of A.
     """
@@ -259,7 +268,8 @@ class LeastSquaresProblem(ResidualProblem):
         return r, functools.partial(self.component_grads, r)
 
     def component_grads(self, r, rows, out):
-        return _multiply_unbuffered(r[rows, None], self.A[rows], out)
+        # exact_moments runs this inside unbuffered(), once for all blocks
+        return np.multiply(r[rows, None], self.A[rows], out=out)
 
 
 class TwoFactorProblem(ResidualProblem):
@@ -304,7 +314,8 @@ class TwoFactorProblem(ResidualProblem):
         P = np.matmul(V, rows[:, :, None])[:, :, 0]
         G = np.empty((len(X), self.n))
         G[:, : self.n_u] = P
-        _multiply_unbuffered(U[:, :, None], rows[:, None, :], self._unpack_rows(G)[1])
+        with unbuffered():
+            np.multiply(U[:, :, None], rows[:, None, :], out=self._unpack_rows(G)[1])
         G *= R0[:, None]
         return G, P
 
@@ -325,7 +336,8 @@ class TwoFactorProblem(ResidualProblem):
         return r, functools.partial(self.component_grads, u, r, self.A @ V.T)
 
     def component_grads(self, u, r, AV, rows, out):
-        _multiply_unbuffered(r[rows, None], AV[rows], out[:, : self.n_u])
+        # exact_moments runs this inside unbuffered(), once for all blocks
+        np.multiply(r[rows, None], AV[rows], out=out[:, : self.n_u])
         GV = np.reshape(out[:, self.n_u :], (len(out), self.n_u, self.n_v), copy=False)
         np.einsum("i,u,iv->iuv", r[rows], u, self.A[rows], out=GV)
         return out

@@ -1026,7 +1026,22 @@ class TestRejectedInputs:
         err = self._config_error(
             capsys, ["run", str(CONFIGS / "toy.ini"), "--override", "problem.seed=-1"]
         )
-        assert "problem.seed must be >= 0" in err
+        assert err == "config error: problem: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("problem.kind=convex", "kind must be one of ('least_squares', 'nonconvex'), got 'convex'"),
+            ("problem.N=0", "N must be >= 1, got 0"),
+            ("problem.n=0", "n must be >= 1, got 0"),
+            ("problem.seed=-2", "seed must be >= 0, got -2"),
+        ],
+    )
+    def test_problem_spec_error_names_its_section(self, capsys, override, message):
+        # ProblemConfig raises a domain error, which the parse wraps as every
+        # section's: "<section>: <message>"
+        err = self._config_error(capsys, ["run", str(CONFIGS / "toy.ini"), "--override", override])
+        assert err == f"config error: problem: {message}\n"
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("key", ["grad_tol", "fgap_tol"])

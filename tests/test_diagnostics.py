@@ -252,6 +252,11 @@ class TestComputeEta:
         with pytest.raises(DomainError):
             constants_with(rho=0.5)
 
+    @pytest.mark.parametrize("name", ["c3", "rho", "mu", "L", "L_max"])
+    def test_nan_constant_rejected(self, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            constants_with(**{name: float("nan")})
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
     def test_certified_rate_is_at_least_the_exact_one_step_ratio(self):
         # criterion 6's orthonormal instance: every row has unit norm, so for
@@ -503,6 +508,76 @@ class TestBlockedMoments:
 
     @given(
         family=st.sampled_from(["least_squares", "two_factor"]),
+        kind=st.sampled_from(["sgd", "adagrad_diag"]),
+        N=st.integers(1, 24),
+        n=st.integers(1, 40),
+        rows=st.integers(1, 25),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reports_do_not_depend_on_the_callers_buffer_size(self, family, kind, N, n, rows, seed):
+        # the sweeps set numpy's buffer size themselves and the means around
+        # them must not read the caller's; rows shorter and longer than the
+        # 16-entry buffer, with adagrad_diag building direction rows
+        p = _problem(family, N, n, seed)
+        rng = np.random.default_rng(seed)
+        points = [rng.standard_normal(p.n), np.zeros(p.n)]
+        if kind == "sgd":
+            memory = MemoryRows(DirectionState(kind=kind), 1, p.n)
+        else:
+            memory = one_row(DirectionState(kind=kind), p.n, accum=rng.random(p.n))
+        default = np.getbufsize()
+        runs = []
+        with mock.patch.object(diagnostics, "_BLOCK_BYTES", 8 * p.n * rows):
+            for size in (default, 16, 2**20):
+                with np.errstate():
+                    np.setbufsize(size)
+                    runs.append(exact_moments(p, points, memory))
+                    assert np.getbufsize() == size
+        for reports in runs[1:]:
+            for got, want in zip(reports, runs[0], strict=True):
+                _assert_same_report(got, want)
+
+    @pytest.mark.parametrize("call", [0, 1, 3, 4])
+    @pytest.mark.parametrize("kind", [None, "adagrad_diag"])
+    def test_buffer_size_is_restored(self, kind, call):
+        # three blocks of two rows a sweep; the hook raises at the first or
+        # second block of the first sweep or of the second, then not at all
+        G = np.arange(18.0).reshape(6, 3)
+        memory = None if kind is None else one_row(DirectionState(kind=kind), 3, accum=np.ones(3))
+
+        class Failing(_Rows):
+            def __init__(self, G, fail_at):
+                super().__init__(G)
+                self.fail_at, self.sizes = fail_at, []
+
+            def component_pass(self, x):
+                r, grads = super().component_pass(x)
+
+                def hook(rows, out):
+                    self.sizes.append(np.getbufsize())
+                    if len(self.sizes) == self.fail_at:
+                        raise RuntimeError("hook failed")
+                    return grads(rows, out)
+
+                return r, hook
+
+        with mock.patch.object(diagnostics, "_BLOCK_BYTES", 2 * 8 * 3), np.errstate():
+            for before in (np.getbufsize(), 4096):
+                np.setbufsize(before)
+                p = Failing(G, call + 1)
+                with pytest.raises(RuntimeError, match="hook failed"):
+                    exact_moments(p, [np.zeros(3)], memory)
+                assert np.getbufsize() == before
+                assert p.sizes == [16] * (call + 1)
+                p = Failing(G, None)
+                exact_moments(p, [np.zeros(3)], memory)
+                assert np.getbufsize() == before
+                # every block of both sweeps is formed inside the window
+                assert p.sizes == [16] * 6
+
+    @given(
+        family=st.sampled_from(["least_squares", "two_factor"]),
         N=st.integers(1, 24),
         n=st.integers(1, 6),
         rows=st.integers(1, 25),
@@ -541,9 +616,9 @@ class TestBlockedMoments:
     def test_long_rows(self, family, n):
         # einsum dots a lone row this long in another order than a row of a
         # matrix, so no block has one row; at the real block size these rows
-        # come two to a block, and the fifth joins the last block
-        p = _problem(family, 5, n, 9)
-        assert [b.stop - b.start for b in diagnostics._blocks(p.N, p.n)] == [2, 3]
+        # come three to a block, and the seventh joins the last block
+        p = _problem(family, 7, n, 9)
+        assert [b.stop - b.start for b in diagnostics._blocks(p.N, p.n)] == [3, 4]
         x = np.random.default_rng(9).standard_normal(p.n)
         _assert_same_report(exact_moments(p, [x])[0], reference_moments(p, x))
 
@@ -670,7 +745,7 @@ class TestOnePassMoments:
     def test_holds_blocks_of_rows_not_matrices(self, kind):
         # a block of gradient rows and its sum buffer; with a direction, the
         # direction rows' buffer and the recipe's temporaries too. The
-        # matrices here are 8 MB, a block 256 KiB. All points share the
+        # matrices here are 8 MB, a block 512 KiB. All points share the
         # blocks; each further point keeps its residuals, its row dots and
         # its length-n sums, O(N + n).
         for P in (1, 8):

@@ -24,7 +24,7 @@ from slsopt.errors import (
     NumericDomainError,
     ShapeError,
 )
-from slsopt.problems import _all_finite, _multiply_unbuffered, as_vector, ray_phi
+from slsopt.problems import _all_finite, as_vector, ray_phi, unbuffered
 
 from conftest import central_diff_grad, component_grads, make_toy2
 from one_gradient import one_row
@@ -622,7 +622,7 @@ class TestOneBufferOracles:
 
 
 class TestUnbufferedMultiply:
-    """_multiply_unbuffered is np.multiply to the bit and leaves the buffer size as it was."""
+    """Inside unbuffered(), np.multiply gives its floats to the bit; the buffer size is restored after."""
 
     SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, 1e308])
 
@@ -654,19 +654,31 @@ class TestUnbufferedMultiply:
             out = np.empty((K, n))
         with np.errstate(over="ignore", invalid="ignore"):
             want = np.multiply(a, b)
-            got = _multiply_unbuffered(a, b, out)
+            with unbuffered():
+                assert np.getbufsize() == 16
+                got = np.multiply(a, b, out=out)
         assert got is out
         assert got.tobytes() == want.tobytes()
 
     def test_buffer_size_is_restored(self):
         before = np.getbufsize()
-        _multiply_unbuffered(np.ones((3, 1)), np.ones((3, 4)), np.empty((3, 4)))
+        with unbuffered():
+            np.multiply(np.ones((3, 1)), np.ones((3, 4)), out=np.empty((3, 4)))
         assert np.getbufsize() == before
         with pytest.raises(ValueError):
-            _multiply_unbuffered(np.ones((3, 1)), np.ones((2, 4)), np.empty((3, 4)))
+            with unbuffered():
+                np.multiply(np.ones((3, 1)), np.ones((2, 4)), out=np.empty((3, 4)))
         assert np.getbufsize() == before
         with np.errstate():
             np.setbufsize(4096)
             with pytest.raises(ValueError):
-                _multiply_unbuffered(np.ones((3, 1)), np.ones((3, 4)), np.empty((2, 4)))
+                with unbuffered():
+                    np.multiply(np.ones((3, 1)), np.ones((3, 4)), out=np.empty((2, 4)))
+            assert np.getbufsize() == 4096
+            # nested windows restore the size each found
+            with unbuffered():
+                np.setbufsize(64)
+                with unbuffered():
+                    assert np.getbufsize() == 16
+                assert np.getbufsize() == 64
             assert np.getbufsize() == 4096
