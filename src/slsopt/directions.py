@@ -138,13 +138,15 @@ def _violated(rows, params: SgrParams) -> list[frozenset]:
     return [_VIOLATED[not dn <= c1 * gn, not dg <= -c2 * gg] for gn, dn, dg, gg in rows]
 
 
-def _restart(d, g) -> tuple[float, float]:
-    """Write -g into d; return the new ||d|| and d . g.
+def _negated_slope(gg: float, n: int) -> float:
+    """d . g for d = -g, from g . g, as the dot of the two stacks gives it.
 
-    Callers hold errstate(over="ignore").
+    Negation is exact, so each product of d . g is a product of g . g
+    negated, and so is their sum. np.vecdot adds the products to +0.0, so
+    at a zero gradient d . g is +0.0, which 0.0 - g . g keeps; with one
+    variable it is the product itself, -0.0 there (see MemoryRows.safeguard).
     """
-    np.negative(g, out=d)
-    return math.sqrt(float(d.dot(d))), float(d.dot(g))
+    return 0.0 - gg if n > 1 else -gg
 
 
 def safeguarded_direction(memory: "MemoryRows", g, x, params: SgrParams) -> DirectionOutcome:
@@ -214,7 +216,7 @@ class MemoryRows:
         kind = self.spec.kind
         return kind == "adagrad_diag" or kind != "sgd" and bool(self.has_history[k])
 
-    def propose(self, G, X):
+    def propose(self, G, X, out=None):
         """The raw (pre-safeguard) direction of every row, each from its own memory.
 
         sgd: -g. momentum: -g + beta (x - x_prev). cg: -g + beta_k d_prev
@@ -224,12 +226,13 @@ class MemoryRows:
         The operations are those of the formulas, reordered only where IEEE
         arithmetic is exact about it: b - a == -a + b, and -(a / b) ==
         -a / b. G is the rows' gradients and X their iterates, a (K, n)
-        stack or one (n,) iterate they share. The memory is read, never
-        written.
+        stack or one (n,) iterate they share. The directions are written
+        into ``out``, a (K, n) array that is none of the memory's stacks, or
+        into one new array. The memory is read, never written.
         """
         spec = self.spec
         if spec.kind == "adagrad_diag":
-            D = np.add(self.accum, spec.epsilon)
+            D = np.add(self.accum, spec.epsilon, out=out)
             np.sqrt(D, out=D)
             np.divide(G, D, out=D)
             np.negative(D, out=D)
@@ -237,16 +240,16 @@ class MemoryRows:
         # any and all on Python bools cost a tenth of numpy's reductions here
         history = self.has_history.tolist()
         if spec.kind == "sgd" or not any(history):
-            return -G
+            return np.negative(G, out=out)
         if spec.kind == "momentum":
-            D = np.subtract(X, self.x_prev)
+            D = np.subtract(X, self.x_prev, out=out)
             D *= spec.beta
             D -= G
         else:
             denom = np.vecdot(self.g_prev, self.g_prev)
             pr = spec.cg_variant == "pr+"
             # pr+ dots G with G - g_prev, held in D until the direction overwrites it
-            R = np.subtract(G, self.g_prev) if pr else G
+            R = np.subtract(G, self.g_prev, out=out) if pr else G
             # Per row, as Python float division gives beta_k: 0 where the
             # stored gradient is zero, pr+ maps NaN and -0.0 to +0.0, fr
             # keeps a NaN, and an overflow is inf, all with no warning.
@@ -256,14 +259,14 @@ class MemoryRows:
             if pr:
                 beta = np.where(beta > 0.0, beta, 0.0)
             beta = np.minimum(beta, spec.beta_cap)
-            D = np.multiply(self.d_prev, beta[:, None], out=R if pr else None)
+            D = np.multiply(self.d_prev, beta[:, None], out=R if pr else out)
             D -= G
         if not all(history):
             fresh = ~self.has_history
             D[fresh] = -G[fresh]
         return D
 
-    # The dots of gradient_squares, safeguard and _restart run under
+    # The dots of gradient_squares and safeguard run under
     # errstate(over="ignore"): a finite vector whose products overflow
     # measures inf, which the bounds read, so the overflow needs no warning.
     @staticmethod
@@ -280,18 +283,27 @@ class MemoryRows:
         np.vecdot each. Returns the lists (violated, g_norm, d_norm, dTg):
         the bounds each row breaks, and ||g||, ||d|| and d . g of the
         direction it takes. A row that violates a bound gets -g written
-        into its row of D, its norm and slope re-measured, and its history
-        cleared.
+        into its row of D and its history cleared; its norm is ||g|| and
+        its slope comes from g . g (_negated_slope), the floats the dots of
+        -g give. D None stands for D = -G, which is not formed: the
+        measures then come from ggs alone, and a restart writes nothing.
         """
+        n = G.shape[1]
         g_norm = [math.sqrt(gg) for gg in ggs]
-        d_norm = [math.sqrt(dd) for dd in np.vecdot(D, D).tolist()]
-        # With one variable, d . g is the product itself, -0.0 included, as
-        # ndarray.dot gives it for a one-entry operand; np.vecdot adds the
-        # product to +0.0.
-        dTg = (D[:, 0] * G[:, 0] if D.shape[1] == 1 else np.vecdot(D, G)).tolist()
+        if D is None:
+            d_norm = g_norm
+            dTg = [_negated_slope(gg, n) for gg in ggs]
+        else:
+            d_norm = [math.sqrt(dd) for dd in np.vecdot(D, D).tolist()]
+            # With one variable, d . g is the product itself, -0.0 included,
+            # as ndarray.dot gives it for a one-entry operand; np.vecdot adds
+            # the product to +0.0.
+            dTg = (D[:, 0] * G[:, 0] if n == 1 else np.vecdot(D, G)).tolist()
         violated = _violated(zip(g_norm, d_norm, dTg, ggs), params)
         for k in [k for k, v in enumerate(violated) if v]:
-            d_norm[k], dTg[k] = _restart(D[k], G[k])
+            if D is not None:
+                np.negative(G[k], out=D[k])
+            d_norm[k], dTg[k] = g_norm[k], _negated_slope(ggs[k], n)
             self.has_history[k] = False
         return violated, g_norm, d_norm, dTg
 
@@ -303,7 +315,10 @@ class MemoryRows:
         direction, and its accumulator plus G*G.
 
         With every row stepping the stacks are stored by reference; the
-        caller must not write into X, G or D afterwards.
+        caller must not write into a stack while the memory holds it, that
+        is until the next update or keep. With a mask, each kept stack is
+        rebuilt in a new array of the memory's own (np.where of the mask),
+        so the update writes into no stack the caller passed before.
         """
         kind = self.spec.kind
         if kind == "adagrad_diag":
@@ -319,7 +334,7 @@ class MemoryRows:
             if step is None:
                 setattr(self, name, stored[name])
             else:
-                getattr(self, name)[step] = stored[name][step]
+                setattr(self, name, np.where(step[:, None], stored[name], getattr(self, name)))
         self.has_history[slice(None) if step is None else step] = True
 
     def keep(self, rows):

@@ -11,7 +11,6 @@ array; ``run`` is its group of one seed.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,15 +130,6 @@ class RunResult:
     stall: LineSearchStallError | None = None
 
 
-@np.errstate(over="ignore")
-def _norm(v: Vector) -> float:
-    """np.linalg.norm of a 1-D float array, sqrt(v.dot(v)), without its wrapper.
-
-    A finite v whose square overflows has norm inf, without a warning.
-    """
-    return math.sqrt(float(v.dot(v)))
-
-
 def _start(config: RunConfig, seed: int) -> tuple[Vector, BatchSampler]:
     """The starting point (x0, else N(0, I/n)) and the index sampler of the run with this seed."""
     problem = config.problem
@@ -187,9 +177,13 @@ class _Lane:
         self.result = RunResult(trajectory=self.records, final_x=x.copy(), status=status, stall=stall)
 
     def _exact(self, x) -> str | None:
-        """Sample the exact oracle at x; the converged status it shows, or None."""
-        self.f_full, grad_full = full_oracle(self.config.problem, x)
-        self.grad_full_norm = _norm(grad_full)
+        """Sample the exact oracle at x; the converged status it shows, or None.
+
+        ||grad f|| is sqrt(g . g) of the dot full_oracle's finiteness test
+        takes, the float np.linalg.norm gives; a finite gradient whose
+        square overflows has norm inf.
+        """
+        self.f_full, _, self.grad_full_norm = full_oracle(self.config.problem, x, norm=True)
         return _verdict(self.config, self.f_star, self.f_full, self.grad_full_norm)
 
     def sample(self, x) -> bool:
@@ -275,11 +269,18 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
     it ends. So result i is the same bytes in a group of any size, K = 1
     (``run``) included. In a group of several seeds, the error a seed meets
     is raised after "seed=S: ". The call holds OpenBLAS to one thread.
+
+    The loop runs in one set of (K, n) buffers (_buffers), made again only
+    when seeds leave the group: the gradients are written into G, the
+    directions into D and each step into X or its spare. sgd's direction
+    -G is never formed: its measures, its rays and its step are read off G
+    (MemoryRows.safeguard with D None).
     """
     seeds = list(seeds)
     if not seeds:
         return []
     problem = config.problem
+    kind = config.direction.kind
     lanes, starts = [], []
     for seed in seeds:
         x, sampler = _start(config, seed)
@@ -288,14 +289,11 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
     results = list(lanes)
     X = np.stack(starts)
     memory = MemoryRows(config.direction, len(lanes), problem.n)
-    # The (K, n) stacks of past iterations, oldest first; see _retire.
-    spent = deque()
+    G, D, X2, G2, D2 = _buffers(X.shape, kind)
 
     every = config.run.trace_every
     for k in range(config.run.max_iters):
         if k % every == 0:
-            # X[j], not a loop variable: a row view left bound after the loop
-            # would keep this stack alive until the next trace point.
             for j, lane in enumerate(lanes):
                 try:
                     lane.sample(X[j])
@@ -305,6 +303,7 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
                 X, lanes = _drop_finished(X, memory, lanes)
                 if not lanes:
                     break
+                G, D, X2, G2, D2 = _buffers(X.shape, kind)
 
         # evaluate_batch's checks, one row each: a finite iterate, then a
         # finite value and gradient of the sampled component. As in
@@ -317,18 +316,25 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
         if j is not None:
             raise _named(lanes[j], NumericDomainError("x contains non-finite entries"))
         idx = np.array([lane.sampler.draw() for lane in lanes])
-        R0, G, ray_rows = problem.batch_eval_rows(idx, X)
-        _retire(spent)
+        R0, G, ray_rows = problem.batch_eval_rows(idx, X, out=G)
         r0s = R0.tolist()
         fs = [0.5 * r0 * r0 for r0 in r0s]
         ggs = memory.gradient_squares(G)
         j = None if math.isfinite(sum(fs)) and math.isfinite(sum(ggs)) else _first_non_finite(G, fs)
         if j is not None:
             raise _named(lanes[j], NumericDomainError(f"non-finite evaluation of component {idx[j]}"))
-        D = memory.propose(G, X)
-        _retire(spent)
-        violated, gns, dns, dTgs = memory.safeguard(D, G, ggs, config.sgr)
-        c1s, c2s = (v.tolist() for v in ray_rows(D))
+        if D is None:
+            # sgd takes d = -g, which passes the safeguard (RunConfig requires
+            # c1 >= 1 >= c2). Negation is exact, so the ray along -g is the
+            # ray along g with C1 negated; a zero C1 may change sign, which
+            # phi, a square, does not see.
+            violated, gns, dns, dTgs = memory.safeguard(None, G, ggs, config.sgr)
+            C1, C2 = ray_rows(G)
+            c1s, c2s = [-c for c in C1.tolist()], C2.tolist()
+        else:
+            D = memory.propose(G, X, out=D)
+            violated, gns, dns, dTgs = memory.safeguard(D, G, ggs, config.sgr)
+            c1s, c2s = (v.tolist() for v in ray_rows(D))
 
         alphas = []
         for j, lane in enumerate(lanes):
@@ -338,26 +344,44 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
             except SlsoptError as exc:
                 raise _named(lane, exc)
 
-        # The step and the memory update, on the rows that searched;
-        # a row on the zero-gradient path, or one that stalled, keeps its x
-        # and its memory. alpha d + x is x + alpha d: IEEE addition is
-        # commutative.
-        if None not in alphas:
-            step = None
-            X_new = np.array(alphas)[:, None] * D
-            X_new += X
-        else:
-            step = np.array([alpha is not None for alpha in alphas])
-            X_new = X.copy()
-            X_new[step] += np.array([alpha for alpha in alphas if alpha is not None])[:, None] * D[step]
-        _retire(spent)
+        # The memory update, then the step, on the rows that searched; a row
+        # on the zero-gradient path, or one that stalled, keeps its x and
+        # its memory. The update comes first: it reads the old X, and it
+        # lets go of the stack the step writes into. alpha d + x is
+        # x + alpha d (IEEE addition is commutative), and for sgd
+        # x + alpha (-g) is x - alpha g.
+        step = None if None not in alphas else np.array([alpha is not None for alpha in alphas])
         memory.update(step, X, G, D)
-        spent += X, G, D
-        X = X_new
+        V = G if D is None else D
+        if step is None:
+            # alpha d is formed in a stack nothing reads again: the spare X
+            # that momentum's memory has just let go of, which takes the new
+            # iterates, or else the gradients the memory does not keep.
+            T = X2 if X2 is not None else G2 if G2 is not None else G
+            np.multiply(V, np.array(alphas)[:, None], out=T)
+            if T is X2:
+                T += X
+                X, X2 = X2, X
+            elif D is None:
+                X -= T
+            else:
+                X += T
+        else:
+            # A masked update copies what it keeps, so X is the caller's again.
+            A = np.array([alpha for alpha in alphas if alpha is not None])[:, None] * V[step]
+            if D is None:
+                X[step] -= A
+            else:
+                X[step] += A
+        if G2 is not None:
+            G, G2 = G2, G
+        if D2 is not None:
+            D, D2 = D2, D
         if step is not None and any(lane.result is not None for lane in lanes):
             X, lanes = _drop_finished(X, memory, lanes)
             if not lanes:
                 break
+            G, D, X2, G2, D2 = _buffers(X.shape, kind)
 
     for lane, x in zip(lanes, X):
         lane.finish(x, "max_iters")
@@ -369,17 +393,21 @@ def _named(lane: _Lane, exc: SlsoptError) -> SlsoptError:
     return type(exc)(f"{lane.name}{exc}") if lane.name else exc
 
 
-def _retire(spent: deque):
-    """Release the oldest stack in spent, keeping the last iteration's three.
+def _buffers(shape, kind: str):
+    """The stacks (G, D, X2, G2, D2) of one group size, for the recipe ``kind``.
 
-    Called just after each new stack (G, D, the next X) is made, so one
-    stack-sized block comes free at a time, for any recipe, and the next
-    allocation takes it. Freed two or three at once next to the heap top,
-    they let the allocator trim it, and a wide iteration then faults the
-    pages back in (38 minor faults per iteration, not 0.8, at n = 40,200).
+    G and D take each iteration's gradients and directions; sgd forms no
+    direction stack, so its D is None. X2, G2 and D2 are spares of X, G and
+    D, made only where the recipe's memory keeps that field
+    (MemoryRows.FIELDS): the memory holds one buffer of the pair while the
+    iteration writes the other.
     """
-    if len(spent) > 3:
-        spent.popleft()
+    kept = MemoryRows.FIELDS[kind]
+    return (
+        np.empty(shape),
+        None if kind == "sgd" else np.empty(shape),
+        *(np.empty(shape) if name in kept else None for name in ("x_prev", "g_prev", "d_prev")),
+    )
 
 
 def _drop_finished(X, memory, lanes):

@@ -62,7 +62,12 @@ def as_vector(x, n: int | None = None, name: str = "x") -> Vector:
 
 
 def _all_finite(v) -> bool:
-    """np.isfinite(v).all() for a float64 array, without its bool temporary.
+    """np.isfinite(v).all() for a float64 array, without its bool temporary."""
+    return _finite_square(v) is not None
+
+
+def _finite_square(v) -> float | None:
+    """v . v if every entry of the float64 array v is finite, else None.
 
     v . v is finite when every entry is, unless the squared norm overflows; a
     NaN or infinite entry makes it NaN or inf. So only a non-finite dot needs
@@ -70,7 +75,8 @@ def _all_finite(v) -> bool:
     runs the dot kernel of v.dot(v) on v's entries in order without numpy's
     floating-point error check, so an overflow is inf without a warning.
     """
-    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
+    vv = float(np.vdot(v, v))
+    return vv if math.isfinite(vv) or np.isfinite(v).all() else None
 
 
 class unbuffered:
@@ -143,10 +149,12 @@ class ResidualProblem:
     K rows of A they are paired with, ``rows``:
 
     - ``features_rows(X)``: the feature vectors w(X[k]), as rows;
-    - ``pullback_rows(X, rows, R0)``: ``(G, reuse)``. G[k] is the
-      transposed-Jacobian product R0[k] J_w(X[k])^T rows[k], written into
-      one new (K, n) array. ``reuse`` is any part of that product the ray
-      may take, or None;
+    - ``pullback_rows(X, rows, R0, out=None)``: ``(G, reuse)``. G[k] is
+      the transposed-Jacobian product R0[k] J_w(X[k])^T rows[k], written
+      into ``out``, a (K, n) array the caller owns, or into one new array.
+      With R0 None and no ``out``, G[k] is the unscaled J_w(X[k])^T rows[k],
+      and may be ``rows`` itself. ``reuse`` is any part of that product the
+      ray may take, or None;
     - ``ray_coefficients_rows(rows, X, D, reuse)``: (C1, C2) such that the
       residual of rows[k] along X[k] + a D[k] is R0[k] + a (C1[k] + a C2[k]).
       ``reuse`` is what pullback_rows returned for the same rows and points.
@@ -197,17 +205,18 @@ class ResidualProblem:
         r = float(self._residuals(slice(i, i + 1), x[None])[1][0])
         return 0.5 * r * r
 
-    def batch_eval_rows(self, idx, X):
+    def batch_eval_rows(self, idx, X, out=None):
         """The sampled oracle at K points at once: row k is component idx[k] at X[k].
 
         Returns (R0, G, ray_rows): the K residuals, so that f_k is
-        0.5 * R0[k] * R0[k]; the (K, n) gradients; and ray_rows(D), the
-        arrays (C1, C2) of the K rays along the rows of D, to be passed to
-        ray_phi row by row. One residual pass serves both: the rays take
-        the rows and what their pullback offers. Nothing is checked here.
+        0.5 * R0[k] * R0[k]; the (K, n) gradients, written into ``out`` if
+        given; and ray_rows(D), the arrays (C1, C2) of the K rays along the
+        rows of D, to be passed to ray_phi row by row. One residual pass
+        serves both: the rays take the rows and what their pullback offers.
+        Nothing is checked here.
         """
         rows, R0 = self._residuals(idx, X)
-        G, reuse = self.pullback_rows(X, rows, R0)
+        G, reuse = self.pullback_rows(X, rows, R0, out)
         return R0, G, functools.partial(self._ray_rows, rows, X, reuse)
 
     @np.errstate(over="ignore")
@@ -217,11 +226,10 @@ class ResidualProblem:
         return self.ray_coefficients_rows(rows, X, D, reuse)
 
     def full_value_grad(self, x):
-        # The gradient is the pullback of the mean weighted row; scaling it
-        # by R0 = 1.0 is exact.
+        # The gradient is the unscaled pullback of the mean weighted row.
         X = x[None]
         rows, r = self._residuals(None, X)
-        G = self.pullback_rows(X, ((rows.T @ r) / r.size)[None], _ONE)[0]
+        G = self.pullback_rows(X, ((rows.T @ r) / r.size)[None], None)[0]
         return 0.5 * float(r @ r) / r.size, G[0]
 
     def residuals(self, x):
@@ -243,9 +251,6 @@ class ResidualProblem:
             raise InvalidSpecError(f"gradient norm at x_star is {gn:g} > {grad_tol:g}")
 
 
-_ONE = np.ones(1)
-
-
 class LeastSquaresProblem(ResidualProblem):
     """Squared residuals f_i(x) = 0.5 (a_i . x - b_i)^2 with rows a_i stacked in A."""
 
@@ -257,8 +262,10 @@ class LeastSquaresProblem(ResidualProblem):
     def features_rows(self, X):
         return X
 
-    def pullback_rows(self, X, rows, R0):
-        return R0[:, None] * rows, None
+    def pullback_rows(self, X, rows, R0, out=None):
+        if R0 is None:
+            return rows, None
+        return np.multiply(R0[:, None], rows, out=out), None
 
     def ray_coefficients_rows(self, rows, X, D, reuse):
         return np.vecdot(rows, D), np.zeros(len(D))
@@ -305,18 +312,19 @@ class TwoFactorProblem(ResidualProblem):
         U, V = self._unpack_rows(X)
         return np.matmul(U[:, None, :], V)[:, 0]
 
-    def pullback_rows(self, X, rows, R0):
+    def pullback_rows(self, X, rows, R0, out=None):
         # J_w(x)^T s = (V s, u s^T), written into G. The V block is the
         # float u_j s_k of np.outer(u, s), one product per entry, written
         # in place. Each row is then scaled by its R0[k] in one pass. The
         # ray reuses V s.
         U, V = self._unpack_rows(X)
         P = np.matmul(V, rows[:, :, None])[:, :, 0]
-        G = np.empty((len(X), self.n))
+        G = np.empty((len(X), self.n)) if out is None else out
         G[:, : self.n_u] = P
         with unbuffered():
             np.multiply(U[:, :, None], rows[:, None, :], out=self._unpack_rows(G)[1])
-        G *= R0[:, None]
+        if R0 is not None:
+            G *= R0[:, None]
         return G, P
 
     def ray_coefficients_rows(self, rows, X, D, reuse):
@@ -382,13 +390,18 @@ def ray_phi(r0: float, c1: float, c2: float):
     return phi
 
 
-def full_oracle(problem: ResidualProblem, x) -> tuple[float, Vector]:
-    """Exact average over all N component functions; for tracing and diagnostics only."""
+def full_oracle(problem: ResidualProblem, x, norm: bool = False):
+    """Exact average over all N component functions; for tracing and diagnostics only.
+
+    Returns (f, g), or (f, g, ||g||) with ``norm``: sqrt(g . g) of the one
+    dot the finiteness test takes.
+    """
     xv = as_vector(x, problem.n)
     f, g = problem.full_value_grad(xv)
-    if not math.isfinite(f) or not _all_finite(g):
+    gg = _finite_square(g)
+    if not math.isfinite(f) or gg is None:
         raise NumericDomainError("non-finite full-sum evaluation")
-    return f, g
+    return (f, g, math.sqrt(gg)) if norm else (f, g)
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

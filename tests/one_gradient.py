@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from slsopt.directions import DirectionOutcome, DirectionState, MemoryRows, SgrParams, _restart, _violated
+from slsopt.directions import DirectionOutcome, DirectionState, MemoryRows, SgrParams, _violated
 from slsopt.errors import ShapeError
 from slsopt.problems import Vector
 
@@ -169,8 +169,9 @@ def safeguarded_direction(state: Memory, g, x, params: SgrParams) -> DirectionOu
     if not violated:
         return DirectionOutcome(d=d, sgr_pass=True, violated=violated, g_norm=g_norm, d_norm=d_norm, dTg=dTg)
     state.reset_history()
+    np.negative(g, out=d)
     with np.errstate(over="ignore"):
-        d_norm, dTg = _restart(d, g)
+        d_norm, dTg = math.sqrt(float(d.dot(d))), float(d.dot(g))
     return DirectionOutcome(d=d, sgr_pass=False, violated=violated, g_norm=g_norm, d_norm=d_norm, dTg=dTg)
 
 

@@ -1,11 +1,12 @@
-"""Full-length arrays that one oracle or direction call allocates.
+"""Full-length arrays that one oracle or direction call, or one run iteration, allocates.
 
 On the 40,200-variable two-factor model each call should allocate the
-vectors it returns and no temporary of that size. numpy reports its buffers
-to tracemalloc, so the peak traced above the level at the start of a call
-counts every temporary; it is reported in units of one length-n float64
-vector. The small remainder above a whole number is the residuals, the
-features, V a_i and one ufunc iterator buffer.
+vectors it returns and no temporary of that size, and an iteration of a run
+none at all. numpy reports its buffers to tracemalloc, so the peak traced
+above the level at the start of a call counts every temporary; it is
+reported in units of one length-n float64 vector. The small remainder above
+a whole number is the residuals, the features, V a_i and one ufunc iterator
+buffer.
 """
 
 import tracemalloc
@@ -17,13 +18,16 @@ from slsopt import (
     DirectionState,
     KnownConstants,
     LeastSquaresProblem,
+    LineSearchParams,
+    RunConfig,
+    RunSettings,
     SgrParams,
     evaluate_batch,
     full_oracle,
     gen_nonconvex_interpolating,
     safeguarded_direction,
 )
-from slsopt import _store
+from slsopt import _store, optimizer
 
 from one_gradient import one_row
 
@@ -102,6 +106,44 @@ class TestDirectionAllocations:
         assert out.restarted
         assert np.array_equal(out.d, -g)
         assert peak <= 1.1
+
+
+class TestRunAllocations:
+    # run_many holds its (K, n) stacks for the whole run: the gradient, the
+    # direction and the step are written into them, and sgd forms no
+    # direction at all. Before, each iteration allocated a G, a D and the
+    # next X. Each interval runs from the start of one search to the start
+    # of the next, so it holds one whole iteration; the only trace point is
+    # at k = 0, before the first search. adagrad_diag still allocates the
+    # G * G it adds to its accumulator.
+    @pytest.mark.parametrize("kind", ["sgd", "momentum", "cg"])
+    def test_iterations_allocate_no_vector(self, wide, monkeypatch, kind):
+        p = wide[0]
+        config = RunConfig(
+            problem=p,
+            direction=DirectionState(kind=kind),
+            linesearch=LineSearchParams(alpha0_policy="warm_increase"),
+            sgr=SgrParams(),
+            run=RunSettings(max_iters=8, grad_tol=0.0, fgap_tol=0.0, trace_every=100),
+        )
+        marks = []
+        real = optimizer.backtrack
+
+        def marked(*args):
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "backtrack", marked)
+        tracemalloc.start()
+        try:
+            result = optimizer.run(config)
+        finally:
+            tracemalloc.stop()
+        assert result.status == "max_iters" and len(marks) == 8
+        # after the first iteration
+        peaks = [(marks[i + 1][1] - marks[i][0]) / (8 * p.n) for i in range(1, len(marks) - 1)]
+        assert max(peaks) < 0.5
 
 
 class TestStoreAllocations:

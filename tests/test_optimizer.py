@@ -40,7 +40,7 @@ from slsopt.errors import (
 )
 from slsopt.linesearch import ALPHA0_POLICIES
 from slsopt.optimizer import IterationRecord
-from slsopt.problems import _all_finite
+from slsopt.problems import _all_finite, _finite_square
 from slsopt.traceio import trace_to_csv
 
 from conftest import reference_run
@@ -236,8 +236,8 @@ def counted_run(monkeypatch, config):
     problem = config.problem
 
     class Counted(LeastSquaresProblem):
-        def batch_eval_rows(self, idx, X):
-            R0, G, ray_rows = super().batch_eval_rows(idx, X)
+        def batch_eval_rows(self, idx, X, out=None):
+            R0, G, ray_rows = super().batch_eval_rows(idx, X, out)
             batch_values.extend(0.5 * r0 * r0 for r0 in R0.tolist())
             return R0, G, ray_rows
 
@@ -280,9 +280,9 @@ class TestRayOracle:
                 calls["component_value"] += 1
                 return super().component_value(i, x)
 
-            def batch_eval_rows(self, idx, X):
+            def batch_eval_rows(self, idx, X, out=None):
                 calls["batch_eval_rows"] += 1
-                return super().batch_eval_rows(idx, X)
+                return super().batch_eval_rows(idx, X, out)
 
         inner = small_instance()
         counted = Counted(inner.A, inner.b, inner.known)
@@ -669,6 +669,18 @@ class TestRunMany:
         results = assert_lockstep_equals_run(config, [0, 1])
         assert [math.copysign(1.0, r.trajectory[1].dTg) for r in results] == [-1.0, -1.0]
 
+    def test_signed_zero_slope_of_sgd_at_a_zero_gradient(self):
+        # x_i = 1 - (1/4) 4 lands on 0 after a draw of row i, so a later draw
+        # of the same row has g = 0 in two variables. run's d = -g has the
+        # slope d . g = 0.0 + (-0.0) + (-0.0) = +0.0, which sgd's unformed
+        # direction must record too
+        p = LeastSquaresProblem(np.diag([2.0, 2.0]), np.zeros(2))
+        config = base_config(p, x0=np.ones(2), linesearch=LineSearchParams(alpha_max=1.0),
+                             max_iters=12, grad_tol=0.0, fgap_tol=0.0, trace_every=100)
+        results = assert_lockstep_equals_run(config, [0, 1, 2])
+        zero = [rec.dTg for r in results for rec in r.trajectory if rec.g_batch_norm == 0.0]
+        assert zero and [math.copysign(1.0, dTg) for dTg in zero] == [1.0] * len(zero)
+
     def test_groups_of_every_size_up_to_eight(self):
         config = base_config(small_instance(), direction=DirectionState(kind="momentum"),
                              sgr=SgrParams(c1=10.0, c2=0.1), max_iters=60)
@@ -856,7 +868,8 @@ class TestOverflowingSquares:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _all_finite(g)
-            assert optimizer._norm(g) == math.inf
+            # ||grad f|| at a trace point: sqrt of full_oracle's finiteness dot
+            assert math.sqrt(_finite_square(g)) == math.inf
             out = safeguarded_direction(state, g, np.zeros(2), SgrParams(c1=10.0, c2=0.1))
             D = memory.propose(g[None, :], np.zeros((1, 2)))
             violated, g_norm, d_norm, dTg = memory.safeguard(D, g[None, :], memory.gradient_squares(g[None, :]), SgrParams(c1=10.0, c2=0.1))
