@@ -348,31 +348,26 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
         # on the zero-gradient path, or one that stalled, keeps its x and
         # its memory. The update comes first: it reads the old X, and it
         # lets go of the stack the step writes into. alpha d + x is
-        # x + alpha d (IEEE addition is commutative), and for sgd
-        # x + alpha (-g) is x - alpha g.
+        # x + alpha d (IEEE addition is commutative), and sgd's alpha (-g)
+        # is (-alpha) g, since negation is exact.
         step = None if None not in alphas else np.array([alpha is not None for alpha in alphas])
         memory.update(step, X, G, D)
-        V = G if D is None else D
+        V, sign = (G, -1.0) if D is None else (D, 1.0)
+        A = np.array([sign * alpha for alpha in alphas if alpha is not None])[:, None]
         if step is None:
             # alpha d is formed in a stack nothing reads again: the spare X
             # that momentum's memory has just let go of, which takes the new
             # iterates, or else the gradients the memory does not keep.
             T = X2 if X2 is not None else G2 if G2 is not None else G
-            np.multiply(V, np.array(alphas)[:, None], out=T)
+            np.multiply(V, A, out=T)
             if T is X2:
                 T += X
                 X, X2 = X2, X
-            elif D is None:
-                X -= T
             else:
                 X += T
         else:
             # A masked update copies what it keeps, so X is the caller's again.
-            A = np.array([alpha for alpha in alphas if alpha is not None])[:, None] * V[step]
-            if D is None:
-                X[step] -= A
-            else:
-                X[step] += A
+            X[step] += A * V[step]
         if G2 is not None:
             G, G2 = G2, G
         if D2 is not None:
