@@ -163,8 +163,8 @@ def safeguarded_direction(memory: "MemoryRows", g, x, params: SgrParams) -> Dire
 
 
 def update_memory(memory: "MemoryRows", x_old, g, d) -> None:
-    """MemoryRows.update of a memory of one row with one accepted step, stored by reference."""
-    memory.update(None, *(np.asarray(v, float)[None] for v in (x_old, g, d)))
+    """MemoryRows.update of a memory of one row with one accepted step."""
+    memory.update(True, *(np.asarray(v, float)[None] for v in (x_old, g, d)))
 
 
 class MemoryRows:
@@ -173,11 +173,13 @@ class MemoryRows:
     The package's one direction memory. Row k is one run's: ``x_prev``,
     ``g_prev`` and ``d_prev`` are (K, n) stacks of the previous accepted
     iterate, its sampled gradient and the direction taken, read where
-    ``has_history`` is True; ``accum`` is the running sum of squared
-    gradients, zeros before the first step, since 0 + eps is eps and
-    g*g + 0 is g*g. A recipe holds only the stacks it reads (FIELDS). Each
-    method treats every row alone, so a row's floats do not depend on the
-    other rows or on K.
+    ``has_history`` is True (the row has stepped since its start or its
+    last restart); ``accum`` is the running sum of squared gradients,
+    zeros before the first step, since 0 + eps is eps and g*g + 0 is g*g.
+    A recipe holds only the stacks it reads (FIELDS). The memory owns its
+    stacks: it allocates them here and in ``keep``, and ``update`` copies
+    into them. Each method treats every row alone, so a row's floats do
+    not depend on the other rows or on K.
 
     ``MemoryRows(spec, K, n)`` holds K fresh memories, one per run of a
     lockstep group; ``memory.broadcast(k, K)`` holds K read-only views of
@@ -193,6 +195,8 @@ class MemoryRows:
         self.x_prev = self.g_prev = self.d_prev = self.accum = None
         for name in self.FIELDS[spec.kind]:
             setattr(self, name, np.zeros((K, n)))
+        # adagrad_diag's update squares the gradients here
+        self._square = np.empty((K, n)) if spec.kind == "adagrad_diag" else None
 
     def broadcast(self, k: int, K: int) -> "MemoryRows":
         """K rows that each hold row k's memory, as np.broadcast_to views of it.
@@ -308,37 +312,31 @@ class MemoryRows:
         return violated, g_norm, d_norm, dTg
 
     def update(self, step, X, G, D):
-        """Record each accepted step on the rows where ``step`` is True (None: on all).
+        """Record the accepted step of each row that ``step`` selects.
 
-        Each stepping row keeps what its recipe reads: X as the previous
+        ``step`` is True when every row stepped, else a (K, 1) boolean
+        column, True on the rows that stepped. Each such row copies what its
+        recipe reads into the memory's own stacks: X as the previous
         iterate, G as the previous sampled gradient, D as the previous
-        direction, and its accumulator plus G*G.
-
-        With every row stepping the stacks are stored by reference; the
-        caller must not write into a stack while the memory holds it, that
-        is until the next update or keep. With a mask, each kept stack is
-        rebuilt in a new array of the memory's own (np.where of the mask),
-        so the update writes into no stack the caller passed before.
+        direction; adagrad_diag adds G*G to its accumulator. The other rows
+        keep their memory. No stack passed in is kept or written.
         """
         kind = self.spec.kind
         if kind == "adagrad_diag":
-            if step is None:
-                self.accum += np.multiply(G, G)
-            else:
-                self.accum[step] += np.multiply(G[step], G[step])
-            return
-        if kind == "sgd":
-            return
-        stored = {"x_prev": X, "g_prev": G, "d_prev": D}
-        for name in self.FIELDS[kind]:
-            if step is None:
-                setattr(self, name, stored[name])
-            else:
-                setattr(self, name, np.where(step[:, None], stored[name], getattr(self, name)))
-        self.has_history[slice(None) if step is None else step] = True
+            np.multiply(G, G, out=self._square)
+            np.add(self.accum, self._square, out=self.accum, where=step)
+        elif kind != "sgd":
+            stored = {"x_prev": X, "g_prev": G, "d_prev": D}
+            for name in self.FIELDS[kind]:
+                np.copyto(getattr(self, name), stored[name], where=step)
+            # a (K, 1) view, whose rows step selects as it does a field's
+            history = self.has_history[:, None]
+            history |= step
 
     def keep(self, rows):
         """Drop every row not selected by the boolean mask ``rows``."""
         self.has_history = self.has_history[rows]
         for name in self.FIELDS[self.spec.kind]:
             setattr(self, name, getattr(self, name)[rows])
+        if self._square is not None:
+            self._square = self._square[rows]

@@ -43,8 +43,8 @@ class LineSearchParams:
     alpha_max the cap on the initial trial step. alpha0_policy "constant"
     always starts at alpha_max; "warm_increase" starts from the previous
     accepted step grown by 1/delta, clamped to alpha_max.
-    max_backtracks is a hard safety cap; exhausting it is an error, never a
-    silent zero step.
+    max_backtracks is a hard safety cap; exhausting it, or reaching a trial
+    step that underflows to 0, is an error, never a silent zero step.
     """
 
     gamma: float = 0.1
@@ -99,7 +99,9 @@ def backtrack(
     phi(a) <= f_x + gamma a slope, which is exactly the largest admissible
     step on the grid; ties accept. A non-finite phi(a) rejects that trial; a
     search that meets any logs one warning when it ends, with their count
-    and the first and last such step.
+    and the first and last such step. A search that exhausts
+    max_backtracks, or whose next trial step underflows to 0, raises
+    LineSearchStallError with the last step it tried.
     """
     if not 0.0 < alpha0 <= params.alpha_max:
         raise DomainError(
@@ -111,7 +113,12 @@ def backtrack(
     non_finite = []
     result = None
     for j in range(params.max_backtracks + 1):
-        alpha = alpha0 * params.delta**j
+        step = alpha0 * params.delta**j
+        if step == 0.0:
+            # delta**j has underflowed: the trial point would be x itself,
+            # which passes the test, phi(0) = f_x, with no step taken
+            break
+        alpha, trials = step, j + 1
         trial = float(phi(alpha))
         if not math.isfinite(trial):
             non_finite.append(alpha)
@@ -124,7 +131,6 @@ def backtrack(
                 alpha0=alpha0,
             )
             break
-    trials = j + 1
     if non_finite:
         logger.warning(
             "%d of %d trials non-finite (alpha=%g .. %g), treated as rejected; search %s",

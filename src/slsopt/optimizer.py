@@ -270,17 +270,17 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
     (``run``) included. In a group of several seeds, the error a seed meets
     is raised after "seed=S: ". The call holds OpenBLAS to one thread.
 
-    The loop runs in one set of (K, n) buffers (_buffers), made again only
-    when seeds leave the group: the gradients are written into G, the
-    directions into D and each step into X or its spare. sgd's direction
-    -G is never formed: its measures, its rays and its step are read off G
-    (MemoryRows.safeguard with D None).
+    The loop runs in three (K, n) stacks, X, G and D, and takes views of
+    their first rows when seeds leave the group. The gradients are written
+    into G and the directions into D; once the memory has copied what it
+    keeps, each step alpha d is written into G and added into X. sgd's
+    direction -G is never formed: its measures, its rays and its step are
+    read off G (MemoryRows.safeguard with D None), and D is None.
     """
     seeds = list(seeds)
     if not seeds:
         return []
     problem = config.problem
-    kind = config.direction.kind
     lanes, starts = [], []
     for seed in seeds:
         x, sampler = _start(config, seed)
@@ -289,7 +289,8 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
     results = list(lanes)
     X = np.stack(starts)
     memory = MemoryRows(config.direction, len(lanes), problem.n)
-    G, D, X2, G2, D2 = _buffers(X.shape, kind)
+    G = np.empty(X.shape)
+    D = None if config.direction.kind == "sgd" else np.empty(X.shape)
 
     every = config.run.trace_every
     for k in range(config.run.max_iters):
@@ -300,10 +301,9 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
                 except SlsoptError as exc:
                     raise _named(lane, exc)
             if any(lane.result is not None for lane in lanes):
-                X, lanes = _drop_finished(X, memory, lanes)
+                lanes, X, G, D = _drop_finished(lanes, memory, X, G, D)
                 if not lanes:
                     break
-                G, D, X2, G2, D2 = _buffers(X.shape, kind)
 
         # evaluate_batch's checks, one row each: a finite iterate, then a
         # finite value and gradient of the sampled component. As in
@@ -346,37 +346,21 @@ def run_many(config: RunConfig, seeds) -> list[RunResult]:
 
         # The memory update, then the step, on the rows that searched; a row
         # on the zero-gradient path, or one that stalled, keeps its x and
-        # its memory. The update comes first: it reads the old X, and it
-        # lets go of the stack the step writes into. alpha d + x is
-        # x + alpha d (IEEE addition is commutative), and sgd's alpha (-g)
-        # is (-alpha) g, since negation is exact.
-        step = None if None not in alphas else np.array([alpha is not None for alpha in alphas])
+        # its memory, and takes alpha = 0, which where= leaves out. The
+        # update comes first: it copies the old X and the G it reads, so
+        # alpha d can then be formed in G. alpha d + x is x + alpha d (IEEE
+        # addition is commutative), and sgd's alpha (-g) is (-alpha) g,
+        # since negation is exact.
+        step = True if None not in alphas else np.array([[alpha is not None] for alpha in alphas])
         memory.update(step, X, G, D)
         V, sign = (G, -1.0) if D is None else (D, 1.0)
-        A = np.array([sign * alpha for alpha in alphas if alpha is not None])[:, None]
-        if step is None:
-            # alpha d is formed in a stack nothing reads again: the spare X
-            # that momentum's memory has just let go of, which takes the new
-            # iterates, or else the gradients the memory does not keep.
-            T = X2 if X2 is not None else G2 if G2 is not None else G
-            np.multiply(V, A, out=T)
-            if T is X2:
-                T += X
-                X, X2 = X2, X
-            else:
-                X += T
-        else:
-            # A masked update copies what it keeps, so X is the caller's again.
-            X[step] += A * V[step]
-        if G2 is not None:
-            G, G2 = G2, G
-        if D2 is not None:
-            D, D2 = D2, D
-        if step is not None and any(lane.result is not None for lane in lanes):
-            X, lanes = _drop_finished(X, memory, lanes)
+        A = np.array([0.0 if alpha is None else sign * alpha for alpha in alphas])[:, None]
+        np.multiply(V, A, out=G)
+        np.add(X, G, out=X, where=step)
+        if step is not True and any(lane.result is not None for lane in lanes):
+            lanes, X, G, D = _drop_finished(lanes, memory, X, G, D)
             if not lanes:
                 break
-            G, D, X2, G2, D2 = _buffers(X.shape, kind)
 
     for lane, x in zip(lanes, X):
         lane.finish(x, "max_iters")
@@ -388,28 +372,16 @@ def _named(lane: _Lane, exc: SlsoptError) -> SlsoptError:
     return type(exc)(f"{lane.name}{exc}") if lane.name else exc
 
 
-def _buffers(shape, kind: str):
-    """The stacks (G, D, X2, G2, D2) of one group size, for the recipe ``kind``.
+def _drop_finished(lanes, memory, X, G, D):
+    """The lanes, the memory and the stacks without the finished lanes.
 
-    G and D take each iteration's gradients and directions; sgd forms no
-    direction stack, so its D is None. X2, G2 and D2 are spares of X, G and
-    D, made only where the recipe's memory keeps that field
-    (MemoryRows.FIELDS): the memory holds one buffer of the pair while the
-    iteration writes the other.
+    X keeps the rows of the lanes that go on; G and D, whose rows the next
+    iteration overwrites, become views of their first rows.
     """
-    kept = MemoryRows.FIELDS[kind]
-    return (
-        np.empty(shape),
-        None if kind == "sgd" else np.empty(shape),
-        *(np.empty(shape) if name in kept else None for name in ("x_prev", "g_prev", "d_prev")),
-    )
-
-
-def _drop_finished(X, memory, lanes):
-    """The stack, the memory and the lanes without the finished lanes."""
-    keep = [lane.result is None for lane in lanes]
-    memory.keep(np.array(keep))
-    return X[np.array(keep)], [lane for lane, kept in zip(lanes, keep) if kept]
+    keep = np.array([lane.result is None for lane in lanes])
+    memory.keep(keep)
+    K = int(keep.sum())
+    return [lane for lane in lanes if lane.result is None], X[keep], G[:K], None if D is None else D[:K]
 
 
 def _first_non_finite(V, values=None) -> int | None:

@@ -721,6 +721,37 @@ class TestOnPathPL:
             assert r.grad_full_norm ** 2 / (2.0 * gap) >= known.mu * (1.0 - 1e-12), r.k
 
 
+class TestDivergenceWitness:
+    """A shipped config on which every per-iteration check passes while f grows.
+
+    configs/momentum.ini with the cg recipe: each direction passes the
+    (c1, c2) safeguard and each search ends within its backtrack bound, yet
+    the exact objective grows. The safeguard gives finite termination and a
+    bounded backtrack count; linear convergence needs more, which this run
+    lacks (c1 = 10 and beta_cap = 10 allow too large a step times direction
+    norm). This pins how the algorithm behaves, not a program defect.
+    """
+
+    def test_verify_passes_while_the_objective_grows(self, monkeypatch, capsys):
+        results = []
+        real = optimizer.run
+
+        def kept(config):
+            results.append(real(config))
+            return results[-1]
+
+        monkeypatch.setattr(optimizer, "run", kept)
+        code = cli.cmd_verify(
+            str(CONFIGS / "momentum.ini"), overrides=["direction.kind=cg", "run.max_iters=2000"], seed=0
+        )
+        assert code == 0
+        assert "all per-iteration bounds hold" in capsys.readouterr().out
+        [result] = results
+        assert result.status == "max_iters"
+        f_full = [r.f_full for r in result.trajectory if r.f_full is not None]
+        assert f_full[-1] > 1e6 * f_full[0]
+
+
 class TestCmdSweep:
     def test_writes_one_trace_per_seed(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, LS)

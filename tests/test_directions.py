@@ -457,7 +457,7 @@ class TestDirectionRows:
         for kind in KINDS:
             memory = MemoryRows(DirectionState(kind=kind), 2, 2)
             assert [memory.uses_memory(k) for k in (0, 1)] == [kind == "adagrad_diag"] * 2
-            memory.update(np.array([False, True]), np.ones((2, 2)), np.ones((2, 2)), -np.ones((2, 2)))
+            memory.update(np.array([[False], [True]]), np.ones((2, 2)), np.ones((2, 2)), -np.ones((2, 2)))
             assert [memory.uses_memory(k) for k in (0, 1)] == [kind == "adagrad_diag", kind != "sgd"]
 
 
@@ -529,7 +529,7 @@ class TestMemoryRows:
 
         stepped = np.array(step[: len(rows)])
         before = {name: getattr(memory_rows, name).copy() for name in MemoryRows.FIELDS[kind]}
-        memory_rows.update(None if stepped.all() else stepped, X, G, D)
+        memory_rows.update(True if stepped.all() else stepped[:, None], X, G, D)
         for k, state in enumerate(states):
             if stepped[k]:
                 update_memory(state, X[k], G[k], D[k])
@@ -538,6 +538,25 @@ class TestMemoryRows:
                 assert getattr(memory_rows, name)[k].tobytes() == want.tobytes()
             if kind in ("momentum", "cg") and stepped[k]:
                 assert memory_rows.has_history[k]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("step", [True, np.array([[True], [False], [True]])], ids=["every_row", "masked"])
+    def test_update_keeps_no_reference(self, kind, step):
+        # the memory copies what it keeps: writing into the stacks passed
+        # to update changes no field, and no field shares memory with them
+        rng = np.random.default_rng(0)
+        memory = MemoryRows(DirectionState(kind=kind), 3, 4)
+        X, G, D = (rng.standard_normal((3, 4)) for _ in range(3))
+        memory.update(step, X, G, D)
+        fields = {name: getattr(memory, name) for name in MemoryRows.FIELDS[kind]}
+        values = {name: field.copy() for name, field in fields.items()}
+        for V in (X, G, D):
+            for name, field in fields.items():
+                assert not np.shares_memory(field, V), name
+            V.fill(np.nan)
+        for name, field in fields.items():
+            assert getattr(memory, name) is field
+            assert field.tobytes() == values[name].tobytes()
 
     @pytest.mark.parametrize("variant", CG_VARIANTS)
     def test_cg_beta_corners_need_no_warning(self, variant):
@@ -590,7 +609,7 @@ def _live_memory(draw):
         D = memory.propose(G, X)
         memory.safeguard(D, G, memory.gradient_squares(G), params)
         step = np.array(draw(st.lists(st.booleans(), min_size=K, max_size=K)))
-        memory.update(None if step.all() else step, X, G, D)
+        memory.update(True if step.all() else step[:, None], X, G, D)
     G = list(draw(arrays(np.float64, (draw(st.integers(0, 3)), n), elements=elements)))
     for k in range(K):
         g_prev = memory.g_prev[k] if spec.kind == "cg" else np.ones(n)

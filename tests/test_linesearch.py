@@ -113,6 +113,15 @@ class TestBacktrack:
         assert info.value.trials == 2
         assert info.value.alpha0 == 10.0
 
+    def test_underflowed_step_stalls(self):
+        # 0.5**1075 is 0.0: the trial at alpha = 0 would be phi(0) = f_x,
+        # which passes f_x <= f_x + 0 with no step taken
+        params = LineSearchParams(delta=0.5, alpha_max=1.0, max_backtracks=1100)
+        with pytest.raises(LineSearchStallError) as info:
+            backtrack(lambda a: 2.0 if a > 0 else 1.0, -1.0, params, alpha0=1.0, f_x=1.0)
+        assert info.value.trials == 1075
+        assert info.value.last_alpha == 0.5**1074 > 0.0
+
     def test_alpha0_domain(self):
         params = LineSearchParams(alpha_max=1.0)
         with pytest.raises(DomainError):
