@@ -112,11 +112,10 @@ class TestRunAllocations:
     # run_many holds its (K, n) stacks for the whole run: the gradient, the
     # direction and the step are written into them, and sgd forms no
     # direction at all. The memory copies into stacks of its own, and
-    # adagrad_diag squares the gradients into one of them. Before, each
-    # iteration allocated a G, a D and the next X, and later adagrad_diag
-    # still allocated its G * G. Each interval runs from the start of one
-    # search to the start of the next, so it holds one whole iteration; the
-    # only trace point is at k = 0, before the first search.
+    # adagrad_diag squares the gradients into one of them. Each interval
+    # runs from the start of one search to the start of the next, so it
+    # holds one whole iteration; the only trace point is at k = 0, before
+    # the first search.
     @pytest.mark.parametrize("kind", ["sgd", "momentum", "cg", "adagrad_diag"])
     def test_iterations_allocate_no_vector(self, wide, monkeypatch, kind):
         p = wide[0]
